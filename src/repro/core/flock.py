@@ -81,6 +81,12 @@ class FlockInference:
     def params(self) -> FlockParams:
         return self._params
 
+    @property
+    def kernel_backend(self) -> Optional[str]:
+        """Backend name given at construction (``None``: resolved from
+        ``REPRO_KERNEL_BACKEND`` or the default)."""
+        return self._kernel_backend
+
     def _make_state(self, problem: InferenceProblem):
         if self._engine == "reference":
             return JleState(problem, self._params)

@@ -90,6 +90,12 @@ class GibbsInference:
     def params(self) -> FlockParams:
         return self._params
 
+    @property
+    def kernel_backend(self) -> Optional[str]:
+        """Backend name given at construction (``None``: resolved from
+        ``REPRO_KERNEL_BACKEND`` or the default)."""
+        return self._kernel_backend
+
     def localize(
         self,
         problem: InferenceProblem,

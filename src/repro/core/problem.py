@@ -39,7 +39,7 @@ from typing import (
 import numpy as np
 
 from ..errors import InferenceError
-from ..routing.paths import PathTable, first_seen_ids
+from ..routing.paths import PathTable, _GrowableCSR, first_seen_ids
 from ..types import FlowObservation, TelemetryKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -133,36 +133,79 @@ def _first_seen_unique_rows(*cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return first_idx[order], counts[order]
 
 
-class SetStageCache:
-    """Persistent :meth:`PathSpace.comp_set_parts` intern for streaming.
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of int keys, by sort and boundary mask.
 
-    A sliding window re-sees almost exactly the path sets of the
-    previous cycle, so :meth:`InferenceProblem._from_grouped_compressed`
-    can skip its per-gsid python walk: this cache stores each seen
-    gsid's endpoint components, interior-set key, and (per distinct
-    key) member array in flat CSR form, and a rebuild gathers the whole
-    set stage with a handful of vectorized indexing passes.  The gather
-    reproduces the walk's output arrays exactly - same interior-set
-    first-seen numbering, same segment order - so cached and uncached
-    builds stay bit-identical.
+    numpy 2.x answers a bare ``np.unique`` from a hash table, which
+    runs tens of times slower than a sort when most keys are distinct
+    - as packed (owner, component) keys are (0.57 s against 0.012 s
+    for 750K such keys on a 2.0 GHz Xeon core).
+    """
+    out = np.sort(keys)
+    keep = np.empty(len(out), dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+def _gather_rows(
+    values: np.ndarray, off: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sub-CSR (values, offsets) of the CSR rows ``rows``, in that order."""
+    lens = off[rows + 1] - off[rows]
+    sub_off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lens, out=sub_off[1:])
+    return values[_expand_slices(off[rows], lens)], sub_off
+
+
+def _concat_segments(
+    segments: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten a non-empty list of int64 arrays into (values, lengths)."""
+    lens = np.fromiter(
+        (len(s) for s in segments), dtype=np.int64, count=len(segments)
+    )
+    return np.concatenate(segments), lens
+
+
+class SetStageCache:
+    """Intern of the compressed set stage, one entry per gsid and key.
+
+    A compressed build needs, per distinct path set (gsid), its
+    endpoint components and interior-set key
+    (:meth:`PathSpace.comp_set_parts`), and per distinct interior key
+    its member gids and the sorted union of their components.  Each of
+    these is a pure function of the gsid or the key, so the cache
+    interns it once, in flat CSR form:
+
+    * :meth:`rows` walks ``comp_set_parts`` only for gsids it has not
+      seen;
+    * the component unions of the keys that walk interned are computed
+      in one batched sort (:meth:`_refresh`), so a union costs work
+      once per key, not once per build the key appears in.
+
+    :meth:`InferenceProblem._from_grouped_compressed` then gathers the
+    whole set stage - endpoint comps, interior members, interior unions
+    - with a handful of vectorized indexing passes.  Every compressed
+    build goes through a cache: ``from_batch`` with a fresh call-local
+    one (every key is new), the sliding window
+    (:class:`repro.core.window.WindowedProblem`) with one that lives as
+    long as the window and re-sees almost every key of the previous
+    cycle.  The cache belongs to that caller, never to the
+    :class:`PathSpace`, so its arrays go away with the build or window.
     """
 
     def __init__(self) -> None:
         self._row = np.full(1024, -1, dtype=np.int64)  # gsid -> row
         self._key_index: Dict[Tuple, int] = {}
         self._key_rows: List[int] = []
-        self._e_segments: List[np.ndarray] = []  # per row
-        self._m_segments: List[np.ndarray] = []  # per key id
         self.key_of_row = np.empty(0, dtype=np.int64)
-        self.e_flat = np.empty(0, dtype=np.int64)
-        self.e_lens = np.empty(0, dtype=np.int64)
-        self.e_off = np.zeros(1, dtype=np.int64)
-        self.m_flat = np.empty(0, dtype=np.int64)
-        self.m_lens = np.empty(0, dtype=np.int64)
-        self.m_off = np.zeros(1, dtype=np.int64)
+        self.ecomps = _GrowableCSR()  # per row: endpoint components
+        self.members = _GrowableCSR()  # per key: member gids, raw order
+        self.unions = _GrowableCSR()  # per key: sorted component union
 
     def rows(self, space, gsids: np.ndarray) -> np.ndarray:
-        """Cache row of every gsid, interning the ones not yet seen."""
+        """Cache row of every (distinct) gsid, interning unseen ones."""
         top = int(gsids.max()) + 1 if len(gsids) else 0
         if top > len(self._row):
             grown = np.full(max(top, 2 * len(self._row)), -1, dtype=np.int64)
@@ -171,51 +214,46 @@ class SetStageCache:
         rows = self._row[gsids]
         missing = gsids[rows < 0]
         if len(missing):
+            new_e: List[np.ndarray] = []
+            new_m: List[np.ndarray] = []
             for g in missing.tolist():
-                ecomps, members, key = space.comp_set_parts(int(g))
+                ecomps, members, key = space.comp_set_parts(g)
                 kid = self._key_index.get(key)
                 if kid is None:
-                    kid = len(self._m_segments)
+                    kid = self.members.n_rows + len(new_m)
                     self._key_index[key] = kid
-                    self._m_segments.append(
-                        np.asarray(members, dtype=np.int64)
-                    )
+                    new_m.append(members)
                 self._row[g] = len(self._key_rows)
                 self._key_rows.append(kid)
-                self._e_segments.append(np.asarray(ecomps, dtype=np.int64))
-            self._refresh()
+                new_e.append(ecomps)
+            self._refresh(space, new_e, new_m)
             rows = self._row[gsids]
         return rows
 
-    def _refresh(self) -> None:
-        """Extend the flat gather arrays by the newly interned tail.
-
-        Steady-state cycles intern nothing and never land here; the
-        trickle of genuinely new sets extends in O(existing + new).
-        """
-        built = len(self.key_of_row)
-        new_e = self._e_segments[built:]
-        if new_e:
-            self.key_of_row = np.asarray(self._key_rows, dtype=np.int64)
-            lens = np.fromiter(
-                (len(e) for e in new_e), dtype=np.int64, count=len(new_e)
-            )
-            self.e_lens = np.concatenate([self.e_lens, lens])
-            self.e_off = np.concatenate(
-                [self.e_off, self.e_off[-1] + np.cumsum(lens)]
-            )
-            self.e_flat = np.concatenate([self.e_flat, *new_e])
-        built_m = len(self.m_lens)
-        new_m = self._m_segments[built_m:]
-        if new_m:
-            lens = np.fromiter(
-                (len(m) for m in new_m), dtype=np.int64, count=len(new_m)
-            )
-            self.m_lens = np.concatenate([self.m_lens, lens])
-            self.m_off = np.concatenate(
-                [self.m_off, self.m_off[-1] + np.cumsum(lens)]
-            )
-            self.m_flat = np.concatenate([self.m_flat, *new_m])
+    def _refresh(
+        self, space, new_e: List[np.ndarray], new_m: List[np.ndarray]
+    ) -> None:
+        """Extend the flat arrays by the newly interned tail, computing
+        the new keys' sorted component unions in one batched pass."""
+        self.key_of_row = np.asarray(self._key_rows, dtype=np.int64)
+        self.ecomps.append(*_concat_segments(new_e))
+        if not new_m:
+            return
+        members, m_lens = _concat_segments(new_m)
+        self.members.append(members, m_lens)
+        cc_flat, cc_off = space.comp_csr()
+        counts = cc_off[members + 1] - cc_off[members]
+        comps = cc_flat[_expand_slices(cc_off[members], counts)]
+        owner = np.repeat(
+            np.repeat(np.arange(len(new_m), dtype=np.int64), m_lens), counts
+        )
+        # The space projects from its own topology, so its component
+        # ids are below that topology's count.
+        span = np.int64(space.topology.n_components)
+        keys = _sorted_unique(owner * span + comps)
+        self.unions.append(
+            keys % span, np.bincount(keys // span, minlength=len(new_m))
+        )
 
 
 class InferenceProblem:
@@ -363,7 +401,7 @@ class InferenceProblem:
         inst_comp = self.path_comps[
             _expand_slices(self.path_off[set_pids], inst_counts)
         ]
-        keys = np.unique(inst_set * n_comps + inst_comp)
+        keys = _sorted_unique(inst_set * n_comps + inst_comp)
         self._set_union_comps: Optional[np.ndarray] = keys % n_comps
         sets_u = keys // n_comps
         self._set_union_bounds: Optional[np.ndarray] = np.searchsorted(
@@ -657,8 +695,8 @@ class InferenceProblem:
         (:class:`repro.core.window.WindowedProblem`) lands here after
         merging per-chunk grouped tables - the shared entry is what
         makes windowed problems bit-identical to batch rebuilds.
-        ``parts_cache`` optionally carries a :class:`SetStageCache`
-        interning :meth:`PathSpace.comp_set_parts` across builds.
+        ``parts_cache`` is the window's :class:`SetStageCache`, kept
+        across builds; compressed builds without one use a fresh cache.
         """
         if n_links > n_components:
             raise InferenceError("n_links cannot exceed n_components")
@@ -699,11 +737,7 @@ class InferenceProblem:
 
         # Local path -> components CSR, gathered from the space's
         # global CSR in local-id order.
-        cc_flat, cc_off = space.comp_csr()
-        path_lens = cc_off[local_gids + 1] - cc_off[local_gids]
-        path_off = np.zeros(len(local_gids) + 1, dtype=np.int64)
-        np.cumsum(path_lens, out=path_off[1:])
-        path_comps = cc_flat[_expand_slices(cc_off[local_gids], path_lens)]
+        path_comps, path_off = _gather_rows(*space.comp_csr(), local_gids)
 
         # Component ids projected from the problem's own topology are in
         # range by construction; only a mismatched space needs the scan.
@@ -751,77 +785,31 @@ class InferenceProblem:
         only distinct interior/exact projections.  At paper scale this
         is what keeps the build - and every kernel that runs on it -
         tractable.
+
+        The set stage is gathered from ``parts_cache`` (a fresh
+        :class:`SetStageCache` when the caller passes none).  Interior
+        sets are numbered by first key appearance over the first-seen
+        sets, so the gathered arrays do not depend on what the cache
+        interned before this build.
         """
         ordered_gsids, set_of_flow = first_seen_ids(rep_gsids)
-        n_sets = len(ordered_gsids)
-
-        if parts_cache is not None:
-            # Streaming path: gather the set stage from the persistent
-            # intern instead of re-walking comp_set_parts per gsid.
-            # Interior sets are numbered by first key appearance either
-            # way (key ids alias keys one-to-one), so the gathered
-            # arrays equal the walked ones element for element.
-            rows = parts_cache.rows(space, ordered_gsids)
-            ordered_kids, iset_of_set = first_seen_ids(
-                parts_cache.key_of_row[rows]
-            )
-            e_lens = parts_cache.e_lens[rows]
-            set_eoff = np.zeros(n_sets + 1, dtype=np.int64)
-            np.cumsum(e_lens, out=set_eoff[1:])
-            set_ecomps = parts_cache.e_flat[
-                _expand_slices(parts_cache.e_off[rows], e_lens)
-            ]
-            m_lens = parts_cache.m_lens[ordered_kids]
-            iset_raw_off = np.zeros(len(ordered_kids) + 1, dtype=np.int64)
-            np.cumsum(m_lens, out=iset_raw_off[1:])
-            flat_gids = parts_cache.m_flat[
-                _expand_slices(parts_cache.m_off[ordered_kids], m_lens)
-            ]
-        else:
-            iset_index: Dict[Tuple, int] = {}
-            iset_members: List[np.ndarray] = []
-            iset_of_set = np.empty(n_sets, dtype=np.int64)
-            e_segments: List[np.ndarray] = []
-            parts = space.comp_set_parts
-
-            for k, g in enumerate(ordered_gsids.tolist()):
-                ecomps, members, key = parts(int(g))
-                iid = iset_index.get(key)
-                if iid is None:
-                    iid = len(iset_members)
-                    iset_index[key] = iid
-                    iset_members.append(members)
-                iset_of_set[k] = iid
-                e_segments.append(ecomps)
-
-            e_lens = np.fromiter(
-                (len(e) for e in e_segments), dtype=np.int64, count=n_sets
-            )
-            set_eoff = np.zeros(n_sets + 1, dtype=np.int64)
-            np.cumsum(e_lens, out=set_eoff[1:])
-            set_ecomps = (
-                np.concatenate(e_segments) if set_eoff[-1]
-                else np.empty(0, dtype=np.int64)
-            )
-
-            m_lens = np.fromiter(
-                (len(m) for m in iset_members),
-                dtype=np.int64,
-                count=len(iset_members),
-            )
-            iset_raw_off = np.zeros(len(iset_members) + 1, dtype=np.int64)
-            np.cumsum(m_lens, out=iset_raw_off[1:])
-            flat_gids = (
-                np.concatenate(iset_members) if iset_members
-                else np.empty(0, dtype=np.int64)
-            )
+        if parts_cache is None:
+            parts_cache = SetStageCache()
+        rows = parts_cache.rows(space, ordered_gsids)
+        ordered_kids, iset_of_set = first_seen_ids(
+            parts_cache.key_of_row[rows]
+        )
+        set_ecomps, set_eoff = _gather_rows(
+            *parts_cache.ecomps.arrays(), rows
+        )
+        flat_gids, iset_raw_off = _gather_rows(
+            *parts_cache.members.arrays(), ordered_kids
+        )
+        iu_comps, iu_bounds = _gather_rows(
+            *parts_cache.unions.arrays(), ordered_kids
+        )
         local_gids, iset_raw_pids = first_seen_ids(flat_gids)
-
-        cc_flat, cc_off = space.comp_csr()
-        path_lens = cc_off[local_gids + 1] - cc_off[local_gids]
-        path_off = np.zeros(len(local_gids) + 1, dtype=np.int64)
-        np.cumsum(path_lens, out=path_off[1:])
-        path_comps = cc_flat[_expand_slices(cc_off[local_gids], path_lens)]
+        path_comps, path_off = _gather_rows(*space.comp_csr(), local_gids)
 
         if space.topology.n_components != n_components:
             for arr in (path_comps, set_ecomps):
@@ -850,7 +838,7 @@ class InferenceProblem:
         self.path_off = path_off
         self._finish_compressed(
             set_of_flow, set_ecomps, set_eoff,
-            iset_of_set, iset_raw_pids, iset_raw_off,
+            iset_of_set, iset_raw_pids, iset_raw_off, iu_comps, iu_bounds,
         )
         self.exact = self._set_w[set_of_flow] == 1
         return self
@@ -863,11 +851,17 @@ class InferenceProblem:
         iset_of_set: np.ndarray,
         iset_raw_pids: np.ndarray,
         iset_raw_off: np.ndarray,
+        iu_comps: np.ndarray,
+        iu_bounds: np.ndarray,
     ) -> None:
-        """Indexes for the compressed layout, interior-set granular."""
+        """Indexes for the compressed layout, interior-set granular.
+
+        ``iu_comps``/``iu_bounds`` are the interior sets' sorted
+        component unions (CSR), gathered from the
+        :class:`SetStageCache`.
+        """
         n_comps = np.int64(self.n_components)
         n_sets = len(iset_of_set)
-        n_isets = len(iset_raw_off) - 1
         n_paths = len(self.path_off) - 1
         self.compressed = True
         self._set_of_flow = set_of_flow
@@ -878,38 +872,21 @@ class InferenceProblem:
             set_ecomps, set_eoff, iset_of_set, iset_raw_pids, iset_raw_off
         )
 
-        # Sorted component unions per interior set (work is per iset,
-        # not per set - the compression's whole point).
-        pc_lens = np.diff(self.path_off)
-        u_lens = np.diff(self._iset_uoff)
-        inst_counts = pc_lens[self._iset_upids]
-        inst_iset = np.repeat(
-            np.repeat(np.arange(n_isets, dtype=np.int64), u_lens), inst_counts
-        )
-        inst_comp = self.path_comps[
-            _expand_slices(self.path_off[self._iset_upids], inst_counts)
-        ]
-        ukeys = np.unique(inst_iset * n_comps + inst_comp)
-        iu_comps = ukeys % n_comps
-        iu_bounds = np.searchsorted(
-            ukeys // n_comps, np.arange(n_isets + 1, dtype=np.int64)
-        )
-
         # Per-set sorted unions = endpoint comps merged with the shared
         # interior union (disjoint by construction: endpoints are host
-        # links, interiors are switch-level comps), via one global sort
-        # over packed keys.
-        e_lens = np.diff(set_eoff)
-        iu_set_lens = np.diff(iu_bounds)[iset_of_set]
+        # links, interiors are switch-level comps).  Both packed
+        # (set, comp) runs are already sorted - interior unions gathered
+        # in set order, endpoint comps sorted per set - so the stable
+        # sort (a merge sort) merges the two runs in linear time.
         set_ids = np.arange(n_sets, dtype=np.int64)
-        all_sets = np.concatenate([
-            np.repeat(set_ids, e_lens), np.repeat(set_ids, iu_set_lens),
-        ])
-        all_comps = np.concatenate([
-            set_ecomps,
-            iu_comps[_expand_slices(iu_bounds[iset_of_set], iu_set_lens)],
-        ])
-        skeys = np.sort(all_sets * n_comps + all_comps)
+        iu_comps, iu_set_off = _gather_rows(iu_comps, iu_bounds, iset_of_set)
+        skeys = np.sort(
+            np.concatenate([
+                np.repeat(set_ids, np.diff(iu_set_off)) * n_comps + iu_comps,
+                np.repeat(set_ids, np.diff(set_eoff)) * n_comps + set_ecomps,
+            ]),
+            kind="stable",
+        )
         self._set_union_comps = skeys % n_comps
         self._set_union_bounds = np.searchsorted(
             skeys // n_comps, np.arange(n_sets + 1, dtype=np.int64)

@@ -8,6 +8,16 @@ is grouped once (the same packed ``np.unique`` pass ``from_batch``
 uses); per cycle only the small per-chunk grouped tables are merged and
 handed to :meth:`InferenceProblem._from_grouped`.
 
+The window owns a :class:`~repro.core.problem.SetStageCache` for its
+whole life.  It interns, once per path set and once per interior key,
+what the compressed build needs: endpoint components, interior members,
+and each interior key's sorted component union.  A steady-state cycle
+re-sees almost every key of the previous one, so it gathers the set
+stage from flat arrays and computes unions only for the few keys new to
+the stream, instead of re-deriving every union from all of the window's
+(interior set, component) pairs each cycle - about 750K on the
+2496-link paper fabric with eight 525-flow chunks.
+
 Bit-identity with a full rebuild is by construction, not by luck:
 
 * per-chunk tables are first-seen ordered, and chunks concatenate in
@@ -121,10 +131,10 @@ class WindowedProblem:
         self.compressed = compressed
         self._chunks: Deque[_Chunk] = deque()
         self._space = None
-        # Interned PathSpace.comp_set_parts results survive across
-        # cycles: a steady-state window re-sees mostly known path sets,
-        # so the compressed set stage gathers from flat cached arrays
-        # and touches the space only for ids new to the stream.
+        # Interned set-stage facts (comp_set_parts results and interior
+        # unions) survive across cycles: the compressed set stage
+        # gathers from flat cached arrays and touches the space only
+        # for ids new to the stream.
         self._parts_cache = SetStageCache()
         self._problem: Optional[InferenceProblem] = None
 

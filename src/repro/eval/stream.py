@@ -257,13 +257,15 @@ class StreamMonitor:
         problem = update.problem
         state: Optional[VectorJleState] = None
         if self.warm:
-            params = self.setup.localizer.params
+            localizer = self.setup.localizer
             expired_contrib = (
                 self._contribs.popleft()
                 if len(self._contribs) >= self.window else None
             )
             if self._state is None:
-                state = VectorJleState(problem, params)
+                state = VectorJleState(
+                    problem, localizer.params, localizer.kernel_backend
+                )
             else:
                 state = VectorJleState.rebase(
                     problem,
@@ -472,6 +474,9 @@ class StreamMonitor:
                 "d": ndarray_to_wire(state.delta),
                 "ll": float(state.ll),
                 "f": int(state.flips),
+                # The backend the state resolved, so a resume under a
+                # different REPRO_KERNEL_BACKEND continues on it.
+                "k": state.kernels.name,
             },
             "contribs": [
                 None if contrib is None else {
@@ -618,13 +623,15 @@ class StreamMonitor:
                     "checkpoint carries warm JLE state but the restored "
                     "scheme does not warm-start"
                 )
+            localizer = monitor.setup.localizer
             monitor._state = VectorJleState.restore(
                 monitor.windowed.problem,
-                monitor.setup.localizer.params,
+                localizer.params,
                 hypothesis=state_wire["h"],
                 delta=ndarray_from_wire(state_wire["d"]),
                 ll=float(state_wire["ll"]),
                 flips=int(state_wire["f"]),
+                kernel_backend=state_wire.get("k", localizer.kernel_backend),
             )
         monitor._contribs = deque(
             None if contrib is None else DeltaContrib(

@@ -199,6 +199,69 @@ class _FactoredCompSet:
         self.ecomps, self.switch_gsid, self.gids = state
 
 
+def _reserve(buf: np.ndarray, size: int) -> np.ndarray:
+    """``buf`` if it holds ``size`` entries, else a copy with doubled room."""
+    if size <= len(buf):
+        return buf
+    grown = np.empty(max(size, 2 * len(buf)), dtype=buf.dtype)
+    grown[: len(buf)] = buf
+    return grown
+
+
+class _GrowableCSR:
+    """Append-only int64 CSR that grows by its newly appended tail.
+
+    Rows land in capacity-doubling buffers, so appending k values costs
+    O(k) amortized instead of re-converting every row held so far.
+    :meth:`arrays` returns views of the filled prefix; an append never
+    writes inside it, so views handed out earlier stay valid.  Not
+    thread-safe on its own: shared owners append under their lock.
+    """
+
+    __slots__ = ("_flat", "_off", "n_rows")
+
+    def __init__(self) -> None:
+        self._flat = np.empty(64, dtype=np.int64)
+        self._off = np.zeros(64, dtype=np.int64)
+        self.n_rows = 0
+
+    def __getstate__(self):
+        flat, off = self.arrays()
+        return flat.copy(), off.copy()
+
+    def __setstate__(self, state):
+        self._flat, self._off = state
+        self.n_rows = len(self._off) - 1
+
+    def append(self, values: np.ndarray, lens: np.ndarray) -> None:
+        """Append ``len(lens)`` rows whose values concatenate to ``values``."""
+        n = self.n_rows
+        used = int(self._off[n])
+        self._flat = _reserve(self._flat, used + len(values))
+        self._off = _reserve(self._off, n + 1 + len(lens))
+        self._flat[used:used + len(values)] = values
+        tail = self._off[n + 1:n + 1 + len(lens)]
+        np.cumsum(lens, out=tail)
+        tail += used
+        self.n_rows = n + len(lens)
+
+    def append_rows(self, rows: Iterable[Sequence[int]]) -> None:
+        """Append python int rows: one list-extend and one ``asarray``."""
+        flat: List[int] = []
+        lens: List[int] = []
+        for row in rows:
+            flat.extend(row)
+            lens.append(len(row))
+        self.append(
+            np.asarray(flat, dtype=np.int64), np.asarray(lens, dtype=np.int64)
+        )
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(values, offsets) views covering every appended row."""
+        n = self.n_rows
+        return self._flat[: self._off[n]], self._off[: n + 1]
+
+
 class _DenseCache:
     """A growable int64 array mapping dense ids to dense ids (-1 = miss).
 
@@ -278,16 +341,10 @@ class PathSpace:
         self._pid_gid = (_DenseCache(), _DenseCache())
         self._pid_gsid = (_DenseCache(), _DenseCache())
         self._sid_gsid = (_DenseCache(), _DenseCache())
-        # Per-pid link ids as CSR, grown lazily (see :meth:`link_csr`).
-        self._link_flat: List[int] = []
-        self._link_off: List[int] = [0]
-        self._link_hwm = 0
-        self._link_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        # Per-gid component ids as CSR (see :meth:`comp_csr`).
-        self._cc_flat: List[int] = []
-        self._cc_off: List[int] = [0]
-        self._cc_hwm = 0
-        self._cc_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # Per-pid link ids and per-gid component ids as CSRs, grown
+        # lazily (see :meth:`link_csr` / :meth:`comp_csr`).
+        self._link_csr = _GrowableCSR()
+        self._cc_csr = _GrowableCSR()
         # A space is shared by every trace of a (topology, routing) pair;
         # under the thread executor two trace units may intern
         # concurrently.  Lookups are GIL-atomic dict reads; only the
@@ -640,23 +697,14 @@ class PathSpace:
         """CSR of component ids per component path, covering every gid.
 
         The columnar problem builder gathers local path tables straight
-        out of these arrays instead of iterating component tuples.
+        out of these arrays instead of iterating component tuples; only
+        gids interned since the previous call are converted.
         """
         with self._lock:
-            n = len(self._comp_paths)
-            if self._cc_hwm < n:
-                for gid in range(self._cc_hwm, n):
-                    comps = self._comp_paths[gid]
-                    self._cc_flat.extend(comps)
-                    self._cc_off.append(self._cc_off[-1] + len(comps))
-                self._cc_hwm = n
-                self._cc_arrays = None
-            if self._cc_arrays is None:
-                self._cc_arrays = (
-                    np.asarray(self._cc_flat, dtype=np.int64),
-                    np.asarray(self._cc_off, dtype=np.int64),
-                )
-            return self._cc_arrays
+            csr = self._cc_csr
+            if csr.n_rows < len(self._comp_paths):
+                csr.append_rows(self._comp_paths[csr.n_rows:])
+            return csr.arrays()
 
     def link_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR of link ids per node path, covering every interned pid.
@@ -667,20 +715,13 @@ class PathSpace:
         reduce over it.
         """
         with self._lock:
+            csr = self._link_csr
             n = len(self._paths)
-            if self._link_hwm < n:
-                for pid in range(self._link_hwm, n):
-                    links = self.path_link_ids(pid)
-                    self._link_flat.extend(links)
-                    self._link_off.append(self._link_off[-1] + len(links))
-                self._link_hwm = n
-                self._link_arrays = None
-            if self._link_arrays is None:
-                self._link_arrays = (
-                    np.asarray(self._link_flat, dtype=np.int64),
-                    np.asarray(self._link_off, dtype=np.int64),
+            if csr.n_rows < n:
+                csr.append_rows(
+                    self.path_link_ids(pid) for pid in range(csr.n_rows, n)
                 )
-            return self._link_arrays
+            return csr.arrays()
 
     def paths_cross_links(
         self, pids: np.ndarray, links: Iterable[int]

@@ -1,9 +1,16 @@
 """Tests for ECMP path enumeration and path interning."""
 
+import pickle
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from repro.errors import RoutingError
-from repro.routing import EcmpRouting, PathSetTable, PathTable, wcmp_weights
+from repro.routing import (
+    EcmpRouting, PathSetTable, PathSpace, PathTable, wcmp_weights,
+)
 from repro.topology import fat_tree, leaf_spine
 
 
@@ -139,3 +146,113 @@ class TestInterning:
         assert a == b
         assert table.paths(a) == (1, 2)
         assert len(table) == 1
+
+
+def _csr(rows):
+    """From-scratch CSR (values, offsets) of int rows."""
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=off[1:])
+    flat = np.array([v for r in rows for v in r], dtype=np.int64)
+    return flat, off
+
+
+def _assert_csrs_fresh(space):
+    """comp_csr()/link_csr() equal a from-scratch build over every id."""
+    want_comp = _csr([space.comp_path(g) for g in range(space.n_comp_paths)])
+    want_link = _csr([space.path_link_ids(p) for p in range(space.n_paths)])
+    for got, want in ((space.comp_csr(), want_comp),
+                      (space.link_csr(), want_link)):
+        for got_arr, want_arr in zip(got, want):
+            assert got_arr.dtype == np.int64
+            assert np.array_equal(got_arr, want_arr)
+
+
+def _intern_pairs(space, routing, pairs):
+    """Intern every ECMP path of ``pairs`` and both its projections."""
+    for a, b in pairs:
+        pids = np.array(
+            [space.intern_path(p) for p in routing.host_paths(a, b)],
+            dtype=np.int64,
+        )
+        space.path_gids(pids, include_devices=True)
+        space.path_gids(pids, include_devices=False)
+
+
+class TestPathSpaceCSR:
+    """The incrementally grown CSRs always equal a from-scratch build."""
+
+    @pytest.fixture(scope="class")
+    def routing(self):
+        return EcmpRouting(fat_tree(4))
+
+    @pytest.fixture(scope="class")
+    def pairs(self, routing):
+        hosts = routing.topology.hosts
+        return [(a, b) for a in hosts for b in hosts if a != b]
+
+    def test_interleaved_interning_and_reads(self, routing, pairs):
+        space = PathSpace(routing.topology, routing)
+        handed_out = []
+        for start in range(0, len(pairs), 37):
+            _intern_pairs(space, routing, pairs[start:start + 37])
+            _assert_csrs_fresh(space)
+            arrays = space.comp_csr() + space.link_csr()
+            handed_out.append((arrays, [a.copy() for a in arrays]))
+        # Growth never rewrites arrays handed out before it.
+        for arrays, snapshot in handed_out:
+            for arr, copy in zip(arrays, snapshot):
+                assert np.array_equal(arr, copy)
+
+    def test_pickle_round_trip(self, routing, pairs):
+        space = PathSpace(routing.topology, routing)
+        half = len(pairs) // 2
+        _intern_pairs(space, routing, pairs[:half])
+        space.comp_csr()
+        space.link_csr()
+        clone = pickle.loads(pickle.dumps(space))
+        _assert_csrs_fresh(clone)
+        _intern_pairs(space, routing, pairs[half:])
+        _intern_pairs(clone, routing, pairs[half:])
+        _assert_csrs_fresh(clone)
+        _assert_csrs_fresh(space)
+        for mine, theirs in zip(space.comp_csr(), clone.comp_csr()):
+            assert np.array_equal(mine, theirs)
+
+    def test_concurrent_interning_leaves_a_consistent_csr(
+        self, routing, pairs
+    ):
+        space = PathSpace(routing.topology, routing)
+        errors = []
+
+        def worker(k):
+            try:
+                # Overlapping slices: threads race on the same ids too.
+                for i, pair in enumerate(pairs[k::3] + pairs[::7]):
+                    _intern_pairs(space, routing, [pair])
+                    if i % 4:
+                        continue
+                    for (flat, off), row in (
+                        (space.comp_csr(), space.comp_path),
+                        (space.link_csr(), space.path_link_ids),
+                    ):
+                        assert off[-1] == len(flat)
+                        last = len(off) - 2
+                        assert flat[off[last]:].tolist() == list(row(last))
+            except Exception as exc:  # reported below, on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,)) for k in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        _assert_csrs_fresh(space)

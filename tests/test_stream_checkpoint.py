@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import kernels
 from repro.core.flock_fast import VectorJleState
 from repro.errors import CheckpointError, ExperimentError, InferenceError
 from repro.eval import experiments
@@ -171,6 +172,47 @@ class TestCrashResume:
         assert tail and tail[0]["onset_cycle"] == 3
         if tail[0]["detected_cycle"] is not None:
             assert tail[0]["latency_seconds"] >= 0
+
+    def test_explicit_localizer_backend_reaches_the_warm_state(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+        topology, chunks = build_stream()
+        setup = make_setup("flock", overrides={"kernel_backend": "collapsed"})
+        monitor = StreamMonitor(topology, setup=setup, window=3, seed=61)
+        for chunk in chunks[:5]:  # a cold state, then rebased ones
+            monitor.step(chunk)
+            assert monitor._state.kernels.name == "collapsed"
+
+    def test_resume_keeps_the_checkpointed_backend(
+        self, monkeypatch, tmp_path
+    ):
+        crash_at = 4
+        monkeypatch.setenv(kernels.ENV_VAR, "collapsed")
+        topology, chunks = build_stream()
+        monitor = StreamMonitor(topology, window=3, seed=61)
+        baseline = [cycle_report_to_wire(monitor.step(c)) for c in chunks]
+
+        path = tmp_path / "stream.ckpt"
+        topology, chunks = build_stream()
+        monitor = StreamMonitor(
+            topology, window=3, seed=61, checkpoint_path=str(path),
+        )
+        for chunk in chunks[:crash_at]:
+            monitor.step(chunk)
+        assert monitor._state.kernels.name == "collapsed"
+
+        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+        topology, chunks = build_stream()
+        payload = decode_stream_checkpoint(path.read_text())
+        monitor = StreamMonitor.from_checkpoint(payload, topology, chunks)
+        assert monitor._state.kernels.name == "collapsed"
+        resumed = [
+            cycle_report_to_wire(monitor.step(c))
+            for c in chunks if c.index >= monitor.cursor
+        ]
+        assert monitor._state.kernels.name == "collapsed"
+        assert resumed == baseline[crash_at:]
 
     def test_restore_validates_delta_shape(self):
         topology, chunks = build_stream()

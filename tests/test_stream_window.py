@@ -17,6 +17,8 @@ and replay determinism.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.flock import FlockInference
 from repro.core.flock_fast import VectorJleState, greedy_local_search
@@ -68,7 +70,23 @@ def _obs_stream(chunks, telemetry, seed=17):
     ]
 
 
+#: Every kernel-facing array the set stage produces.
+KERNEL_ARRAYS = (
+    "path_comps", "path_off", "_set_of_flow",
+    "_set_ecomps", "_set_eoff", "_iset_of_set",
+    "_iset_upids", "_iset_uoff", "_iset_umult",
+    "_set_union_comps", "_set_union_bounds",
+    "_comp_path_keys", "_comp_path_vals", "_comp_path_bounds",
+    "_comp_eset_vals", "_comp_eset_bounds",
+)
+
+
 def _assert_problems_identical(win: InferenceProblem, ref: InferenceProblem):
+    assert win.compressed == ref.compressed
+    for name in KERNEL_ARRAYS:
+        got, want = getattr(win, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
     assert win.flow_paths == ref.flow_paths
     assert list(win.path_table) == list(ref.path_table)
     assert np.array_equal(win.bad_packets, ref.bad_packets)
@@ -107,6 +125,73 @@ def test_window_matches_rebuild_for_every_scheme(
         assert win_pred.components == ref_pred.components
         assert win_pred.scores == ref_pred.scores
         assert win_pred.log_likelihood == ref_pred.log_likelihood
+
+
+def _small_chunk_obs(topo, routing, telemetry, seed, n_flows):
+    """Observations of one tiny chunk: a handful of flows covers few
+    rack pairs, so later chunks keep bringing interior keys the window
+    has not seen."""
+    (chunk,) = replay_stream(
+        topo, routing, make_scenario("silent-link-drops"), seed=seed,
+        n_chunks=1, flows_per_chunk=n_flows, probes_per_chunk=n_flows % 5,
+    )
+    return build_observation_batch(
+        chunk.batch, telemetry, np.random.default_rng(seed)
+    )
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    window=st.integers(1, 5),
+    sizes=st.lists(st.integers(1, 30), min_size=2, max_size=8),
+    compressed=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_window_equals_rebuild_while_keys_keep_arriving(
+    tiny_world, seed, window, sizes, compressed
+):
+    """Property: whatever the window size and however the set-stage
+    cache grew mid-stream, every appended window's problem equals a
+    from_batch rebuild of the retained rows, array for array."""
+    topo = tiny_world[0]
+    routing = EcmpRouting(topo)  # a fresh PathSpace per example
+    telemetry = make_setup("flock").telemetry
+    windowed = WindowedProblem(
+        topo.n_components, topo.n_links, window=window, compressed=compressed
+    )
+    for index, n_flows in enumerate(sizes):
+        obs = _small_chunk_obs(topo, routing, telemetry, seed + index, n_flows)
+        update = windowed.append(obs)
+        rebuilt = InferenceProblem.from_batch(
+            windowed.retained_observations(),
+            topo.n_components, topo.n_links, compressed=compressed,
+        )
+        _assert_problems_identical(update.problem, rebuilt)
+
+
+def test_set_stage_cache_interns_unions_mid_stream(tiny_world):
+    """The window's cache keeps interning keys after the first cycle,
+    and every interned union is the sorted union of its members'
+    components."""
+    topo = tiny_world[0]
+    routing = EcmpRouting(topo)
+    space = routing.path_space()
+    telemetry = make_setup("flock").telemetry
+    windowed = WindowedProblem(topo.n_components, topo.n_links, window=2)
+    cache = windowed._parts_cache
+    n_keys = []
+    for index in range(6):
+        windowed.append(_small_chunk_obs(topo, routing, telemetry, index, 4))
+        n_keys.append(cache.members.n_rows)
+    assert n_keys[-1] > n_keys[0]
+    assert len(cache.key_of_row) == cache.ecomps.n_rows
+    m_flat, m_off = cache.members.arrays()
+    u_flat, u_off = cache.unions.arrays()
+    assert cache.unions.n_rows == cache.members.n_rows
+    for key in range(cache.members.n_rows):
+        members = m_flat[m_off[key]:m_off[key + 1]].tolist()
+        want = sorted({c for g in members for c in space.comp_path(g)})
+        assert u_flat[u_off[key]:u_off[key + 1]].tolist() == want
 
 
 def test_rebased_state_matches_cold_rebuild(tiny_world):
