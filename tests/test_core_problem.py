@@ -80,6 +80,28 @@ class TestIndexes:
         problem = InferenceProblem.from_observations(observations, 5, 5)
         assert problem.observed_components == (0, 2)
 
+    def test_observed_components_matches_unique(self, drop_trace):
+        from repro.eval.harness import build_problem
+        from repro.telemetry import TelemetryConfig
+        from repro.telemetry.inputs import build_observation_batch
+
+        telemetry = TelemetryConfig.from_spec("A1+A2+P")
+        compressed = build_problem(drop_trace, telemetry)
+        batch = build_observation_batch(
+            drop_trace.batch, telemetry, np.random.default_rng(0)
+        )
+        topo = drop_trace.topology
+        uncompressed = InferenceProblem.from_batch(
+            batch, topo.n_components, topo.n_links, compressed=False
+        )
+        assert compressed.compressed and not uncompressed.compressed
+        for problem in (compressed, uncompressed):
+            want = tuple(np.unique(problem._set_union_comps).tolist())
+            assert want
+            assert problem.observed_components == want
+        empty = InferenceProblem.from_observations([], 5, 5)
+        assert empty.observed_components == ()
+
     def test_is_device(self):
         problem = InferenceProblem.from_observations(
             [obs(((0, 3),), 1, 0)], n_components=5, n_links=2
