@@ -231,17 +231,19 @@ class NetBouncer:
         """
         out: set = set()
         n_links = problem.n_links
+        path_lens = np.diff(problem.path_off)
+        set_elens = np.diff(problem._set_eoff)
         for device in problem.observed_components:
             if device < n_links:
                 continue
             dev_pids = problem.comp_path_ids(device)
-            lens = np.diff(problem.path_off)[dev_pids]
+            lens = path_lens[dev_pids]
             pcomps = problem.path_comps[
                 _expand_slices(problem.path_off[dev_pids], lens)
             ]
             flows = problem.comp_flows(device)
             aff_sets = np.unique(problem._set_of_flow[flows])
-            e_lens = np.diff(problem._set_eoff)[aff_sets]
+            e_lens = set_elens[aff_sets]
             e_links = problem._set_ecomps[
                 _expand_slices(problem._set_eoff[aff_sets], e_lens)
             ]

@@ -9,12 +9,14 @@ construction
   analysis - into one weighted flow, which preserves every scheme's
   output exactly (log likelihoods, votes and least-squares terms are all
   additive) while shrinking the working set dramatically, and
-* builds the inverted indexes (component -> flows, component -> paths)
-  that JLE's update rule walks.
+* answers the per-component queries (component -> flows, -> paths,
+  -> endpoint sets) that JLE's update rule walks, on demand: scans for
+  the few components a hot caller asks about, one sorted inverted
+  index once a caller asks about many.
 
 The problem's primary representation is columnar: CSR arrays for
-path -> components, flow -> path ids, component -> flows and
-component -> paths, plus aligned per-flow count arrays.  The vectorized
+path -> components, set -> endpoint components, interior set ->
+component union and flow -> set, plus aligned per-flow count arrays.  The vectorized
 kernels (:mod:`repro.core.flock_fast`) consume the arrays directly; the
 object views the reference engines and baselines walk (``path_table``,
 ``flow_paths``, ``flows_by_comp``, ...) are lazy adapters materialized
@@ -70,14 +72,13 @@ def _csr_from_tuples(rows: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndar
     return values, offsets
 
 
-def _split_sorted(sorted_keys: np.ndarray, values: np.ndarray) -> Dict[int, List[int]]:
-    """Turn aligned (sorted keys, values) arrays into {key: [values]}."""
-    uniq, starts = np.unique(sorted_keys, return_index=True)
-    out: Dict[int, List[int]] = {}
-    stops = np.append(starts[1:], len(values))
-    for key, start, stop in zip(uniq.tolist(), starts.tolist(), stops.tolist()):
-        out[key] = values[start:stop].tolist()
-    return out
+def _split_index(vals: np.ndarray, bounds: np.ndarray) -> Dict[int, List[int]]:
+    """Turn a (vals, bounds) inverted index into {key: [vals]}, one
+    entry per non-empty key, keys ascending."""
+    return {
+        key: vals[bounds[key]:bounds[key + 1]].tolist()
+        for key in np.flatnonzero(np.diff(bounds)).tolist()
+    }
 
 
 def _small_key_argsort(keys: np.ndarray, upper: int) -> np.ndarray:
@@ -85,7 +86,7 @@ def _small_key_argsort(keys: np.ndarray, upper: int) -> np.ndarray:
 
     Keys below 2**16 cast to uint16, which routes numpy to its radix
     sort - several times faster than the comparison sort on the
-    small-range keys (component ids, set ids) the problem indexes sort
+    small-range component ids the problem's inverted indexes sort
     by.  The cast is order-preserving, so both paths tie out.
     """
     if 0 < upper <= 1 << 16:
@@ -242,6 +243,203 @@ class SetStageCache:
         )
 
 
+#: Distinct components a per-component query answers by scanning before
+#: it sorts its whole inverted index once (about one radix sort's worth
+#: of scans).  Stream and diagnosis problems ask about one to three
+#: components and never sort; baselines that ask about dozens promote.
+_PROMOTE_AFTER = 16
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a memoized array read-only, so a caller that writes into an
+    answer fails loudly instead of corrupting every later answer."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _rows_containing(
+    values: np.ndarray, off: np.ndarray, comp: int
+) -> np.ndarray:
+    """Ascending ids of the CSR rows whose values contain ``comp``.
+
+    Every row holds a component at most once, so the hit positions map
+    to distinct rows - the same ascending array a sorted
+    component -> rows index slices out.
+    """
+    pos = np.flatnonzero(values == comp)
+    return np.searchsorted(off, pos, side="right") - 1
+
+
+class _CompIndex:
+    """Per-component queries over one inverted index, built on demand.
+
+    The first :data:`_PROMOTE_AFTER` distinct components are answered
+    by :meth:`_scan` and memoized; the next distinct one builds the
+    sorted index (:meth:`_build`: ``(vals, bounds)``) once, and every
+    later query slices it.  Either way the answer is the same
+    ascending, read-only int64 array.
+
+    Threads share problems (the runner's thread executor), so every
+    memo entry and the index are published whole, each in one
+    assignment: a reader sees nothing or a finished array, and a race
+    at worst computes one answer twice.  No lock, so problems stay
+    picklable.
+    """
+
+    def __init__(self, n_components: int) -> None:
+        self.n_components = n_components
+        self._memo: Dict[int, np.ndarray] = {}
+        self._index: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def __call__(self, comp: int) -> np.ndarray:
+        if not 0 <= comp < self.n_components:
+            raise InferenceError(
+                f"component id {comp} outside [0, {self.n_components})"
+            )
+        index = self._index
+        if index is None:
+            rows = self._memo.get(comp)
+            if rows is not None:
+                return rows
+            if len(self._memo) < _PROMOTE_AFTER:
+                rows = _frozen(self._scan(comp))
+                self._memo[comp] = rows
+                return rows
+            index = self.index()
+        vals, bounds = index
+        return vals[bounds[comp]:bounds[comp + 1]]
+
+    def index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(ids ascending per component, per-component bounds)."""
+        index = self._index
+        if index is None:
+            index = tuple(_frozen(a) for a in self._build())
+            self._index = index
+        return index
+
+    def __getstate__(self) -> dict:
+        """Memos and indexes are caches: a copy starts unbuilt (and
+        rebuilds them read-only)."""
+        state = self.__dict__.copy()
+        state["_memo"] = {}
+        state["_index"] = None
+        return state
+
+    def _scan(self, comp: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _build(self) -> Tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def _sorted(
+        self, comps: np.ndarray, ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stable sort of aligned (component, id) entries by component."""
+        bounds = np.zeros(self.n_components + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(comps, minlength=self.n_components), out=bounds[1:]
+        )
+        return ids[_small_key_argsort(comps, self.n_components)], bounds
+
+
+class _CompRows(_CompIndex):
+    """component -> ascending ids of the rows of one CSR containing it."""
+
+    def __init__(
+        self, values: np.ndarray, off: np.ndarray, n_components: int
+    ) -> None:
+        super().__init__(n_components)
+        self.values = values
+        self.off = off
+
+    def _scan(self, comp: int) -> np.ndarray:
+        return _rows_containing(self.values, self.off, comp)
+
+    def _build(self) -> Tuple[np.ndarray, np.ndarray]:
+        row_of = np.repeat(
+            np.arange(len(self.off) - 1, dtype=np.int64), np.diff(self.off)
+        )
+        return self._sorted(self.values, row_of)
+
+
+class _CompFlows(_CompIndex):
+    """component -> ascending flows that can blame it.
+
+    A flow can blame its set's union: the interior union of the set's
+    interior set plus the set's endpoint components.  A scan finds the
+    interior sets and endpoint sets carrying the component
+    (``iu_rows``, ``e_rows``), maps them to sets, then to flows.  The
+    index expands every flow's union and sorts it by component.
+    """
+
+    def __init__(
+        self,
+        n_components: int,
+        iu_rows: _CompRows,
+        e_rows: _CompRows,
+        iset_of_set: np.ndarray,
+        set_of_flow: np.ndarray,
+    ) -> None:
+        super().__init__(n_components)
+        self.iu_rows = iu_rows
+        self.e_rows = e_rows
+        self.iset_of_set = iset_of_set
+        self.set_of_flow = set_of_flow
+        self._unions: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _scan(self, comp: int) -> np.ndarray:
+        iset_hit = np.zeros(len(self.iu_rows.off) - 1, dtype=bool)
+        iset_hit[self.iu_rows(comp)] = True
+        set_hit = iset_hit[self.iset_of_set]
+        set_hit[self.e_rows(comp)] = True
+        return np.flatnonzero(set_hit[self.set_of_flow])
+
+    def __getstate__(self) -> dict:
+        state = super().__getstate__()
+        state["_unions"] = None
+        return state
+
+    def unions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-set sorted component unions, CSR (built once).
+
+        Endpoint comps and interior unions are disjoint (endpoints are
+        host links, interiors switch-level comps), so a set's union
+        length is the sum of the two.  Both packed (set, comp) runs are
+        already sorted - interior unions gathered in set order, endpoint
+        comps sorted per set - so the stable sort (a merge sort) merges
+        them in linear time.
+        """
+        unions = self._unions
+        if unions is None:
+            comps, off = _gather_rows(
+                self.iu_rows.values, self.iu_rows.off, self.iset_of_set
+            )
+            e_comps, e_off = self.e_rows.values, self.e_rows.off
+            if len(e_comps):
+                span = np.int64(self.n_components)
+                set_ids = np.arange(len(off) - 1, dtype=np.int64)
+                comps = np.sort(
+                    np.concatenate([
+                        np.repeat(set_ids, np.diff(off)) * span + comps,
+                        np.repeat(set_ids, np.diff(e_off)) * span + e_comps,
+                    ]),
+                    kind="stable",
+                ) % span
+                off = off + e_off
+            unions = (_frozen(comps), _frozen(off))
+            self._unions = unions
+        return unions
+
+    def _build(self) -> Tuple[np.ndarray, np.ndarray]:
+        comps, bounds = self.unions()
+        counts = np.diff(bounds)[self.set_of_flow]
+        flow_comp = comps[_expand_slices(bounds[self.set_of_flow], counts)]
+        inst_flow = np.repeat(
+            np.arange(len(self.set_of_flow), dtype=np.int64), counts
+        )
+        return self._sorted(flow_comp, inst_flow)
+
+
 class InferenceProblem:
     """Immutable, indexed view of a telemetry snapshot.
 
@@ -364,138 +562,84 @@ class InferenceProblem:
         set_pids: np.ndarray,
         set_off: np.ndarray,
     ) -> None:
-        """Build flow CSR and inverted indexes as whole-array passes."""
+        """Set layer of the uncompressed layout: every set is its own
+        interior set with no endpoint components."""
         n_comps = np.int64(self.n_components)
-        n_flows = len(set_of_flow)
         n_sets = len(set_off) - 1
-        n_paths = len(self.path_off) - 1
         self.compressed = False
         self._set_of_flow = set_of_flow
         self._set_pids = set_pids
         self._set_off = set_off
 
-        self._init_comp_paths(n_paths)
-
         # Per-set sorted component unions via one unique over packed
         # (set, component) keys.
-        set_lens = np.diff(set_off)
-        pc_lens = np.diff(self.path_off)
-        inst_counts = pc_lens[set_pids]
+        inst_counts = np.diff(self.path_off)[set_pids]
         inst_set = np.repeat(
-            np.repeat(np.arange(n_sets, dtype=np.int64), set_lens), inst_counts
+            np.repeat(np.arange(n_sets, dtype=np.int64), np.diff(set_off)),
+            inst_counts,
         )
         inst_comp = self.path_comps[
             _expand_slices(self.path_off[set_pids], inst_counts)
         ]
         keys = sorted_unique(inst_set * n_comps + inst_comp)
-        self._set_union_comps: Optional[np.ndarray] = keys % n_comps
-        sets_u = keys // n_comps
-        self._set_union_bounds: Optional[np.ndarray] = np.searchsorted(
-            sets_u, np.arange(n_sets + 1, dtype=np.int64)
-        )
-
-        self._defer_comp_flows()
-
-        # Unified set layer: the uncompressed problem is the trivial
-        # factoring - every set is its own interior set with no
-        # endpoint components.
-        empty = np.zeros(n_sets + 1, dtype=np.int64)
         self._init_unified(
             set_ecomps=np.empty(0, dtype=np.int64),
-            set_eoff=empty,
+            set_eoff=np.zeros(n_sets + 1, dtype=np.int64),
             iset_of_set=np.arange(n_sets, dtype=np.int64),
             iset_raw_pids=set_pids,
             iset_raw_off=set_off,
-        )
-        self._init_views()
-
-    def _init_comp_paths(self, n_paths: int) -> None:
-        """component -> paths: stable sort keeps pids ascending per key."""
-        pc_lens = np.diff(self.path_off)
-        pid_of = np.repeat(np.arange(n_paths, dtype=np.int64), pc_lens)
-        order = _small_key_argsort(self.path_comps, self.n_components)
-        self._comp_path_keys = self.path_comps[order]
-        self._comp_path_vals = pid_of[order]
-        self._comp_path_bounds = np.searchsorted(
-            self._comp_path_keys, np.arange(self.n_components + 1, dtype=np.int64)
+            iu_comps=keys % n_comps,
+            iu_bounds=np.searchsorted(
+                keys // n_comps, np.arange(n_sets + 1, dtype=np.int64)
+            ),
         )
 
     def _defer_comp_flows(self) -> None:
-        """Mark the component -> flows index as not-yet-built.
+        """Set up the per-component queries; nothing is sorted yet.
 
-        The full index costs a sort over (flow, union-component) pairs -
-        the single most expensive pass of the build - yet steady-state
-        consumers (the JLE kernels) only ever ask for a handful of
-        components.  :meth:`comp_flows` therefore answers per-component
-        queries from cheap set-level indexes until something needs the
-        whole index (``flows_by_comp``, ``addition_upper_bounds``),
-        which triggers :meth:`_ensure_comp_flows`.  Both paths return
-        identical arrays: flows ascending per component.
+        :meth:`comp_path_ids`, :meth:`comp_eset_ids` and
+        :meth:`comp_flows` each answer a component by scanning the CSR
+        rows that can hold it - path rows, endpoint rows, interior-union
+        rows plus endpoint rows mapped to sets and then flows - and
+        memoize the answer.  Hot callers ask about one to three
+        components per problem, so a build sorts no inverted index.
+        Once a query has scanned :data:`_PROMOTE_AFTER` distinct
+        components it builds its whole sorted index once and slices
+        every later answer from it (see :class:`_CompIndex`); so do the
+        whole-index readers (``flows_by_comp``,
+        ``addition_upper_bounds``, the uncompressed ``paths_by_comp``).
+        Scan and index return identical arrays: int64 ids, ascending
+        per component, read-only, empty for an unobserved component.
         """
-        self._cf_keys: Optional[np.ndarray] = None
-        self._cf_vals: Optional[np.ndarray] = None
-        self._cf_bounds: Optional[np.ndarray] = None
-        self._comp_set_vals: Optional[np.ndarray] = None
-        self._comp_set_bounds: Optional[np.ndarray] = None
-        self._set_flow_vals: Optional[np.ndarray] = None
-        self._set_flow_bounds: Optional[np.ndarray] = None
-        self._comp_flow_cache: Dict[int, np.ndarray] = {}
-
-    def _ensure_comp_flows(self) -> None:
-        """component -> flows: expand per-set unions back to flows; a
-        stable sort by component keeps flows ascending per key."""
-        if self._cf_bounds is not None:
-            return
-        set_of_flow = self._set_of_flow
-        n_flows = len(set_of_flow)
-        union_lens = np.diff(self._set_union_bounds)
-        flow_counts = union_lens[set_of_flow]
-        inst_flow = np.repeat(np.arange(n_flows, dtype=np.int64), flow_counts)
-        flow_comp = self._set_union_comps[
-            _expand_slices(self._set_union_bounds[set_of_flow], flow_counts)
-        ]
-        corder = np.argsort(flow_comp, kind="stable")
-        self._cf_keys = flow_comp[corder]
-        self._cf_vals = inst_flow[corder]
-        self._cf_bounds = np.searchsorted(
-            self._cf_keys, np.arange(self.n_components + 1, dtype=np.int64)
+        n = self.n_components
+        self._path_rows = _CompRows(self.path_comps, self.path_off, n)
+        self._eset_rows = _CompRows(self._set_ecomps, self._set_eoff, n)
+        self._flows = _CompFlows(
+            n,
+            _CompRows(self._iu_comps, self._iu_bounds, n),
+            self._eset_rows,
+            self._iset_of_set,
+            self._set_of_flow,
         )
 
-    def _ensure_set_indexes(self) -> None:
-        """Set-level inverted maps backing per-component queries:
-        component -> sets whose union carries it, and set -> flows."""
-        if self._comp_set_bounds is not None:
-            return
-        n_sets = len(self._set_union_bounds) - 1
-        set_ids = np.repeat(
-            np.arange(n_sets, dtype=np.int64), np.diff(self._set_union_bounds)
-        )
-        order = _small_key_argsort(self._set_union_comps, self.n_components)
-        self._comp_set_vals = set_ids[order]
-        self._comp_set_bounds = np.searchsorted(
-            self._set_union_comps[order],
-            np.arange(self.n_components + 1, dtype=np.int64),
-        )
-        forder = _small_key_argsort(self._set_of_flow, n_sets)
-        self._set_flow_vals = forder
-        self._set_flow_bounds = np.searchsorted(
-            self._set_of_flow[forder], np.arange(n_sets + 1, dtype=np.int64)
-        )
+    @property
+    def _set_union_comps(self) -> np.ndarray:
+        return self._flows.unions()[0]
+
+    @property
+    def _set_union_bounds(self) -> np.ndarray:
+        return self._flows.unions()[1]
 
     @property
     def _comp_flow_keys(self) -> np.ndarray:
-        self._ensure_comp_flows()
-        return self._cf_keys
+        bounds = self._flows.index()[1]
+        return np.repeat(
+            np.arange(self.n_components, dtype=np.int64), np.diff(bounds)
+        )
 
     @property
     def _comp_flow_vals(self) -> np.ndarray:
-        self._ensure_comp_flows()
-        return self._cf_vals
-
-    @property
-    def _comp_flow_bounds(self) -> np.ndarray:
-        self._ensure_comp_flows()
-        return self._cf_bounds
+        return self._flows.index()[0]
 
     def _init_unified(
         self,
@@ -504,6 +648,8 @@ class InferenceProblem:
         iset_of_set: np.ndarray,
         iset_raw_pids: np.ndarray,
         iset_raw_off: np.ndarray,
+        iu_comps: np.ndarray,
+        iu_bounds: np.ndarray,
     ) -> None:
         """Store the set layer the vectorized kernels consume.
 
@@ -511,9 +657,9 @@ class InferenceProblem:
         members are de-duplicated with an integer multiplicity column.
         ``set_ecomps`` holds each set's endpoint components (sorted,
         disjoint from every member's interior components; empty for
-        uncompressed problems).
+        uncompressed problems), ``iu_comps``/``iu_bounds`` each interior
+        set's sorted component union (CSR).
         """
-        n_sets = len(iset_of_set)
         n_isets = len(iset_raw_off) - 1
         n_paths = max(1, len(self.path_off) - 1)
         self._set_ecomps = set_ecomps
@@ -521,6 +667,8 @@ class InferenceProblem:
         self._iset_of_set = iset_of_set
         self._iset_raw_pids = iset_raw_pids
         self._iset_raw_off = iset_raw_off
+        self._iu_comps = iu_comps
+        self._iu_bounds = iu_bounds
 
         # Unique members + multiplicity per interior set (member order
         # inside a set does not matter to any kernel sum: pair counts
@@ -542,23 +690,8 @@ class InferenceProblem:
             self._iset_umult = np.empty(0, dtype=np.int64)
             self._iset_uoff = np.zeros(n_isets + 1, dtype=np.int64)
         self._set_w = raw_lens[iset_of_set]
-
-        # component -> sets blaming it through an endpoint component.
-        if len(set_ecomps):
-            e_sets = np.repeat(
-                np.arange(n_sets, dtype=np.int64), np.diff(set_eoff)
-            )
-            ekeys = np.sort(set_ecomps * np.int64(n_sets) + e_sets)
-            self._comp_eset_vals = ekeys % n_sets
-            self._comp_eset_bounds = np.searchsorted(
-                ekeys // n_sets,
-                np.arange(self.n_components + 1, dtype=np.int64),
-            )
-        else:
-            self._comp_eset_vals = np.empty(0, dtype=np.int64)
-            self._comp_eset_bounds = np.zeros(
-                self.n_components + 1, dtype=np.int64
-            )
+        self._defer_comp_flows()
+        self._init_views()
 
     def _init_views(self) -> None:
         self._flows_by_comp: Optional[Dict[int, List[int]]] = None
@@ -822,111 +955,46 @@ class InferenceProblem:
         self._path_component_sets = None
         self.path_comps = path_comps
         self.path_off = path_off
-        self._finish_compressed(
-            set_of_flow, set_ecomps, set_eoff,
-            iset_of_set, iset_raw_pids, iset_raw_off, iu_comps, iu_bounds,
-        )
-        self.exact = self._set_w[set_of_flow] == 1
-        return self
-
-    def _finish_compressed(
-        self,
-        set_of_flow: np.ndarray,
-        set_ecomps: np.ndarray,
-        set_eoff: np.ndarray,
-        iset_of_set: np.ndarray,
-        iset_raw_pids: np.ndarray,
-        iset_raw_off: np.ndarray,
-        iu_comps: np.ndarray,
-        iu_bounds: np.ndarray,
-    ) -> None:
-        """Indexes for the compressed layout, interior-set granular.
-
-        ``iu_comps``/``iu_bounds`` are the interior sets' sorted
-        component unions (CSR), gathered from the
-        :class:`SetStageCache`.
-        """
-        n_comps = np.int64(self.n_components)
-        n_sets = len(iset_of_set)
-        n_paths = len(self.path_off) - 1
         self.compressed = True
         self._set_of_flow = set_of_flow
         self._set_pids = None
         self._set_off = None
-        self._init_comp_paths(n_paths)
         self._init_unified(
-            set_ecomps, set_eoff, iset_of_set, iset_raw_pids, iset_raw_off
+            set_ecomps, set_eoff, iset_of_set, iset_raw_pids, iset_raw_off,
+            iu_comps, iu_bounds,
         )
-
-        # Per-set sorted unions = endpoint comps merged with the shared
-        # interior union (disjoint by construction: endpoints are host
-        # links, interiors are switch-level comps).  Both packed
-        # (set, comp) runs are already sorted - interior unions gathered
-        # in set order, endpoint comps sorted per set - so the stable
-        # sort (a merge sort) merges the two runs in linear time.
-        set_ids = np.arange(n_sets, dtype=np.int64)
-        iu_comps, iu_set_off = _gather_rows(iu_comps, iu_bounds, iset_of_set)
-        skeys = np.sort(
-            np.concatenate([
-                np.repeat(set_ids, np.diff(iu_set_off)) * n_comps + iu_comps,
-                np.repeat(set_ids, np.diff(set_eoff)) * n_comps + set_ecomps,
-            ]),
-            kind="stable",
-        )
-        self._set_union_comps = skeys % n_comps
-        self._set_union_bounds = np.searchsorted(
-            skeys // n_comps, np.arange(n_sets + 1, dtype=np.int64)
-        )
-
-        self._defer_comp_flows()
-        self._init_views()
+        self.exact = self._set_w[set_of_flow] == 1
+        return self
 
     # ------------------------------------------------------------------
     # Array accessors (the vectorized kernels' interface)
     # ------------------------------------------------------------------
     def comp_flows(self, comp: int) -> np.ndarray:
-        """Flows that can blame ``comp`` (ascending, array view).
+        """Flows that can blame ``comp`` (ascending int64, read-only).
 
-        Answered from the full component -> flows index when it has
-        been built, else per-component from the set-level indexes (a
-        flow belongs to exactly one set, so the sorted gather is the
-        same ascending array the full index would slice out).
+        The first :data:`_PROMOTE_AFTER` distinct components are
+        scanned: the interior-union rows and endpoint rows carrying
+        ``comp`` map to sets, and the sets to flows in ascending order.
+        The next distinct component builds the full component -> flows
+        index once (also built by ``flows_by_comp`` and
+        ``addition_upper_bounds``), and every later answer slices it.
+        Both give the same array; ids outside ``[0, n_components)``
+        raise :class:`InferenceError`.
         """
-        if self._cf_bounds is not None:
-            return self._cf_vals[
-                self._cf_bounds[comp]:self._cf_bounds[comp + 1]
-            ]
-        cached = self._comp_flow_cache.get(comp)
-        if cached is None:
-            self._ensure_set_indexes()
-            sets = self._comp_set_vals[
-                self._comp_set_bounds[comp]:self._comp_set_bounds[comp + 1]
-            ]
-            lens = np.diff(self._set_flow_bounds)[sets]
-            cached = np.sort(
-                self._set_flow_vals[
-                    _expand_slices(self._set_flow_bounds[sets], lens)
-                ]
-            )
-            self._comp_flow_cache[comp] = cached
-        return cached
+        return self._flows(comp)
 
     def comp_path_ids(self, comp: int) -> np.ndarray:
-        """Problem paths containing ``comp`` (ascending, array view).
+        """Problem paths containing ``comp`` (ascending, read-only).
 
         Compressed problems index their interior/exact path table here;
         endpoint components map to sets via :meth:`comp_eset_ids`
         instead.
         """
-        return self._comp_path_vals[
-            self._comp_path_bounds[comp]:self._comp_path_bounds[comp + 1]
-        ]
+        return self._path_rows(comp)
 
     def comp_eset_ids(self, comp: int) -> np.ndarray:
         """Sets carrying ``comp`` as an endpoint component (ascending)."""
-        return self._comp_eset_vals[
-            self._comp_eset_bounds[comp]:self._comp_eset_bounds[comp + 1]
-        ]
+        return self._eset_rows(comp)
 
     # ------------------------------------------------------------------
     # Lazy object views (reference engines, baselines, tests)
@@ -1033,9 +1101,7 @@ class InferenceProblem:
     def flows_by_comp(self) -> Dict[int, List[int]]:
         """{component: ascending flow indices} (lazy view)."""
         if self._flows_by_comp is None:
-            self._flows_by_comp = _split_sorted(
-                self._comp_flow_keys, self._comp_flow_vals
-            )
+            self._flows_by_comp = _split_index(*self._flows.index())
         return self._flows_by_comp
 
     @property
@@ -1050,20 +1116,19 @@ class InferenceProblem:
                         out.setdefault(comp, []).append(pid)
                 self._paths_by_comp = out
             else:
-                self._paths_by_comp = _split_sorted(
-                    self._comp_path_keys, self._comp_path_vals
-                )
+                self._paths_by_comp = _split_index(*self._path_rows.index())
         return self._paths_by_comp
 
     @property
     def comps_by_flow(self) -> List[Tuple[int, ...]]:
         """Per-flow sorted component unions (lazy view)."""
         if self._comps_by_flow is None:
-            comps = self._set_union_comps.tolist()
+            comps, bounds = self._flows.unions()
+            comps = comps.tolist()
             union_by_set = [
                 tuple(comps[start:stop])
-                for start, stop in zip(self._set_union_bounds[:-1].tolist(),
-                                       self._set_union_bounds[1:].tolist())
+                for start, stop in zip(bounds[:-1].tolist(),
+                                       bounds[1:].tolist())
             ]
             self._comps_by_flow = [
                 union_by_set[s] for s in self._set_of_flow.tolist()
@@ -1103,19 +1168,16 @@ class InferenceProblem:
     def observed_components(self) -> Tuple[int, ...]:
         """Components that at least one flow can blame.
 
-        Every set is referenced by at least one flow, so a component in
-        any set union is observed - the set unions answer this without
-        forcing the full component -> flows index.
+        Every set is referenced by at least one flow and every interior
+        set by at least one set, so a component is observed iff some
+        interior union or endpoint row carries it.  A bincount over the
+        small component id space sorts for free; ``np.unique`` would
+        hash millions of entries.
         """
-        if self._cf_bounds is not None:
-            counts = np.diff(self._cf_bounds)
-            return tuple(np.nonzero(counts)[0].tolist())
-        comps = self._set_union_comps
-        if len(comps) == 0:
-            return ()
-        # A bincount over the small component id space sorts for free;
-        # np.unique would hash millions of entries.
-        return tuple(np.nonzero(np.bincount(comps))[0].tolist())
+        n = self.n_components
+        counts = np.bincount(self._iu_comps, minlength=n)
+        counts += np.bincount(self._set_ecomps, minlength=n)
+        return tuple(np.flatnonzero(counts).tolist())
 
     def exact_flow_indices(self) -> np.ndarray:
         """Indices of flows whose path is known exactly.

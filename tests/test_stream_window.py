@@ -75,10 +75,12 @@ KERNEL_ARRAYS = (
     "path_comps", "path_off", "_set_of_flow",
     "_set_ecomps", "_set_eoff", "_iset_of_set",
     "_iset_upids", "_iset_uoff", "_iset_umult",
+    "_iu_comps", "_iu_bounds",
     "_set_union_comps", "_set_union_bounds",
-    "_comp_path_keys", "_comp_path_vals", "_comp_path_bounds",
-    "_comp_eset_vals", "_comp_eset_bounds",
 )
+
+#: The per-component queries, compared for every component id.
+COMP_ACCESSORS = ("comp_path_ids", "comp_eset_ids", "comp_flows")
 
 
 def _assert_problems_identical(win: InferenceProblem, ref: InferenceProblem):
@@ -87,6 +89,12 @@ def _assert_problems_identical(win: InferenceProblem, ref: InferenceProblem):
         got, want = getattr(win, name), getattr(ref, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
+    for name in COMP_ACCESSORS:
+        for comp in range(win.n_components):
+            got = getattr(win, name)(comp)
+            want = getattr(ref, name)(comp)
+            assert got.dtype == want.dtype, (name, comp)
+            assert np.array_equal(got, want), (name, comp)
     assert win.flow_paths == ref.flow_paths
     assert list(win.path_table) == list(ref.path_table)
     assert np.array_equal(win.bad_packets, ref.bad_packets)
