@@ -16,12 +16,12 @@ construction
 
 The problem's primary representation is columnar: CSR arrays for
 path -> components, set -> endpoint components, interior set ->
-component union and flow -> set, plus aligned per-flow count arrays.  The vectorized
-kernels (:mod:`repro.core.flock_fast`) consume the arrays directly; the
-object views the reference engines and baselines walk (``path_table``,
-``flow_paths``, ``flows_by_comp``, ...) are lazy adapters materialized
-from the arrays on first access, with contents identical to what the
-historical per-flow construction produced.
+component union and flow -> set, plus aligned per-flow count arrays.
+The vectorized kernels (:mod:`repro.core.flock_fast`) consume the
+arrays directly; the object views the reference engines and baselines
+walk (``path_table``, ``flow_paths``, ``flows_by_comp``, ...) are lazy
+adapters materialized from the arrays on first access, with contents
+identical to what the historical per-flow construction produced.
 
 Two constructors share the representation: :meth:`InferenceProblem
 .from_batch` is the columnar path (grouping is an ``np.unique`` over
@@ -72,7 +72,9 @@ def _csr_from_tuples(rows: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndar
     return values, offsets
 
 
-def _split_index(vals: np.ndarray, bounds: np.ndarray) -> Dict[int, List[int]]:
+def _split_index(
+    vals: np.ndarray, bounds: Sequence[int]
+) -> Dict[int, List[int]]:
     """Turn a (vals, bounds) inverted index into {key: [vals]}, one
     entry per non-empty key, keys ascending."""
     return {
@@ -289,7 +291,7 @@ class _CompIndex:
     def __init__(self, n_components: int) -> None:
         self.n_components = n_components
         self._memo: Dict[int, np.ndarray] = {}
-        self._index: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._index: Optional[Tuple[np.ndarray, List[int]]] = None
 
     def __call__(self, comp: int) -> np.ndarray:
         if not 0 <= comp < self.n_components:
@@ -309,11 +311,17 @@ class _CompIndex:
         vals, bounds = index
         return vals[bounds[comp]:bounds[comp + 1]]
 
-    def index(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(ids ascending per component, per-component bounds)."""
+    def index(self) -> Tuple[np.ndarray, List[int]]:
+        """(ids ascending per component, per-component bounds).
+
+        The bounds are a list: slicing by Python ints is the cheapest
+        query, and many-query callers (Sherlock prices every hypothesis
+        through these) make hundreds of thousands.
+        """
         index = self._index
         if index is None:
-            index = tuple(_frozen(a) for a in self._build())
+            vals, bounds = self._build()
+            index = (_frozen(vals), bounds.tolist())
             self._index = index
         return index
 
