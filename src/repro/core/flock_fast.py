@@ -19,14 +19,18 @@ layer*:
 * ``comp -> flows``, ``comp -> paths`` and ``comp -> endpoint sets``
   inverted maps.
 
-The workhorse pattern: count (set, component) pairs over *good* member
-paths at interior-set granularity, expand the per-set pair lists to
-flows in flow-major component-sorted order, evaluate the memoized
-per-flow likelihood difference, and scatter-add with ``np.bincount``.
-Because an uncompressed problem is the trivial factoring (every set its
-own interior set, no endpoint comps), one code path serves both
-representations, and their kernel sums are identical term by term and
-in accumulation order - which is what keeps compressed and uncompressed
+The workhorse pattern: count (interior set, component) pairs over
+*good* member paths once per distinct interior set with one sort, expand
+them straight to flows (each flow reads its interior set's list plus its
+set's endpoint components), evaluate the memoized per-flow likelihood
+difference, and scatter-add with ``np.bincount``.  Flows come out in
+ascending order with at most one pair per (flow, comp), so every Δ[c]
+sums the same terms in the same order whatever the component order
+inside a flow (see :meth:`VectorArrays._flow_pairs`).  Because an
+uncompressed problem is the trivial factoring (every set its own
+interior set, no endpoint comps), one code path serves both
+representations, and their Δ sums are identical term by term and in
+accumulation order - which is what keeps compressed and uncompressed
 predictions bit-identical.
 
 Engines built on the substrate:
@@ -55,11 +59,6 @@ from .problem import InferenceProblem
 
 
 from .problem import _expand_slices  # noqa: E402  (shared CSR helper)
-
-#: Above this many (row x component) cells the pair-count kernel falls
-#: back to sort-based counting instead of a dense bincount scratch.
-_DENSE_CELLS_CAP = 1 << 23
-
 
 def addition_upper_bounds(
     problem: InferenceProblem,
@@ -100,22 +99,47 @@ def addition_upper_bounds(
 
 
 def _count_sorted(
-    keys: np.ndarray, weights: np.ndarray, dense_size: int
+    keys: np.ndarray, weights: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(sorted unique keys, per-key weight sums).
+    """(sorted unique keys, per-key weight sums as float64).
 
-    The weight sums are exact small-integer floats, so the dense
-    bincount fast path and the sort-based fallback return identical
-    arrays - only their speed differs.
+    ``weights`` are integer multiplicities (how many identical member
+    paths a unique path stands for), so each key is repeated by its
+    weight - a no-op in the common all-ones case - and the key values
+    are sorted; the sums are the run lengths, exact small integers.
     """
     if len(keys) == 0:
         return keys, np.empty(0)
-    if 0 < dense_size <= _DENSE_CELLS_CAP:
-        dense = np.bincount(keys, weights=weights, minlength=dense_size)
-        ukeys = np.nonzero(dense)[0]
-        return ukeys, dense[ukeys]
-    ukeys, inverse = np.unique(keys, return_inverse=True)
-    return ukeys, np.bincount(inverse, weights=weights)
+    if np.any(weights != 1):
+        keys = np.repeat(keys, weights.astype(np.int64))
+    keys = np.sort(keys)
+    brk = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    starts = np.concatenate(([0], brk))
+    ends = np.concatenate((brk, [len(keys)]))
+    return keys[starts], (ends - starts).astype(np.float64)
+
+
+def _sorted_member(values: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
+    """Bool per value: does the ascending ``sorted_ids`` hold it?"""
+    if len(sorted_ids) == 0:
+        return np.zeros(len(values), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_ids, values), len(sorted_ids) - 1)
+    return sorted_ids[pos] == values
+
+
+class _IsetLayer(NamedTuple):
+    """Affected sets viewed through their distinct interior sets.
+
+    ``isets`` are the distinct interior sets (ascending), ``set_il``
+    each affected set's index into them, and ``il``/``upids``/``mult``
+    the (local iset, unique member pid, multiplicity) instances.
+    """
+
+    isets: np.ndarray
+    set_il: np.ndarray
+    il: np.ndarray
+    upids: np.ndarray
+    mult: np.ndarray
 
 
 class VectorArrays:
@@ -123,9 +147,9 @@ class VectorArrays:
 
     ``kernel_backend`` selects a :mod:`repro.core.kernels` backend
     (explicit name > ``REPRO_KERNEL_BACKEND`` env var > ``numpy``).
-    The ``numpy`` reference keeps the original uncollapsed set-granular
-    loops bit-for-bit; collapsed backends switch the engines to unique
-    likelihood rows (see :meth:`_build_collapsed_rows`).
+    The ``numpy`` reference prices every flow (counting pairs per
+    interior set, :meth:`_flow_pairs`); collapsed backends switch the
+    engines to unique likelihood rows (see :meth:`_build_collapsed_rows`).
     """
 
     def __init__(
@@ -250,82 +274,14 @@ class VectorArrays:
         local = np.repeat(np.arange(len(sets), dtype=np.int64), lengths)
         return local, self.iset_upids[idx], self.iset_umult[idx]
 
-    def _set_pair_lists(
-        self,
-        sets: np.ndarray,
-        local: np.ndarray,
-        upids: np.ndarray,
-        mult: np.ndarray,
-        good: np.ndarray,
-        goodcount: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-set (component, count) lists over good member paths.
+    def _iset_layer(self, aff_sets: np.ndarray) -> _IsetLayer:
+        """The distinct interior sets of ``aff_sets`` and their members."""
+        iset_of = self.iset_of_set[aff_sets]
+        isets = np.unique(iset_of)
+        set_il = np.searchsorted(isets, iset_of)
+        il, upids, mult = self._iset_instances(isets)
+        return _IsetLayer(isets, set_il, il, upids, mult)
 
-        Counts weight by member multiplicity; endpoint components sit on
-        every member path, so they count the set's whole good-member
-        total (and appear only while the set still has good members).
-        Returns (packed keys, counts) sorted by (set local id, comp).
-        """
-        n_comps = np.int64(self.n_comps)
-        gl = local[good]
-        gp = upids[good]
-        lens = self.path_len[gp]
-        keys = np.repeat(gl, lens) * n_comps + self.path_comps[
-            _expand_slices(self.path_off[gp], lens)
-        ]
-        wts = np.repeat(mult[good], lens)
-        ukeys, cnts = _count_sorted(keys, wts, len(sets) * self.n_comps)
-        has_e = (self.set_elen[sets] > 0) & (goodcount > 0)
-        if np.any(has_e):
-            esel = np.nonzero(has_e)[0]
-            elens = self.set_elen[sets[esel]]
-            eidx = _expand_slices(self.set_eoff[sets[esel]], elens)
-            ekeys = np.repeat(esel, elens) * n_comps + self.set_ecomps[eidx]
-            ecnts = np.repeat(goodcount[esel], elens)
-            # Endpoint comps are disjoint from interior comps of the
-            # same set, so the merged key stream has no duplicates; one
-            # scatter pass fills both output arrays.
-            pos = np.searchsorted(ukeys, ekeys)
-            n = len(ukeys) + len(ekeys)
-            at = pos + np.arange(len(ekeys), dtype=np.int64)
-            rest = np.ones(n, dtype=bool)
-            rest[at] = False
-            merged_keys = np.empty(n, dtype=np.int64)
-            merged_cnts = np.empty(n)
-            merged_keys[at] = ekeys
-            merged_cnts[at] = ecnts
-            merged_keys[rest] = ukeys
-            merged_cnts[rest] = cnts
-            return merged_keys, merged_cnts
-        return ukeys, cnts
-
-    def _pairs_to_flows(
-        self,
-        n_local_sets: int,
-        flow_set_local: np.ndarray,
-        keys: np.ndarray,
-        cnts: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Expand per-set pair lists to flow-major (fl, comp, cnt).
-
-        Flows arrive ascending with component-sorted pair lists, which
-        is exactly the order the historical per-instance ``np.unique``
-        counting produced - the load-bearing detail that keeps every
-        downstream ``np.bincount`` accumulation bit-identical across
-        problem representations.
-        """
-        n_comps = np.int64(self.n_comps)
-        bounds = np.searchsorted(
-            keys, np.arange(n_local_sets + 1, dtype=np.int64) * n_comps
-        )
-        lens = np.diff(bounds)[flow_set_local]
-        fl = np.repeat(np.arange(len(flow_set_local), dtype=np.int64), lens)
-        idx = _expand_slices(bounds[flow_set_local], lens)
-        return fl, (keys % n_comps)[idx], cnts[idx]
-
-    # ------------------------------------------------------------------
-    # Collapsed-row kernels (backends with ``collapsed=True``)
-    # ------------------------------------------------------------------
     def _iset_instances(
         self, isets: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -336,30 +292,81 @@ class VectorArrays:
         return il, self.iset_upids[idx], self.iset_umult[idx]
 
     def _iset_pair_lists(
-        self,
-        isets: np.ndarray,
-        il: np.ndarray,
-        upids: np.ndarray,
-        mult: np.ndarray,
-        good: np.ndarray,
+        self, layer: _IsetLayer, good: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-interior-set (component, count) lists over good members.
 
-        The interior-set analogue of :meth:`_set_pair_lists`, without
-        endpoint components (those are per *set* and priced exactly by
-        the collapsed passes).  Returns (packed keys, counts) sorted by
-        (iset local id, comp).
+        Counts weight by member multiplicity; endpoint components are
+        per *set* and left to the caller.  Returns (packed keys,
+        counts) sorted by (iset local id, comp).
         """
         n_comps = np.int64(self.n_comps)
-        gl = il[good]
-        gp = upids[good]
+        gl = layer.il[good]
+        gp = layer.upids[good]
         lens = self.path_len[gp]
         keys = np.repeat(gl, lens) * n_comps + self.path_comps[
             _expand_slices(self.path_off[gp], lens)
         ]
-        wts = np.repeat(mult[good], lens)
-        return _count_sorted(keys, wts, len(isets) * self.n_comps)
+        wts = np.repeat(layer.mult[good], lens)
+        return _count_sorted(keys, wts)
 
+    def _flow_pairs(
+        self,
+        aff_sets: np.ndarray,
+        fsl: np.ndarray,
+        good_count: np.ndarray,
+        layer: _IsetLayer,
+        good: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flow-major (flow, comp, count) pairs over good member paths.
+
+        A member path is good when its path holds no failed component
+        and its set has no failed endpoint component.  A set with a
+        failed endpoint thus has no good members (``good_count`` 0)
+        and no pairs, and every other set's good members are its
+        interior set's path-good members: ``good`` marks those per
+        interior-set instance, and each distinct interior set is
+        counted once.  Flow ``i`` (of set ``fsl[i]``) then reads two
+        slices: its interior set's pair list, and its set's endpoint
+        components, each counted at the set's good-member total (an
+        endpoint component sits on every member path).
+
+        Bit-identity: callers scatter per-pair terms with
+        ``np.bincount``, which adds weights in input order.  Flows come
+        out in ascending order and each flow holds at most one pair per
+        component, so Δ[c] sums the same terms in the same
+        flow-ascending order whatever the component order inside a
+        flow - which is why Δ is bitwise identical to the set-granular
+        count, and across problem representations.
+        """
+        n_comps = np.int64(self.n_comps)
+        n_isets = len(layer.isets)
+        live = good_count > 0
+        live_iset = np.zeros(n_isets, dtype=bool)
+        live_iset[layer.set_il[live]] = True
+        keys, cnts = self._iset_pair_lists(layer, good & live_iset[layer.il])
+        ibounds = np.searchsorted(
+            keys, np.arange(n_isets + 1, dtype=np.int64) * n_comps
+        )
+        ilens = np.where(live, np.diff(ibounds)[layer.set_il], 0)
+        elens = np.where(live, self.set_elen[aff_sets], 0)
+        eidx = _expand_slices(self.set_eoff[aff_sets], elens)
+        comps = np.concatenate((keys % n_comps, self.set_ecomps[eidx]))
+        counts = np.concatenate((cnts, np.repeat(good_count, elens)))
+        starts = np.empty((len(aff_sets), 2), dtype=np.int64)
+        starts[:, 0] = ibounds[layer.set_il]
+        starts[:, 1] = len(keys) + elens.cumsum() - elens
+        lens = np.empty((len(aff_sets), 2), dtype=np.int64)
+        lens[:, 0] = ilens
+        lens[:, 1] = elens
+        flow_lens = lens[fsl]
+        fl = np.arange(len(fsl), dtype=np.int64).repeat(flow_lens.sum(axis=1))
+        idx = _expand_slices(starts[fsl].ravel(), flow_lens.ravel())
+        return fl, comps[idx], counts[idx]
+
+    # ------------------------------------------------------------------
+    # Collapsed-row kernels (backends with ``collapsed=True``)
+    # ------------------------------------------------------------------
     def _pairs_to_rows(
         self,
         n_local_isets: int,
@@ -383,46 +390,37 @@ class VectorArrays:
         weights: np.ndarray,
         aff_sets: np.ndarray,
         fsl: np.ndarray,
-        e_failed: np.ndarray,
-        aff_isets: np.ndarray,
-        il: np.ndarray,
-        upids: np.ndarray,
-        mult: np.ndarray,
+        layer: _IsetLayer,
         good: np.ndarray,
         iset_b: np.ndarray,
+        good_count: np.ndarray,
     ) -> np.ndarray:
-        """Δ contribution of weighted flows under an explicit state.
+        """:meth:`VectorJleState._state_delta`'s Δ over collapsed rows.
 
-        The collapsed workhorse: the caller describes a structural
-        state (per-instance good mask, per-iset failed-member count
-        ``iset_b``, per-set endpoint-failed flags) and this prices the
-        flip term ``w_f * (nll(b + g_c) - nll(b))`` once per unique
-        likelihood row instead of once per flow.  Sets with a failed
-        endpoint (``b = w``) or no good members contribute exactly
-        zero, so their flows are dropped up front; endpoint components
-        of surviving sets move the whole set to ``b = w``, priced
-        exactly as ``w_f * (s - nll(b))`` with no log.
+        Prices the flip term ``w_f * (nll(b + g_c) - nll(b))`` once per
+        unique likelihood row instead of once per flow.  Sets with a
+        failed endpoint (``b = w``) or no good members contribute
+        exactly zero, so their flows are dropped up front; endpoint
+        components of surviving sets move the whole set to ``b = w``,
+        priced exactly as ``w_f * (s - nll(b))`` with no log.
         """
         out = np.zeros(self.n_comps, dtype=np.float64)
-        ii = np.searchsorted(aff_isets, self.iset_of_set[aff_sets])
-        set_ok = ~e_failed & (self.set_w[aff_sets] - iset_b[ii] > 0)
+        set_ok = good_count > 0
         ok_f = set_ok[fsl]
-        if not np.any(ok_f):
-            return out
         sel = flows[ok_f]
         wsel = weights[ok_f]
         rsel, rinv = np.unique(self._row_of_flow[sel], return_inverse=True)
         W = np.bincount(rinv, weights=wsel, minlength=len(rsel))
-        ril = np.searchsorted(aff_isets, self._row_iset[rsel])
+        ril = np.searchsorted(layer.isets, self._row_iset[rsel])
         b_rows = iset_b[ril]
         w_rows = self._row_w[rsel]
         s_rows = self._row_s[rsel]
         es_rows = self._row_es[rsel]
         base = self.kernels.nll(b_rows, w_rows, s_rows, es_rows)
-        keys, cnts = self._iset_pair_lists(aff_isets, il, upids, mult, good)
+        keys, cnts = self._iset_pair_lists(layer, good)
         if len(keys):
             rl, comps_u, cnt = self._pairs_to_rows(
-                len(aff_isets), ril, keys, cnts
+                len(layer.isets), ril, keys, cnts
             )
             out += self.kernels.pair_delta(
                 self.n_comps, comps_u, rl, cnt, W,
@@ -787,67 +785,64 @@ class VectorJleState(VectorArrays):
         flows = np.asarray(flows, dtype=np.int64)
         if len(flows) == 0 or self.n_sets == 0:
             return out, 0.0
-        if self.kernels.collapsed:
-            return self._delta_contrib_collapsed(flows, dw)
-        aff_sets, fsl = np.unique(self.set_of_flow[flows], return_inverse=True)
-        local, upids, mult = self.set_instances(aff_sets)
-        nf = self._path_nfailed[upids] + self._set_e_nfailed[aff_sets][local]
-        failed = nf > 0
-        b_set = self._set_b[aff_sets]
-        good_count = self.set_w[aff_sets] - b_set
-        b = b_set[fsl].astype(np.float64)
-        base = self.nll(b, flows)
-        base_ll = float(np.dot(dw, base))
-        if not np.any(good_count > 0):
-            return out, base_ll
-        keys, cnts = self._set_pair_lists(
-            aff_sets, local, upids, mult, ~failed, good_count
-        )
-        fl, comps_u, cnt = self._pairs_to_flows(len(aff_sets), fsl, keys, cnts)
-        contrib = dw[fl] * (self.nll(b[fl] + cnt, flows[fl]) - base[fl])
-        out += np.bincount(comps_u, weights=contrib, minlength=self.n_comps)
-        return out, base_ll
-
-    def _delta_contrib_collapsed(
-        self, flows: np.ndarray, dw: np.ndarray
-    ) -> Tuple[np.ndarray, float]:
-        """:meth:`_delta_contrib` priced over collapsed rows."""
         aff_sets, fsl = np.unique(self.set_of_flow[flows], return_inverse=True)
         b = self._set_b[aff_sets][fsl].astype(np.float64)
         base_ll = float(np.dot(dw, self.nll(b, flows)))
-        aff_isets = np.unique(self.iset_of_set[aff_sets])
-        il, upids, mult = self._iset_instances(aff_isets)
-        good = self._path_nfailed[upids] == 0
+        layer = self._iset_layer(aff_sets)
+        _, contrib = self._state_delta(
+            flows, dw, aff_sets, fsl, layer,
+            self._path_nfailed[layer.upids] == 0,
+            self._set_e_nfailed[aff_sets] > 0,
+        )
+        return (out if contrib is None else contrib), base_ll
+
+    def _state_delta(
+        self,
+        flows: np.ndarray,
+        wt: np.ndarray,
+        aff_sets: np.ndarray,
+        fsl: np.ndarray,
+        layer: _IsetLayer,
+        good: np.ndarray,
+        e_failed: np.ndarray,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """(per-set failed-member count, Δ contribution) under a state.
+
+        Prices weighted flows under an explicit structural state:
+        ``good`` marks interior-set instances whose path holds no
+        failed component, ``e_failed`` the affected sets with a failed
+        endpoint component (every member failed, ``b = w``).  Flow
+        ``f`` adds ``wt_f * (nll(b_f + g_fc) - nll(b_f))`` to Δ[c],
+        where ``g_fc`` counts its good member paths holding ``c``; the
+        contribution is ``None`` when no set has a good member.
+        Collapsed backends price it per row (:meth:`_collapsed_delta`).
+        """
         iset_b = np.bincount(
-            il, weights=mult * ~good, minlength=len(aff_isets)
+            layer.il, weights=layer.mult * ~good, minlength=len(layer.isets)
         )
-        e_failed = self._set_e_nfailed[aff_sets] > 0
-        out = self._collapsed_delta(
-            flows, dw, aff_sets, fsl, e_failed,
-            aff_isets, il, upids, mult, good, iset_b,
+        set_w = self.set_w[aff_sets]
+        b_set = np.where(e_failed, set_w, iset_b[layer.set_il])
+        good_count = set_w - b_set
+        if not np.any(good_count > 0):
+            return b_set, None
+        if self.kernels.collapsed:
+            return b_set, self._collapsed_delta(
+                flows, wt, aff_sets, fsl, layer, good, iset_b, good_count
+            )
+        b = b_set[fsl]
+        base = self.nll(b, flows)
+        fl, comps, cnt = self._flow_pairs(
+            aff_sets, fsl, good_count, layer, good
         )
-        return out, base_ll
+        contrib = wt[fl] * (self.nll(b[fl] + cnt, flows[fl]) - base[fl])
+        delta = np.bincount(comps, weights=contrib, minlength=self.n_comps)
+        return b_set, delta
 
     def _initial_delta(self) -> np.ndarray:
-        if self.problem.n_flows == 0 or self.n_sets == 0:
-            return np.zeros(self.n_comps, dtype=np.float64)
-        if self.kernels.collapsed:
-            flows = np.arange(self.problem.n_flows, dtype=np.int64)
-            out, _ = self._delta_contrib_collapsed(flows, self.wt)
-            return out
-        sets = np.arange(self.n_sets, dtype=np.int64)
-        local, upids, mult = self.set_instances(sets)
-        good = np.ones(len(upids), dtype=bool)
-        keys, cnts = self._set_pair_lists(
-            sets, local, upids, mult, good, self.set_w
-        )
-        fl, comp, cnt = self._pairs_to_flows(
-            self.n_sets, self.set_of_flow, keys, cnts
-        )
-        contrib = self.wt[fl] * self.nll(cnt, fl)
-        return np.bincount(comp, weights=contrib, minlength=self.n_comps).astype(
-            np.float64
-        )
+        """Δ of the empty hypothesis: every flow's contribution at ``b = 0``
+        (``nll(0)`` is exactly 0, so this is the bare pair sum)."""
+        flows = np.arange(self.problem.n_flows, dtype=np.int64)
+        return self._delta_contrib(flows, self.wt)[0]
 
     # ------------------------------------------------------------------
     def addition_gains(self, candidates: np.ndarray) -> np.ndarray:
@@ -861,7 +856,12 @@ class VectorJleState(VectorArrays):
             gains[member] = -np.inf
         return gains
 
+    def _check_comp(self, comp: int) -> None:
+        if not 0 <= comp < self.n_comps:
+            raise InferenceError(f"component id {comp} out of range")
+
     def gain(self, comp: int) -> float:
+        self._check_comp(comp)
         if comp in self.hypothesis:
             raise InferenceError(
                 "gain() prices additions; for a member's removal gain "
@@ -875,6 +875,7 @@ class VectorJleState(VectorArrays):
         component currently in the hypothesis.  Mirrors the reference
         engine's ``gain()`` for members: removal data delta minus the
         prior gain."""
+        self._check_comp(comp)
         if comp not in self.hypothesis:
             raise InferenceError(f"component {comp} is not in the hypothesis")
         if self.kernels.collapsed:
@@ -981,10 +982,7 @@ class VectorJleState(VectorArrays):
     # ------------------------------------------------------------------
     def flip(self, comp: int) -> float:
         """Flip ``comp``; returns the (data + prior) LL change."""
-        if not 0 <= comp < self.n_comps:
-            raise InferenceError(f"component id {comp} out of range")
-        if self.kernels.collapsed:
-            return self._flip_collapsed(comp)
+        self._check_comp(comp)
         adding = comp not in self.hypothesis
         if adding:
             change = float(self.delta[comp] + self.prior_gain[comp])
@@ -997,56 +995,25 @@ class VectorJleState(VectorArrays):
             aff_sets, fsl = np.unique(
                 self.set_of_flow[affected], return_inverse=True
             )
-            local, upids, mult = self.set_instances(aff_sets)
-            has = self._membership(comp, aff_sets, local, upids)
-            nf_old = (
-                self._path_nfailed[upids] + self._set_e_nfailed[aff_sets][local]
-            )
-            nf_new = nf_old + step * has
-            old_failed = nf_old > 0
-            new_failed = nf_new > 0
-
-            b_old_set = np.bincount(
-                local, weights=mult * old_failed, minlength=len(aff_sets)
-            )
-            b_new_set = np.bincount(
-                local, weights=mult * new_failed, minlength=len(aff_sets)
-            )
-            b_old = b_old_set[fsl]
-            b_new = b_new_set[fsl]
+            layer = self._iset_layer(aff_sets)
+            nf_old = self._path_nfailed[layer.upids]
+            has = _sorted_member(layer.upids, paths_of_comp)
+            e_old = self._set_e_nfailed[aff_sets]
+            e_new = e_old.copy()
+            if len(esets_of_comp):
+                e_new[np.searchsorted(aff_sets, esets_of_comp)] += step
             wt = self.wt[affected]
-            base_old = self.nll(b_old, affected)
-            base_new = self.nll(b_new, affected)
-
-            good_old_count = self.set_w[aff_sets] - b_old_set
-            if np.any(good_old_count > 0):
-                keys, cnts = self._set_pair_lists(
-                    aff_sets, local, upids, mult, ~old_failed, good_old_count
-                )
-                fl, comps_u, cnt = self._pairs_to_flows(
-                    len(aff_sets), fsl, keys, cnts
-                )
-                contrib = wt[fl] * (
-                    self.nll(b_old[fl] + cnt, affected[fl]) - base_old[fl]
-                )
-                self.delta -= np.bincount(
-                    comps_u, weights=contrib, minlength=self.n_comps
-                )
-            good_new_count = self.set_w[aff_sets] - b_new_set
-            if np.any(good_new_count > 0):
-                keys, cnts = self._set_pair_lists(
-                    aff_sets, local, upids, mult, ~new_failed, good_new_count
-                )
-                fl, comps_u, cnt = self._pairs_to_flows(
-                    len(aff_sets), fsl, keys, cnts
-                )
-                contrib = wt[fl] * (
-                    self.nll(b_new[fl] + cnt, affected[fl]) - base_new[fl]
-                )
-                self.delta += np.bincount(
-                    comps_u, weights=contrib, minlength=self.n_comps
-                )
-
+            _, old = self._state_delta(
+                affected, wt, aff_sets, fsl, layer, nf_old == 0, e_old > 0
+            )
+            b_new_set, new = self._state_delta(
+                affected, wt, aff_sets, fsl, layer,
+                (nf_old + step * has) == 0, e_new > 0,
+            )
+            if old is not None:
+                self.delta -= old
+            if new is not None:
+                self.delta += new
             self._set_b[aff_sets] = b_new_set.astype(np.int64)
 
         self._path_nfailed[paths_of_comp] += step
@@ -1058,67 +1025,6 @@ class VectorJleState(VectorArrays):
             self.hypothesis.discard(comp)
             # After the state reverts, the addition gain of ``comp`` is
             # exactly the negative of the removal change.
-            change = -float(self.delta[comp] + self.prior_gain[comp])
-        self.ll += change
-        self.flips += 1
-        return change
-
-    def _flip_collapsed(self, comp: int) -> float:
-        """:meth:`flip` with both Δ passes priced over collapsed rows."""
-        adding = comp not in self.hypothesis
-        if adding:
-            change = float(self.delta[comp] + self.prior_gain[comp])
-
-        affected = self.comp_flows(comp)
-        paths_of_comp = self.comp_paths(comp)
-        esets_of_comp = self.comp_esets(comp)
-        step = 1 if adding else -1
-        if len(affected) > 0:
-            aff_sets, fsl = np.unique(
-                self.set_of_flow[affected], return_inverse=True
-            )
-            aff_isets = np.unique(self.iset_of_set[aff_sets])
-            il, upids, mult = self._iset_instances(aff_isets)
-            path_has = np.zeros(self.n_kernel_paths, dtype=bool)
-            path_has[paths_of_comp] = True
-            has_i = path_has[upids]
-            nf_old = self._path_nfailed[upids]
-            good_old = nf_old == 0
-            good_new = (nf_old + step * has_i) == 0
-            ni = len(aff_isets)
-            iset_b_old = np.bincount(
-                il, weights=mult * ~good_old, minlength=ni
-            )
-            iset_b_new = np.bincount(
-                il, weights=mult * ~good_new, minlength=ni
-            )
-            e_old = self._set_e_nfailed[aff_sets]
-            e_is = np.zeros(len(aff_sets), dtype=np.int64)
-            if len(esets_of_comp):
-                e_is[np.searchsorted(aff_sets, esets_of_comp)] = 1
-            e_new = e_old + step * e_is
-            wt = self.wt[affected]
-            self.delta -= self._collapsed_delta(
-                affected, wt, aff_sets, fsl, e_old > 0,
-                aff_isets, il, upids, mult, good_old, iset_b_old,
-            )
-            self.delta += self._collapsed_delta(
-                affected, wt, aff_sets, fsl, e_new > 0,
-                aff_isets, il, upids, mult, good_new, iset_b_new,
-            )
-            ii = np.searchsorted(aff_isets, self.iset_of_set[aff_sets])
-            b_new_set = np.where(
-                e_new > 0, self.set_w[aff_sets], iset_b_new[ii]
-            )
-            self._set_b[aff_sets] = b_new_set.astype(np.int64)
-
-        self._path_nfailed[paths_of_comp] += step
-        if len(esets_of_comp):
-            self._set_e_nfailed[esets_of_comp] += step
-        if adding:
-            self.hypothesis.add(comp)
-        else:
-            self.hypothesis.discard(comp)
             change = -float(self.delta[comp] + self.prior_gain[comp])
         self.ll += change
         self.flips += 1

@@ -97,8 +97,13 @@ class JleState:
     # ------------------------------------------------------------------
     # Gains
     # ------------------------------------------------------------------
+    def _check_comp(self, comp: int) -> None:
+        if not 0 <= comp < self._problem.n_components:
+            raise InferenceError(f"component id {comp} out of range")
+
     def gain(self, comp: int) -> float:
         """Posterior log-gain of flipping ``comp`` (data Δ + prior)."""
+        self._check_comp(comp)
         if comp in self.hypothesis:
             return self.removal_delta(comp) - float(self._prior_gain[comp])
         return float(self.delta[comp] + self._prior_gain[comp])
@@ -123,6 +128,7 @@ class JleState:
         to compute on demand because only flows intersecting ``comp``
         contribute - the same JLE locality argument.
         """
+        self._check_comp(comp)
         if comp not in self.hypothesis:
             raise InferenceError(f"component {comp} is not in the hypothesis")
         problem = self._problem
@@ -150,8 +156,7 @@ class JleState:
     def flip(self, comp: int) -> float:
         """Flip ``comp`` in/out of the hypothesis; returns the LL change."""
         problem = self._problem
-        if not 0 <= comp < problem.n_components:
-            raise InferenceError(f"component id {comp} out of range")
+        self._check_comp(comp)
         adding = comp not in self.hypothesis
         if adding:
             change = float(self.delta[comp] + self._prior_gain[comp])

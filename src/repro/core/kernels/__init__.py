@@ -16,9 +16,9 @@ A :class:`KernelBackend` bundles implementations of both.  Three
 backends are registered:
 
 ``numpy``
-    The reference.  Engines run their original uncollapsed set-granular
-    code paths, bit-for-bit identical to every result the equivalence
-    suite has pinned since PR 5.
+    The reference.  Engines count (component, count) pairs once per
+    distinct interior set and price every flow individually, bit-for-bit
+    identical to every result the equivalence suite has pinned.
 
 ``collapsed``
     Same numpy primitives, but the engines switch to collapsed
@@ -56,8 +56,8 @@ class KernelBackend(Protocol):
     """The two hot-loop primitives every backend must provide.
 
     ``collapsed`` tells the engine which data layout to feed the
-    backend: ``False`` keeps the original per-set uncollapsed pair
-    loops, ``True`` switches to collapsed likelihood rows.
+    backend: ``False`` prices pairs per flow, ``True`` switches to
+    collapsed likelihood rows.
     """
 
     name: str

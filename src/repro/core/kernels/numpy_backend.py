@@ -8,7 +8,7 @@ from ..model import normalized_flow_ll_fast
 
 
 class NumpyBackend:
-    """The reference backend: engines keep their uncollapsed loops."""
+    """The reference backend: engines price pairs per flow."""
 
     name = "numpy"
     collapsed = False

@@ -51,13 +51,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def _expand_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Indices covering [starts[i], starts[i]+lengths[i]) for every i."""
-    total = int(lengths.sum())
+    ends = lengths.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
     out = np.arange(total, dtype=np.int64)
-    out -= np.repeat(ends - lengths, lengths)
-    out += np.repeat(starts, lengths)
+    # One repeat of each slice's offset: start minus its output position.
+    out += (starts - (ends - lengths)).repeat(lengths)
     return out
 
 
