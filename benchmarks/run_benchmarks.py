@@ -35,20 +35,13 @@ Benchmarks
   vectorized RNG mode (``rng_mode="vectorized"``).
 * ``kernel_delta_vector`` / ``kernel_delta_reference`` - JLE delta-array
   construction, vectorized vs reference engine.
-* ``kernel_delta_collapsed`` / ``kernel_delta_numba`` - the same Δ
-  build through the collapsed-row kernel backends (numba arm only when
-  numba is importable).
 * ``kernel_flip_vector`` - one JLE flip pair on the vector state.
 * ``localize_greedy_fast`` - full Flock greedy+JLE localization.
-* ``localize_greedy_collapsed`` / ``localize_greedy_numba`` - the same
-  localization through the collapsed / compiled kernel backends.
 * ``localize_gibbs`` - Gibbs sampling localization.
 
 ``derived`` carries the headline ratios: ``trace_build_speedup``
-(object mean / columnar mean), ``kernel_delta_collapse_speedup`` and
-``localize_greedy_collapse_speedup`` (numpy mean / collapsed mean),
-``simulate_rng_speedup`` (grouped mean / vectorized mean), plus numba
-variants when measured.
+(object mean / columnar mean) and ``simulate_rng_speedup`` (grouped
+mean / vectorized mean).
 
 Timing semantics (also recorded in the artifact under ``timing``):
 each benchmark runs one untimed-for-the-mean *cold* call first (its
@@ -197,7 +190,6 @@ def build_benchmarks(preset: str, base_seed: int):
     from repro.core.flock_fast import VectorJleState
     from repro.core.gibbs import GibbsInference
     from repro.core.jle import JleState
-    from repro.core.kernels import backend_available
     from repro.core.params import DEFAULT_PER_PACKET
     from repro.core.problem import InferenceProblem
     from repro.eval.experiments import standard_topology
@@ -279,11 +271,6 @@ def build_benchmarks(preset: str, base_seed: int):
     def kernel_delta_vector(i):
         return VectorJleState(kernel_problem, DEFAULT_PER_PACKET)
 
-    def kernel_delta_collapsed(i):
-        return VectorJleState(
-            kernel_problem, DEFAULT_PER_PACKET, kernel_backend="collapsed"
-        )
-
     def kernel_delta_reference(i):
         return JleState(kernel_problem, DEFAULT_PER_PACKET)
 
@@ -294,17 +281,8 @@ def build_benchmarks(preset: str, base_seed: int):
         "simulate_columnar": simulate_columnar,
         "simulate_columnar_vec": simulate_columnar_vec,
         "kernel_delta_vector": kernel_delta_vector,
-        "kernel_delta_collapsed": kernel_delta_collapsed,
         "kernel_delta_reference": kernel_delta_reference,
     }
-
-    if backend_available("numba"):
-        def kernel_delta_numba(i):
-            return VectorJleState(
-                kernel_problem, DEFAULT_PER_PACKET, kernel_backend="numba"
-            )
-
-        benches["kernel_delta_numba"] = kernel_delta_numba
 
     if "kernel_flip_vector" not in skips:
         vector_state = VectorJleState(kernel_problem, DEFAULT_PER_PACKET)
@@ -317,29 +295,16 @@ def build_benchmarks(preset: str, base_seed: int):
         benches["kernel_flip_vector"] = kernel_flip_vector
 
     greedy = build_localizer("flock")
-    greedy_collapsed = build_localizer("flock", kernel_backend="collapsed")
     gibbs = GibbsInference(DEFAULT_PER_PACKET, sweeps=12, burn_in=4, seed=0)
 
     def localize_greedy_fast(i):
         return greedy.localize(kernel_problem)
 
-    def localize_greedy_collapsed(i):
-        return greedy_collapsed.localize(kernel_problem)
-
     def localize_gibbs(i):
         return gibbs.localize(kernel_problem)
 
     benches["localize_greedy_fast"] = localize_greedy_fast
-    benches["localize_greedy_collapsed"] = localize_greedy_collapsed
     benches["localize_gibbs"] = localize_gibbs
-
-    if backend_available("numba"):
-        greedy_numba = build_localizer("flock", kernel_backend="numba")
-
-        def localize_greedy_numba(i):
-            return greedy_numba.localize(kernel_problem)
-
-        benches["localize_greedy_numba"] = localize_greedy_numba
 
     return {name: fn for name, fn in benches.items() if name not in skips}
 
@@ -458,15 +423,6 @@ def main() -> int:
 
     _speedup("trace_build_speedup", "trace_build_object",
              "trace_build_columnar", "trace build speedup (object/columnar)")
-    _speedup("kernel_delta_collapse_speedup", "kernel_delta_vector",
-             "kernel_delta_collapsed", "delta build speedup (numpy/collapsed)")
-    _speedup("kernel_delta_numba_speedup", "kernel_delta_vector",
-             "kernel_delta_numba", "delta build speedup (numpy/numba)")
-    _speedup("localize_greedy_collapse_speedup", "localize_greedy_fast",
-             "localize_greedy_collapsed",
-             "greedy localize speedup (numpy/collapsed)")
-    _speedup("localize_greedy_numba_speedup", "localize_greedy_fast",
-             "localize_greedy_numba", "greedy localize speedup (numpy/numba)")
     _speedup("simulate_rng_speedup", "simulate_columnar",
              "simulate_columnar_vec",
              "simulate speedup (grouped/vectorized rng)")

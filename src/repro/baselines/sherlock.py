@@ -18,7 +18,9 @@ without copying state.
 
 Both variants accept ``engine="fast"`` (vectorized substrate, default)
 or ``engine="reference"`` (pure-Python dict engines), matching Flock's
-two engines so runtime comparisons share constant factors.
+two engines so runtime comparisons share constant factors.  The fast
+engine prices every flow individually on Flock's substrate
+(:mod:`repro.core.flock_fast`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from ..errors import InferenceError
 from ..types import Prediction
-from ..core.kernels import resolve_backend
 from ..core.flock_fast import (
     VectorArrays,
     VectorJleState,
@@ -71,7 +72,6 @@ class SherlockFerret:
         use_jle: bool = False,
         engine: str = "fast",
         candidates: Optional[Sequence[int]] = None,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         if max_failures < 1:
             raise InferenceError("max_failures must be >= 1")
@@ -82,9 +82,6 @@ class SherlockFerret:
         self._use_jle = use_jle
         self._engine = engine
         self._candidates = tuple(candidates) if candidates is not None else None
-        if kernel_backend is not None:
-            resolve_backend(kernel_backend)
-        self._kernel_backend = kernel_backend
 
     def _candidate_list(self, problem: InferenceProblem) -> Tuple[int, ...]:
         if self._candidates is not None:
@@ -106,7 +103,7 @@ class SherlockFerret:
         self, problem: InferenceProblem, candidates: Tuple[int, ...]
     ) -> Prediction:
         if self._engine == "fast":
-            arrays = VectorArrays(problem, self._params, self._kernel_backend)
+            arrays = VectorArrays(problem, self._params)
             price = arrays.hypothesis_ll
         else:
             model = LikelihoodModel(problem, self._params)
@@ -134,7 +131,7 @@ class SherlockFerret:
         self, problem: InferenceProblem, candidates: Tuple[int, ...]
     ) -> Prediction:
         if self._engine == "fast":
-            state = VectorJleState(problem, self._params, self._kernel_backend)
+            state = VectorJleState(problem, self._params)
         else:
             state = JleState(problem, self._params)
         cand = np.asarray(candidates, dtype=np.int64)

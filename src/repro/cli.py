@@ -65,7 +65,6 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -124,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="parallel workers for scheme evaluation (default: serial)",
-    )
-    run.add_argument(
-        "--kernel-backend", default=None, metavar="NAME",
-        help="localization kernel backend (numpy, collapsed, numba); "
-             "default: $REPRO_KERNEL_BACKEND or numpy",
     )
     run.add_argument(
         "--executor", choices=EXECUTORS, default=None,
@@ -241,10 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend; defaults to 'process' when --jobs > 1",
     )
     fwork.add_argument(
-        "--kernel-backend", default=None, metavar="NAME",
-        help="localization kernel backend (numpy, collapsed, numba)",
-    )
-    fwork.add_argument(
         "--heartbeat-seconds", type=float, default=None, metavar="S",
         help="mid-unit lease renewal interval (default: a third of the "
              "broker's lease; <= 0 disables heartbeats)",
@@ -342,10 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cold-localize every cycle instead of warm-starting",
     )
     stream.add_argument(
-        "--kernel-backend", default=None, metavar="NAME",
-        help="localization kernel backend (numpy, collapsed, numba)",
-    )
-    stream.add_argument(
         "--cycle-budget", type=float, default=None, metavar="S",
         help="per-cycle wall-clock budget in seconds; over-budget "
              "cycles degrade gracefully (warm greedy fallback, then "
@@ -416,29 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep broker files here (default: a temp dir)",
     )
     return parser
-
-
-def _apply_kernel_backend(args) -> None:
-    """Export ``--kernel-backend`` for this process and its workers.
-
-    The engines resolve their backend per state from the
-    ``REPRO_KERNEL_BACKEND`` environment variable (explicit constructor
-    args win), so one env export covers serial runs, thread/process
-    executors, and fleet workers alike.  Unknown or unavailable
-    backends fail here, before any work starts.
-    """
-    name = getattr(args, "kernel_backend", None)
-    if name is None:
-        return
-    from .core import kernels
-
-    if name not in kernels.backend_names():
-        raise ExperimentError(
-            f"unknown kernel backend {name!r}; registered: "
-            + ", ".join(kernels.backend_names())
-        )
-    kernels.resolve_backend(name)
-    os.environ[kernels.ENV_VAR] = name
 
 
 def parse_overrides(pairs: List[str]) -> Dict[str, object]:
@@ -987,7 +950,6 @@ def main(argv=None) -> int:
 
 def _main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_kernel_backend(args)
     if args.command == "dataset":
         from .eval.dataset import generate_suite
 

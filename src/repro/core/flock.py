@@ -14,7 +14,8 @@ Two interchangeable engines implement the Δ-array bookkeeping:
 * ``engine="reference"`` - :class:`repro.core.jle.JleState`, a direct
   transcription of Algorithm 2;
 * ``engine="fast"`` - :class:`repro.core.flock_fast.VectorJleState`, a
-  NumPy CSR vectorization of the same update rule.
+  NumPy CSR vectorization of the same update rule that prices every
+  flow individually (the single Δ layout).
 
 Both produce identical hypotheses (property-tested); "fast" is the
 default.
@@ -29,7 +30,6 @@ import numpy as np
 from ..errors import InferenceError
 from ..types import Prediction
 from .jle import JleState
-from .kernels import resolve_backend
 from .params import DEFAULT_PER_PACKET, FlockParams
 from .problem import InferenceProblem
 
@@ -62,37 +62,26 @@ class FlockInference:
         engine: str = "fast",
         max_failures: Optional[int] = None,
         min_gain: float = 0.0,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         if engine not in _ENGINES:
             raise InferenceError(f"engine must be one of {_ENGINES}, got {engine!r}")
         if max_failures is not None and max_failures < 0:
             raise InferenceError("max_failures must be non-negative")
-        if kernel_backend is not None:
-            # Fail fast on unknown/unavailable backends, not per trace.
-            resolve_backend(kernel_backend)
         self._params = params
         self._engine = engine
         self._max_failures = max_failures
         self._min_gain = min_gain
-        self._kernel_backend = kernel_backend
 
     @property
     def params(self) -> FlockParams:
         return self._params
-
-    @property
-    def kernel_backend(self) -> Optional[str]:
-        """Backend name given at construction (``None``: resolved from
-        ``REPRO_KERNEL_BACKEND`` or the default)."""
-        return self._kernel_backend
 
     def _make_state(self, problem: InferenceProblem):
         if self._engine == "reference":
             return JleState(problem, self._params)
         from .flock_fast import VectorJleState
 
-        return VectorJleState(problem, self._params, self._kernel_backend)
+        return VectorJleState(problem, self._params)
 
     def localize(
         self,

@@ -31,7 +31,10 @@ uncompressed problem is the trivial factoring (every set its own
 interior set, no endpoint comps), one code path serves both
 representations, and their Δ sums are identical term by term and in
 accumulation order - which is what keeps compressed and uncompressed
-predictions bit-identical.
+predictions bit-identical.  Per-flow pricing is the only layout: Δ is
+pinned bitwise to the set-granular pair-counting oracle
+(``tests/oracles/pair_counting.py``), and scores and log-likelihoods
+agree bitwise between compressed, uncompressed and object problems.
 
 Engines built on the substrate:
 
@@ -52,7 +55,6 @@ import numpy as np
 
 from ..errors import InferenceError
 from ..types import Prediction
-from .kernels import resolve_backend
 from .model import evidence_exp, evidence_scores, normalized_flow_ll_fast
 from .params import FlockParams
 from .problem import InferenceProblem
@@ -145,22 +147,15 @@ class _IsetLayer(NamedTuple):
 class VectorArrays:
     """Shared CSR arrays + likelihood vectors for one problem.
 
-    ``kernel_backend`` selects a :mod:`repro.core.kernels` backend
-    (explicit name > ``REPRO_KERNEL_BACKEND`` env var > ``numpy``).
-    The ``numpy`` reference prices every flow (counting pairs per
-    interior set, :meth:`_flow_pairs`); collapsed backends switch the
-    engines to unique likelihood rows (see :meth:`_build_collapsed_rows`).
+    Every engine prices per flow: (component, count) pairs are counted
+    once per distinct interior set (:meth:`_flow_pairs`) and each flow's
+    likelihood term is evaluated individually, so Δ, ll and predictions
+    are bitwise identical across problem representations.
     """
 
-    def __init__(
-        self,
-        problem: InferenceProblem,
-        params: FlockParams,
-        kernel_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, problem: InferenceProblem, params: FlockParams) -> None:
         self.problem = problem
         self.params = params
-        self.kernels = resolve_backend(kernel_backend)
         self.n_comps = problem.n_components
 
         self.s = evidence_scores(problem.bad_packets, problem.packets_sent, params)
@@ -191,57 +186,6 @@ class VectorArrays:
         self.prior_gain = np.empty(self.n_comps)
         self.prior_gain[: problem.n_links] = params.link_prior_gain
         self.prior_gain[problem.n_links:] = params.device_prior_gain
-
-        self.n_isets = len(self.iset_uoff) - 1
-        if self.kernels.collapsed:
-            self._build_collapsed_rows()
-
-    def _build_collapsed_rows(self) -> None:
-        """Collapse flows into unique (interior set, observation) rows.
-
-        Two flows whose path sets share an interior set and whose
-        observations land in the same (bad, sent) bucket see identical
-        ``(w, s, es)`` and - whenever their sets have no failed
-        endpoint component - identical failed-member counts ``b``, so
-        they contribute the *same* nll value, scaled by weight.  The
-        collapsed kernels therefore price unique rows once and weight
-        by the summed flow weight:
-
-        * ``_row_of_flow`` maps each flow to its row;
-        * ``_row_iset`` is the row's interior set (rows sorted
-          iset-major, which the pair expansion relies on);
-        * ``_row_w/_row_s/_row_es`` are taken bitwise from the first
-          flow of each row (they are pure functions of the row key).
-
-        Flows whose set has a failed endpoint component are priced
-        exactly (``b = w`` patches nll to ``s``), so they never need
-        the row's shared ``b`` and the collapse stays exact.
-        """
-        n_flows = self.problem.n_flows
-        if n_flows == 0 or self.n_sets == 0:
-            self._row_of_flow = np.zeros(n_flows, dtype=np.int64)
-            self._row_iset = np.empty(0, dtype=np.int64)
-            self._row_w = np.empty(0)
-            self._row_s = np.empty(0)
-            self._row_es = np.empty(0)
-            self.n_rows = 0
-            return
-        bad = self.problem.bad_packets.astype(np.int64)
-        sent = self.problem.packets_sent.astype(np.int64)
-        span = int(sent.max()) + 1
-        _, bucket = np.unique(bad * span + sent, return_inverse=True)
-        n_buckets = int(bucket.max()) + 1
-        iset_of_flow = self.iset_of_set[self.set_of_flow]
-        row_key = iset_of_flow * np.int64(n_buckets) + bucket
-        urows, first, row_of_flow = np.unique(
-            row_key, return_index=True, return_inverse=True
-        )
-        self._row_of_flow = row_of_flow.astype(np.int64)
-        self._row_iset = (urows // n_buckets).astype(np.int64)
-        self._row_w = self.w[first]
-        self._row_s = self.s[first]
-        self._row_es = self._es[first]
-        self.n_rows = len(urows)
 
     def nll(self, b: np.ndarray, flow_idx: np.ndarray) -> np.ndarray:
         """Normalized flow ll for (global) flow indices, memoized exp(s)."""
@@ -279,17 +223,12 @@ class VectorArrays:
         iset_of = self.iset_of_set[aff_sets]
         isets = np.unique(iset_of)
         set_il = np.searchsorted(isets, iset_of)
-        il, upids, mult = self._iset_instances(isets)
-        return _IsetLayer(isets, set_il, il, upids, mult)
-
-    def _iset_instances(
-        self, isets: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(local iset index, unique member pid, multiplicity) triples."""
         lengths = self.iset_ulen[isets]
         idx = _expand_slices(self.iset_uoff[isets], lengths)
         il = np.repeat(np.arange(len(isets), dtype=np.int64), lengths)
-        return il, self.iset_upids[idx], self.iset_umult[idx]
+        return _IsetLayer(
+            isets, set_il, il, self.iset_upids[idx], self.iset_umult[idx]
+        )
 
     def _iset_pair_lists(
         self, layer: _IsetLayer, good: np.ndarray
@@ -364,82 +303,6 @@ class VectorArrays:
         idx = _expand_slices(starts[fsl].ravel(), flow_lens.ravel())
         return fl, comps[idx], counts[idx]
 
-    # ------------------------------------------------------------------
-    # Collapsed-row kernels (backends with ``collapsed=True``)
-    # ------------------------------------------------------------------
-    def _pairs_to_rows(
-        self,
-        n_local_isets: int,
-        row_iset_local: np.ndarray,
-        keys: np.ndarray,
-        cnts: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Expand per-iset pair lists to row-major (row, comp, cnt)."""
-        n_comps = np.int64(self.n_comps)
-        bounds = np.searchsorted(
-            keys, np.arange(n_local_isets + 1, dtype=np.int64) * n_comps
-        )
-        lens = np.diff(bounds)[row_iset_local]
-        rl = np.repeat(np.arange(len(row_iset_local), dtype=np.int64), lens)
-        idx = _expand_slices(bounds[row_iset_local], lens)
-        return rl, (keys % n_comps)[idx], cnts[idx]
-
-    def _collapsed_delta(
-        self,
-        flows: np.ndarray,
-        weights: np.ndarray,
-        aff_sets: np.ndarray,
-        fsl: np.ndarray,
-        layer: _IsetLayer,
-        good: np.ndarray,
-        iset_b: np.ndarray,
-        good_count: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`VectorJleState._state_delta`'s Δ over collapsed rows.
-
-        Prices the flip term ``w_f * (nll(b + g_c) - nll(b))`` once per
-        unique likelihood row instead of once per flow.  Sets with a
-        failed endpoint (``b = w``) or no good members contribute
-        exactly zero, so their flows are dropped up front; endpoint
-        components of surviving sets move the whole set to ``b = w``,
-        priced exactly as ``w_f * (s - nll(b))`` with no log.
-        """
-        out = np.zeros(self.n_comps, dtype=np.float64)
-        set_ok = good_count > 0
-        ok_f = set_ok[fsl]
-        sel = flows[ok_f]
-        wsel = weights[ok_f]
-        rsel, rinv = np.unique(self._row_of_flow[sel], return_inverse=True)
-        W = np.bincount(rinv, weights=wsel, minlength=len(rsel))
-        ril = np.searchsorted(layer.isets, self._row_iset[rsel])
-        b_rows = iset_b[ril]
-        w_rows = self._row_w[rsel]
-        s_rows = self._row_s[rsel]
-        es_rows = self._row_es[rsel]
-        base = self.kernels.nll(b_rows, w_rows, s_rows, es_rows)
-        keys, cnts = self._iset_pair_lists(layer, good)
-        if len(keys):
-            rl, comps_u, cnt = self._pairs_to_rows(
-                len(layer.isets), ril, keys, cnts
-            )
-            out += self.kernels.pair_delta(
-                self.n_comps, comps_u, rl, cnt, W,
-                b_rows, w_rows, s_rows, es_rows, base,
-            )
-        has_e = set_ok & (self.set_elen[aff_sets] > 0)
-        if np.any(has_e):
-            v = wsel * (self.s[sel] - base[rinv])
-            sv = np.bincount(fsl[ok_f], weights=v, minlength=len(aff_sets))
-            esel = np.nonzero(has_e)[0]
-            elens = self.set_elen[aff_sets[esel]]
-            eidx = _expand_slices(self.set_eoff[aff_sets[esel]], elens)
-            out += np.bincount(
-                self.set_ecomps[eidx],
-                weights=np.repeat(sv[esel], elens),
-                minlength=self.n_comps,
-            )
-        return out
-
     def affected_flows(self, comps: Iterable[int]) -> np.ndarray:
         arrays = [a for a in (self.comp_flows(c) for c in comps) if len(a)]
         if not arrays:
@@ -462,8 +325,6 @@ class VectorArrays:
         count.  Cost: O(member paths of affected sets + affected flows).
         """
         hyp = list(set(comps))
-        if self.kernels.collapsed:
-            return self._hypothesis_ll_collapsed(hyp, include_prior)
         total = 0.0
         if hyp:
             flows = self.affected_flows(hyp)
@@ -490,62 +351,6 @@ class VectorArrays:
             total += float(sum(self.prior_gain[c] for c in hyp))
         return total
 
-    def _hypothesis_ll_collapsed(self, hyp, include_prior: bool) -> float:
-        """:meth:`hypothesis_ll` priced over collapsed rows.
-
-        Flows on sets with a failed endpoint component evaluate to
-        exactly ``s`` (no log); the rest share their row's per-iset
-        failed-member count.
-        """
-        total = 0.0
-        if hyp:
-            flows = self.affected_flows(hyp)
-            if len(flows):
-                aff_sets, fsl = np.unique(
-                    self.set_of_flow[flows], return_inverse=True
-                )
-                aff_isets = np.unique(self.iset_of_set[aff_sets])
-                il, upids, mult = self._iset_instances(aff_isets)
-                path_bad = np.zeros(self.n_kernel_paths, dtype=bool)
-                e_bad = np.zeros(len(aff_sets), dtype=bool)
-                for comp in hyp:
-                    path_bad[self.comp_paths(comp)] = True
-                    esets = self.comp_esets(comp)
-                    if len(esets):
-                        e_bad[np.searchsorted(aff_sets, esets)] = True
-                iset_b = np.bincount(
-                    il,
-                    weights=mult * path_bad[upids],
-                    minlength=len(aff_isets),
-                )
-                wt = self.wt[flows]
-                ebad_f = e_bad[fsl]
-                if np.any(ebad_f):
-                    total += float(
-                        np.dot(wt[ebad_f], self.s[flows[ebad_f]])
-                    )
-                ok_f = ~ebad_f
-                if np.any(ok_f):
-                    sel = flows[ok_f]
-                    rsel, rinv = np.unique(
-                        self._row_of_flow[sel], return_inverse=True
-                    )
-                    W = np.bincount(
-                        rinv, weights=wt[ok_f], minlength=len(rsel)
-                    )
-                    ril = np.searchsorted(aff_isets, self._row_iset[rsel])
-                    lls = self.kernels.nll(
-                        iset_b[ril],
-                        self._row_w[rsel],
-                        self._row_s[rsel],
-                        self._row_es[rsel],
-                    )
-                    total += float(np.dot(W, lls))
-        if include_prior:
-            total += float(sum(self.prior_gain[c] for c in hyp))
-        return total
-
-
 class DeltaContrib(NamedTuple):
     """A flow group's priced Δ/ll contribution, replayable at expiry.
 
@@ -570,13 +375,8 @@ class VectorJleState(VectorArrays):
     Algorithm-3 recursion can explore by flip/descend/unflip.
     """
 
-    def __init__(
-        self,
-        problem: InferenceProblem,
-        params: FlockParams,
-        kernel_backend: Optional[str] = None,
-    ) -> None:
-        super().__init__(problem, params, kernel_backend)
+    def __init__(self, problem: InferenceProblem, params: FlockParams) -> None:
+        super().__init__(problem, params)
         self._path_nfailed = np.zeros(self.n_kernel_paths, dtype=np.int64)
         self._set_e_nfailed = np.zeros(self.n_sets, dtype=np.int64)
         self._set_b = np.zeros(self.n_sets, dtype=np.int64)
@@ -653,7 +453,7 @@ class VectorJleState(VectorArrays):
         between) is ignored and the rows are re-priced.
         """
         self = cls.__new__(cls)
-        VectorArrays.__init__(self, problem, prev.params, prev.kernels.name)
+        VectorArrays.__init__(self, problem, prev.params)
         self.hypothesis = set(prev.hypothesis)
         self.flips = prev.flips
         self._rebuild_structural()
@@ -737,7 +537,6 @@ class VectorJleState(VectorArrays):
         delta: np.ndarray,
         ll: float,
         flips: int,
-        kernel_backend: Optional[str] = None,
     ) -> "VectorJleState":
         """Reconstruct a warm state from checkpointed search facts.
 
@@ -749,7 +548,7 @@ class VectorJleState(VectorArrays):
         localization exactly where the checkpointed one stopped.
         """
         self = cls.__new__(cls)
-        VectorArrays.__init__(self, problem, params, kernel_backend)
+        VectorArrays.__init__(self, problem, params)
         delta = np.array(delta, dtype=np.float64, copy=True)
         if delta.shape != (self.n_comps,):
             raise InferenceError(
@@ -815,7 +614,6 @@ class VectorJleState(VectorArrays):
         ``f`` adds ``wt_f * (nll(b_f + g_fc) - nll(b_f))`` to Δ[c],
         where ``g_fc`` counts its good member paths holding ``c``; the
         contribution is ``None`` when no set has a good member.
-        Collapsed backends price it per row (:meth:`_collapsed_delta`).
         """
         iset_b = np.bincount(
             layer.il, weights=layer.mult * ~good, minlength=len(layer.isets)
@@ -825,10 +623,6 @@ class VectorJleState(VectorArrays):
         good_count = set_w - b_set
         if not np.any(good_count > 0):
             return b_set, None
-        if self.kernels.collapsed:
-            return b_set, self._collapsed_delta(
-                flows, wt, aff_sets, fsl, layer, good, iset_b, good_count
-            )
         b = b_set[fsl]
         base = self.nll(b, flows)
         fl, comps, cnt = self._flow_pairs(
@@ -878,8 +672,6 @@ class VectorJleState(VectorArrays):
         self._check_comp(comp)
         if comp not in self.hypothesis:
             raise InferenceError(f"component {comp} is not in the hypothesis")
-        if self.kernels.collapsed:
-            return self._removal_gain_collapsed(comp)
         total = 0.0
         flows = self.comp_flows(comp)
         if len(flows):
@@ -900,65 +692,6 @@ class VectorJleState(VectorArrays):
             b_old = self._set_b[aff_sets][fsl].astype(np.float64)
             diff = self.nll(b_new, flows) - self.nll(b_old, flows)
             total = float(np.dot(self.wt[flows], diff))
-        return total - float(self.prior_gain[comp])
-
-    def _removal_gain_collapsed(self, comp: int) -> float:
-        """:meth:`removal_gain` priced over collapsed rows.
-
-        Affected sets fall into three classes.  Sets that keep a failed
-        endpoint after the removal stay at ``b = w`` (zero diff).  Sets
-        whose only failed endpoint was ``comp`` move from exactly ``s``
-        to the per-iset count (their interior members can't contain
-        ``comp``: an endpoint component of a set never sits interior to
-        that set's interior set).  Sets with no endpoint failure move
-        between the with/without-``comp`` per-iset counts.
-        """
-        total = 0.0
-        flows = self.comp_flows(comp)
-        if len(flows):
-            aff_sets, fsl = np.unique(
-                self.set_of_flow[flows], return_inverse=True
-            )
-            aff_isets = np.unique(self.iset_of_set[aff_sets])
-            il, upids, mult = self._iset_instances(aff_isets)
-            path_has = np.zeros(self.n_kernel_paths, dtype=bool)
-            path_has[self.comp_paths(comp)] = True
-            has_i = path_has[upids]
-            nf = self._path_nfailed[upids]
-            ni = len(aff_isets)
-            iset_b_cur = np.bincount(il, weights=mult * (nf > 0), minlength=ni)
-            iset_b_minus = np.bincount(
-                il, weights=mult * ((nf - has_i) > 0), minlength=ni
-            )
-            e_cur = self._set_e_nfailed[aff_sets]
-            e_is = np.zeros(len(aff_sets), dtype=np.int64)
-            esets = self.comp_esets(comp)
-            if len(esets):
-                e_is[np.searchsorted(aff_sets, esets)] = 1
-            active = (e_cur - e_is) == 0
-            wt = self.wt[flows]
-            for case_mask, old_is_full in (
-                (active & (e_cur > 0), True),
-                (active & (e_cur == 0), False),
-            ):
-                fmask = case_mask[fsl]
-                if not np.any(fmask):
-                    continue
-                sel = flows[fmask]
-                rsel, rinv = np.unique(
-                    self._row_of_flow[sel], return_inverse=True
-                )
-                W = np.bincount(rinv, weights=wt[fmask], minlength=len(rsel))
-                ril = np.searchsorted(aff_isets, self._row_iset[rsel])
-                w_r = self._row_w[rsel]
-                s_r = self._row_s[rsel]
-                es_r = self._row_es[rsel]
-                nll_new = self.kernels.nll(iset_b_minus[ril], w_r, s_r, es_r)
-                if old_is_full:
-                    nll_old = s_r
-                else:
-                    nll_old = self.kernels.nll(iset_b_cur[ril], w_r, s_r, es_r)
-                total += float(np.dot(W, nll_new - nll_old))
         return total - float(self.prior_gain[comp])
 
     def _membership(
@@ -1102,9 +835,8 @@ class VectorGreedyWithoutJle(VectorArrays):
         params: FlockParams,
         max_failures: Optional[int] = None,
         initial_hypothesis: Optional[Iterable[int]] = None,
-        kernel_backend: Optional[str] = None,
     ) -> None:
-        super().__init__(problem, params, kernel_backend)
+        super().__init__(problem, params)
         self._path_nfailed = np.zeros(self.n_kernel_paths, dtype=np.int64)
         self._set_e_nfailed = np.zeros(self.n_sets, dtype=np.int64)
         self._set_b = np.zeros(self.n_sets, dtype=np.int64)
@@ -1143,63 +875,11 @@ class VectorGreedyWithoutJle(VectorArrays):
         flows = self.comp_flows(comp)
         if not len(flows):
             return float(self.prior_gain[comp])
-        if self.kernels.collapsed:
-            return self._candidate_gain_collapsed(comp, flows)
         aff_sets, extra_set, fsl = self._newly_bad_counts(comp, flows)
         b_old = self._set_b[aff_sets][fsl].astype(np.float64)
         extra = extra_set[fsl]
         diff = self.nll(b_old + extra, flows) - self.nll(b_old, flows)
         return float(np.dot(self.wt[flows], diff) + self.prior_gain[comp])
-
-    def _candidate_gain_collapsed(self, comp: int, flows: np.ndarray) -> float:
-        """:meth:`candidate_gain` priced over collapsed rows.
-
-        Sets already at ``b = w`` via a failed endpoint are unmoved;
-        sets gaining ``comp`` as a failed endpoint jump to exactly
-        ``s``; the rest move between the per-iset counts with and
-        without ``comp``'s member paths failed.
-        """
-        aff_sets, fsl = np.unique(self.set_of_flow[flows], return_inverse=True)
-        aff_isets = np.unique(self.iset_of_set[aff_sets])
-        il, upids, mult = self._iset_instances(aff_isets)
-        path_has = np.zeros(self.n_kernel_paths, dtype=bool)
-        path_has[self.comp_paths(comp)] = True
-        has_i = path_has[upids]
-        nf = self._path_nfailed[upids]
-        ni = len(aff_isets)
-        iset_b_cur = np.bincount(il, weights=mult * (nf > 0), minlength=ni)
-        iset_b_plus = np.bincount(
-            il, weights=mult * ((nf + has_i) > 0), minlength=ni
-        )
-        e_cur = self._set_e_nfailed[aff_sets]
-        e_is = np.zeros(len(aff_sets), dtype=bool)
-        esets = self.comp_esets(comp)
-        if len(esets):
-            e_is[np.searchsorted(aff_sets, esets)] = True
-        active = e_cur == 0
-        wt = self.wt[flows]
-        total = 0.0
-        for case_mask, new_is_full in (
-            (active & e_is, True),
-            (active & ~e_is, False),
-        ):
-            fmask = case_mask[fsl]
-            if not np.any(fmask):
-                continue
-            sel = flows[fmask]
-            rsel, rinv = np.unique(self._row_of_flow[sel], return_inverse=True)
-            W = np.bincount(rinv, weights=wt[fmask], minlength=len(rsel))
-            ril = np.searchsorted(aff_isets, self._row_iset[rsel])
-            w_r = self._row_w[rsel]
-            s_r = self._row_s[rsel]
-            es_r = self._row_es[rsel]
-            nll_old = self.kernels.nll(iset_b_cur[ril], w_r, s_r, es_r)
-            if new_is_full:
-                nll_new = s_r
-            else:
-                nll_new = self.kernels.nll(iset_b_plus[ril], w_r, s_r, es_r)
-            total += float(np.dot(W, nll_new - nll_old))
-        return total + float(self.prior_gain[comp])
 
     def commit(self, comp: int, gain: float) -> None:
         flows = self.comp_flows(comp)

@@ -8,7 +8,9 @@ of iterations required for convergence."
 Each Gibbs step resamples one component's failed/not-failed bit from its
 conditional posterior given all the others; the log-odds of that
 conditional is exactly the JLE flip gain (data Δ + prior), so a step
-costs only O(flows(comp) * T) on the incrementally-maintained state.
+costs only O(flows(comp) * T) on the incrementally-maintained
+:class:`~repro.core.flock_fast.VectorJleState`, which prices every flow
+individually.
 After burn-in, per-component marginal inclusion frequencies are
 thresholded into a prediction.
 
@@ -26,14 +28,11 @@ test."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..errors import InferenceError
 from ..types import Prediction
 from .flock_fast import VectorJleState
-from .kernels import resolve_backend
 from .params import DEFAULT_PER_PACKET, FlockParams
 from .problem import InferenceProblem
 
@@ -70,7 +69,6 @@ class GibbsInference:
         threshold: float = 0.5,
         seed: int = 0,
         batch_sweeps: bool = True,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         if sweeps <= burn_in:
             raise InferenceError("sweeps must exceed burn_in")
@@ -82,19 +80,10 @@ class GibbsInference:
         self._threshold = threshold
         self._seed = seed
         self._batch_sweeps = batch_sweeps
-        if kernel_backend is not None:
-            resolve_backend(kernel_backend)
-        self._kernel_backend = kernel_backend
 
     @property
     def params(self) -> FlockParams:
         return self._params
-
-    @property
-    def kernel_backend(self) -> Optional[str]:
-        """Backend name given at construction (``None``: resolved from
-        ``REPRO_KERNEL_BACKEND`` or the default)."""
-        return self._kernel_backend
 
     def localize(
         self,
@@ -112,7 +101,7 @@ class GibbsInference:
         """
         rng = np.random.default_rng(self._seed)
         if initial_state is None:
-            state = VectorJleState(problem, self._params, self._kernel_backend)
+            state = VectorJleState(problem, self._params)
         else:
             if initial_state.problem is not problem:
                 raise InferenceError(

@@ -30,6 +30,10 @@ Registered names (see :func:`scheme_names`):
     NetBouncer's regularized least-squares link estimator.
 ``007``
     007's path-voting heuristic.
+
+The ``engine="fast"`` arms of ``flock``, ``flock-greedy``, ``sherlock``
+and ``sherlock-jle`` all price on the one per-flow layout of
+:mod:`repro.core.flock_fast`; none takes a layout or backend argument.
 """
 
 from __future__ import annotations
@@ -175,20 +179,17 @@ class GreedyOnlyLocalizer:
         params: FlockParams = DEFAULT_PER_PACKET,
         engine: str = "fast",
         max_failures: Optional[int] = None,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         if engine not in ("fast", "reference"):
             raise ExperimentError(f"unknown engine {engine!r}")
         self._params = params
         self._engine = engine
         self._max_failures = max_failures
-        self._kernel_backend = kernel_backend
 
     def localize(self, problem):
         if self._engine == "fast":
             return VectorGreedyWithoutJle(
-                problem, self._params, self._max_failures,
-                kernel_backend=self._kernel_backend,
+                problem, self._params, self._max_failures
             ).run()
         return GreedyWithoutJle(self._params, self._max_failures).localize(problem)
 
@@ -197,29 +198,24 @@ def _flock_params(pg: float, pb: float, rho: float) -> FlockParams:
     return FlockParams(pg=pg, pb=pb, rho=rho)
 
 
-def _flock(pg, pb, rho, engine="fast", max_failures=None, kernel_backend=None):
+def _flock(pg, pb, rho, engine="fast", max_failures=None):
     return FlockInference(
-        _flock_params(pg, pb, rho), engine=engine, max_failures=max_failures,
-        kernel_backend=kernel_backend,
+        _flock_params(pg, pb, rho), engine=engine, max_failures=max_failures
     )
 
 
-def _flock_greedy(pg, pb, rho, engine="fast", max_failures=None,
-                  kernel_backend=None):
+def _flock_greedy(pg, pb, rho, engine="fast", max_failures=None):
     return GreedyOnlyLocalizer(
-        _flock_params(pg, pb, rho), engine=engine, max_failures=max_failures,
-        kernel_backend=kernel_backend,
+        _flock_params(pg, pb, rho), engine=engine, max_failures=max_failures
     )
 
 
-def _sherlock(pg, pb, rho, max_failures=2, use_jle=False, engine="fast",
-              kernel_backend=None):
+def _sherlock(pg, pb, rho, max_failures=2, use_jle=False, engine="fast"):
     return SherlockFerret(
         _flock_params(pg, pb, rho),
         max_failures=max_failures,
         use_jle=use_jle,
         engine=engine,
-        kernel_backend=kernel_backend,
     )
 
 

@@ -263,9 +263,7 @@ class StreamMonitor:
                 if len(self._contribs) >= self.window else None
             )
             if self._state is None:
-                state = VectorJleState(
-                    problem, localizer.params, localizer.kernel_backend
-                )
+                state = VectorJleState(problem, localizer.params)
             else:
                 state = VectorJleState.rebase(
                     problem,
@@ -474,9 +472,6 @@ class StreamMonitor:
                 "d": ndarray_to_wire(state.delta),
                 "ll": float(state.ll),
                 "f": int(state.flips),
-                # The backend the state resolved, so a resume under a
-                # different REPRO_KERNEL_BACKEND continues on it.
-                "k": state.kernels.name,
             },
             "contribs": [
                 None if contrib is None else {
@@ -532,7 +527,10 @@ class StreamMonitor:
         chunk's regenerated arrays are compared against the
         checkpointed ones and any mismatch raises
         :class:`~repro.errors.CheckpointError` - a resume against a
-        drifted stream must fail loudly, not localize garbage.
+        drifted stream must fail loudly, not localize garbage.  So does
+        a warm state whose ``"k"`` tag names a Δ layout other than the
+        per-flow ``"numpy"`` one (older checkouts wrote the tag; it is
+        no longer written).
 
         After the replay the warm state, contrib cache, and cycle
         counters are restored verbatim; feeding the returned monitor
@@ -548,6 +546,17 @@ class StreamMonitor:
                 raise CheckpointError(
                     f"checkpoint payload is missing {key!r}"
                 )
+        state_wire = payload["state"]
+        layout = "numpy" if state_wire is None else state_wire.get("k", "numpy")
+        if layout != "numpy":
+            # Older checkouts tagged the Δ layout; only per-flow pricing
+            # (tagged "numpy") survives, and a Δ priced over another
+            # layout differs from it in the last bits.
+            raise CheckpointError(
+                f"checkpoint warm state was priced with the {layout!r} "
+                "kernel layout; this checkout prices per flow only "
+                "(\"numpy\") - restart the stream cold"
+            )
         config = payload["config"]
         if (
             int(config["n_components"]) != topology.n_components
@@ -616,7 +625,6 @@ class StreamMonitor:
                 "inconsistent"
             )
 
-        state_wire = payload["state"]
         if state_wire is not None:
             if not monitor.warm:
                 raise CheckpointError(
@@ -631,7 +639,6 @@ class StreamMonitor:
                 delta=ndarray_from_wire(state_wire["d"]),
                 ll=float(state_wire["ll"]),
                 flips=int(state_wire["f"]),
-                kernel_backend=state_wire.get("k", localizer.kernel_backend),
             )
         monitor._contribs = deque(
             None if contrib is None else DeltaContrib(

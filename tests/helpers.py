@@ -20,13 +20,21 @@ N_COMPS = 10
 
 @st.composite
 def random_problems(draw):
-    """Small random inference problems over N_COMPS components."""
+    """Small random inference problems over N_COMPS components.
+
+    Each member path after a set's first repeats an already-drawn one
+    with probability 1/3, so repeated member paths (multiplicity > 1,
+    as ECMP paths projecting to one component path produce) are common.
+    """
     n_flows = draw(st.integers(min_value=1, max_value=12))
     observations = []
     for _ in range(n_flows):
         n_paths = draw(st.integers(min_value=1, max_value=3))
         path_set = []
         for _ in range(n_paths):
+            if path_set and draw(st.integers(min_value=0, max_value=2)) == 0:
+                path_set.append(draw(st.sampled_from(path_set)))
+                continue
             size = draw(st.integers(min_value=1, max_value=4))
             comps = draw(
                 st.lists(

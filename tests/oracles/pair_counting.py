@@ -49,15 +49,15 @@ def count_sorted(
 class OracleJleState(VectorJleState):
     """:class:`VectorJleState` with the set-granular Δ kernels.
 
-    Always runs the numpy (uncollapsed) layout; everything but the
-    initial Δ, :meth:`_delta_contrib` and :meth:`flip` is inherited.
+    Everything but the initial Δ, :meth:`_delta_contrib` and
+    :meth:`flip` is inherited.
     """
 
     dense_cap = DENSE_CELLS_CAP
 
     def __init__(self, problem, params, dense_cap: int = DENSE_CELLS_CAP):
         self.dense_cap = dense_cap
-        super().__init__(problem, params, "numpy")
+        super().__init__(problem, params)
 
     def _set_pair_lists(self, sets, local, upids, mult, good, goodcount):
         """Per-set (component, count) lists over good member paths,

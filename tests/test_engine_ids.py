@@ -31,8 +31,7 @@ def _states(problem):
     params = FlockParams()
     return [
         JleState(problem, params),
-        VectorJleState(problem, params, "numpy"),
-        VectorJleState(problem, params, "collapsed"),
+        VectorJleState(problem, params),
     ]
 
 

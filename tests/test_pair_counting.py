@@ -104,7 +104,7 @@ def _check_problem(problem, seed):
     rng = np.random.default_rng(seed)
     observed = np.asarray(problem.observed_components, dtype=np.int64)
     for cap in CAPS:
-        state = VectorJleState(problem, PARAMS, "numpy")
+        state = VectorJleState(problem, PARAMS)
         oracle = OracleJleState(problem, PARAMS, cap)
         _assert_same(state, oracle)
 
@@ -175,7 +175,7 @@ def test_removing_a_sets_only_failed_endpoint(tiny_world, seed, n_flows):
         if c != endpoint and not len(problem.comp_eset_ids(c))
     ]
     for cap in CAPS:
-        state = VectorJleState(problem, PARAMS, "numpy")
+        state = VectorJleState(problem, PARAMS)
         oracle = OracleJleState(problem, PARAMS, cap)
         sequence = [endpoint] + interior[:2] + [endpoint]
         for step, comp in enumerate(sequence):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.routing import EcmpRouting
+from repro.eval.experiments import standard_topology
+from repro.routing import EcmpRouting, PathSpace
 from repro.simulation import (
     DropRatePlan,
     FlowLevelSimulator,
@@ -19,7 +20,12 @@ from repro.simulation import (
 )
 from repro.simulation.failures import PER_FLOW, PER_PACKET
 from repro.topology import fat_tree
-from repro.traffic import FlowSpec, UniformTraffic, generate_passive_flows
+from repro.traffic import (
+    FlowSpec,
+    SpecBatch,
+    UniformTraffic,
+    generate_passive_flows,
+)
 
 
 class TestDropRatePlan:
@@ -207,3 +213,78 @@ class TestFlowSimulator:
     def test_empty_specs(self, small_fat_tree, rng):
         injection = NoFailure().inject(small_fat_tree, rng)
         assert FlowLevelSimulator(small_fat_tree).simulate([], injection, rng) == []
+
+
+# --- vectorized simulator RNG -----------------------------------------
+
+@pytest.fixture(scope="module")
+def tiny_world():
+    topo = standard_topology("tiny")
+    return topo, EcmpRouting(topo)
+
+
+def _spec_batch(tiny_world, seed, n_flows=800):
+    topo, routing = tiny_world
+    rng = np.random.default_rng(seed)
+    injection = SilentLinkDrops(n_failures=2, min_rate=4e-3).inject(topo, rng)
+    specs = generate_passive_flows(
+        routing, UniformTraffic(topo), n_flows, rng
+    )
+    space = PathSpace(topo, routing)
+    return SpecBatch.from_specs(specs, space), injection
+
+
+def test_rng_modes_deterministic(tiny_world):
+    topo, _ = tiny_world
+    batch, injection = _spec_batch(tiny_world, seed=11)
+    sim = FlowLevelSimulator(topo)
+    for mode in ("grouped", "vectorized"):
+        a = sim.simulate_batch(
+            batch, injection, np.random.default_rng(5), rng_mode=mode
+        )
+        b = sim.simulate_batch(
+            batch, injection, np.random.default_rng(5), rng_mode=mode
+        )
+        assert np.array_equal(a.bad, b.bad)
+        assert np.array_equal(a.chosen_path, b.chosen_path)
+    # grouped is the default: omitting rng_mode is the historical stream.
+    default = sim.simulate_batch(batch, injection, np.random.default_rng(5))
+    grouped = sim.simulate_batch(
+        batch, injection, np.random.default_rng(5), rng_mode="grouped"
+    )
+    assert np.array_equal(default.bad, grouped.bad)
+    assert np.array_equal(default.chosen_path, grouped.chosen_path)
+
+
+def test_vectorized_rng_is_versioned_but_valid(tiny_world):
+    """The vectorized stream is explicitly different from grouped, but
+    every chosen path must still be a real (src, dst) member path and
+    loss mass must stay in the same regime."""
+    topo, _ = tiny_world
+    batch, injection = _spec_batch(tiny_world, seed=11)
+    sim = FlowLevelSimulator(topo)
+    grouped = sim.simulate_batch(
+        batch, injection, np.random.default_rng(5), rng_mode="grouped"
+    )
+    vec = sim.simulate_batch(
+        batch, injection, np.random.default_rng(5), rng_mode="vectorized"
+    )
+    assert not np.array_equal(grouped.bad, vec.bad)
+    space = batch.space
+    for i in range(0, len(batch), 37):
+        nodes = space.path_nodes(int(vec.chosen_path[i]))
+        assert nodes[0] == batch.src[i]
+        assert nodes[-1] == batch.dst[i]
+    g_rate = grouped.bad.sum() / grouped.packets.sum()
+    v_rate = vec.bad.sum() / vec.packets.sum()
+    assert v_rate > 0
+    assert 0.2 < v_rate / g_rate < 5.0
+
+
+def test_rng_mode_rejects_unknown(tiny_world):
+    topo, _ = tiny_world
+    batch, injection = _spec_batch(tiny_world, seed=11, n_flows=10)
+    with pytest.raises(ValueError, match="rng_mode"):
+        FlowLevelSimulator(topo).simulate_batch(
+            batch, injection, np.random.default_rng(5), rng_mode="turbo"
+        )

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import kernels
 from repro.core.flock_fast import VectorJleState
 from repro.errors import CheckpointError, ExperimentError, InferenceError
 from repro.eval import experiments
@@ -173,22 +172,12 @@ class TestCrashResume:
         if tail[0]["detected_cycle"] is not None:
             assert tail[0]["latency_seconds"] >= 0
 
-    def test_explicit_localizer_backend_reaches_the_warm_state(
-        self, monkeypatch
+    def test_resume_from_a_numpy_tagged_checkpoint_is_bit_identical(
+        self, tmp_path
     ):
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        topology, chunks = build_stream()
-        setup = make_setup("flock", overrides={"kernel_backend": "collapsed"})
-        monitor = StreamMonitor(topology, setup=setup, window=3, seed=61)
-        for chunk in chunks[:5]:  # a cold state, then rebased ones
-            monitor.step(chunk)
-            assert monitor._state.kernels.name == "collapsed"
-
-    def test_resume_keeps_the_checkpointed_backend(
-        self, monkeypatch, tmp_path
-    ):
+        # Older checkouts tagged the warm state's Δ layout as "k";
+        # "numpy" is the per-flow layout, so it restores as untagged.
         crash_at = 4
-        monkeypatch.setenv(kernels.ENV_VAR, "collapsed")
         topology, chunks = build_stream()
         monitor = StreamMonitor(topology, window=3, seed=61)
         baseline = [cycle_report_to_wire(monitor.step(c)) for c in chunks]
@@ -200,19 +189,34 @@ class TestCrashResume:
         )
         for chunk in chunks[:crash_at]:
             monitor.step(chunk)
-        assert monitor._state.kernels.name == "collapsed"
-
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        topology, chunks = build_stream()
         payload = decode_stream_checkpoint(path.read_text())
+        assert "k" not in payload["state"]
+        payload["state"]["k"] = "numpy"
+        payload = decode_stream_checkpoint(encode_stream_checkpoint(payload))
+
+        topology, chunks = build_stream()
         monitor = StreamMonitor.from_checkpoint(payload, topology, chunks)
-        assert monitor._state.kernels.name == "collapsed"
         resumed = [
             cycle_report_to_wire(monitor.step(c))
             for c in chunks if c.index >= monitor.cursor
         ]
-        assert monitor._state.kernels.name == "collapsed"
         assert resumed == baseline[crash_at:]
+
+    def test_resume_refuses_another_kernel_layout(self, tmp_path, capsys):
+        path = tmp_path / "collapsed.ckpt"
+        args = ["stream", "gray-drift", "--preset", "tiny", "--cycles", "4",
+                "--flows", "200", "--probes", "50", "--window", "3"]
+        assert main(args + ["--checkpoint", str(path)]) == 0
+        capsys.readouterr()
+        payload = decode_stream_checkpoint(path.read_text())
+        payload["state"]["k"] = "collapsed"
+        path.write_text(encode_stream_checkpoint(payload))
+
+        topology, chunks = build_stream()
+        with pytest.raises(CheckpointError, match="'collapsed'"):
+            StreamMonitor.from_checkpoint(payload, topology, chunks)
+        assert main(["stream", "--resume", str(path)]) == 2
+        assert "'collapsed' kernel layout" in capsys.readouterr().err
 
     def test_restore_validates_delta_shape(self):
         topology, chunks = build_stream()
