@@ -3,15 +3,13 @@
 These are the work units whose asymptotics section 4.1 analyzes:
 Δ-array construction (O(n + mT)), a JLE flip (O(DT)), a direct
 hypothesis evaluation (Sherlock's unit), and a full greedy run.  They
-also pin the vectorized engine's advantage over the reference engine,
-and time every scheme in the registry end to end so a newly registered
-scheme is benchmarked automatically.
+also time every scheme in the registry end to end so a newly
+registered scheme is benchmarked automatically.
 """
 
 import pytest
 
 from repro.core.flock_fast import VectorArrays, VectorJleState
-from repro.core.jle import JleState
 from repro.core.params import DEFAULT_PER_PACKET
 from repro.eval.schemes import build_localizer, scheme_names
 
@@ -24,11 +22,6 @@ def problem(drop_problem):
 def test_vector_delta_construction(benchmark, problem):
     state = benchmark(VectorJleState, problem, DEFAULT_PER_PACKET)
     assert state.delta.shape == (problem.n_components,)
-
-
-def test_reference_delta_construction(benchmark, problem):
-    state = benchmark(JleState, problem, DEFAULT_PER_PACKET)
-    assert len(state.delta) == problem.n_components
 
 
 def test_vector_flip(benchmark, problem):
@@ -50,9 +43,8 @@ def test_hypothesis_ll_unit(benchmark, problem):
     assert isinstance(value, float)
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
-def test_full_greedy(benchmark, problem, engine):
-    localizer = build_localizer("flock", engine=engine)
+def test_full_greedy(benchmark, problem):
+    localizer = build_localizer("flock")
     pred = benchmark(localizer.localize, problem)
     assert pred.components
 

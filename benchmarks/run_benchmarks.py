@@ -33,8 +33,7 @@ Benchmarks
 * ``simulate_columnar`` - trace generation alone (specs + simulator).
 * ``simulate_columnar_vec`` - the same trace generation with the
   vectorized RNG mode (``rng_mode="vectorized"``).
-* ``kernel_delta_vector`` / ``kernel_delta_reference`` - JLE delta-array
-  construction, vectorized vs reference engine.
+* ``kernel_delta_vector`` - JLE delta-array construction.
 * ``kernel_flip_vector`` - one JLE flip pair on the vector state.
 * ``localize_greedy_fast`` - full Flock greedy+JLE localization.
 * ``localize_gibbs`` - Gibbs sampling localization.
@@ -73,7 +72,7 @@ PRESETS = {
     "large": (100_000, 5_000),
     # The paper's simulation scale: full paper_simulation_clos fabric,
     # 400K passive flows.  Only the compressed pipeline can run it;
-    # the object-pipeline and reference-engine arms are skipped.
+    # the object-pipeline arm is skipped.
     "paper": (400_000, 20_000),
 }
 
@@ -81,7 +80,6 @@ PRESETS = {
 PRESET_SKIPS = {
     "paper": {
         "trace_build_object",      # materializes ~9M per-pair projections
-        "kernel_delta_reference",  # pure-Python engine over 400K flows
         "kernel_flip_vector",      # micro-bench; covered by localize_*
     },
 }
@@ -189,7 +187,6 @@ def build_benchmarks(preset: str, base_seed: int):
     """Return {name: callable(i)} benchmark closures for the preset."""
     from repro.core.flock_fast import VectorJleState
     from repro.core.gibbs import GibbsInference
-    from repro.core.jle import JleState
     from repro.core.params import DEFAULT_PER_PACKET
     from repro.core.problem import InferenceProblem
     from repro.eval.experiments import standard_topology
@@ -271,9 +268,6 @@ def build_benchmarks(preset: str, base_seed: int):
     def kernel_delta_vector(i):
         return VectorJleState(kernel_problem, DEFAULT_PER_PACKET)
 
-    def kernel_delta_reference(i):
-        return JleState(kernel_problem, DEFAULT_PER_PACKET)
-
     skips = PRESET_SKIPS.get(preset, set())
     benches = {
         "trace_build_columnar": trace_build_columnar,
@@ -281,7 +275,6 @@ def build_benchmarks(preset: str, base_seed: int):
         "simulate_columnar": simulate_columnar,
         "simulate_columnar_vec": simulate_columnar_vec,
         "kernel_delta_vector": kernel_delta_vector,
-        "kernel_delta_reference": kernel_delta_reference,
     }
 
     if "kernel_flip_vector" not in skips:

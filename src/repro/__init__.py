@@ -36,9 +36,7 @@ from .core import (
     FlockInference,
     FlockParams,
     GibbsInference,
-    GreedyWithoutJle,
     InferenceProblem,
-    LikelihoodModel,
 )
 from .errors import ReproError
 from .eval import (
@@ -125,10 +123,8 @@ __all__ = [
     "DEFAULT_PER_PACKET",
     "DEFAULT_PER_FLOW",
     "FlockInference",
-    "GreedyWithoutJle",
     "GibbsInference",
     "InferenceProblem",
-    "LikelihoodModel",
     # baselines
     "Vote007",
     "NetBouncer",

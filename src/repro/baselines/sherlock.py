@@ -12,21 +12,18 @@ Algorithm 3 of the paper shows JLE shaving another factor of ``n``: a
 recursion carries a Δ array that prices all ``n`` single-link
 extensions of the current branch at once, so flips are only needed down
 to depth ``K-1`` - the bottom level is read straight out of the array.
-That is ``O(n^(K-1))`` flips at ``O(D T)`` each.  Flips are involutive
-in both JLE engines, so the recursion explores by flip/descend/unflip
-without copying state.
+That is ``O(n^(K-1))`` flips at ``O(D T)`` each.  Flips are involutive,
+so the recursion explores by flip/descend/unflip without copying state.
 
-Both variants accept ``engine="fast"`` (vectorized substrate, default)
-or ``engine="reference"`` (pure-Python dict engines), matching Flock's
-two engines so runtime comparisons share constant factors.  The fast
-engine prices every flow individually on Flock's substrate
-(:mod:`repro.core.flock_fast`).
+Both variants price every flow individually on Flock's vectorized
+substrate (:mod:`repro.core.flock_fast`), so runtime comparisons with
+Flock share constant factors.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -37,12 +34,8 @@ from ..core.flock_fast import (
     VectorJleState,
     addition_upper_bounds,
 )
-from ..core.jle import JleState
-from ..core.model import LikelihoodModel
 from ..core.params import DEFAULT_PER_PACKET, FlockParams
 from ..core.problem import InferenceProblem
-
-_ENGINES = ("fast", "reference")
 
 
 class SherlockFerret:
@@ -58,9 +51,8 @@ class SherlockFerret:
     use_jle:
         When True, run Algorithm 3 (JLE-accelerated recursion); when
         False, price every hypothesis individually.
-    candidates:
-        Optional restriction of the component universe (used by tests;
-        experiments use every observed component, as Sherlock would).
+
+    The candidates are every observed component, as in Sherlock.
     """
 
     name = "sherlock"
@@ -70,26 +62,15 @@ class SherlockFerret:
         params: FlockParams = DEFAULT_PER_PACKET,
         max_failures: int = 2,
         use_jle: bool = False,
-        engine: str = "fast",
-        candidates: Optional[Sequence[int]] = None,
     ) -> None:
         if max_failures < 1:
             raise InferenceError("max_failures must be >= 1")
-        if engine not in _ENGINES:
-            raise InferenceError(f"engine must be one of {_ENGINES}")
         self._params = params
         self._k = max_failures
         self._use_jle = use_jle
-        self._engine = engine
-        self._candidates = tuple(candidates) if candidates is not None else None
-
-    def _candidate_list(self, problem: InferenceProblem) -> Tuple[int, ...]:
-        if self._candidates is not None:
-            return self._candidates
-        return tuple(problem.observed_components)
 
     def localize(self, problem: InferenceProblem) -> Prediction:
-        candidates = self._candidate_list(problem)
+        candidates = tuple(problem.observed_components)
         if not candidates:
             return Prediction.empty()
         if self._use_jle:
@@ -102,12 +83,7 @@ class SherlockFerret:
     def _localize_plain(
         self, problem: InferenceProblem, candidates: Tuple[int, ...]
     ) -> Prediction:
-        if self._engine == "fast":
-            arrays = VectorArrays(problem, self._params)
-            price = arrays.hypothesis_ll
-        else:
-            model = LikelihoodModel(problem, self._params)
-            price = model.log_likelihood
+        price = VectorArrays(problem, self._params).hypothesis_ll
         best_h: Tuple[int, ...] = ()
         best_ll = 0.0  # the empty hypothesis scores 0 by normalization
         scanned = 1
@@ -130,10 +106,7 @@ class SherlockFerret:
     def _localize_jle(
         self, problem: InferenceProblem, candidates: Tuple[int, ...]
     ) -> Prediction:
-        if self._engine == "fast":
-            state = VectorJleState(problem, self._params)
-        else:
-            state = JleState(problem, self._params)
+        state = VectorJleState(problem, self._params)
         cand = np.asarray(candidates, dtype=np.int64)
         best_h: List[Tuple[int, ...]] = [()]
         best_ll = [0.0]

@@ -9,15 +9,7 @@ from .analysis import (
 )
 from .flock import FlockInference
 from .gibbs import GibbsInference
-from .greedy_nojle import GreedyWithoutJle
-from .jle import JleState
-from .model import (
-    LikelihoodModel,
-    evidence_score,
-    evidence_scores,
-    normalized_flow_ll,
-    normalized_flow_ll_vec,
-)
+from .model import evidence_scores
 from .params import DEFAULT_PER_FLOW, DEFAULT_PER_PACKET, FlockParams
 from .problem import InferenceProblem
 
@@ -27,14 +19,8 @@ __all__ = [
     "DEFAULT_PER_FLOW",
     "InferenceProblem",
     "FlockInference",
-    "GreedyWithoutJle",
     "GibbsInference",
-    "JleState",
-    "LikelihoodModel",
-    "evidence_score",
     "evidence_scores",
-    "normalized_flow_ll",
-    "normalized_flow_ll_vec",
     "traffic_skew",
     "max_recoverable_failures",
     "check_theorem2",

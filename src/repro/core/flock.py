@@ -9,16 +9,11 @@ Priors (section 3.2) fold into the improvement test: adding component
 ``c`` changes the posterior by ``Δ[c] + ln(ρ_c/(1−ρ_c))``, so the search
 stops when every candidate's combined gain is non-positive.
 
-Two interchangeable engines implement the Δ-array bookkeeping:
-
-* ``engine="reference"`` - :class:`repro.core.jle.JleState`, a direct
-  transcription of Algorithm 2;
-* ``engine="fast"`` - :class:`repro.core.flock_fast.VectorJleState`, a
-  NumPy CSR vectorization of the same update rule that prices every
-  flow individually (the single Δ layout).
-
-Both produce identical hypotheses (property-tested); "fast" is the
-default.
+The Δ-array bookkeeping is
+:class:`repro.core.flock_fast.VectorJleState`, a NumPy CSR
+vectorization of Algorithm 2's update rule that prices every flow
+individually.  The literal Algorithm-2 transcription it is tested
+against lives in ``tests/oracles/jle.py``.
 """
 
 from __future__ import annotations
@@ -29,11 +24,9 @@ import numpy as np
 
 from ..errors import InferenceError
 from ..types import Prediction
-from .jle import JleState
+from .flock_fast import VectorJleState, greedy_local_search
 from .params import DEFAULT_PER_PACKET, FlockParams
 from .problem import InferenceProblem
-
-_ENGINES = ("fast", "reference")
 
 
 class FlockInference:
@@ -43,8 +36,6 @@ class FlockInference:
     ----------
     params:
         Model hyperparameters (``pg``, ``pb``, ``rho``).
-    engine:
-        ``"fast"`` (vectorized) or ``"reference"`` (Algorithm-2 literal).
     max_failures:
         Optional safety cap on hypothesis size.  Flock's inference does
         not need to know the true failure count (section 4.1); this cap
@@ -59,29 +50,18 @@ class FlockInference:
     def __init__(
         self,
         params: FlockParams = DEFAULT_PER_PACKET,
-        engine: str = "fast",
         max_failures: Optional[int] = None,
         min_gain: float = 0.0,
     ) -> None:
-        if engine not in _ENGINES:
-            raise InferenceError(f"engine must be one of {_ENGINES}, got {engine!r}")
         if max_failures is not None and max_failures < 0:
             raise InferenceError("max_failures must be non-negative")
         self._params = params
-        self._engine = engine
         self._max_failures = max_failures
         self._min_gain = min_gain
 
     @property
     def params(self) -> FlockParams:
         return self._params
-
-    def _make_state(self, problem: InferenceProblem):
-        if self._engine == "reference":
-            return JleState(problem, self._params)
-        from .flock_fast import VectorJleState
-
-        return VectorJleState(problem, self._params)
 
     def localize(
         self,
@@ -98,8 +78,6 @@ class FlockInference:
         empty - the steady-state fast path of the streaming monitor.
         """
         if warm_state is not None:
-            from .flock_fast import greedy_local_search
-
             if warm_state.problem is not problem:
                 raise InferenceError(
                     "warm_state must be built on the problem being localized"
@@ -110,7 +88,7 @@ class FlockInference:
                 max_failures=self._max_failures,
                 min_gain=self._min_gain,
             )
-        state = self._make_state(problem)
+        state = VectorJleState(problem, self._params)
         candidates = np.asarray(problem.observed_components, dtype=np.int64)
         if len(candidates) == 0:
             return Prediction.empty()

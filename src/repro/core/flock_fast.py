@@ -1,11 +1,12 @@
 """Vectorized inference kernels (NumPy CSR formulation).
 
-The reference engine (:mod:`repro.core.jle`) walks Python dicts and is
-the line-for-line transcription of Algorithm 2; everything here computes
-the same quantities as flat-array passes, so that the Fig. 4c ablation
-(Sherlock vs greedy-only vs JLE-only vs Flock) compares *algorithms*
-rather than interpreter constant factors - all four arms share the CSR
-substrate below, mirroring the paper's single C++ framework.
+Everything here computes the quantities of the paper's Algorithm 2 as
+flat-array passes (its line-for-line transcription, which walks Python
+dicts, is the test oracle in ``tests/oracles/jle.py``), so that the
+Fig. 4c ablation (Sherlock vs greedy-only vs JLE-only vs Flock)
+compares *algorithms* rather than interpreter constant factors - all
+four arms share the CSR substrate below, mirroring the paper's single
+C++ framework.
 
 Shared structures (:class:`VectorArrays`), built on the problem's *set
 layer*:
@@ -39,7 +40,7 @@ agree bitwise between compressed, uncompressed and object problems.
 Engines built on the substrate:
 
 * :class:`VectorJleState` - JLE Δ array with involutive add/remove
-  flips (drop-in for :class:`repro.core.jle.JleState`);
+  flips;
 * :class:`VectorGreedyWithoutJle` - greedy search pricing every
   candidate individually each iteration (the "greedy only" arm), with
   array-level candidate pruning from a per-component gain upper bound;
@@ -79,9 +80,9 @@ def addition_upper_bounds(
     cannot drop a candidate unless its exact gain beats the incumbent
     by less than the slack - i.e. only float-tie-level outcomes can
     differ from an unpruned scan.  Computed straight off the problem
-    arrays; the single definition serves the vector engines (which pass
-    their precomputed ``s``/``wt``/``prior_gain``) and the
-    reference-engine Sherlock recursion alike.
+    arrays; the vector engines pass their precomputed
+    ``s``/``wt``/``prior_gain``, and Sherlock's recursion computes them
+    here.
     """
     if s is None:
         s = evidence_scores(problem.bad_packets, problem.packets_sent, params)
@@ -368,7 +369,7 @@ class DeltaContrib(NamedTuple):
 
 
 class VectorJleState(VectorArrays):
-    """Array-based JLE state; drop-in for :class:`repro.core.jle.JleState`.
+    """Array-based JLE state (Algorithm 2's Δ array, vectorized).
 
     Supports both addition and removal flips (removals keep the Δ array
     consistent and are exact inverses of additions), so Sherlock's

@@ -14,17 +14,16 @@ individually.
 After burn-in, per-component marginal inclusion frequencies are
 thresholded into a prediction.
 
-Sweeps run *batched* by default: between flips the JLE state is
-constant, so the flip gains of a whole sweep segment are one vectorized
-gather from the Δ array, the accept probabilities one vectorized
-sigmoid, and the segment's first state change is found with a single
-argmax instead of a Python-level step loop.  Removal gains (the only
-per-step kernel work) are memoized until the next flip invalidates
-them, since they are pure functions of the chain state.  The batched
-chain visits the identical (component, uniform) sequence as the
-sequential one, so predictions match step for step;
-``batch_sweeps=False`` keeps the sequential loop for the equivalence
-test."""
+Sweeps run *batched*: between flips the JLE state is constant, so the
+flip gains of a whole sweep segment are one vectorized gather from the
+Δ array, the accept probabilities one vectorized sigmoid, and the
+segment's first state change is found with a single argmax instead of
+a Python-level step loop.  Removal gains (the only per-step kernel
+work) are memoized until the next flip invalidates them, since they are
+pure functions of the chain state.  The batched chain visits the
+identical (component, uniform) sequence as the one-step-at-a-time
+chain, so predictions match it step for step (the sequential chain is
+the oracle in ``tests/oracles/gibbs.py``)."""
 
 from __future__ import annotations
 
@@ -38,22 +37,13 @@ from .problem import InferenceProblem
 
 
 def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
-    """Numerically-stable sigmoid, two-branch form per element.
-
-    Both sweep modes (batched and sequential) evaluate acceptance
-    probabilities through this one implementation, so their chains
-    cannot diverge over exp() rounding differences.
-    """
+    """Numerically-stable sigmoid, two-branch form per element."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-def _sigmoid(x: float) -> float:
-    return float(_sigmoid_vec(np.asarray([x]))[0])
 
 
 class GibbsInference:
@@ -68,8 +58,9 @@ class GibbsInference:
         burn_in: int = 10,
         threshold: float = 0.5,
         seed: int = 0,
-        batch_sweeps: bool = True,
     ) -> None:
+        if burn_in < 0:
+            raise InferenceError("burn_in must be non-negative")
         if sweeps <= burn_in:
             raise InferenceError("sweeps must exceed burn_in")
         if not 0.0 < threshold <= 1.0:
@@ -79,7 +70,6 @@ class GibbsInference:
         self._burn_in = burn_in
         self._threshold = threshold
         self._seed = seed
-        self._batch_sweeps = batch_sweeps
 
     @property
     def params(self) -> FlockParams:
@@ -138,15 +128,10 @@ class GibbsInference:
             # arrays element-wise, so the stream matches the historical
             # per-step rng.random() calls exactly.
             draws = rng.random(len(candidates))
-            if self._batch_sweeps:
-                self._run_sweep_batched(
-                    state, candidates, order, draws, in_hyp,
-                    removal_gain, removal_cache,
-                )
-            else:
-                self._run_sweep_sequential(
-                    state, candidates, order, draws, in_hyp,
-                )
+            self._run_sweep(
+                state, candidates, order, draws, in_hyp,
+                removal_gain, removal_cache,
+            )
             if sweep >= self._burn_in:
                 kept_samples += 1
                 inclusion[in_hyp] += 1
@@ -167,7 +152,7 @@ class GibbsInference:
         )
 
     @staticmethod
-    def _run_sweep_batched(
+    def _run_sweep(
         state, candidates, order, draws, in_hyp, removal_gain, removal_cache
     ) -> None:
         """One sweep, vectorized between flips.
@@ -197,19 +182,3 @@ class GibbsInference:
             in_hyp[comp] = not in_hyp[comp]
             removal_cache.clear()
             pos += j + 1
-
-    @staticmethod
-    def _run_sweep_sequential(state, candidates, order, draws, in_hyp) -> None:
-        """The historical one-step-at-a-time chain (reference path)."""
-        for step, idx in enumerate(order.tolist()):
-            comp = int(candidates[idx])
-            if in_hyp[comp]:
-                # gain of removing; P(failed | rest) via the reverse flip
-                log_odds_failed = -state.removal_gain(comp)
-            else:
-                log_odds_failed = state.gain(comp)
-            p_failed = _sigmoid(log_odds_failed)
-            want_failed = draws[step] < p_failed
-            if want_failed != in_hyp[comp]:
-                state.flip(comp)
-                in_hyp[comp] = want_failed

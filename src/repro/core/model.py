@@ -27,73 +27,25 @@ number of failed paths, not the specific failed links."
 from __future__ import annotations
 
 import math
-from typing import Iterable, Set
 
 import numpy as np
 
-from ..errors import InferenceError
 from .params import FlockParams
-
-
-def evidence_score(r: int, t: int, params: FlockParams) -> float:
-    """Per-flow evidence score ``s`` (scalar).
-
-    Positive when the flow's loss pattern is better explained by a bad
-    path, negative when better explained by a good path.
-    """
-    if not 0 <= r <= t:
-        raise InferenceError(f"need 0 <= r <= t, got r={r}, t={t}")
-    return r * math.log(params.pb / params.pg) + (t - r) * math.log(
-        (1.0 - params.pb) / (1.0 - params.pg)
-    )
 
 
 def evidence_scores(
     r: np.ndarray, t: np.ndarray, params: FlockParams
 ) -> np.ndarray:
-    """Vectorized :func:`evidence_score`."""
+    """Per-flow evidence scores ``s`` over aligned ``r``/``t`` arrays.
+
+    Positive when a flow's loss pattern is better explained by a bad
+    path, negative when better explained by a good path.
+    """
     r = np.asarray(r, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     gain = math.log(params.pb / params.pg)
     penalty = math.log((1.0 - params.pb) / (1.0 - params.pg))
     return r * gain + (t - r) * penalty
-
-
-def _logaddexp(x: float, y: float) -> float:
-    if x < y:
-        x, y = y, x
-    return x + math.log1p(math.exp(y - x))
-
-
-def normalized_flow_ll(b: int, w: int, s: float) -> float:
-    """Normalized log likelihood of one flow with ``b`` of ``w`` paths failed."""
-    if w <= 0:
-        raise InferenceError("a flow must have at least one path")
-    if b <= 0:
-        return 0.0
-    if b >= w:
-        return s
-    return _logaddexp(math.log((w - b) / w), math.log(b / w) + s)
-
-
-def normalized_flow_ll_vec(
-    b: np.ndarray, w: np.ndarray, s: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`normalized_flow_ll` over aligned arrays."""
-    b = np.asarray(b, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    out = np.zeros(np.broadcast(b, w, s).shape)
-    full = b >= w
-    mid = (b > 0) & ~full
-    if np.any(full):
-        out[full] = np.broadcast_to(s, out.shape)[full]
-    if np.any(mid):
-        bm = b[mid]
-        wm = np.broadcast_to(w, out.shape)[mid]
-        sm = np.broadcast_to(s, out.shape)[mid]
-        out[mid] = np.logaddexp(np.log((wm - bm) / wm), np.log(bm / wm) + sm)
-    return out
 
 
 def evidence_exp(s: np.ndarray) -> np.ndarray:
@@ -109,7 +61,7 @@ def evidence_exp(s: np.ndarray) -> np.ndarray:
 def normalized_flow_ll_fast(
     b: np.ndarray, w: np.ndarray, s: np.ndarray, es: np.ndarray
 ) -> np.ndarray:
-    """:func:`normalized_flow_ll_vec` with ``exp(s)`` hoisted out.
+    """``nll(b; w, s)`` over aligned arrays, with ``exp(s)`` hoisted out.
 
     Evaluates ``log(((w-b) + b*e^s) / w)`` in one full-array pass - one
     log per element instead of two logs plus a logaddexp - using the
@@ -117,8 +69,8 @@ def normalized_flow_ll_fast(
     pay the transcendental once per problem instead of once per pair).
     ``b == 0`` rows come out exactly 0 (``log(w/w)``), ``b >= w`` rows
     are patched to exactly ``s``, and rows whose ``es`` overflowed take
-    the logaddexp path.  Agrees with :func:`normalized_flow_ll_vec` to
-    ulp-level accuracy.
+    the logaddexp path.  Agrees with the direct logaddexp form
+    (``tests/oracles/model.py``) to ulp-level accuracy.
 
     All four arguments must be aligned 1-D arrays (no broadcasting).
     """
@@ -142,56 +94,3 @@ def normalized_flow_ll_fast(
     if full.any():
         out[full] = s[full]
     return out
-
-
-class LikelihoodModel:
-    """Full-hypothesis likelihood evaluation over an inference problem.
-
-    This is the slow, obviously-correct evaluator used by Sherlock's
-    exhaustive search and by the test suite to validate the JLE engine's
-    incremental bookkeeping.
-    """
-
-    def __init__(self, problem, params: FlockParams) -> None:
-        self._problem = problem
-        self._params = params
-        self._scores = evidence_scores(problem.bad_packets, problem.packets_sent, params)
-
-    @property
-    def params(self) -> FlockParams:
-        return self._params
-
-    def flow_score(self, flow: int) -> float:
-        return float(self._scores[flow])
-
-    def flow_ll(self, flow: int, hypothesis: Set[int]) -> float:
-        """Normalized log likelihood contribution of one flow (unweighted)."""
-        problem = self._problem
-        b = 0
-        path_ids = problem.flow_paths[flow]
-        for pid in path_ids:
-            if problem.path_component_sets[pid] & hypothesis:
-                b += 1
-        return normalized_flow_ll(b, len(path_ids), float(self._scores[flow]))
-
-    def log_likelihood(
-        self, hypothesis: Iterable[int], include_prior: bool = True
-    ) -> float:
-        """Normalized log likelihood of a hypothesis (sum over all flows).
-
-        Only flows intersecting the hypothesis contribute (normalization
-        cancels the rest), so the cost is O(|flows touching H| * T).
-        """
-        problem = self._problem
-        hyp = set(hypothesis)
-        total = 0.0
-        if hyp:
-            touched: Set[int] = set()
-            for comp in hyp:
-                touched.update(problem.flows_by_comp.get(comp, ()))
-            for flow in touched:
-                total += problem.weights[flow] * self.flow_ll(flow, hyp)
-        if include_prior:
-            for comp in hyp:
-                total += self._params.prior_gain(problem.is_device(comp))
-        return total

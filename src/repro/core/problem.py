@@ -18,7 +18,7 @@ The problem's primary representation is columnar: CSR arrays for
 path -> components, set -> endpoint components, interior set ->
 component union and flow -> set, plus aligned per-flow count arrays.
 The vectorized kernels (:mod:`repro.core.flock_fast`) consume the
-arrays directly; the object views the reference engines and baselines
+arrays directly; the object views the baselines and the test oracles
 walk (``path_table``, ``flow_paths``, ``flows_by_comp``, ...) are lazy
 adapters materialized from the arrays on first access, with contents
 identical to what the historical per-flow construction produced.
@@ -173,7 +173,7 @@ class SetStageCache:
       in one batched sort (:meth:`_refresh`), so a union costs work
       once per key, not once per build the key appears in.
 
-    :meth:`InferenceProblem._from_grouped_compressed` then gathers the
+    :meth:`InferenceProblem._from_grouped` then gathers the
     whole set stage - endpoint comps, interior members, interior unions
     - with a handful of vectorized indexing passes.  Every compressed
     build goes through a cache: ``from_batch`` with a fresh call-local
@@ -484,8 +484,8 @@ class InferenceProblem:
         Aligned bool array: True when the flow's path is known exactly.
     flow_paths / path_table / flows_by_comp / paths_by_comp /
     comps_by_flow / path_component_sets:
-        Lazy object views over the arrays (reference engines and
-        baselines); identical contents to the historical eager build -
+        Lazy object views over the arrays (baselines and test
+        oracles); identical contents to the historical eager build -
         compressed problems expand to the uncompressed view on first
         access.
     """
@@ -766,7 +766,6 @@ class InferenceProblem:
         batch: "ObservationBatch",
         n_components: int,
         n_links: int,
-        compressed: bool = True,
     ) -> "InferenceProblem":
         """Build the problem from a columnar observation batch.
 
@@ -776,12 +775,11 @@ class InferenceProblem:
         ids - come out exactly as :meth:`from_observations` would
         produce them for the same rows.
 
-        ``compressed=True`` (the default) keeps factored pair sets
-        factored: the problem's path table holds unique *interior*
-        projections shared across every host pair of a rack pair, plus
-        per-set endpoint components.  ``compressed=False`` expands
-        every set to full per-pair projections (the historical layout);
-        predictions are bit-identical between the two.
+        Factored pair sets stay factored: the problem's path table holds
+        unique *interior* projections shared across every host pair of a
+        rack pair, plus per-set endpoint components.  Predictions are
+        bit-identical to the uncompressed layout
+        :meth:`from_observations` builds for the same rows.
         """
         if len(batch) == 0:
             return cls.from_observations([], n_components, n_links)
@@ -797,7 +795,6 @@ class InferenceProblem:
             counts.astype(np.int64),
             n_components,
             n_links,
-            compressed=compressed,
         )
 
     @classmethod
@@ -811,10 +808,10 @@ class InferenceProblem:
         weights: np.ndarray,
         n_components: int,
         n_links: int,
-        compressed: bool = True,
         parts_cache: Optional["SetStageCache"] = None,
     ) -> "InferenceProblem":
-        """Build from already-grouped rows in first-appearance order.
+        """Compressed build from already-grouped rows in first-appearance
+        order: sets stay factored.
 
         ``rep_gsids``/``bad``/``sent``/``kind_codes``/``weights`` are
         aligned per grouped flow.  :meth:`from_batch` lands here after
@@ -822,89 +819,6 @@ class InferenceProblem:
         (:class:`repro.core.window.WindowedProblem`) lands here after
         merging per-chunk grouped tables - the shared entry is what
         makes windowed problems bit-identical to batch rebuilds.
-        ``parts_cache`` is the window's :class:`SetStageCache`, kept
-        across builds; compressed builds without one use a fresh cache.
-        """
-        if n_links > n_components:
-            raise InferenceError("n_links cannot exceed n_components")
-        from ..telemetry.inputs import KIND_ORDER
-
-        if len(rep_gsids) == 0:
-            return cls.from_observations([], n_components, n_links)
-
-        if compressed:
-            return cls._from_grouped_compressed(
-                space, rep_gsids, bad, sent, kind_codes, weights,
-                n_components, n_links, parts_cache,
-            )
-
-        # Local path ids are assigned in first-appearance order, which
-        # factors through path *sets*: a gid's first appearance is
-        # always inside the first occurrence of its set (same set ->
-        # same gids), so scanning distinct sets in first-seen order
-        # reproduces the per-observation interning order exactly - and
-        # each set's local-id segment is computed once, not per group.
-        ordered_gsids, set_of_flow = first_seen_ids(rep_gsids)
-
-        member_arrays = [space.comp_set(int(g)) for g in ordered_gsids.tolist()]
-        set_lens = np.fromiter(
-            (len(a) for a in member_arrays),
-            dtype=np.int64,
-            count=len(member_arrays),
-        )
-        set_off = np.zeros(len(member_arrays) + 1, dtype=np.int64)
-        np.cumsum(set_lens, out=set_off[1:])
-        flat_gids = (
-            np.concatenate(member_arrays) if member_arrays
-            else np.empty(0, dtype=np.int64)
-        )
-
-        # Global -> local path ids, first-seen over the flat scan.
-        local_gids, set_pids = first_seen_ids(flat_gids)
-
-        # Local path -> components CSR, gathered from the space's
-        # global CSR in local-id order.
-        path_comps, path_off = _gather_rows(*space.comp_csr(), local_gids)
-
-        # Component ids projected from the problem's own topology are in
-        # range by construction; only a mismatched space needs the scan.
-        if space.topology.n_components != n_components and len(path_comps):
-            bad_mask = (path_comps < 0) | (path_comps >= n_components)
-            if np.any(bad_mask):
-                raise InferenceError(
-                    f"component id {int(path_comps[bad_mask][0])} outside "
-                    f"[0, {n_components})"
-                )
-
-        return cls._from_arrays(
-            n_components=n_components,
-            n_links=n_links,
-            path_comps=path_comps,
-            path_off=path_off,
-            set_of_flow=set_of_flow,
-            set_pids=set_pids,
-            set_off=set_off,
-            bad_packets=bad,
-            packets_sent=sent,
-            weights=weights,
-            exact=set_lens[set_of_flow] == 1,
-            kinds=[KIND_ORDER[code] for code in kind_codes.tolist()],
-        )
-
-    @classmethod
-    def _from_grouped_compressed(
-        cls,
-        space,
-        rep_gsids: np.ndarray,
-        bad: np.ndarray,
-        sent: np.ndarray,
-        kind_codes: np.ndarray,
-        weights: np.ndarray,
-        n_components: int,
-        n_links: int,
-        parts_cache: Optional["SetStageCache"] = None,
-    ) -> "InferenceProblem":
-        """Compressed problem build: sets stay factored.
 
         Each distinct path set contributes its endpoint components and
         a reference to a shared interior member array
@@ -913,12 +827,17 @@ class InferenceProblem:
         is what keeps the build - and every kernel that runs on it -
         tractable.
 
-        The set stage is gathered from ``parts_cache`` (a fresh
-        :class:`SetStageCache` when the caller passes none).  Interior
-        sets are numbered by first key appearance over the first-seen
-        sets, so the gathered arrays do not depend on what the cache
-        interned before this build.
+        The set stage is gathered from ``parts_cache`` (the window's
+        :class:`SetStageCache`, kept across builds; a fresh one when the
+        caller passes none).  Interior sets are numbered by first key
+        appearance over the first-seen sets, so the gathered arrays do
+        not depend on what the cache interned before this build.
         """
+        if n_links > n_components:
+            raise InferenceError("n_links cannot exceed n_components")
+        if len(rep_gsids) == 0:
+            return cls.from_observations([], n_components, n_links)
+
         ordered_gsids, set_of_flow = first_seen_ids(rep_gsids)
         if parts_cache is None:
             parts_cache = SetStageCache()
@@ -1005,7 +924,7 @@ class InferenceProblem:
         return self._eset_rows(comp)
 
     # ------------------------------------------------------------------
-    # Lazy object views (reference engines, baselines, tests)
+    # Lazy object views (baselines, test oracles)
     # ------------------------------------------------------------------
     def _materialize_object_paths(self) -> None:
         """Expand a compressed problem to the uncompressed object view.
@@ -1097,8 +1016,8 @@ class InferenceProblem:
 
     @property
     def path_component_sets(self) -> List[FrozenSet[int]]:
-        """Per-path frozen component sets (lazy; only the reference
-        engines walk these - the vectorized kernels use the CSR)."""
+        """Per-path frozen component sets (lazy; only the test oracles
+        walk these - the vectorized kernels use the CSR)."""
         if self._path_component_sets is None:
             self._path_component_sets = [
                 frozenset(comps) for comps in self.path_table
@@ -1160,7 +1079,7 @@ class InferenceProblem:
     def n_paths(self) -> int:
         """Number of *full* component paths (object-view semantics).
 
-        Reference engines size their per-path state by this and index
+        Object-view walkers size their per-path state by this and index
         it with :attr:`flow_paths` ids; compressed problems therefore
         report the materialized object table's size.  Kernels index the
         compressed table via ``len(path_off) - 1`` instead.

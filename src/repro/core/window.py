@@ -119,7 +119,6 @@ class WindowedProblem:
         n_components: int,
         n_links: int,
         window: int,
-        compressed: bool = True,
     ) -> None:
         if window < 1:
             raise InferenceError("window must retain at least one chunk")
@@ -128,7 +127,6 @@ class WindowedProblem:
         self.n_components = n_components
         self.n_links = n_links
         self.window = window
-        self.compressed = compressed
         self._chunks: Deque[_Chunk] = deque()
         self._space = None
         # Interned set-stage facts (comp_set_parts results and interior
@@ -244,7 +242,6 @@ class WindowedProblem:
             self._space,
             gsid[rep], bad[rep], sent[rep], kind[rep], weights,
             self.n_components, self.n_links,
-            compressed=self.compressed,
             parts_cache=self._parts_cache,
         )
 

@@ -31,9 +31,9 @@ Registered names (see :func:`scheme_names`):
 ``007``
     007's path-voting heuristic.
 
-The ``engine="fast"`` arms of ``flock``, ``flock-greedy``, ``sherlock``
-and ``sherlock-jle`` all price on the one per-flow layout of
-:mod:`repro.core.flock_fast`; none takes a layout or backend argument.
+``flock``, ``flock-greedy``, ``sherlock`` and ``sherlock-jle`` all
+price on the one per-flow layout of :mod:`repro.core.flock_fast`; none
+takes an engine, layout or backend argument.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ from ..baselines.netbouncer import NetBouncer
 from ..baselines.sherlock import SherlockFerret
 from ..core.flock import FlockInference
 from ..core.flock_fast import VectorGreedyWithoutJle
-from ..core.greedy_nojle import GreedyWithoutJle
 from ..core.params import DEFAULT_PER_PACKET, FlockParams
-from ..errors import ExperimentError
+from ..errors import ExperimentError, InferenceError
 from ..telemetry.inputs import TelemetryConfig
 from .harness import SchemeSetup
 
@@ -165,57 +164,49 @@ def make_setup(
 
 
 class GreedyOnlyLocalizer:
-    """Flock's greedy search without JLE (the Fig. 4c ablation arm).
-
-    ``engine="fast"`` prices candidates on the shared vector substrate
-    (:class:`~repro.core.flock_fast.VectorGreedyWithoutJle`);
-    ``engine="reference"`` uses the pure-Python transcription.
-    """
+    """Flock's greedy search without JLE (the Fig. 4c ablation arm): a
+    localizer adapter over
+    :class:`~repro.core.flock_fast.VectorGreedyWithoutJle`."""
 
     name = "flock-greedy-only"
 
     def __init__(
         self,
         params: FlockParams = DEFAULT_PER_PACKET,
-        engine: str = "fast",
         max_failures: Optional[int] = None,
     ) -> None:
-        if engine not in ("fast", "reference"):
-            raise ExperimentError(f"unknown engine {engine!r}")
+        if max_failures is not None and max_failures < 0:
+            raise InferenceError("max_failures must be non-negative")
         self._params = params
-        self._engine = engine
         self._max_failures = max_failures
 
     def localize(self, problem):
-        if self._engine == "fast":
-            return VectorGreedyWithoutJle(
-                problem, self._params, self._max_failures
-            ).run()
-        return GreedyWithoutJle(self._params, self._max_failures).localize(problem)
+        return VectorGreedyWithoutJle(
+            problem, self._params, self._max_failures
+        ).run()
 
 
 def _flock_params(pg: float, pb: float, rho: float) -> FlockParams:
     return FlockParams(pg=pg, pb=pb, rho=rho)
 
 
-def _flock(pg, pb, rho, engine="fast", max_failures=None):
+def _flock(pg, pb, rho, max_failures=None):
     return FlockInference(
-        _flock_params(pg, pb, rho), engine=engine, max_failures=max_failures
+        _flock_params(pg, pb, rho), max_failures=max_failures
     )
 
 
-def _flock_greedy(pg, pb, rho, engine="fast", max_failures=None):
+def _flock_greedy(pg, pb, rho, max_failures=None):
     return GreedyOnlyLocalizer(
-        _flock_params(pg, pb, rho), engine=engine, max_failures=max_failures
+        _flock_params(pg, pb, rho), max_failures=max_failures
     )
 
 
-def _sherlock(pg, pb, rho, max_failures=2, use_jle=False, engine="fast"):
+def _sherlock(pg, pb, rho, max_failures=2, use_jle=False):
     return SherlockFerret(
         _flock_params(pg, pb, rho),
         max_failures=max_failures,
         use_jle=use_jle,
-        engine=engine,
     )
 
 

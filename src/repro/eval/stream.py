@@ -168,7 +168,6 @@ class StreamMonitor:
         window: int = 4,
         warm: bool = True,
         seed: int = 0,
-        compressed: bool = True,
         setup: Optional[SchemeSetup] = None,
         cycle_budget: Optional[float] = None,
         clock=time.perf_counter,
@@ -212,7 +211,6 @@ class StreamMonitor:
             n_components=topology.n_components,
             n_links=topology.n_links,
             window=window,
-            compressed=compressed,
         )
         self._state: Optional[VectorJleState] = None
         # Per retained chunk, the DeltaContrib its rows were priced at
@@ -447,7 +445,6 @@ class StreamMonitor:
                 "window": self.window,
                 "seed": int(self.seed),
                 "warm": bool(self.warm),
-                "compressed": bool(self.windowed.compressed),
                 "cycle_budget": self.cycle_budget,
                 "n_components": int(self.topology.n_components),
                 "n_links": int(self.topology.n_links),
@@ -529,8 +526,9 @@ class StreamMonitor:
         :class:`~repro.errors.CheckpointError` - a resume against a
         drifted stream must fail loudly, not localize garbage.  So does
         a warm state whose ``"k"`` tag names a Δ layout other than the
-        per-flow ``"numpy"`` one (older checkouts wrote the tag; it is
-        no longer written).
+        per-flow ``"numpy"`` one, and a config whose ``"compressed"``
+        flag is anything but ``true`` (older checkouts wrote both; they
+        are no longer written).
 
         After the replay the warm state, contrib cache, and cycle
         counters are restored verbatim; feeding the returned monitor
@@ -558,6 +556,16 @@ class StreamMonitor:
                 "(\"numpy\") - restart the stream cold"
             )
         config = payload["config"]
+        if config.get("compressed", True) is not True:
+            # Older checkouts could window uncompressed problems; this
+            # one cannot build that configuration, so a resume refuses
+            # it rather than silently continuing another one.
+            raise CheckpointError(
+                "checkpoint was taken with an uncompressed window "
+                f"(\"compressed\": {config['compressed']!r}); this checkout "
+                "windows compressed problems only - restart the stream "
+                "cold"
+            )
         if (
             int(config["n_components"]) != topology.n_components
             or int(config["n_links"]) != topology.n_links
@@ -575,7 +583,6 @@ class StreamMonitor:
             window=int(config["window"]),
             warm=bool(config["warm"]),
             seed=int(config["seed"]),
-            compressed=bool(config["compressed"]),
             cycle_budget=config["cycle_budget"],
             clock=clock,
             checkpoint_every=1 if checkpoint_every is None else checkpoint_every,

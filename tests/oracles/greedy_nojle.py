@@ -10,17 +10,22 @@ Like Sherlock, it reuses LL(H) and updates only the flows intersecting
 the candidate link - but it redoes that work for *every* candidate in
 *every* iteration, which is exactly the O(n) factor JLE removes.  It
 returns the same hypothesis as Flock by construction.
+
+Production runs the vectorized twin,
+:class:`repro.core.flock_fast.VectorGreedyWithoutJle`; this pure-Python
+transcription is the oracle it is tested against.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..errors import InferenceError
-from ..types import Prediction
-from .model import evidence_scores, normalized_flow_ll
-from .params import DEFAULT_PER_PACKET, FlockParams
-from .problem import InferenceProblem
+from repro.core.model import evidence_scores
+from repro.core.params import DEFAULT_PER_PACKET, FlockParams
+from repro.core.problem import InferenceProblem
+from repro.types import Prediction
+
+from .model import normalized_flow_ll
 
 
 class GreedyWithoutJle:

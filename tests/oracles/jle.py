@@ -1,4 +1,4 @@
-"""Joint Likelihood Exploration (JLE) - reference engine.
+"""Joint Likelihood Exploration (JLE) - Algorithm 2, transcribed.
 
 This is a direct, readable implementation of the paper's Algorithm 2.
 :class:`JleState` maintains, for a current hypothesis ``H``:
@@ -19,20 +19,25 @@ Flips are involutive: ``flip(c); flip(c)`` restores the exact state,
 which is what lets Sherlock's JLE-accelerated recursion (Algorithm 3)
 explore without snapshotting.
 
-The vectorized twin of this engine lives in
-:mod:`repro.core.flock_fast`; property tests assert they agree.
+Production runs the vectorized twin,
+:class:`repro.core.flock_fast.VectorJleState`; this transcription and
+the greedy loop over it (:func:`reference_flock`) are the oracles it is
+tested against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from ..errors import InferenceError
-from .model import evidence_scores, normalized_flow_ll
-from .params import FlockParams
-from .problem import InferenceProblem
+from repro.core.model import evidence_scores
+from repro.core.params import FlockParams
+from repro.core.problem import InferenceProblem
+from repro.errors import InferenceError
+from repro.types import Prediction
+
+from .model import normalized_flow_ll
 
 
 class JleState:
@@ -211,3 +216,34 @@ class JleState:
         self.ll += change
         self.flips += 1
         return change
+
+
+def reference_flock(
+    problem: InferenceProblem,
+    params: FlockParams,
+    max_failures: Optional[int] = None,
+    min_gain: float = 0.0,
+) -> Prediction:
+    """Algorithm 1's greedy loop over :class:`JleState` - the cold path
+    of :meth:`repro.core.flock.FlockInference.localize`, step for step."""
+    state = JleState(problem, params)
+    candidates = np.asarray(problem.observed_components, dtype=np.int64)
+    if len(candidates) == 0:
+        return Prediction.empty()
+    cap = len(candidates) if max_failures is None else max_failures
+    scores = {}
+    while len(state.hypothesis) < cap:
+        gains = state.addition_gains(candidates)
+        best_idx = int(np.argmax(gains))
+        best_gain = float(gains[best_idx])
+        if not best_gain > min_gain:
+            break
+        chosen = int(candidates[best_idx])
+        state.flip(chosen)
+        scores[chosen] = best_gain
+    return Prediction(
+        components=frozenset(state.hypothesis),
+        scores=scores,
+        log_likelihood=float(state.ll),
+        hypotheses_scanned=state.hypotheses_scanned,
+    )

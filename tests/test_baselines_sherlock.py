@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import PARAMS, random_problems
+from oracles.model import LikelihoodModel
+from oracles.sherlock import ferret_jle
 from repro.baselines.sherlock import SherlockFerret
-from repro.core.model import LikelihoodModel
 from repro.core.problem import InferenceProblem
-from repro.errors import InferenceError
+from repro.errors import ExperimentError, InferenceError
+from repro.eval.schemes import build_localizer
 from repro.types import FlowObservation
 
 
@@ -44,10 +46,10 @@ class TestCorrectness:
     @settings(max_examples=25, deadline=None)
     def test_jle_matches_plain(self, problem):
         plain = SherlockFerret(PARAMS, max_failures=2).localize(problem)
-        for engine in ("fast", "reference"):
-            jle = SherlockFerret(
-                PARAMS, max_failures=2, use_jle=True, engine=engine
-            ).localize(problem)
+        for jle in (
+            SherlockFerret(PARAMS, max_failures=2, use_jle=True).localize(problem),
+            ferret_jle(problem, PARAMS, 2),
+        ):
             assert jle.log_likelihood == pytest.approx(
                 plain.log_likelihood, abs=1e-7
             )
@@ -74,17 +76,6 @@ class TestCorrectness:
             ).localize(problem)
             assert pred.components == frozenset({0, 1})
 
-    def test_candidate_restriction(self):
-        observations = [
-            FlowObservation(((0,),), 1000, 30),
-            FlowObservation(((1,),), 1000, 30),
-        ]
-        problem = InferenceProblem.from_observations(observations, 2, 2)
-        pred = SherlockFerret(
-            PARAMS, max_failures=1, candidates=[1]
-        ).localize(problem)
-        assert pred.components == frozenset({1})
-
 
 class TestAccounting:
     def test_plain_scan_count(self):
@@ -102,5 +93,9 @@ class TestAccounting:
     def test_validation(self):
         with pytest.raises(InferenceError):
             SherlockFerret(PARAMS, max_failures=0)
-        with pytest.raises(InferenceError):
+        # The vector engine is the only one; ``engine`` is no longer a
+        # parameter.
+        with pytest.raises(TypeError):
             SherlockFerret(PARAMS, engine="quantum")
+        with pytest.raises(ExperimentError, match="engine"):
+            build_localizer("sherlock-jle", engine="fast")

@@ -12,6 +12,9 @@ tiny preset.
 import numpy as np
 import pytest
 
+from oracles.gibbs import SequentialGibbs
+from oracles.jle import JleState
+from oracles.problem import uncompressed_from_batch
 from repro.core.gibbs import GibbsInference
 from repro.core.params import DEFAULT_PER_PACKET
 from repro.core.problem import InferenceProblem
@@ -81,7 +84,7 @@ def test_problem_identical_across_registered_scenarios(tiny_world, scenario_name
 def test_scheme_predictions_identical(tiny_world, scenario_name, scheme):
     """Every scheme's prediction is bit-identical across all three
     problem representations: compressed (from_batch), uncompressed
-    (from_batch(compressed=False)), and the object pipeline
+    (the oracle build of the same batch), and the object pipeline
     (from_observations)."""
     topo, routing = tiny_world
     trace = make_trace(
@@ -95,9 +98,7 @@ def test_scheme_predictions_identical(tiny_world, scenario_name, scheme):
         trace.batch, effective_telemetry(trace, setup.telemetry),
         np.random.default_rng(trace.seed + 0x5EED),
     )
-    unc = InferenceProblem.from_batch(
-        obs_batch, topo.n_components, topo.n_links, compressed=False
-    )
+    unc = uncompressed_from_batch(obs_batch, topo.n_components, topo.n_links)
     assert not unc.compressed
     obj = build_problem(_strip_batch(trace), setup.telemetry)
     pred_col = setup.localizer.localize(col)
@@ -124,9 +125,7 @@ def test_compressed_problem_views_match_uncompressed(tiny_world, scenario_name):
     col = InferenceProblem.from_batch(batch, topo.n_components, topo.n_links)
     rng = np.random.default_rng(trace.seed + 0x5EED)
     batch = build_observation_batch(trace.batch, telemetry, rng)
-    unc = InferenceProblem.from_batch(
-        batch, topo.n_components, topo.n_links, compressed=False
-    )
+    unc = uncompressed_from_batch(batch, topo.n_components, topo.n_links)
     assert col.compressed and not unc.compressed
     assert col.n_paths == unc.n_paths
     _assert_problems_identical(col, unc)
@@ -144,9 +143,8 @@ def test_gibbs_batched_matches_sequential(tiny_world):
         batched = GibbsInference(
             DEFAULT_PER_PACKET, sweeps=12, burn_in=4, seed=seed,
         ).localize(problem)
-        sequential = GibbsInference(
+        sequential = SequentialGibbs(
             DEFAULT_PER_PACKET, sweeps=12, burn_in=4, seed=seed,
-            batch_sweeps=False,
         ).localize(problem)
         assert batched.components == sequential.components
         assert batched.scores == sequential.scores
@@ -257,8 +255,6 @@ def test_drop_plan_memoizes_per_path():
 def test_gibbs_vector_state_matches_reference(tiny_world):
     """The array-state Gibbs reproduces the reference-chain predictions."""
     import math
-
-    from repro.core.jle import JleState
 
     topo, routing = tiny_world
     trace = make_trace(

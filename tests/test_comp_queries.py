@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.problem import uncompressed_from_batch
 from repro.core import problem as problem_mod
 from repro.core.problem import InferenceProblem, _expand_slices
 from repro.errors import InferenceError
@@ -165,9 +166,9 @@ def test_queries_equal_oracle_on_simulated_problems(
     either side of the promotion threshold, every answer equals the
     oracle's - and so does every answer after promotion."""
     topo, routing = tiny_world
-    problem = InferenceProblem.from_batch(
-        _batch(topo, routing, seed, n_flows),
-        topo.n_components, topo.n_links, compressed=compressed,
+    build = InferenceProblem.from_batch if compressed else uncompressed_from_batch
+    problem = build(
+        _batch(topo, routing, seed, n_flows), topo.n_components, topo.n_links
     )
     assert problem.compressed == compressed
     oracle = Oracle(problem)
@@ -224,10 +225,8 @@ def test_empty_problem_answers_empty():
 @pytest.mark.parametrize("compressed", [True, False])
 def test_out_of_range_components_raise(tiny_world, compressed):
     topo, routing = tiny_world
-    problem = InferenceProblem.from_batch(
-        _batch(topo, routing, 5, 40),
-        topo.n_components, topo.n_links, compressed=compressed,
-    )
+    build = InferenceProblem.from_batch if compressed else uncompressed_from_batch
+    problem = build(_batch(topo, routing, 5, 40), topo.n_components, topo.n_links)
     n = problem.n_components
     for when in ("scanning", "promoted"):
         for comp in (-1, n, n + 1):

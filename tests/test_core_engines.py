@@ -1,4 +1,4 @@
-"""Equivalence of the vectorized kernels and the reference engines."""
+"""Equivalence of the vectorized kernels and the reference oracles."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import PARAMS, random_problems
+from oracles.greedy_nojle import GreedyWithoutJle
+from oracles.jle import JleState, reference_flock
+from oracles.model import LikelihoodModel
 from repro.core.flock import FlockInference
 from repro.core.flock_fast import (
     VectorArrays,
     VectorGreedyWithoutJle,
     VectorJleState,
 )
-from repro.core.greedy_nojle import GreedyWithoutJle
-from repro.core.jle import JleState
-from repro.core.model import LikelihoodModel
-from repro.errors import InferenceError
+from repro.errors import ExperimentError, InferenceError
+from repro.eval.schemes import build_localizer
 
 
 class TestVectorArrays:
@@ -89,8 +90,8 @@ class TestGreedyEquivalence:
         # independent evaluator), not bit-identical hypotheses.
         model = LikelihoodModel(problem, PARAMS)
         predictions = [
-            FlockInference(PARAMS, engine="fast").localize(problem),
-            FlockInference(PARAMS, engine="reference").localize(problem),
+            FlockInference(PARAMS).localize(problem),
+            reference_flock(problem, PARAMS),
             GreedyWithoutJle(PARAMS).localize(problem),
             VectorGreedyWithoutJle(problem, PARAMS).run(),
         ]
@@ -102,8 +103,8 @@ class TestGreedyEquivalence:
             assert ll == pytest.approx(lls[0], abs=1e-7)
 
     def test_engines_agree_on_real_trace(self, drop_problem):
-        fast = FlockInference(PARAMS, engine="fast").localize(drop_problem)
-        ref = FlockInference(PARAMS, engine="reference").localize(drop_problem)
+        fast = FlockInference(PARAMS).localize(drop_problem)
+        ref = reference_flock(drop_problem, PARAMS)
         assert fast.components == ref.components
         assert fast.log_likelihood == pytest.approx(
             ref.log_likelihood, rel=1e-9
@@ -117,5 +118,10 @@ class TestGreedyEquivalence:
         )
 
     def test_invalid_engine(self):
-        with pytest.raises(InferenceError):
+        # The vector engine is the only one: ``engine`` is no longer a
+        # parameter, of the class or of any scheme factory.
+        with pytest.raises(TypeError):
             FlockInference(PARAMS, engine="gpu")
+        for scheme in ("flock", "flock-greedy", "sherlock", "sherlock-jle"):
+            with pytest.raises(ExperimentError, match="engine"):
+                build_localizer(scheme, engine="fast")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles.model import evidence_score
 from repro.core.analysis import (
     check_theorem2,
     max_recoverable_failures,
@@ -14,7 +15,6 @@ from repro.core.analysis import (
 )
 from repro.core.flock import FlockInference
 from repro.core.gibbs import GibbsInference
-from repro.core.model import evidence_score
 from repro.core.params import DEFAULT_PER_PACKET, FlockParams
 from repro.core.problem import InferenceProblem
 from repro.errors import InferenceError
@@ -60,6 +60,10 @@ class TestGibbs:
             GibbsInference(sweeps=5, burn_in=5)
         with pytest.raises(InferenceError):
             GibbsInference(threshold=0.0)
+        # sweeps > burn_in holds here, but localize would divide the
+        # inclusion counts by zero kept samples.
+        with pytest.raises(InferenceError, match="burn_in"):
+            GibbsInference(sweeps=0, burn_in=-1)
 
     def test_empty_problem(self):
         problem = InferenceProblem.from_observations([], 4, 4)

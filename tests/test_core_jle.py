@@ -1,8 +1,12 @@
-"""Correctness of the JLE engine against direct likelihood evaluation.
+"""Correctness of the Algorithm-2 oracle against direct likelihood
+evaluation.
 
 These are the load-bearing tests of the repository: they pin the
-incremental Δ-array bookkeeping (Algorithm 2 / Theorem 1 / Eq. 2) to the
+incremental Δ-array bookkeeping (Algorithm 2 / Theorem 1 / Eq. 2) of
+the literal transcription in ``tests/oracles/jle.py`` to the
 brute-force evaluator, on hand-built and randomly generated problems.
+The vectorized engine is pinned to that transcription in
+``test_core_engines.py``.
 """
 
 import numpy as np
@@ -11,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import PARAMS, random_problems
-from repro.core.jle import JleState
-from repro.core.model import LikelihoodModel
+from oracles.jle import JleState
+from oracles.model import LikelihoodModel
 from repro.core.problem import InferenceProblem
 from repro.types import FlowObservation
 

@@ -1,4 +1,9 @@
-"""Tests for the likelihood math (Eq. 1 and its normalized form)."""
+"""Tests for the likelihood math (Eq. 1 and its normalized form).
+
+The scalar forms and the brute-force evaluator are the oracles in
+``tests/oracles/model.py``; the production kernels in
+:mod:`repro.core.model` are checked against them.
+"""
 
 import math
 
@@ -7,12 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.model import (
+from oracles.model import (
     LikelihoodModel,
     evidence_score,
-    evidence_scores,
     normalized_flow_ll,
     normalized_flow_ll_vec,
+)
+from repro.core.model import (
+    evidence_exp,
+    evidence_scores,
+    normalized_flow_ll_fast,
 )
 from repro.core.params import FlockParams
 from repro.core.problem import InferenceProblem
@@ -99,6 +108,26 @@ class TestNormalizedFlowLL:
             np.array([s]),
         )
         assert vec[0] == pytest.approx(scalar, abs=1e-10)
+
+    @given(
+        b=st.integers(min_value=0, max_value=16),
+        w=st.integers(min_value=1, max_value=16),
+        s=st.floats(min_value=-800.0, max_value=800.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fast_kernel_matches_scalar(self, b, w, s):
+        """The production kernel, overflowing ``exp(s)`` included: exact
+        at ``b == 0`` and ``b >= w``, ulp-level in between."""
+        scalar = normalized_flow_ll(b, w, s)
+        s_arr = np.array([s])
+        fast = normalized_flow_ll_fast(
+            np.array([b]), np.array([w], dtype=float), s_arr,
+            evidence_exp(s_arr),
+        )
+        if b == 0 or b >= w:
+            assert fast[0] == scalar
+        else:
+            assert fast[0] == pytest.approx(scalar, rel=1e-12, abs=1e-12)
 
     @given(
         w=st.integers(min_value=2, max_value=8),

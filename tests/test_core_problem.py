@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.problem import uncompressed_from_batch
 from repro.core.problem import InferenceProblem
 from repro.errors import InferenceError
 from repro.types import FlowObservation, TelemetryKind
@@ -91,8 +92,8 @@ class TestIndexes:
             drop_trace.batch, telemetry, np.random.default_rng(0)
         )
         topo = drop_trace.topology
-        uncompressed = InferenceProblem.from_batch(
-            batch, topo.n_components, topo.n_links, compressed=False
+        uncompressed = uncompressed_from_batch(
+            batch, topo.n_components, topo.n_links
         )
         assert compressed.compressed and not uncompressed.compressed
         for problem in (compressed, uncompressed):

@@ -1,14 +1,15 @@
 """Out-of-range component ids are refused by every JLE gain entry point.
 
 ``gain(-1)`` used to read the last component's Δ through negative
-indexing and ``gain(n_components)`` raised a bare ``IndexError``; both
-engines now raise :class:`InferenceError`, as ``flip`` already did.
+indexing and ``gain(n_components)`` raised a bare ``IndexError``; the
+vector engine and the Algorithm-2 oracle now raise
+:class:`InferenceError`, as ``flip`` already did.
 """
 
 import pytest
 
+from oracles.jle import JleState
 from repro.core.flock_fast import VectorJleState
-from repro.core.jle import JleState
 from repro.core.params import FlockParams
 from repro.core.problem import InferenceProblem
 from repro.errors import InferenceError

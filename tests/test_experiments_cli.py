@@ -3,8 +3,10 @@ reporting, and the CLI."""
 
 import pytest
 
+from oracles.greedy_nojle import GreedyWithoutJle
 from repro.cli import build_parser, main, parse_overrides
-from repro.errors import ExperimentError, SimulationError
+from repro.core.params import DEFAULT_PER_PACKET
+from repro.errors import ExperimentError, InferenceError, SimulationError
 from repro.eval.experiments import (
     fig6_worked_example,
     omit_grid_seeds,
@@ -92,10 +94,17 @@ class TestSchemeRegistry:
             build_localizer("007", bogus_knob=1)
 
     def test_greedy_only_engines_agree(self, drop_problem):
-        fast = build_localizer("flock-greedy", engine="fast")
-        ref = build_localizer("flock-greedy", engine="reference")
+        fast = build_localizer("flock-greedy")
+        ref = GreedyWithoutJle(DEFAULT_PER_PACKET)
         assert fast.localize(drop_problem).components == \
             ref.localize(drop_problem).components
+
+    def test_greedy_only_refuses_negative_max_failures(self):
+        # The same refusal as ``flock`` (test_core_flock.py).
+        with pytest.raises(
+            InferenceError, match="max_failures must be non-negative"
+        ):
+            build_localizer("flock-greedy", max_failures=-1)
 
 
 class TestScenarioRegistry:

@@ -88,9 +88,7 @@ def _tiny_problem(topo, routing, seed, n_flows):
     batch = build_observation_batch(
         chunk.batch, make_setup("flock").telemetry, np.random.default_rng(seed)
     )
-    return InferenceProblem.from_batch(
-        batch, topo.n_components, topo.n_links, compressed=True
-    )
+    return InferenceProblem.from_batch(batch, topo.n_components, topo.n_links)
 
 
 def _assert_same(state, oracle):

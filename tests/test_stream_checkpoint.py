@@ -175,8 +175,9 @@ class TestCrashResume:
     def test_resume_from_a_numpy_tagged_checkpoint_is_bit_identical(
         self, tmp_path
     ):
-        # Older checkouts tagged the warm state's Δ layout as "k";
-        # "numpy" is the per-flow layout, so it restores as untagged.
+        # Older checkouts tagged the warm state's Δ layout as "k" and
+        # the window's layout as config "compressed"; "numpy" and true
+        # are the only layouts left, so they restore as untagged.
         crash_at = 4
         topology, chunks = build_stream()
         monitor = StreamMonitor(topology, window=3, seed=61)
@@ -191,7 +192,9 @@ class TestCrashResume:
             monitor.step(chunk)
         payload = decode_stream_checkpoint(path.read_text())
         assert "k" not in payload["state"]
+        assert "compressed" not in payload["config"]
         payload["state"]["k"] = "numpy"
+        payload["config"]["compressed"] = True
         payload = decode_stream_checkpoint(encode_stream_checkpoint(payload))
 
         topology, chunks = build_stream()
@@ -217,6 +220,23 @@ class TestCrashResume:
             StreamMonitor.from_checkpoint(payload, topology, chunks)
         assert main(["stream", "--resume", str(path)]) == 2
         assert "'collapsed' kernel layout" in capsys.readouterr().err
+
+    def test_resume_refuses_an_uncompressed_window(self, tmp_path, capsys):
+        path = tmp_path / "uncompressed.ckpt"
+        args = ["stream", "gray-drift", "--preset", "tiny", "--cycles", "4",
+                "--flows", "200", "--probes", "50", "--window", "3"]
+        assert main(args + ["--checkpoint", str(path)]) == 0
+        capsys.readouterr()
+        payload = decode_stream_checkpoint(path.read_text())
+        assert "compressed" not in payload["config"]
+        payload["config"]["compressed"] = False
+        path.write_text(encode_stream_checkpoint(payload))
+
+        topology, chunks = build_stream()
+        with pytest.raises(CheckpointError, match="uncompressed window"):
+            StreamMonitor.from_checkpoint(payload, topology, chunks)
+        assert main(["stream", "--resume", str(path)]) == 2
+        assert "uncompressed window" in capsys.readouterr().err
 
     def test_restore_validates_delta_shape(self):
         topology, chunks = build_stream()

@@ -5,7 +5,8 @@ The two load-bearing equivalences:
 * **Window = rebuild.** After any number of append/expire cycles a
   :class:`WindowedProblem`'s problem - arrays, indexes, and every
   registered scheme's prediction - is bit-identical to a fresh
-  ``from_batch`` over the retained observation rows.
+  ``from_batch`` over the retained observation rows, and its object
+  views and predictions to the uncompressed oracle build of them.
 * **Warm = cold.** A :meth:`VectorJleState.rebase`-ed state carries
   exactly the Δ array a cold build at the same hypothesis would have,
   and the warm local search lands on the cold greedy hypothesis at
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.problem import uncompressed_from_batch
 from repro.core.flock import FlockInference
 from repro.core.flock_fast import VectorJleState, greedy_local_search
 from repro.core.gibbs import GibbsInference
@@ -95,6 +97,10 @@ def _assert_problems_identical(win: InferenceProblem, ref: InferenceProblem):
             want = getattr(ref, name)(comp)
             assert got.dtype == want.dtype, (name, comp)
             assert np.array_equal(got, want), (name, comp)
+    _assert_views_identical(win, ref)
+
+
+def _assert_views_identical(win: InferenceProblem, ref: InferenceProblem):
     assert win.flow_paths == ref.flow_paths
     assert list(win.path_table) == list(ref.path_table)
     assert np.array_equal(win.bad_packets, ref.bad_packets)
@@ -111,21 +117,23 @@ def _assert_problems_identical(win: InferenceProblem, ref: InferenceProblem):
 def test_window_matches_rebuild_for_every_scheme(
     tiny_world, scheme, compressed
 ):
-    """After several append/expire cycles the windowed problem and every
-    scheme's prediction are bit-identical to a fresh from_batch."""
+    """After several append/expire cycles every scheme's prediction on
+    the windowed problem is bit-identical to one on a fresh rebuild of
+    the retained rows: ``from_batch``, whose problem is identical array
+    for array, or the uncompressed oracle build, whose object views
+    are."""
     topo, routing = tiny_world
     setup = make_setup(scheme)
     chunks = _stream_chunks(topo, routing)
-    windowed = WindowedProblem(
-        topo.n_components, topo.n_links, window=WINDOW, compressed=compressed
-    )
+    windowed = WindowedProblem(topo.n_components, topo.n_links, window=WINDOW)
+    rebuild = InferenceProblem.from_batch if compressed else uncompressed_from_batch
+    same = _assert_problems_identical if compressed else _assert_views_identical
     for cycle, obs in enumerate(_obs_stream(chunks, setup.telemetry)):
         update = windowed.append(obs)
-        rebuilt = InferenceProblem.from_batch(
-            windowed.retained_observations(),
-            topo.n_components, topo.n_links, compressed=compressed,
+        rebuilt = rebuild(
+            windowed.retained_observations(), topo.n_components, topo.n_links
         )
-        _assert_problems_identical(update.problem, rebuilt)
+        same(update.problem, rebuilt)
         if cycle < N_CHUNKS - 1:
             continue  # predictions only checked on the final window
         win_pred = setup.localizer.localize(update.problem)
@@ -152,11 +160,10 @@ def _small_chunk_obs(topo, routing, telemetry, seed, n_flows):
     seed=st.integers(0, 2**16),
     window=st.integers(1, 5),
     sizes=st.lists(st.integers(1, 30), min_size=2, max_size=8),
-    compressed=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
 def test_window_equals_rebuild_while_keys_keep_arriving(
-    tiny_world, seed, window, sizes, compressed
+    tiny_world, seed, window, sizes
 ):
     """Property: whatever the window size and however the set-stage
     cache grew mid-stream, every appended window's problem equals a
@@ -164,15 +171,12 @@ def test_window_equals_rebuild_while_keys_keep_arriving(
     topo = tiny_world[0]
     routing = EcmpRouting(topo)  # a fresh PathSpace per example
     telemetry = make_setup("flock").telemetry
-    windowed = WindowedProblem(
-        topo.n_components, topo.n_links, window=window, compressed=compressed
-    )
+    windowed = WindowedProblem(topo.n_components, topo.n_links, window=window)
     for index, n_flows in enumerate(sizes):
         obs = _small_chunk_obs(topo, routing, telemetry, seed + index, n_flows)
         update = windowed.append(obs)
         rebuilt = InferenceProblem.from_batch(
-            windowed.retained_observations(),
-            topo.n_components, topo.n_links, compressed=compressed,
+            windowed.retained_observations(), topo.n_components, topo.n_links
         )
         _assert_problems_identical(update.problem, rebuilt)
 
