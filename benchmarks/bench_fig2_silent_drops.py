@@ -6,13 +6,13 @@ telemetry (A1+P, A1+A2+P) beats active-only (A1); accuracy improves
 with monitoring volume.
 """
 
-from repro.eval.experiments import fig2_tradeoff
+from repro.eval.spec import run_experiment
 
 from _common import by_scheme, run_once
 
 
 def test_fig2_silent_drops(benchmark, show):
-    result = run_once(benchmark, fig2_tradeoff, preset="ci", seed=7)
+    result = run_once(benchmark, run_experiment, "fig2", preset="ci", seed=7)
     show(result, columns=["volume", "scheme", "precision", "recall", "fscore"])
 
     high = by_scheme(result, volume="high")

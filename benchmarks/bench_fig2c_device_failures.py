@@ -4,13 +4,13 @@ Paper shape: Flock (INT) reaches ~100% recall vs NetBouncer (INT)'s
 80%; Flock (A2) beats 007 (fscore 0.97 vs 0.76).
 """
 
-from repro.eval.experiments import fig2c_device_failures
+from repro.eval.spec import run_experiment
 
 from _common import by_scheme, run_once
 
 
 def test_fig2c_device_failures(benchmark, show):
-    result = run_once(benchmark, fig2c_device_failures, preset="ci", seed=11)
+    result = run_once(benchmark, run_experiment, "fig2c", preset="ci", seed=11)
     show(result)
 
     rows = by_scheme(result)

@@ -6,7 +6,7 @@ schemes; 007's recall collapses under skewed traffic while Flock (A2)
 holds up.
 """
 
-from repro.eval.experiments import fig3_snr
+from repro.eval.spec import run_experiment
 from repro.eval.scenarios import SKEWED, UNIFORM
 
 from _common import run_once
@@ -21,7 +21,7 @@ def _series(result, scheme, traffic):
 
 
 def test_fig3_snr_sweep(benchmark, show):
-    result = run_once(benchmark, fig3_snr, preset="ci", seed=13)
+    result = run_once(benchmark, run_experiment, "fig3", preset="ci", seed=13)
     show(result, columns=["traffic", "drop_rate", "scheme", "fscore"])
 
     # Monotone-ish trend: the highest drop rate must beat the lowest.

@@ -4,13 +4,13 @@ Paper shape: Flock (INT) beats NetBouncer (INT); Flock (A2) has better
 precision than 007 (A2); Flock (A2+P) gets very close to Flock (INT).
 """
 
-from repro.eval.experiments import fig4a_queue_misconfig
+from repro.eval.spec import run_experiment
 
 from _common import by_scheme, run_once
 
 
 def test_fig4a_queue_misconfig(benchmark, show):
-    result = run_once(benchmark, fig4a_queue_misconfig, preset="ci", seed=17)
+    result = run_once(benchmark, run_experiment, "fig4a", preset="ci", seed=17)
     show(result)
 
     rows = by_scheme(result)

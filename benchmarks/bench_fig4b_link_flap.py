@@ -5,13 +5,13 @@ Flock (INT) beats NetBouncer (INT); Flock stays accurate even though
 its model ignores the reverse ack path (fscore 0.81 in the paper).
 """
 
-from repro.eval.experiments import fig4b_link_flap
+from repro.eval.spec import run_experiment
 
 from _common import by_scheme, run_once
 
 
 def test_fig4b_link_flap(benchmark, show):
-    result = run_once(benchmark, fig4b_link_flap, preset="ci", seed=19)
+    result = run_once(benchmark, run_experiment, "fig4b", preset="ci", seed=19)
     show(result)
 
     rows = by_scheme(result)

@@ -6,7 +6,7 @@ gap *widens* with topology size; each optimization alone (greedy
 without JLE; Sherlock+JLE) sits between Flock and plain Sherlock.
 """
 
-from repro.eval.experiments import fig4c_runtime
+from repro.eval.spec import run_experiment
 
 from _common import run_once
 
@@ -20,7 +20,7 @@ def _times(result, scheme):
 
 
 def test_fig4c_runtime_ablation(benchmark, show):
-    result = run_once(benchmark, fig4c_runtime, preset="ci", seed=23)
+    result = run_once(benchmark, run_experiment, "fig4c", preset="ci", seed=23)
     show(result, columns=["servers", "k", "scheme", "seconds", "estimated"])
 
     sherlock = _times(result, "sherlock")

@@ -4,7 +4,7 @@ Paper shape: 007 is the fastest; Flock is faster than NetBouncer on the
 same input telemetry; every scheme's runtime grows with scale.
 """
 
-from repro.eval.experiments import fig4d_scheme_runtime
+from repro.eval.spec import run_experiment
 from repro.eval.schemes import get_scheme, make_setup
 
 from _common import run_once
@@ -24,7 +24,7 @@ def _label(scheme, spec=None):
 
 
 def test_fig4d_scheme_runtime(benchmark, show):
-    result = run_once(benchmark, fig4d_scheme_runtime, preset="ci", seed=29)
+    result = run_once(benchmark, run_experiment, "fig4d", preset="ci", seed=29)
     show(result, columns=["servers", "k", "scheme", "seconds"])
 
     # Every row label must resolve through the scheme registry: the

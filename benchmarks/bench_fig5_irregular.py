@@ -5,7 +5,7 @@ Paper shape: Flock's accuracy is robust to topology irregularity;
 irregularity breaks the ECMP symmetry classes.
 """
 
-from repro.eval.experiments import fig5_irregular
+from repro.eval.spec import run_experiment
 
 from _common import run_once
 
@@ -16,7 +16,7 @@ def _series(result, scheme):
 
 
 def test_fig5_irregular(benchmark, show):
-    result = run_once(benchmark, fig5_irregular, preset="ci", seed=31)
+    result = run_once(benchmark, run_experiment, "fig5", preset="ci", seed=31)
     show(result, columns=["fraction_omitted", "scheme", "precision",
                           "recall", "fscore"])
 

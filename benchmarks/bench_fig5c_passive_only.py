@@ -5,13 +5,13 @@ still reaches useful recall, and its precision tracks the theoretical
 maximum imposed by the ECMP link-equivalence classes.
 """
 
-from repro.eval.experiments import fig5c_passive_hard
+from repro.eval.spec import run_experiment
 
 from _common import run_once
 
 
 def test_fig5c_passive_only_hard(benchmark, show):
-    result = run_once(benchmark, fig5c_passive_hard, preset="ci", seed=37)
+    result = run_once(benchmark, run_experiment, "fig5c", preset="ci", seed=37)
     show(result)
 
     rows = sorted(result.rows, key=lambda r: r["fraction_omitted"])

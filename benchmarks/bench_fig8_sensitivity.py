@@ -5,13 +5,13 @@ raising the prior rho trades recall for precision, moving points right
 along the tradeoff curve (Fig. 8b).
 """
 
-from repro.eval.experiments import fig8a_sensitivity, fig8b_priors
+from repro.eval.spec import run_experiment
 
 from _common import run_once
 
 
 def test_fig8a_pg_pb_sensitivity(benchmark, show):
-    result = run_once(benchmark, fig8a_sensitivity, preset="ci", seed=43)
+    result = run_once(benchmark, run_experiment, "fig8a", preset="ci", seed=43)
     show(result, columns=["pg", "pb", "precision", "recall", "fscore"])
 
     scores = [row["fscore"] for row in result.rows]
@@ -24,7 +24,7 @@ def test_fig8a_pg_pb_sensitivity(benchmark, show):
 
 
 def test_fig8b_prior_tradeoff(benchmark, show):
-    result = run_once(benchmark, fig8b_priors, preset="ci", seed=47)
+    result = run_once(benchmark, run_experiment, "fig8b", preset="ci", seed=47)
     show(result)
 
     rows = sorted(result.rows, key=lambda r: r["rho"])

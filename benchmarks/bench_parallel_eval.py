@@ -17,13 +17,10 @@ import time
 
 from repro.core.flock import FlockInference
 from repro.core.params import FlockParams
-from repro.eval.experiments import (
-    ExperimentResult,
-    silent_drop_traces,
-    standard_scheme_suite,
-)
+from repro.eval.experiments import silent_drop_traces, standard_scheme_suite
 from repro.eval.harness import SchemeSetup
 from repro.eval.runner import RunnerConfig, RunnerStats, run_grid
+from repro.eval.spec import ExperimentResult
 from repro.telemetry.inputs import TelemetryConfig
 
 from _common import run_once

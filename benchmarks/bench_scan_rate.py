@@ -6,13 +6,13 @@ check is that inference completes in interactive time and the scan rate
 is far beyond what exhaustive search could deliver.
 """
 
-from repro.eval.experiments import scan_rate
+from repro.eval.spec import run_experiment
 
 from _common import run_once
 
 
 def test_scan_rate(benchmark, show):
-    result = run_once(benchmark, scan_rate, preset="ci", seed=53)
+    result = run_once(benchmark, run_experiment, "scan-rate", preset="ci", seed=53)
     show(result)
 
     row = result.rows[0]

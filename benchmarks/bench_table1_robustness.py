@@ -6,13 +6,13 @@ aggregate loss in the paper); the D (different) and S (same) rows stay
 close.
 """
 
-from repro.eval.experiments import table1_robustness
+from repro.eval.spec import run_experiment
 
 from _common import run_once
 
 
 def test_table1_parameter_robustness(benchmark, show):
-    result = run_once(benchmark, table1_robustness, preset="ci", seed=41)
+    result = run_once(benchmark, run_experiment, "table1", preset="ci", seed=41)
     show(result, columns=["scheme", "environment", "mode", "precision",
                           "recall", "fscore"])
 

@@ -6,8 +6,10 @@ scheme x seeds.  With the registries, a new experiment is just data: a
 list of grid points naming a registered topology, a registered failure
 scenario (with parameters), trace knobs, and registered schemes.  The
 generic driver handles trace generation, shared problem building,
-parallelism, and row aggregation - and the spec is automatically
-shardable across machines because its grid-call sequence is pure data.
+parallelism, and row aggregation - and because its grid-call sequence
+is pure data, the spec, once registered with ``register_experiment``,
+can be spread across machines by the fleet (``repro-flock fleet
+submit`` or ``run --shards``).
 
 This example asks a question none of the paper's figures answer
 directly: how does each scheme degrade as *both* a link and a whole

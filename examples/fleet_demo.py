@@ -1,19 +1,22 @@
 #!/usr/bin/env python
 """Run a two-worker evaluation fleet against a SQLite work-unit broker.
 
-The fleet is the queue-backed flavor of distributed evaluation: a
-submitter decomposes an experiment into work units (contiguous trace
-ranges of each grid call) in a broker database, any number of worker
-processes lease and execute units, and a collector folds the stored
-wire results into the full :class:`~repro.eval.spec.ExperimentResult` -
-bit-identical in metrics to a serial ``repro-flock run``.  Unlike
-``--shards N --shard-index I``, nobody pre-assigns ranges: workers can
-start late, die, or be added mid-run, and the broker's lease lifecycle
-keeps every unit owned by exactly one live worker at a time.
+The fleet is the one path of distributed evaluation: a submitter
+decomposes an experiment into work units (contiguous trace ranges of
+each grid call) in a broker database, any number of worker processes
+lease and execute units, and a collector folds the stored wire results
+into the full :class:`~repro.eval.spec.ExperimentResult` -
+bit-identical in metrics to a serial ``repro-flock run``.  Nobody
+pre-assigns ranges: workers can start late, die, or be added mid-run,
+and the broker's lease lifecycle keeps every unit owned by exactly one
+live worker at a time.  A static split (``run --shards N --shard-index
+I --out sI.db``) is the same path: each shard submits its slice of the
+units to its own broker file, and ``collect`` folds the files.
 
 This demo submits fig2 at the tiny preset, drains it with two worker
 OS processes running concurrently, prints the broker's lifecycle
-counts, and verifies the collected metrics against a serial run.
+counts, verifies the collected metrics against a serial run, and then
+does the same with two static shards collected in reverse order.
 
 Run:  PYTHONPATH=src python examples/fleet_demo.py
 """
@@ -63,6 +66,16 @@ def main():
         serial = run_experiment(EXPERIMENT, preset=PRESET)
         assert result.rows == serial.rows, "fleet result diverged from serial"
         print(f"collected {len(result.rows)} row(s); "
+              "metrics bit-identical to the serial run")
+
+        # Two static shards: each its own broker file and worker.
+        shards = [Path(tmp) / f"s{index}.db" for index in range(2)]
+        for index, path in enumerate(shards):
+            fleet.submit(path, EXPERIMENT, preset=PRESET, shard=(index, 2))
+            fleet.work(path, wait=False)
+        sharded = fleet.collect(*reversed(shards))
+        assert sharded.rows == serial.rows, "shard result diverged from serial"
+        print("collected 2 shard files in reverse order; "
               "metrics bit-identical to the serial run")
 
 

@@ -44,7 +44,6 @@ from .eval import (
     ExperimentSpec,
     RunnerConfig,
     SchemeSetup,
-    ShardSpec,
     Trace,
     build_localizer,
     evaluate,
@@ -56,7 +55,6 @@ from .eval import (
     make_trace,
     run_experiment,
     run_on_trace,
-    run_sharded,
     run_spec,
     scheme_names,
 )
@@ -132,8 +130,6 @@ __all__ = [
     # eval
     "RunnerConfig",
     "SchemeSetup",
-    "ShardSpec",
-    "run_sharded",
     "Trace",
     "make_trace",
     "run_on_trace",

@@ -18,28 +18,9 @@ accepts ``--scheme NAME`` to evaluate a single registry scheme on an
 experiment's workload and repeatable ``--set key=val`` overrides that
 are passed to the experiment's spec builder (unknown keys fail loudly).
 
-Distributed (sharded) evaluation splits an experiment's trace batches
-into contiguous index ranges so each range can run as a separate OS
-process or on a separate machine, returning only serialized results::
-
-    repro-flock run fig2 --preset ci --shards 2 --shard-index 0 --out s0.json
-    repro-flock run fig2 --preset ci --shards 2 --shard-index 1 --out s1.json
-    repro-flock merge s0.json s1.json --out fig2.json
-
-``merge`` reassembles the full :class:`ExperimentResult`; its metrics
-are bit-identical to a serial ``run`` with the same preset, seed, and
-overrides.  ``--shards`` composes with ``--jobs``/``--executor``
-(parallelism *within* a shard).  ``table1`` runs as two phases:
-``table1-calibrate`` sweeps the parameter grid (itself shardable), and
-``table1-eval`` - pointed at the calibrate result via
-``--set calibration=PATH``, or recomputing it per worker otherwise -
-evaluates the chosen operating points and shard-merges bit-identically.
-The combined ``table1`` experiment refuses ``--shards`` because its
-build-time calibration dominates and would be repeated per worker.
-
-Queue-backed fleet evaluation replaces static index assignment with a
-SQLite broker of leased work units - workers can start at any time, on
-any machine sharing the broker file, and a crashed worker's units are
+Distributed evaluation runs through a SQLite broker of leased work
+units (:mod:`repro.eval.fleet`) - workers can start at any time, on any
+machine sharing the broker file, and a crashed worker's units are
 re-leased when their lease expires::
 
     repro-flock fleet submit fig2.db fig2 --preset ci --unit-traces 4
@@ -47,17 +28,32 @@ re-leased when their lease expires::
     repro-flock fleet status fig2.db
     repro-flock fleet collect fig2.db --out fig2.json
 
-``fleet collect`` folds the stored results through the same replay
-path as ``merge``, so its metrics are also bit-identical to serial.
+A static split is sugar over the same path: each shard submits its
+balanced contiguous slice of the units to its own broker file and
+drains it, and ``fleet collect`` folds the files (in any order)::
 
-Cost model (shards and fleet alike): every worker (and the
-merge/collect) re-runs the experiment's spec builder, and each worker
-pays trace generation for every grid point it touches - only problem
-building and inference are divided.  Distribution pays off when
-inference dominates, which holds for the accuracy experiments at paper
-scale; it cannot help experiments that evaluate one trace per grid
-call (``fig4d``), where a shard worker may cover no traces at all (the
-CLI warns when that happens).
+    repro-flock run fig2 --preset ci --shards 2 --shard-index 0 --out s0.db
+    repro-flock run fig2 --preset ci --shards 2 --shard-index 1 --out s1.db
+    repro-flock fleet collect s0.db s1.db --out fig2.json
+
+The collected metrics are bit-identical to a serial ``run`` with the
+same preset, seed, and overrides.  ``--shards`` composes with
+``--jobs``/``--executor`` (parallelism *within* a shard).  ``table1``
+runs as two phases: ``table1-calibrate`` sweeps the parameter grid
+(itself shardable), and ``table1-eval`` - pointed at the calibrate
+result via ``--set calibration=PATH``, or recomputing it per worker
+otherwise - evaluates the chosen operating points and collects
+bit-identically.  The combined ``table1`` experiment refuses
+``--shards`` because its build-time calibration dominates and would be
+repeated per worker.
+
+Cost model: every worker (and the collector) re-runs the experiment's
+spec builder, and each worker pays trace generation for every grid
+point its units touch - only problem building and inference are
+divided.  Distribution pays off when inference dominates, which holds
+for the accuracy experiments at paper scale; it cannot help
+experiments with fewer work units than shards (``fig4d`` evaluates one
+trace per grid call), and a shard whose slice holds no unit is refused.
 """
 
 from __future__ import annotations
@@ -66,8 +62,6 @@ import argparse
 import ast
 import json
 import sys
-from dataclasses import replace
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from .errors import ExperimentError, ReproError
@@ -75,13 +69,11 @@ from .eval import experiments
 from .eval.reporting import print_result, save_result
 from .eval.runner import EXECUTORS, RunnerConfig
 from .eval.schemes import get_scheme, scheme_names
-from .eval.shard import ShardRecorder, ShardReplayer, ShardSpec, merge_payloads
 from .eval.spec import (
     default_experiment_names,
     experiment_names,
     get_experiment,
     run_experiment,
-    shardable_experiment_names,
 )
 from .simulation.failures import scenario_description, scenario_names
 
@@ -130,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="act as one worker of an N-way sharded run "
+        help="run one shard of an N-way split: submit this shard's "
+             "work units to its own broker file and drain them "
              "(requires --shard-index and --out)",
     )
     run.add_argument(
@@ -139,16 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--out", default=None, metavar="PATH",
-        help="where to write this shard's serialized results",
-    )
-
-    merge = sub.add_parser(
-        "merge", help="merge shard outputs into the full experiment result"
-    )
-    merge.add_argument("shard_files", nargs="+", metavar="SHARD")
-    merge.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the merged ExperimentResult as JSON",
+        help="this shard's broker file; 'fleet collect' folds the N "
+             "files (re-running the command resumes the shard)",
     )
 
     fleet = sub.add_parser(
@@ -267,9 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fcollect = fsub.add_parser(
-        "collect", help="fold a finished fleet into the experiment result"
+        "collect",
+        help="fold finished broker files (one fleet, or one file per "
+             "shard) into the experiment result",
     )
-    fcollect.add_argument("broker", help="path to an existing broker database")
+    fcollect.add_argument(
+        "brokers", nargs="+", metavar="broker",
+        help="path(s) to finished broker databases of one experiment",
+    )
     fcollect.add_argument(
         "--experiment", default=None, metavar="NAME",
         help="which experiment to collect (default: the broker's sole "
@@ -445,106 +435,6 @@ def _runner_from_args(args) -> Optional[RunnerConfig]:
     return RunnerConfig.resolve(jobs=args.jobs, executor=args.executor)
 
 
-def _run_shard(args) -> int:
-    """Act as one shard worker: execute our trace ranges, write results."""
-    if args.shard_index is None or args.out is None:
-        raise ExperimentError("--shards requires --shard-index and --out")
-    name = args.experiment
-    entry = get_experiment(name)
-    if not entry.shardable:
-        raise ExperimentError(
-            f"experiment {name!r} cannot be sharded; shardable experiments: "
-            f"{', '.join(shardable_experiment_names())}"
-        )
-    spec = ShardSpec(args.shard_index, args.shards)
-    recorder = ShardRecorder(spec)
-    base = _runner_from_args(args) or RunnerConfig()
-    overrides = parse_overrides(args.overrides)
-    # The returned (partial) result is discarded: only the recorded wire
-    # units matter, and `merge` rebuilds the full result from them.
-    run_experiment(
-        name,
-        preset=args.preset,
-        seed=args.seed,
-        runner=replace(base, shard=recorder),
-        scheme=args.scheme,
-        overrides=overrides,
-    )
-    payload = recorder.payload(
-        experiment=name,
-        preset=args.preset,
-        seed=args.seed,
-        scheme=args.scheme,
-        overrides=overrides,
-    )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as handle:
-        json.dump(payload, handle)
-    units = sum(len(call["units"]) for call in payload["calls"])
-    print(
-        f"shard {spec.index + 1}/{spec.count} of {name} ({args.preset}): "
-        f"{units} trace unit(s) over {len(payload['calls'])} grid call(s) "
-        f"-> {out}"
-    )
-    if units == 0:
-        print(
-            f"warning: this shard covered no traces (every grid call in "
-            f"{name} has fewer than {spec.count} traces); it still paid "
-            "full trace-generation cost - use fewer shards",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _merge(args) -> int:
-    """Reassemble a full ExperimentResult from shard files."""
-    seen: Dict[Path, str] = {}
-    for raw in args.shard_files:
-        resolved = Path(raw).resolve()
-        if resolved in seen:
-            raise ExperimentError(
-                f"duplicate shard file {raw!r}"
-                + (
-                    f" (same file as {seen[resolved]!r})"
-                    if seen[resolved] != raw
-                    else ""
-                )
-                + "; each shard file must be listed once"
-            )
-        seen[resolved] = raw
-    payloads = []
-    for path in args.shard_files:
-        try:
-            with Path(path).open() as handle:
-                payloads.append(json.load(handle))
-        except (OSError, ValueError) as exc:
-            # ValueError covers both JSONDecodeError and the
-            # UnicodeDecodeError a transfer-corrupted file raises.
-            raise ExperimentError(f"cannot read shard file {path}: {exc}")
-    calls, meta = merge_payloads(payloads)
-    name = meta.get("experiment")
-    if name not in shardable_experiment_names():
-        raise ExperimentError(
-            f"shard files name experiment {name!r}, which is unknown or "
-            "not shardable"
-        )
-    replayer = ShardReplayer(calls)
-    result = run_experiment(
-        name,
-        preset=meta.get("preset", "ci"),
-        seed=meta.get("seed"),
-        runner=RunnerConfig(shard=replayer),
-        scheme=meta.get("scheme"),
-        overrides=meta.get("overrides") or {},
-    )
-    replayer.assert_exhausted()
-    print_result(result)
-    if args.out:
-        print(f"\nwrote merged result to {save_result(result, args.out)}")
-    return 0
-
-
 def _error_headline(error: str) -> str:
     """The exception line of a stored unit error (errors are full
     tracebacks since broker v2; status lines want one line)."""
@@ -662,7 +552,7 @@ def _fleet(args) -> int:
         print(f"re-queued {requeued} failed unit(s)")
         return 0
     if args.fleet_command == "collect":
-        result = fleet.collect(args.broker, experiment=args.experiment)
+        result = fleet.collect(*args.brokers, experiment=args.experiment)
         print_result(result)
         if args.out:
             print(f"\nwrote collected result to {save_result(result, args.out)}")
@@ -962,8 +852,6 @@ def _main(argv=None) -> int:
         return 0
     if args.command == "list":
         return _list(args)
-    if args.command == "merge":
-        return _merge(args)
     if args.command == "fleet":
         return _fleet(args)
     if args.command == "stream":
@@ -983,11 +871,31 @@ def _main(argv=None) -> int:
         get_experiment(args.experiment)  # fail fast on unknown names
     if args.scheme is not None:
         get_scheme(args.scheme)
+    runner = _runner_from_args(args)
     if args.shards is not None:
-        return _run_shard(args)
+        # A shard is a private fleet: its slice of the units in its own
+        # broker file, drained here; 'fleet collect' folds the files.
+        from .eval import fleet
+
+        if args.shard_index is None or args.out is None:
+            raise ExperimentError("--shards requires --shard-index and --out")
+        report = fleet.submit(
+            args.out, args.experiment, preset=args.preset, seed=args.seed,
+            scheme=args.scheme, overrides=parse_overrides(args.overrides),
+            shard=(args.shard_index, args.shards), if_exists="resume",
+        )
+        done = fleet.work(
+            args.out, runner=runner, wait=False, experiment=report.name
+        )
+        print(
+            f"shard {args.shard_index + 1}/{args.shards} of "
+            f"{args.experiment} ({args.preset}): {done.completed} of "
+            f"{report.n_units} work unit(s) completed, {done.failed} "
+            f"failed -> {report.path}"
+        )
+        return 0
     if args.shard_index is not None or args.out is not None:
         raise ExperimentError("--shard-index/--out are only valid with --shards")
-    runner = _runner_from_args(args)
     if args.experiment == "all":
         # The table1 phase experiments are excluded: the combined
         # table1 already runs both phases, and each phase would redo

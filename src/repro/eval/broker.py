@@ -106,9 +106,9 @@ OUTDATED_FORMATS = ("flock-broker-v1",)
 #: ``experiments`` journal).
 MIGRATABLE_FORMATS = ("flock-broker-v2",)
 
-#: Experiment-identity keys stored per experiment row (mirrors the
-#: shard payload's ``_META_KEYS`` contract: everything that changes
-#: the spec).
+#: Experiment-identity keys stored per experiment row: everything that
+#: changes the spec.  Broker files collected together must agree on
+#: all of them.
 EXPERIMENT_META_KEYS = ("experiment", "preset", "seed", "scheme", "overrides")
 
 #: Journal states of an experiment row.  Units are only claimable from

@@ -13,7 +13,7 @@ ablation, the scan-rate figure, the fig6 worked example) are registered
 Presets:
 
 * ``"tiny"`` - a few seconds per experiment; used by the registry-wide
-  shard-equivalence tests.
+  distributed-equivalence tests.
 * ``"ci"`` - scaled-down sizes that run in seconds to minutes on one
   machine, used by the benchmark suite.  The flows-per-link ratio
   matches the paper's setup so accuracy trends are preserved.
@@ -23,9 +23,8 @@ Presets:
 The paper-reported numbers each experiment should be compared against
 are recorded in each spec's ``notes``.
 
-The legacy driver functions (``fig2_tradeoff``, ``table1_robustness``,
-...) remain as thin wrappers over :func:`~repro.eval.spec.run_experiment`
-and return bit-identical metrics for fixed seeds.
+Run an experiment by name with :func:`~repro.eval.spec.run_experiment`
+(``run_experiment("fig2", preset="ci")``).
 """
 
 from __future__ import annotations
@@ -60,15 +59,12 @@ from .harness import SchemeSetup, build_problem
 from .runner import RunnerConfig
 from .scenarios import SKEWED, UNIFORM, Trace, make_trace_batch
 from .schemes import (
-    DEFAULT_007,
-    DEFAULT_NETBOUNCER,
     build_localizer,
     get_scheme,
     make_setup,
 )
 from .spec import (
     PRESETS,
-    ExperimentResult,
     ExperimentSpec,
     GridPoint,
     Overrides,
@@ -83,7 +79,6 @@ from .spec import (
     register_extras,
     register_probe,
     register_topology,
-    run_experiment,
 )
 
 _check_preset = check_preset
@@ -1042,7 +1037,7 @@ def _table1_eval_points(
 
     ``calibration`` is a path to a saved ``table1-calibrate`` result; if
     ``None``, the calibrate spec runs here (unsharded - spec *building*
-    must be identical on every shard worker and on the merge).
+    must be identical on every fleet worker and on the collector).
     """
     if calibration is not None:
         from .reporting import load_result
@@ -1480,64 +1475,3 @@ def build_stream_monitor(preset: str, seed: int, ov: Overrides) -> ExperimentSpe
             "latency for a mid-stream gray drift"
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Legacy driver API (thin wrappers over the registry)
-# ----------------------------------------------------------------------
-
-
-def fig2_tradeoff(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig2", preset=preset, seed=seed, runner=runner)
-
-
-def fig2c_device_failures(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig2c", preset=preset, seed=seed, runner=runner)
-
-
-def fig3_snr(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig3", preset=preset, seed=seed, runner=runner)
-
-
-def fig4a_queue_misconfig(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig4a", preset=preset, seed=seed, runner=runner)
-
-
-def fig4b_link_flap(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig4b", preset=preset, seed=seed, runner=runner)
-
-
-def fig4c_runtime(preset="ci", seed=None) -> ExperimentResult:
-    return run_experiment("fig4c", preset=preset, seed=seed)
-
-
-def fig4d_scheme_runtime(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig4d", preset=preset, seed=seed, runner=runner)
-
-
-def fig5_irregular(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig5", preset=preset, seed=seed, runner=runner)
-
-
-def fig5c_passive_hard(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig5c", preset=preset, seed=seed, runner=runner)
-
-
-def table1_robustness(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("table1", preset=preset, seed=seed, runner=runner)
-
-
-def fig6_worked_example() -> ExperimentResult:
-    return run_experiment("fig6")
-
-
-def fig8a_sensitivity(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig8a", preset=preset, seed=seed, runner=runner)
-
-
-def fig8b_priors(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig8b", preset=preset, seed=seed, runner=runner)
-
-
-def scan_rate(preset="ci", seed=None) -> ExperimentResult:
-    return run_experiment("scan-rate", preset=preset, seed=seed)

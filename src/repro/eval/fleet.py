@@ -1,20 +1,26 @@
 """Fleet evaluation: broker-driven workers and the result collector.
 
-The dynamic scheduling policy over :mod:`repro.eval.units` (the static
-one is :mod:`repro.eval.shard`).  One submitter decomposes an
-experiment into work units and loads them into a SQLite
-:class:`~repro.eval.broker.Broker`; any number of workers - started at
-any time, on any machine sharing the broker file - pull units, execute
-them through the ordinary :func:`~repro.eval.spec.run_spec` machinery,
-and write wire-codec results back; the collector reassembles the full
-:class:`~repro.eval.spec.ExperimentResult`, bit-identical to a serial
-``repro-flock run`` for the same spec.
+The one distribution policy over :mod:`repro.eval.units`.  One
+submitter decomposes an experiment into work units and loads them into
+a SQLite :class:`~repro.eval.broker.Broker`; any number of workers -
+started at any time, on any machine sharing the broker file - pull
+units, execute them through the ordinary :func:`~repro.eval.spec.run_spec`
+machinery, and write wire-codec results back; the collector
+reassembles the full :class:`~repro.eval.spec.ExperimentResult`,
+bit-identical to a serial ``repro-flock run`` for the same spec.
 
 Flow::
 
     submit(path, "fig2", preset="tiny")        # units -> broker
     work(path)  x N processes                  # lease, run, complete
     result = collect(path)                     # fold + replay
+
+A *static shard* is the same flow over a slice: ``submit(path_i, ...,
+shard=(i, n))`` enqueues only the ``i``-th of ``n`` balanced contiguous
+ranges of the experiment's units into its own broker file, one worker
+drains it, and ``collect(path_0, ..., path_n-1)`` folds every file's
+units together (``repro-flock run EXP --shards N --shard-index I --out
+sI.db`` is sugar for submit + work).
 
 Fault tolerance comes from the broker's lease lifecycle: a worker that
 dies mid-unit simply stops renewing its claim, the lease expires, and
@@ -44,9 +50,9 @@ Hardening (exercised by :mod:`repro.eval.chaos`):
   crosses the wire; :func:`collect` audits stored payloads and
   re-queues corrupted units instead of folding garbage.
 
-Cost model matches sharding: every worker re-runs the spec builder and
-pays trace generation per *point* it touches (amortized across that
-worker's units via ``run_spec``'s ``point_cache``); only problem
+Cost model: every worker (and the collector) re-runs the spec builder
+and pays trace generation per *point* it touches (amortized across
+that worker's units via ``run_spec``'s ``point_cache``); only problem
 building and inference are divided.  Prefer ``unit_traces`` well above
 1 unless retries are the dominant concern.
 """
@@ -60,11 +66,12 @@ import time
 import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ExperimentError, FleetError
 from ..retry import DEFAULT_BROKER_RETRY, RetryPolicy
 from .broker import (
+    EXPERIMENT_META_KEYS,
     Broker,
     ExperimentRow,
     FleetCounts,
@@ -210,6 +217,21 @@ def _format_unit_error(exc: BaseException, limit: int = 8000) -> str:
 SUBMIT_BATCH = 64
 
 
+def _shard_range(n_units: int, index: int, count: int) -> Tuple[int, int]:
+    """Balanced contiguous ``[start, stop)`` range ``index`` of ``count``
+    over ``n_units``: the first ``n_units % count`` ranges take one
+    extra unit."""
+    if count < 1:
+        raise ExperimentError(f"shard count must be >= 1, got {count}")
+    if not 0 <= index < count:
+        raise ExperimentError(
+            f"shard index must be in [0, {count}), got {index}"
+        )
+    base, extra = divmod(n_units, count)
+    start = index * base + min(index, extra)
+    return start, start + base + (1 if index < extra else 0)
+
+
 def submit(
     broker_path,
     experiment: str,
@@ -225,14 +247,22 @@ def submit(
     if_exists: str = "fail",
     on_batch: Optional[Callable[[int, int], None]] = None,
     batch_size: int = SUBMIT_BATCH,
+    shard: Optional[Tuple[int, int]] = None,
 ) -> SubmitReport:
     """Decompose an experiment into work units and enqueue them.
 
     The spec is built once here to compute the :class:`CallPlan`
     sequence (the schema workers validate against); nothing is
-    evaluated.  Fails on experiments registered ``shardable=False`` -
-    the fleet shares sharding's purity requirement on the grid-call
-    sequence.
+    evaluated.  Fails on experiments registered ``shardable=False``:
+    distributing an experiment requires its grid-call sequence to be a
+    pure function of its spec.
+
+    ``shard=(index, count)`` enqueues only range ``index`` of ``count``
+    balanced contiguous ranges over the experiment's flat unit list
+    (the stored call plan stays the full plan), so ``count`` broker
+    files - one per shard - together hold every unit exactly once and
+    :func:`collect` folds them as one experiment.  A shard whose range
+    holds no unit is refused.
 
     The broker file is created if absent and extended otherwise: one
     broker holds any number of experiments, each named (``name``,
@@ -269,7 +299,8 @@ def submit(
     entry = get_experiment(experiment)
     if not entry.shardable:
         raise ExperimentError(
-            f"experiment {experiment!r} cannot be fleet-evaluated; "
+            f"experiment {experiment!r} cannot be "
+            f"{'fleet-evaluated' if shard is None else 'sharded'}; "
             f"shardable experiments: {', '.join(shardable_experiment_names())}"
         )
     overrides = dict(overrides or {})
@@ -283,6 +314,15 @@ def submit(
             f"experiment {experiment!r} at preset {preset!r} produced no "
             "work units (no scheme point evaluates any trace)"
         )
+    if shard is not None:
+        start, stop = _shard_range(len(units), *shard)
+        if start == stop:
+            raise ExperimentError(
+                f"shard {shard[0]} of {shard[1]} covers no work units: "
+                f"{experiment!r} at preset {preset!r} has {len(units)} "
+                f"unit(s); use at most {len(units)} shard(s)"
+            )
+        units = units[start:stop]
     meta = {
         "experiment": experiment,
         "preset": preset,
@@ -635,63 +675,110 @@ def retry(broker_path, experiment: Optional[str] = None) -> int:
         return broker.retry_failed(experiment)
 
 
-def collect(
-    broker_path,
-    runner: Optional[RunnerConfig] = None,
-    experiment: Optional[str] = None,
-) -> ExperimentResult:
-    """Fold a finished fleet's results into the full experiment result.
+def _finished_units(broker_path, experiment: Optional[str]):
+    """One broker file's finished experiment: ``(meta, plan, units)``.
 
-    Reassembles completed units into per-call records (exact trace
-    coverage enforced), then re-runs the experiment driver with a
-    :class:`UnitReplayer` installed - the identical fold ``merge``
-    uses, streaming recorded results through the runner's own
-    accumulators - so the collected metrics are bit-identical to a
-    serial run.  Before any folding, every stored payload is
-    checksum-audited (:meth:`Broker.verify_results`): corrupted
-    results are discarded and their units re-queued rather than folded
-    as garbage.  Refuses unfinished fleets and fleets with permanently
-    failed units, with counts in the error.
+    Refuses an experiment that is not shardable, an open submission
+    journal, payloads that fail their checksum audit
+    (:meth:`Broker.verify_results` discards them and re-queues their
+    units), permanently failed units, and unfinished units, with counts
+    in the error.
     """
-    if runner is not None and runner.shard is not None:
-        raise ExperimentError("fleet collect cannot nest inside another shard")
     with Broker.open(broker_path) as broker:
         row = broker.resolve_experiment(experiment)
+        name = row.meta.get("experiment")
+        if name not in shardable_experiment_names():
+            raise ExperimentError(
+                f"{broker.path} names experiment {name!r}, which is unknown "
+                "or not shardable"
+            )
         if not row.ready:
             raise FleetError(
-                f"cannot collect experiment {row.name!r}: its submission "
-                "journal is still open (an interrupted 'fleet submit'); "
-                "re-run the submission with --if-exists resume first"
+                f"cannot collect experiment {row.name!r} from "
+                f"{broker.path}: its submission journal is still open (an "
+                "interrupted 'fleet submit'); re-run the submission with "
+                "--if-exists resume first"
             )
         corrupted = broker.verify_results()
         if corrupted:
             shown = ", ".join(str(u) for u in corrupted[:5])
             raise FleetError(
-                f"{len(corrupted)} result payload(s) failed their checksum "
-                f"(unit id(s) {shown}); the corrupted results were discarded "
-                "and the units re-queued - run more workers, then collect "
-                "again"
+                f"{len(corrupted)} result payload(s) in {broker.path} failed "
+                f"their checksum (unit id(s) {shown}); the corrupted results "
+                "were discarded and the units re-queued - run more workers, "
+                "then collect again"
             )
         counts = broker.counts(row.name)
         if counts.failed:
             first_id, first_error = broker.errors(row.name)[0]
             raise ExperimentError(
-                f"cannot collect: {counts.failed} of {counts.total} unit(s) "
-                f"failed permanently (first: unit {first_id}: {first_error}); "
-                "inspect 'fleet status', fix the cause, and resubmit"
+                f"cannot collect {broker.path}: {counts.failed} of "
+                f"{counts.total} unit(s) failed permanently (first: unit "
+                f"{first_id}: {first_error}); inspect 'fleet status', fix "
+                "the cause, and resubmit"
             )
         if not counts.finished:
             raise ExperimentError(
-                f"cannot collect an unfinished fleet: {counts.pending} "
-                f"pending and {counts.leased} leased of {counts.total} "
-                "unit(s); run more workers first"
+                f"cannot collect an unfinished fleet: {broker.path} has "
+                f"{counts.pending} pending and {counts.leased} leased of "
+                f"{counts.total} unit(s); run more workers first"
             )
-        plan = broker.plan(row.name)
-        calls = assemble_calls(plan, broker.results(row.name))
-        spec = _spec_from_meta(row.meta)
+        return row.meta, broker.plan(row.name), broker.results(row.name)
+
+
+def collect(
+    *broker_paths,
+    runner: Optional[RunnerConfig] = None,
+    experiment: Optional[str] = None,
+) -> ExperimentResult:
+    """Fold finished broker files into the full experiment result.
+
+    Each file must hold a finished ``experiment`` (see
+    :func:`_finished_units`), and all files must agree on the
+    experiment meta and the call plan - one file per shard of one
+    submission, or a single file for a whole fleet.  Completed units
+    from every file are reassembled into per-call records (exact trace
+    coverage enforced, so a missing shard or a file given twice fails),
+    then the experiment driver re-runs with a :class:`UnitReplayer`
+    installed, streaming the recorded results through the runner's own
+    accumulators - so the collected metrics are bit-identical to a
+    serial run.
+    """
+    if not broker_paths:
+        raise ExperimentError("fleet collect needs at least one broker file")
+    if runner is not None and runner.shard is not None:
+        raise ExperimentError("fleet collect cannot nest inside another shard")
+    seen: Dict[Path, str] = {}
+    for raw in map(str, broker_paths):
+        resolved = Path(raw).resolve()
+        if resolved in seen:
+            raise ExperimentError(
+                f"duplicate broker file {raw!r} (same file as "
+                f"{seen[resolved]!r}); list each shard's file once"
+            )
+        seen[resolved] = raw
+    meta = plan = None
+    unit_results: List = []
+    for path in broker_paths:
+        file_meta, file_plan, results = _finished_units(path, experiment)
+        if meta is None:
+            meta, plan = file_meta, file_plan
+        for key in EXPERIMENT_META_KEYS:
+            if file_meta.get(key) != meta.get(key):
+                raise ExperimentError(
+                    f"broker files disagree on {key!r}: {meta.get(key)!r} "
+                    f"({broker_paths[0]}) vs {file_meta.get(key)!r} ({path})"
+                )
+        if file_plan != plan:
+            raise ExperimentError(
+                f"broker files disagree on 'plan': {broker_paths[0]} and "
+                f"{path} hold different grid-call plans"
+            )
+        unit_results.extend(results)
+    calls = assemble_calls(plan, unit_results)
     replayer = UnitReplayer(calls)
     result = run_spec(
-        spec, replace(runner or RunnerConfig(), shard=replayer)
+        _spec_from_meta(meta), replace(runner or RunnerConfig(), shard=replayer)
     )
     replayer.assert_exhausted()
     return result

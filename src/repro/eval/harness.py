@@ -25,10 +25,10 @@ runner subsystem in :mod:`repro.eval.runner`:
   complete, then frozen into :class:`EvalSummary` objects.
 * All randomness derives from each trace's seed, so every executor
   produces bit-identical metrics for fixed seeds.
-* Batches can additionally be sharded across OS processes or machines
-  (:mod:`repro.eval.shard`), with only wire-format results
-  (:mod:`repro.eval.serialize`) crossing back; merged summaries stay
-  bit-identical to serial ones.
+* Batches can additionally be distributed across OS processes or
+  machines as fleet work units (:mod:`repro.eval.fleet`), with only
+  wire-format results (:mod:`repro.eval.serialize`) crossing back;
+  collected summaries stay bit-identical to serial ones.
 
 The timing split matters for the runtime figures (Fig. 4c/4d):
 ``build_seconds`` is problem construction (telemetry -> observations ->
@@ -74,7 +74,7 @@ class TraceResult:
     """Outcome of one scheme on one trace.
 
     ``problem`` is ``None`` for results produced by the process
-    executor or decoded from the shard wire format
+    executor or decoded from the wire format
     (:mod:`repro.eval.serialize`) - shipping the built problem over
     IPC or between machines is not worth it; rebuild with
     :func:`build_problem` if you need it.
@@ -92,8 +92,8 @@ class EvalSummary:
     """Aggregated outcome of one scheme over many traces.
 
     Serializable via :func:`repro.eval.serialize.eval_summary_to_wire`;
-    a summary merged from shard outputs (:mod:`repro.eval.shard`) is
-    bit-identical in metrics to one computed by a serial run.
+    a summary collected from fleet work units (:mod:`repro.eval.fleet`)
+    is bit-identical in metrics to one computed by a serial run.
     """
 
     setup_label: str

@@ -131,10 +131,10 @@ def aggregate(metrics: Sequence[TraceMetrics]) -> AggregateMetrics:
 
     Zero traces carry no accuracy signal, so the aggregate of an empty
     batch is ``n_traces=0`` with NaN metrics - never the perfect score
-    an earlier revision reported (a sharded merge of empty shards would
+    an earlier revision reported (a collect of empty work units would
     have claimed precision = recall = 1.0 from no evidence).  Callers
-    that require data, such as the shard merge path, check ``n_traces``
-    and raise :class:`~repro.errors.ExperimentError`.
+    that require data, such as the fleet collect path, check
+    ``n_traces`` and raise :class:`~repro.errors.ExperimentError`.
     """
     if not metrics:
         nan = float("nan")

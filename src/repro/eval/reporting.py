@@ -2,7 +2,7 @@
 
 The benchmark harness prints these tables so ``pytest benchmarks/``
 output can be compared against the paper's figures row by row; the
-JSON helpers let the CLI's shard-merge path write a full
+JSON helpers let the CLI's ``run``/``fleet collect`` paths write a full
 :class:`ExperimentResult` to disk for downstream tooling.
 """
 

@@ -145,9 +145,8 @@ class GridHook:
       returns previously recorded ``(trace_idx, [TraceResult])`` units
       for the next call; nothing executes.
 
-    Concrete hooks live in :mod:`repro.eval.units` (the generic
-    work-unit recorders and replayer) and :mod:`repro.eval.shard` (the
-    static-shard adapters built on them).
+    Concrete hooks live in :mod:`repro.eval.units` (the fleet's
+    work-unit recorder and replayer).
     """
 
     is_replay = False
@@ -175,8 +174,8 @@ class RunnerConfig:
     measure the legacy rebuild-per-scheme behaviour.
 
     ``shard`` selects distributed execution via a :class:`GridHook`: a
-    record-side hook (:class:`~repro.eval.shard.ShardRecorder`, or the
-    fleet's :class:`~repro.eval.units.SingleUnitRecorder`) restricts
+    record-side hook (the fleet's
+    :class:`~repro.eval.units.SingleUnitRecorder`) restricts
     :func:`run_grid` to its trace-index range and captures each
     executed unit's results in wire form, while the replay-side
     :class:`~repro.eval.units.UnitReplayer` skips execution entirely
@@ -353,10 +352,10 @@ def run_grid(
     serially: pool overhead would dominate, and per-scheme timing
     experiments (fig4d) stay undistorted by worker contention.
 
-    When ``config.shard`` is set, the grid either executes only its
-    shard's contiguous index range (recording wire-format results for
-    a later merge) or replays recorded results without executing at
-    all; see :mod:`repro.eval.shard`.  Replay builds no problems and
+    When ``config.shard`` is set, the grid either executes only the
+    hook's contiguous index range (recording wire-format results for a
+    later collect) or replays recorded results without executing at
+    all; see :mod:`repro.eval.units`.  Replay builds no problems and
     runs no traces, so ``stats`` counters stay untouched on that path.
     """
     config = config or RunnerConfig()
@@ -378,7 +377,7 @@ def run_grid(
 
     shard = config.shard
     if shard is not None and shard.is_replay:
-        # Merge path: fold previously recorded wire results through the
+        # Collect path: fold previously recorded wire results through the
         # same accumulators that serial execution streams into.  Trace
         # generation already happened in the caller; nothing runs here.
         for idx, results in shard.replay_call(labels, len(traces)):

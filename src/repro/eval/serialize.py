@@ -1,6 +1,6 @@
-"""Wire codec for evaluation results (the shard layer's vocabulary).
+"""Wire codec for evaluation results (the fleet's vocabulary).
 
-A shard worker runs part of a trace batch in a separate process - or on
+A fleet worker runs part of a trace batch in a separate process - or on
 a separate machine - and must return *only* serialized results: compact,
 JSON-compatible structures that rebuild into the exact objects a local
 run would have produced.  This module is that codec.  It covers
@@ -14,7 +14,7 @@ run would have produced.  This module is that codec.  It covers
 Design rules:
 
 * **Versioned payloads.** Every top-level payload (``TraceResult``,
-  ``EvalSummary``, shard documents, broker unit results) carries the
+  ``EvalSummary``, broker unit results) carries the
   wire schema version in a ``"v"`` field; decoders reject a mismatched
   version with a clear :class:`ExperimentError` so a fleet worker on a
   stale checkout fails loudly instead of merging garbage.  A missing
@@ -23,14 +23,14 @@ Design rules:
   layout in this module changes.
 * **Bit-identical floats.** Values pass through JSON's ``repr``-based
   float formatting, which round-trips IEEE-754 doubles exactly, so a
-  merged shard run reproduces a serial run's metrics bit for bit.
+  collected fleet run reproduces a serial run's metrics bit for bit.
   NumPy scalars are coerced to native Python numbers on encode (their
   64-bit values are preserved exactly).
 * **``problem`` is dropped.** :class:`TraceResult.problem` never goes
   on the wire - the process executor already refuses to ship built
-  problems over IPC, and a shard consumer only needs predictions,
+  problems over IPC, and the collector only needs predictions,
   metrics, and timings.  Decoded results read back ``problem=None``.
-* **Compact keys.** Single-letter keys keep shard files small; each
+* **Compact keys.** Single-letter keys keep broker files small; each
   codec function documents its layout.
 
 Every decoder validates the payload shape and raises
@@ -52,7 +52,7 @@ from .harness import EvalSummary, TraceResult
 from .metrics import AggregateMetrics, TraceMetrics
 
 #: Wire schema version.  Emitted in every top-level payload this module
-#: (and the shard/broker layers on top of it) produces; checked on
+#: (and the broker layer on top of it) produces; checked on
 #: decode.  Bump on any change to the wire layouts below.
 SCHEMA_VERSION = 2
 

@@ -20,9 +20,10 @@ and scheme suites.  This module replaces the drivers with data:
   suite through :func:`~repro.eval.harness.evaluate_many` (one
   :func:`~repro.eval.runner.run_grid` call per point, in spec order),
   and emits rows.  Because the grid-call sequence is a pure function
-  of the spec, every spec-based experiment is automatically shardable
-  through :mod:`repro.eval.shard` - the recorder and replayer hook the
-  same call sequence on the worker and merge sides.
+  of the spec, every spec-based experiment is automatically
+  distributable through :mod:`repro.eval.fleet` - the work-unit
+  recorder and replayer hook the same call sequence on the worker and
+  collect sides.
 * The *experiment registry* maps names (``fig2``, ``table1-eval``,
   ...) to builder functions that produce a spec from ``(preset, seed,
   overrides)``.  :func:`run_experiment` is the front door used by the
@@ -30,7 +31,7 @@ and scheme suites.  This module replaces the drivers with data:
 
 Determinism: all randomness in a spec lives in explicit seeds (trace
 seeds, scenario sample seeds, topology omission seeds), so two runs of
-the same spec - serial, parallel, or shard-merged - produce
+the same spec - serial, parallel, or fleet-collected - produce
 bit-identical metrics.
 """
 
@@ -139,6 +140,15 @@ class ScenarioSpec:
     params: Mapping[str, object] = field(default_factory=dict)
     sampled: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
     sample_seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for name, (lo, hi) in self.sampled.items():
+            if lo >= hi:
+                raise ExperimentError(
+                    f"scenario spec {self.name!r} samples {name!r} from the "
+                    f"empty range [{lo}, {hi}); the upper bound must exceed "
+                    "the lower"
+                )
 
     def build(self, count: int) -> List[FailureScenario]:
         if not self.sampled:
@@ -382,7 +392,7 @@ def run_spec(
     ``plan_call`` peek - a point none of whose traces will execute
     (e.g. a fleet worker's unit lives in a different grid call) skips
     topology build and trace generation entirely, and probe points are
-    skipped outright (their rows are recomputed by the merge/collect
+    skipped outright (their rows are recomputed by the collect
     side, which replays recorded units and *does* run probes).  Both
     sides keep the grid-call sequence identical to a local run, so
     recorded units always line up.
@@ -490,7 +500,7 @@ class Experiment:
     parameter additionally receive a shard-free runner for build-time
     evaluation work (the table1 calibrate phase).  ``shardable`` is an
     explicit flag: probe-only and self-calibrating experiments must
-    opt out of ``--shards``.
+    opt out of ``--shards`` and ``fleet submit``.
     """
 
     name: str

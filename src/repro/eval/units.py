@@ -8,17 +8,13 @@ grid call - that any process, on any machine, can execute independently
 and whose recorded wire results fold back into the exact
 :class:`~repro.eval.spec.ExperimentResult` a serial run produces.
 
-Three consumers share this layer:
-
-* **Static shards** (:mod:`repro.eval.shard`): ``--shards N
-  --shard-index I`` + ``merge``.  A shard is the adapter case - one
-  unit per grid call, its range computed from the shard's position.
-* **The in-process sharded driver** (:func:`~repro.eval.shard.run_sharded`):
-  contiguous-range units executed locally, merged without a broker.
-* **The fleet** (:mod:`repro.eval.broker` + :mod:`repro.eval.fleet`):
-  units live as rows in a SQLite broker with a pending/leased/done/
-  failed lifecycle; workers pull one unit at a time through
-  :class:`SingleUnitRecorder` and write wire results back.
+Its one consumer is the fleet (:mod:`repro.eval.broker` +
+:mod:`repro.eval.fleet`): units live as rows in a SQLite broker with a
+pending/leased/done/failed lifecycle; workers pull one unit at a time
+through :class:`SingleUnitRecorder` and write wire results back, and
+the collector folds the units of one or more broker files (a static
+``--shards`` split writes one file per shard) through
+:class:`UnitReplayer`.
 
 The pieces:
 
@@ -29,14 +25,12 @@ The pieces:
   whose spec builder produces a different grid fails loudly.
 * :class:`WorkUnit` / :func:`plan_units` - the decomposition of a plan
   into schedulable ``(call_index, [start, stop))`` slices.
-* :class:`UnitRecorder` - the record-side grid hook base: subclasses
-  define :meth:`~UnitRecorder.call_range` (which contiguous range of
-  each call to execute) and the base handles call bookkeeping, wire
-  serialization, and the :meth:`~repro.eval.runner.GridHook.plan_call`
-  peek that lets :func:`~repro.eval.spec.run_spec` skip trace
-  generation for untouched points.
-* :class:`SingleUnitRecorder` - executes exactly one unit, validating
-  the live call sequence against the submitted plan.
+* :class:`SingleUnitRecorder` - the record-side hook: executes exactly
+  one unit, validating the live call sequence against the submitted
+  plan, serializing results through the wire codec, and answering the
+  :meth:`~repro.eval.runner.GridHook.plan_call` peek that lets
+  :func:`~repro.eval.spec.run_spec` skip trace generation for
+  untouched points.
 * :class:`UnitReplayer` - the replay-side hook: folds recorded units
   back through the runner's streaming accumulators (the same
   ``_SummaryAccumulator`` fold a serial run streams into), validating
@@ -179,58 +173,22 @@ def call_plans_from_wire(payload) -> List[CallPlan]:
 # ----------------------------------------------------------------------
 
 
-class UnitRecorder(GridHook):
-    """Record-side grid hook base (see :class:`~repro.eval.runner.GridHook`).
-
-    Subclasses define :meth:`call_range` - the contiguous trace range of
-    each grid call they execute.  The base keeps the per-call records
-    (``self.calls``, the same ``{labels, n_traces, units}`` structure
-    shard files and the broker's collector consume) and serializes each
-    executed trace unit's results through the wire codec.
-    """
-
-    is_replay = False
-
-    def __init__(self) -> None:
-        self.calls: List[Dict] = []
-
-    def call_range(
-        self, call_index: int, labels: Sequence[str], n_traces: int
-    ) -> Tuple[int, int]:
-        """The ``[start, stop)`` range this hook executes of one call."""
-        raise NotImplementedError
-
-    def plan_call(self, labels: Sequence[str], n_traces: int) -> range:
-        """Peek the next call's executed range without opening it."""
-        start, stop = self.call_range(len(self.calls), labels, n_traces)
-        return range(start, stop)
-
-    def select_call(self, labels: Sequence[str], n_traces: int) -> range:
-        """Open a new grid-call record; return the indices to execute."""
-        start, stop = self.call_range(len(self.calls), labels, n_traces)
-        self.calls.append(
-            {"labels": list(labels), "n_traces": n_traces, "units": []}
-        )
-        return range(start, stop)
-
-    def record(self, trace_idx: int, results: Sequence) -> None:
-        """Serialize one executed unit into the open call record."""
-        self.calls[-1]["units"].append(
-            [trace_idx, [trace_result_to_wire(r) for r in results]]
-        )
-
-
-class SingleUnitRecorder(UnitRecorder):
-    """Executes exactly one :class:`WorkUnit` of an experiment.
+class SingleUnitRecorder(GridHook):
+    """Record-side grid hook (see :class:`~repro.eval.runner.GridHook`)
+    that executes exactly one :class:`WorkUnit` of an experiment.
 
     Every grid call the live spec issues is validated against the
     submitted :class:`CallPlan` sequence, so a worker whose checkout
     builds a different grid (more calls, different labels or trace
     counts) fails loudly before any of its results reach the broker.
+    The per-call records (``self.calls``: ``{labels, n_traces,
+    units}``) hold each executed trace's results in wire form.
     """
 
+    is_replay = False
+
     def __init__(self, unit: WorkUnit, plan: Sequence[CallPlan]):
-        super().__init__()
+        self.calls: List[Dict] = []
         self.unit = unit
         self._plan = list(plan)
         if not 0 <= unit.call_index < len(self._plan):
@@ -267,6 +225,25 @@ class SingleUnitRecorder(UnitRecorder):
             return (0, 0)
         return (self.unit.start, self.unit.stop)
 
+    def plan_call(self, labels: Sequence[str], n_traces: int) -> range:
+        """Peek the next call's executed range without opening it."""
+        start, stop = self.call_range(len(self.calls), labels, n_traces)
+        return range(start, stop)
+
+    def select_call(self, labels: Sequence[str], n_traces: int) -> range:
+        """Open a new grid-call record; return the indices to execute."""
+        start, stop = self.call_range(len(self.calls), labels, n_traces)
+        self.calls.append(
+            {"labels": list(labels), "n_traces": n_traces, "units": []}
+        )
+        return range(start, stop)
+
+    def record(self, trace_idx: int, results: Sequence) -> None:
+        """Serialize one executed unit into the open call record."""
+        self.calls[-1]["units"].append(
+            [trace_idx, [trace_result_to_wire(r) for r in results]]
+        )
+
     def unit_payload(self) -> Dict:
         """The executed unit's results as a broker-storable document.
 
@@ -280,7 +257,10 @@ class SingleUnitRecorder(UnitRecorder):
                 f"submitted plan recorded {len(self._plan)}; this worker's "
                 "checkout no longer matches the broker's submitter"
             )
-        units = self.calls[self.unit.call_index]["units"]
+        # A process or thread pool records traces in completion order.
+        units = sorted(
+            self.calls[self.unit.call_index]["units"], key=lambda e: e[0]
+        )
         covered = [entry[0] for entry in units]
         if covered != list(range(self.unit.start, self.unit.stop)):
             raise ExperimentError(
@@ -368,18 +348,6 @@ class UnitReplayer(GridHook):
 # ----------------------------------------------------------------------
 
 
-def check_call_coverage(
-    call_index: int, n_traces: int, units: Sequence, what: str
-) -> None:
-    """Require sorted units to cover ``0..n_traces-1`` exactly once."""
-    covered = [entry[0] for entry in units]
-    if covered != list(range(n_traces)):
-        raise ExperimentError(
-            f"grid call {call_index} has incomplete {what} coverage: "
-            f"expected traces 0..{n_traces - 1}, got {covered}"
-        )
-
-
 def assemble_calls(
     plan: Sequence[CallPlan],
     unit_results: Sequence[Tuple[WorkUnit, Sequence]],
@@ -407,7 +375,12 @@ def assemble_calls(
     total_units = 0
     for call_index, (p, call) in enumerate(zip(plan, calls)):
         call["units"].sort(key=lambda entry: entry[0])
-        check_call_coverage(call_index, p.n_traces, call["units"], "unit")
+        covered = [entry[0] for entry in call["units"]]
+        if covered != list(range(p.n_traces)):
+            raise ExperimentError(
+                f"grid call {call_index} has incomplete unit coverage: "
+                f"expected traces 0..{p.n_traces - 1}, got {covered}"
+            )
         total_units += len(call["units"])
     if calls and total_units == 0:
         raise ExperimentError(

@@ -100,6 +100,16 @@ class TestUnitModel:
         with pytest.raises(ExperimentError, match="unit execution incomplete"):
             rec.unit_payload()
 
+    def test_unit_payload_accepts_completion_order(self):
+        # A process or thread pool records a unit's traces as they
+        # finish; the payload is still the unit's full range, in order.
+        rec = SingleUnitRecorder(WorkUnit(0, 0, 2), PLAN)
+        rec.select_call(["a", "b"], 3)
+        rec.record(1, [])
+        rec.record(0, [])
+        rec.select_call(["a"], 2)
+        assert [entry[0] for entry in rec.unit_payload()["u"]] == [0, 1]
+
     def test_assemble_calls_requires_exact_coverage(self):
         results = [(WorkUnit(0, 0, 2), [[0, []], [1, []]])]
         with pytest.raises(ExperimentError, match="incomplete unit coverage"):
@@ -435,11 +445,10 @@ class TestFleetEvaluation:
 
     def test_worker_rejects_nested_shard(self, tmp_path):
         from repro.eval.runner import RunnerConfig
-        from repro.eval.shard import ShardRecorder, ShardSpec
 
         path = tmp_path / "b.db"
         fleet.submit(path, "fig2", preset="tiny")
-        nested = RunnerConfig(shard=ShardRecorder(ShardSpec(0, 1)))
+        nested = RunnerConfig(shard=SingleUnitRecorder(WorkUnit(0, 0, 1), PLAN))
         with pytest.raises(ExperimentError, match="cannot nest"):
             fleet.work(path, runner=nested)
         with pytest.raises(ExperimentError, match="cannot nest"):
@@ -566,12 +575,12 @@ class TestCliValidation:
         assert "jobs must be >= 1, got -2" in capsys.readouterr().err
 
     def test_merge_rejects_duplicate_shard_files(self, tmp_path, capsys):
-        shard = tmp_path / "s0.json"
-        shard.write_text("{}")
-        assert main(["merge", str(shard), str(shard)]) == 2
+        shard = tmp_path / "s0.db"
+        fleet.submit(shard, "fig2", preset="tiny", shard=(0, 2))
+        assert main(["fleet", "collect", str(shard), str(shard)]) == 2
         err = capsys.readouterr().err
-        assert "duplicate shard file" in err and "s0.json" in err
+        assert "duplicate broker file" in err and "s0.db" in err
         # The same file under two spellings is still a duplicate.
-        alias = tmp_path / "sub" / ".." / "s0.json"
-        assert main(["merge", str(shard), str(alias)]) == 2
-        assert "duplicate shard file" in capsys.readouterr().err
+        alias = tmp_path / "sub" / ".." / "s0.db"
+        assert main(["fleet", "collect", str(shard), str(alias)]) == 2
+        assert "duplicate broker file" in capsys.readouterr().err

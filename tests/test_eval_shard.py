@@ -1,7 +1,14 @@
-"""Tests for the shard layer: codec round-trips, shard determinism,
-merge validation, and the CLI worker/merge path."""
+"""Tests for static shards over the fleet: a shard is a private broker
+file holding a balanced contiguous slice of an experiment's work units,
+and ``fleet.collect`` folds the shard files into the full result.  Also
+the wire codec the brokers store results in, shard determinism (any
+shard count, any collect order, subprocess shards, the process
+executor), collect validation, and the ``run --shards`` CLI path."""
 
 import json
+import os
+import shutil
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -9,15 +16,22 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.b007 import Vote007
+from repro.cli import main
 from repro.core.flock import FlockInference
 from repro.core.params import DEFAULT_PER_PACKET
 from repro.errors import ExperimentError
+from repro.eval import fleet
+from repro.eval.broker import Broker
 from repro.eval.harness import SchemeSetup, evaluate
-from repro.eval.runner import RunnerConfig, run_grid
+from repro.eval.metrics import TraceMetrics
+from repro.eval.reporting import load_result
+from repro.eval.runner import RunnerConfig
 from repro.eval.scenarios import make_trace_batch
 from repro.eval.serialize import (
+    SCHEMA_VERSION,
     eval_summary_from_wire,
     eval_summary_to_wire,
+    payload_checksum,
     prediction_from_wire,
     prediction_to_wire,
     trace_metrics_from_wire,
@@ -25,21 +39,23 @@ from repro.eval.serialize import (
     trace_result_from_wire,
     trace_result_to_wire,
 )
-from repro.eval.shard import (
-    ShardRecorder,
-    ShardReplayer,
-    ShardSpec,
-    merge_payloads,
-    merge_shards,
-    run_sharded,
-    shard_bounds,
+from repro.eval.spec import build_experiment_spec, run_experiment, run_spec
+from repro.eval.units import (
+    CallPlan,
+    SingleUnitRecorder,
+    UnitReplayer,
+    WorkUnit,
+    assemble_calls,
+    plan_units,
 )
-from repro.eval.metrics import TraceMetrics
 from repro.simulation.failures import SilentLinkDrops
 from repro.telemetry.inputs import TelemetryConfig
 from repro.types import Prediction
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+META = {"experiment": "fig2", "preset": "tiny", "seed": None,
+        "scheme": None, "overrides": {}}
 
 
 @pytest.fixture(scope="module")
@@ -65,23 +81,71 @@ def suite():
     ]
 
 
-def assert_metrics_identical(serial, merged):
-    """Bit-identical metrics + predictions (timings are fresh per run)."""
-    assert set(serial) == set(merged)
-    for label, expected in serial.items():
-        got = merged[label]
-        assert got.accuracy == expected.accuracy, label
-        assert len(got.per_trace) == len(expected.per_trace)
-        for a, b in zip(expected.per_trace, got.per_trace):
-            assert a.prediction == b.prediction
-            assert a.metrics == b.metrics
+def run_shards(workdir, n_shards, runner=None, experiment="fig2", **submit):
+    """Submit and drain every shard of a tiny-preset experiment, each
+    into its own broker file; return the files in shard order."""
+    paths = []
+    for index in range(n_shards):
+        path = Path(workdir) / f"{experiment}-s{index}of{n_shards}.db"
+        fleet.submit(
+            path, experiment, preset="tiny", shard=(index, n_shards), **submit
+        )
+        fleet.work(path, runner=runner, wait=False)
+        paths.append(path)
+    return paths
+
+
+def tampered_copy(path, workdir, sql, *params):
+    """A copy of a broker file with one SQL statement applied."""
+    copy = Path(workdir) / f"tampered-{Path(path).name}"
+    shutil.copy(path, copy)
+    conn = sqlite3.connect(copy)
+    conn.execute(sql, params)
+    conn.commit()
+    conn.close()
+    return copy
+
+
+def rewrite_first_payload(path, workdir, corrupt):
+    """A copy of a broker file whose first stored unit payload went
+    through ``corrupt`` and was re-checksummed - a structurally wrong
+    payload that passes the checksum audit (another checkout's wire
+    layout, a hand edit).  ``corrupt`` edits the decoded payload in
+    place; a value it returns replaces the payload instead."""
+    conn = sqlite3.connect(path)
+    unit_id, payload = conn.execute(
+        "SELECT unit_id, payload FROM results ORDER BY unit_id LIMIT 1"
+    ).fetchone()
+    conn.close()
+    doc = json.loads(payload)
+    replacement = corrupt(doc)
+    text = json.dumps(doc if replacement is None else replacement)
+    return tampered_copy(
+        path, workdir,
+        "UPDATE results SET payload = ?, checksum = ? WHERE unit_id = ?",
+        text, payload_checksum(text), unit_id,
+    )
+
+
+@pytest.fixture(scope="module")
+def serial():
+    return run_experiment("fig2", preset="tiny")
+
+
+@pytest.fixture(scope="module")
+def shard_files(tmp_path_factory):
+    """Two finished shard brokers of fig2 at the tiny preset."""
+    return run_shards(tmp_path_factory.mktemp("shards"), 2)
 
 
 class TestShardBounds:
     @pytest.mark.parametrize("n_items", [0, 1, 2, 5, 16, 17])
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 7])
     def test_contiguous_balanced_cover(self, n_items, n_shards):
-        bounds = shard_bounds(n_items, n_shards)
+        bounds = [
+            fleet._shard_range(n_items, index, n_shards)
+            for index in range(n_shards)
+        ]
         assert len(bounds) == n_shards
         assert bounds[0][0] == 0 and bounds[-1][1] == n_items
         for (_, stop), (start, _) in zip(bounds, bounds[1:]):
@@ -89,17 +153,33 @@ class TestShardBounds:
         sizes = [stop - start for start, stop in bounds]
         assert max(sizes) - min(sizes) <= 1
 
-    def test_spec_bounds_match(self):
-        for i in range(3):
-            assert ShardSpec(i, 3).bounds(7) == shard_bounds(7, 3)[i]
-
     def test_validation(self):
-        with pytest.raises(ExperimentError):
-            shard_bounds(4, 0)
-        with pytest.raises(ExperimentError):
-            ShardSpec(2, 2)
-        with pytest.raises(ExperimentError):
-            ShardSpec(-1, 2)
+        with pytest.raises(ExperimentError, match="count must be >= 1"):
+            fleet._shard_range(4, 0, 0)
+        with pytest.raises(ExperimentError, match=r"index must be in \[0, 2\)"):
+            fleet._shard_range(4, 2, 2)
+        with pytest.raises(ExperimentError, match=r"index must be in \[0, 2\)"):
+            fleet._shard_range(4, -1, 2)
+
+    def test_submit_enqueues_its_slice(self, shard_files):
+        _, units = plan_units(build_experiment_spec("fig2", preset="tiny"))
+        enqueued = []
+        for path in shard_files:
+            with Broker.open(path) as broker:
+                row = broker.resolve_experiment(None)
+                enqueued.append(broker.enqueued_units(row.id))
+                # The stored call plan is the full plan, not the slice.
+                assert len(broker.plan()) == 2
+        assert [len(part) for part in enqueued] == [4, 4]
+        assert enqueued[0] + enqueued[1] == units
+
+    def test_empty_slice_rejected(self, tmp_path):
+        # fig4d evaluates one trace at the tiny preset: a second shard
+        # would hold nothing, and must say so instead of exiting 0.
+        with pytest.raises(ExperimentError, match="shard 1 of 2 covers no"):
+            fleet.submit(tmp_path / "e.db", "fig4d", preset="tiny",
+                         shard=(1, 2))
+        assert not (tmp_path / "e.db").exists()
 
 
 class TestCodec:
@@ -208,218 +288,285 @@ class TestCodec:
 
 
 class TestShardDeterminism:
-    @pytest.fixture(scope="class")
-    def serial(self, traces):
-        return run_grid(suite(), traces, RunnerConfig())
-
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 7])
-    def test_any_shard_count_matches_serial(self, traces, serial, n_shards):
-        # n_shards=7 > n_traces=5 exercises empty shards too.
-        assert_metrics_identical(serial, run_sharded(suite(), traces, n_shards))
+    def test_any_shard_count_matches_serial(self, tmp_path, serial, n_shards):
+        # n_shards=7 over fig2's 8 tiny-preset units gives 1-unit shards.
+        paths = run_shards(tmp_path, n_shards)
+        assert fleet.collect(*paths).rows == serial.rows
+        assert fleet.collect(*reversed(paths)).rows == serial.rows
 
-    def test_any_merge_order_matches_serial(self, traces, serial):
-        recorders = []
-        for index in range(3):
-            recorder = ShardRecorder(ShardSpec(index, 3))
-            run_grid(suite(), traces, RunnerConfig(shard=recorder))
-            recorders.append(recorder)
-        payloads = [r.payload() for r in recorders]
+    def test_any_merge_order_matches_serial(self, tmp_path, serial):
+        paths = run_shards(tmp_path, 3)
         for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]):
-            merged = merge_shards(
-                suite(), traces, [payloads[i] for i in order]
+            collected = fleet.collect(*[paths[i] for i in order])
+            assert collected.rows == serial.rows
+
+    def test_subprocess_shards_match_serial(self, tmp_path, serial):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro", "run", "fig2",
+                 "--preset", "tiny", "--shards", "2",
+                 "--shard-index", str(index), "--out", f"s{index}.db"],
+                cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
             )
-            assert_metrics_identical(serial, merged)
+            for index in range(2)
+        ]
+        for worker in workers:
+            _, err = worker.communicate(timeout=600)
+            assert worker.returncode == 0, err
+        collected = fleet.collect(tmp_path / "s1.db", tmp_path / "s0.db")
+        assert collected.rows == serial.rows
 
-    def test_subprocess_shards_match_serial(self, traces, serial):
-        merged = run_sharded(suite(), traces, 2, shard_jobs=2)
-        assert_metrics_identical(serial, merged)
+    def test_shard_results_are_json_serializable(self, shard_files):
+        conn = sqlite3.connect(shard_files[0])
+        payloads = [
+            json.loads(text)
+            for (text,) in conn.execute("SELECT payload FROM results")
+        ]
+        conn.close()
+        assert len(payloads) == 4
+        for payload in payloads:
+            assert payload["v"] == SCHEMA_VERSION
+            assert payload["u"] and all(results for _, results in payload["u"])
 
-    def test_shard_results_are_json_serializable(self, traces):
-        recorder = ShardRecorder(ShardSpec(0, 2))
-        run_grid(suite(), traces, RunnerConfig(shard=recorder))
-        payload = json.loads(json.dumps(recorder.payload()))
-        assert payload["format"] == "flock-shard-v1"
-        assert all(call["units"] for call in payload["calls"])
-
-    def test_composes_with_process_executor(self, traces, serial):
-        merged = run_sharded(
-            suite(), traces, 2, RunnerConfig(executor="process", jobs=2)
+    def test_composes_with_process_executor(self, tmp_path, serial):
+        # Four-trace units, so each unit's grid really uses the pool.
+        paths = run_shards(
+            tmp_path, 2, runner=RunnerConfig(executor="process", jobs=2),
+            unit_traces=4,
         )
-        assert_metrics_identical(serial, merged)
+        assert fleet.collect(*paths).rows == serial.rows
 
 
 class TestMergeValidation:
-    @pytest.fixture(scope="class")
-    def payloads(self, traces):
-        out = []
-        for index in range(2):
-            recorder = ShardRecorder(ShardSpec(index, 2))
-            run_grid(suite(), traces, RunnerConfig(shard=recorder))
-            out.append(recorder.payload(experiment="demo", preset="ci", seed=1))
-        return out
-
     def test_empty_merge_rejected(self):
-        with pytest.raises(ExperimentError, match="no shard payloads"):
-            merge_payloads([])
+        with pytest.raises(ExperimentError, match="at least one broker file"):
+            fleet.collect()
 
-    def test_incomplete_shard_set_rejected(self, payloads):
-        with pytest.raises(ExperimentError, match="incomplete or duplicated"):
-            merge_payloads(payloads[:1])
+    def test_incomplete_shard_set_rejected(self, shard_files):
+        with pytest.raises(ExperimentError, match="incomplete unit coverage"):
+            fleet.collect(shard_files[0])
 
-    def test_duplicated_shard_rejected(self, payloads):
-        with pytest.raises(ExperimentError, match="incomplete or duplicated"):
-            merge_payloads([payloads[0], payloads[0]])
+    def test_duplicated_shard_rejected(self, shard_files, tmp_path):
+        # A byte-for-byte copy under another name: only the coverage
+        # check can tell it from the missing shard 1.
+        copy = tmp_path / "copy.db"
+        shutil.copy(shard_files[0], copy)
+        with pytest.raises(ExperimentError, match="incomplete unit coverage"):
+            fleet.collect(shard_files[0], copy)
 
-    def test_mismatched_meta_rejected(self, payloads):
-        other = dict(payloads[1])
-        other["seed"] = 999
+    def test_mismatched_meta_rejected(self, shard_files, tmp_path):
+        other = tampered_copy(
+            shard_files[1], tmp_path, "UPDATE experiments SET meta = ?",
+            json.dumps({**META, "seed": 999}),
+        )
         with pytest.raises(ExperimentError, match="disagree on 'seed'"):
-            merge_payloads([payloads[0], other])
+            fleet.collect(shard_files[0], other)
+        other = tampered_copy(
+            shard_files[1], tmp_path, "UPDATE experiments SET meta = ?",
+            json.dumps({**META, "overrides": {"n_traces": 4}}),
+        )
+        with pytest.raises(ExperimentError, match="disagree on 'overrides'"):
+            fleet.collect(shard_files[0], other)
 
-    def test_coverage_gap_rejected(self, payloads):
-        tampered = json.loads(json.dumps(payloads[1]))
-        tampered["calls"][0]["units"].pop()
-        with pytest.raises(ExperimentError, match="incomplete shard coverage"):
-            merge_payloads([payloads[0], tampered])
+    def test_coverage_gap_rejected(self, shard_files, tmp_path):
+        # Shard 0 of 2 covers units 0-3, shard 2 of 3 units 6-7: the
+        # units 4-5 of neither file leave call 1 short.
+        third = run_shards(tmp_path, 3)[2]
+        with pytest.raises(ExperimentError, match="incomplete unit coverage"):
+            fleet.collect(shard_files[0], third)
 
-    def test_wrong_format_rejected(self, payloads):
-        bad = dict(payloads[0])
-        bad["format"] = "something-else"
-        with pytest.raises(ExperimentError, match="not a flock-shard"):
-            merge_payloads([bad, payloads[1]])
+    def test_wrong_format_rejected(self, shard_files, tmp_path):
+        bad = tampered_copy(
+            shard_files[0], tmp_path,
+            "UPDATE meta SET value = ? WHERE key = 'format'",
+            json.dumps("something-else"),
+        )
+        with pytest.raises(ExperimentError, match="not a flock-broker"):
+            fleet.collect(bad, shard_files[1])
 
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda p: p.pop("shard_index"),
-            lambda p: p.update(shard_index="zero"),
-            lambda p: p.pop("calls"),
-            lambda p: p.update(calls={"not": "a list"}),
-            lambda p: p["calls"][0].pop("units"),
-            lambda p: p["calls"][0]["units"].append(["bad-idx", []]),
-            lambda p: p["calls"][0]["units"].append([0]),
-            lambda p: p["calls"][0]["units"].append([0, 5]),
+            lambda p: p.__delitem__("u"),
+            lambda p: p.update(u="zero"),
+            lambda p: p.update(v=SCHEMA_VERSION + 1),
+            lambda p: p.update(u={"not": "a list"}),
+            lambda p: p["u"].append(["bad-idx", []]),
+            lambda p: p["u"].append([0]),
+            lambda p: p["u"].append([0, 5]),
+            lambda p: p["u"][0][1].__setitem__(0, {"nope": 1}),
         ],
     )
-    def test_structurally_malformed_payload_rejected(self, payloads, corrupt):
-        # Truncated or hand-edited shard files must fail as
-        # ExperimentError (clean CLI error), never TypeError/KeyError.
-        tampered = json.loads(json.dumps(payloads[0]))
-        corrupt(tampered)
+    def test_structurally_malformed_payload_rejected(
+        self, shard_files, tmp_path, corrupt
+    ):
+        # Malformed stored results must fail as ExperimentError (clean
+        # CLI error), never TypeError/KeyError.
+        tampered = rewrite_first_payload(shard_files[0], tmp_path, corrupt)
         with pytest.raises(ExperimentError):
-            merge_payloads([tampered, payloads[1]])
+            fleet.collect(tampered, shard_files[1])
 
-    def test_non_dict_payload_rejected(self):
-        with pytest.raises(ExperimentError, match="must be an object"):
-            merge_payloads([["not", "a", "dict"]])
+    def test_non_dict_payload_rejected(self, shard_files, tmp_path):
+        tampered = rewrite_first_payload(
+            shard_files[0], tmp_path, lambda p: ["not", "a", "dict"]
+        )
+        with pytest.raises(ExperimentError, match="malformed unit result"):
+            fleet.collect(tampered, shard_files[1])
 
-    def test_zero_trace_merge_rejected(self):
-        # Every shard recorded zero-trace grids: merging must refuse to
-        # report metrics instead of claiming a vacuous perfect score.
-        payload = ShardRecorder(ShardSpec(0, 1)).payload()
-        payload["calls"] = [{"labels": ["x (A2)"], "n_traces": 0, "units": []}]
+    def test_zero_trace_merge_rejected(self, tmp_path):
+        # A broker refuses to journal an experiment without work units,
+        # and one edited down to zero-trace grid calls must still refuse
+        # to report metrics instead of claiming a vacuous perfect score.
+        with pytest.raises(ExperimentError, match="no work units"):
+            Broker.create(tmp_path / "empty.db", META,
+                          [CallPlan(labels=("x (A2)",), n_traces=0)], [])
+        path = tmp_path / "z.db"
+        Broker.create(path, META, [CallPlan(labels=("x (A2)",), n_traces=1)],
+                      [WorkUnit(0, 0, 1)]).close()
+        conn = sqlite3.connect(path)
+        conn.execute("DELETE FROM units")
+        conn.execute("UPDATE experiments SET plan = ?",
+                     (json.dumps([{"labels": ["x (A2)"], "n": 0}]),))
+        conn.commit()
+        conn.close()
         with pytest.raises(ExperimentError, match="no evaluated traces"):
-            merge_payloads([payload])
+            fleet.collect(path)
 
-    def test_replay_shape_mismatch_rejected(self, traces, payloads):
-        wrong_setups = suite()[:1]
+    def test_replay_shape_mismatch_rejected(self, shard_files, tmp_path):
+        # Both files agree on a plan that is not the live spec's grid.
+        plan = json.dumps([{"labels": ["Other (A2)"], "n": 4}] * 2)
+        tampered = [
+            tampered_copy(path, tmp_path, "UPDATE experiments SET plan = ?", plan)
+            for path in shard_files
+        ]
         with pytest.raises(ExperimentError, match="shard replay mismatch"):
-            merge_shards(wrong_setups, traces, payloads)
+            fleet.collect(*tampered)
 
-    def test_replay_exhaustion_rejected(self, traces, payloads):
-        calls, _meta = merge_payloads(payloads)
-        replayer = ShardReplayer(calls)
-        config = RunnerConfig(shard=replayer)
-        run_grid(suite(), traces, config)
+    @pytest.fixture
+    def calls(self, shard_files):
+        unit_results = []
+        for path in shard_files:
+            with Broker.open(path) as broker:
+                plan = broker.plan()
+                unit_results.extend(broker.results())
+        return assemble_calls(plan, unit_results)
+
+    def test_replay_exhaustion_rejected(self, calls):
+        spec = build_experiment_spec("fig2", preset="tiny")
+        config = RunnerConfig(shard=UnitReplayer(calls))
+        run_spec(spec, config)
         with pytest.raises(ExperimentError, match="replay exhausted"):
-            run_grid(suite(), traces, config)
+            run_spec(spec, config)
 
-    def test_unconsumed_calls_rejected(self, traces, payloads):
-        # The opposite direction: shards recorded more grid calls than
-        # the (since-edited) driver replays; silence would mean a
-        # complete-looking but partial merged result.
-        extra = [json.loads(json.dumps(p)) for p in payloads]
-        for payload in extra:
-            payload["calls"].append(payload["calls"][0])
+    def test_unconsumed_calls_rejected(self, calls):
+        # The opposite direction: the files recorded more grid calls
+        # than the (since-edited) driver replays; silence would mean a
+        # complete-looking but partial collected result.
+        replayer = UnitReplayer(calls + [calls[0]])
+        run_spec(
+            build_experiment_spec("fig2", preset="tiny"),
+            RunnerConfig(shard=replayer),
+        )
         with pytest.raises(ExperimentError, match="replay incomplete"):
-            merge_shards(suite(), traces, extra)
+            replayer.assert_exhausted()
 
-    def test_nested_sharding_rejected(self, traces):
-        config = RunnerConfig(shard=ShardRecorder(ShardSpec(0, 2)))
+    def test_nested_sharding_rejected(self, shard_files):
+        nested = RunnerConfig(shard=SingleUnitRecorder(
+            WorkUnit(0, 0, 1), [CallPlan(labels=("a",), n_traces=1)]
+        ))
         with pytest.raises(ExperimentError, match="cannot nest"):
-            run_sharded(suite(), traces, 2, config)
+            fleet.collect(*shard_files, runner=nested)
 
 
 class TestCliValidation:
     def test_shards_requires_index_and_out(self, capsys):
-        from repro.cli import main
-
         assert main(["run", "fig2", "--shards", "2"]) == 2
         assert "requires --shard-index" in capsys.readouterr().err
 
     def test_shard_flags_require_shards(self, capsys):
-        from repro.cli import main
-
         assert main(["run", "fig2", "--shard-index", "0"]) == 2
         assert "only valid with --shards" in capsys.readouterr().err
 
     def test_unshardable_experiment_rejected(self, capsys, tmp_path):
-        from repro.cli import main
-
         code = main([
             "run", "table1", "--shards", "2", "--shard-index", "0",
             "--out", str(tmp_path / "s.json"),
         ])
         assert code == 2
         assert "cannot be sharded" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_empty_shard_slice_rejected(self, capsys, tmp_path):
+        code = main([
+            "run", "fig4d", "--preset", "tiny", "--shards", "2",
+            "--shard-index", "1", "--out", str(tmp_path / "s1.db"),
+        ])
+        assert code == 2
+        assert "shard 1 of 2 covers no work units" in capsys.readouterr().err
 
     def test_merge_rejects_non_shard_file(self, capsys, tmp_path):
-        from repro.cli import main
-
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"format": "flock-trace-v1"}))
-        assert main(["merge", str(bogus)]) == 2
-        assert "not a flock-shard" in capsys.readouterr().err
+        # A JSON shard document from before shards became broker files
+        # cannot be collected.
+        legacy = tmp_path / "s0.json"
+        legacy.write_text(json.dumps({
+            "format": "flock-shard-v1", "shard_index": 0, "n_shards": 1,
+            "calls": [], "experiment": "fig2", "preset": "ci", "seed": None,
+        }))
+        assert main(["fleet", "collect", str(legacy)]) == 2
+        assert "is not a broker database" in capsys.readouterr().err
 
     def test_merge_rejects_unshardable_experiment_fast(self, capsys, tmp_path):
-        # Hand-crafted shard files naming a no-runner experiment must
-        # fail before any (possibly minutes-long) re-execution starts.
-        from repro.cli import main
-
-        shard = tmp_path / "fig4c.json"
-        shard.write_text(json.dumps({
-            "format": "flock-shard-v1", "shard_index": 0, "n_shards": 1,
-            "calls": [], "experiment": "fig4c", "preset": "ci", "seed": None,
-        }))
-        assert main(["merge", str(shard)]) == 2
+        # A hand-made broker naming a no-runner experiment must fail
+        # before any (possibly minutes-long) re-execution starts.
+        path = tmp_path / "fig4c.db"
+        Broker.create(path, {**META, "experiment": "fig4c"},
+                      [CallPlan(labels=("a",), n_traces=1)],
+                      [WorkUnit(0, 0, 1)]).close()
+        assert main(["fleet", "collect", str(path)]) == 2
         assert "not shardable" in capsys.readouterr().err
 
     def test_merge_rejects_unreadable_file(self, capsys, tmp_path):
         # The CLI contract: package errors print `repro-flock: error:`
         # and exit 2, never a traceback.
-        from repro.cli import main
-
-        garbled = tmp_path / "garbled.json"
-        garbled.write_text("not json at all")
-        assert main(["merge", str(garbled)]) == 2
-        assert "cannot read shard file" in capsys.readouterr().err
-        assert main(["merge", str(tmp_path / "missing.json")]) == 2
-        assert "cannot read shard file" in capsys.readouterr().err
-        binary = tmp_path / "binary.json"
+        garbled = tmp_path / "garbled.db"
+        garbled.write_text("not a database at all")
+        assert main(["fleet", "collect", str(garbled)]) == 2
+        assert "is not a broker database" in capsys.readouterr().err
+        assert main(["fleet", "collect", str(tmp_path / "missing.db")]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        binary = tmp_path / "binary.db"
         binary.write_bytes(b"\xff\xfe\x00\x01")
-        assert main(["merge", str(binary)]) == 2
-        assert "cannot read shard file" in capsys.readouterr().err
+        assert main(["fleet", "collect", str(binary)]) == 2
+        assert "is not a broker database" in capsys.readouterr().err
+
+    def test_collect_rejects_bad_shard_sets(self, capsys, tmp_path, shard_files):
+        s0, s1 = (str(path) for path in shard_files)
+        assert main(["fleet", "collect", s0]) == 2  # shard 1 missing
+        assert "incomplete unit coverage" in capsys.readouterr().err
+        assert main(["fleet", "collect", s0, s1, s0]) == 2
+        assert "duplicate broker file" in capsys.readouterr().err
+        seeded = tmp_path / "seeded.db"
+        assert main(["run", "fig2", "--preset", "tiny", "--seed", "5",
+                     "--shards", "2", "--shard-index", "1",
+                     "--out", str(seeded)]) == 0
+        assert main(["fleet", "collect", s0, str(seeded)]) == 2
+        assert "disagree on 'seed'" in capsys.readouterr().err
+        unfinished = tmp_path / "unfinished.db"
+        fleet.submit(unfinished, "fig2", preset="tiny", shard=(1, 2))
+        assert main(["fleet", "collect", s0, str(unfinished)]) == 2
+        assert "unfinished fleet" in capsys.readouterr().err
 
 
 class TestCliEndToEnd:
-    """The acceptance path: fig2 split into 2 OS-process shards, merged
-    via the CLI, bit-identical (metrics) to the serial run."""
+    """The acceptance path: fig2 split into 2 OS-process shards, each
+    its own broker file, collected via the CLI in reverse order,
+    bit-identical (metrics) to the serial run."""
 
     def _cli(self, *argv, cwd):
-        import os
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "repro", *argv],
             cwd=cwd, env=env,
@@ -429,22 +576,19 @@ class TestCliEndToEnd:
         return proc.stdout
 
     def test_fig2_two_process_shards_merge_bit_identical(self, tmp_path):
-        from repro.eval.experiments import fig2_tradeoff
-        from repro.eval.reporting import load_result
-
         for index in range(2):
             out = self._cli(
                 "run", "fig2", "--preset", "ci",
                 "--shards", "2", "--shard-index", str(index),
-                "--out", f"s{index}.json",
+                "--out", f"s{index}.db",
                 cwd=tmp_path,
             )
             assert f"shard {index + 1}/2 of fig2" in out
         self._cli(
-            "merge", "s0.json", "s1.json", "--out", "merged.json",
+            "fleet", "collect", "s1.db", "s0.db", "--out", "merged.json",
             cwd=tmp_path,
         )
         merged = load_result(tmp_path / "merged.json")
-        serial = fig2_tradeoff(preset="ci")
+        serial = run_experiment("fig2", preset="ci")
         assert merged.experiment == "fig2"
         assert merged.rows == serial.rows

@@ -1,14 +1,14 @@
 """Registry-wide spec tests: every registered experiment must run at
 the tiny preset, and every experiment not flagged unshardable must
-shard-merge bit-identically in metrics (2 shards == serial), including
-the two-phase table1 eval phase fed by a saved calibrate-phase result."""
+collect bit-identically in metrics from private shard brokers (2 shards
+== serial), including the two-phase table1 eval phase fed by a saved
+calibrate-phase result."""
 
 import pytest
 
 from repro.errors import ExperimentError
+from repro.eval import fleet
 from repro.eval.reporting import save_result
-from repro.eval.runner import RunnerConfig
-from repro.eval.shard import ShardRecorder, ShardReplayer, ShardSpec, merge_payloads
 from repro.eval.spec import (
     ExperimentSpec,
     GridPoint,
@@ -24,6 +24,7 @@ from repro.eval.spec import (
     run_spec,
     shardable_experiment_names,
 )
+from repro.eval.units import plan_units
 
 #: Columns whose values are wall-clock measurements: fresh on every
 #: run, so excluded from the bit-identical comparison (the *metrics*
@@ -52,53 +53,41 @@ def experiment_overrides(name, calibration_file):
     return {}
 
 
-def run_sharded_experiment(name, n_shards, overrides):
-    """Record every shard in-process, then merge through the replayer."""
-    payloads = []
+def collect_shards(name, n_shards, overrides, workdir):
+    """Run every shard into its own broker file, then collect the files
+    (in reverse order: collection must not depend on it)."""
+    paths = []
     for index in range(n_shards):
-        recorder = ShardRecorder(ShardSpec(index, n_shards))
-        run_experiment(
-            name,
-            preset="tiny",
-            runner=RunnerConfig(shard=recorder),
-            overrides=overrides,
+        path = workdir / f"{name}-s{index}.db"
+        fleet.submit(
+            path, name, preset="tiny", overrides=overrides,
+            shard=(index, n_shards),
         )
-        payloads.append(
-            recorder.payload(
-                experiment=name, preset="tiny", seed=None,
-                scheme=None, overrides=overrides,
-            )
-        )
-    calls, meta = merge_payloads(payloads)
-    assert meta["experiment"] == name
-    replayer = ShardReplayer(calls)
-    result = run_experiment(
-        name,
-        preset="tiny",
-        runner=RunnerConfig(shard=replayer),
-        overrides=meta["overrides"],
-    )
-    replayer.assert_exhausted()
-    return result
+        fleet.work(path, wait=False)
+        paths.append(path)
+    return fleet.collect(*reversed(paths))
 
 
 @pytest.mark.parametrize("name", experiment_names())
-def test_registry_experiment_runs_and_shards(name, calibration_file):
-    """Serial tiny run for every experiment; serial == 2-shard merge
-    for every shardable one."""
+def test_registry_experiment_runs_and_shards(name, calibration_file, tmp_path):
+    """Serial tiny run for every experiment; serial == 2-shard collect
+    for every shardable one (one shard where the tiny preset has a
+    single work unit)."""
     overrides = experiment_overrides(name, calibration_file)
     serial = run_experiment(name, preset="tiny", overrides=overrides)
     assert serial.experiment == name
     assert serial.rows, f"{name} produced no rows at the tiny preset"
     if not get_experiment(name).shardable:
         return
-    merged = run_sharded_experiment(name, n_shards=2, overrides=overrides)
-    assert drop_timings(merged.rows) == drop_timings(serial.rows)
+    spec = build_experiment_spec(name, preset="tiny", overrides=overrides)
+    n_shards = min(2, len(plan_units(spec)[1]))
+    collected = collect_shards(name, n_shards, overrides, tmp_path)
+    assert drop_timings(collected.rows) == drop_timings(serial.rows)
 
 
 def test_spec_builders_are_deterministic(calibration_file):
     """Two builds of the same (name, preset, seed, overrides) must be
-    identical - sharding relies on every worker and the merge seeing
+    identical - sharding relies on every worker and the collector seeing
     the same grid-call sequence."""
     for name in shardable_experiment_names():
         overrides = experiment_overrides(name, calibration_file)

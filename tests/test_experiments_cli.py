@@ -8,7 +8,6 @@ from repro.cli import build_parser, main, parse_overrides
 from repro.core.params import DEFAULT_PER_PACKET
 from repro.errors import ExperimentError, InferenceError, SimulationError
 from repro.eval.experiments import (
-    fig6_worked_example,
     omit_grid_seeds,
     standard_scheme_suite,
     standard_topology,
@@ -34,6 +33,7 @@ from repro.eval.spec import (
     experiment_names,
     get_experiment,
     register_experiment,
+    run_experiment,
     shardable_experiment_names,
 )
 from repro.simulation.failures import (
@@ -46,7 +46,7 @@ from repro.simulation.failures import (
 
 class TestFig6:
     def test_flock_pinpoints_failed_link(self):
-        result = fig6_worked_example()
+        result = run_experiment("fig6")
         by_scheme = {row["scheme"]: row for row in result.rows}
         assert by_scheme["Flock"]["correct_only"]
         assert by_scheme["Flock"]["predicted"] == ["I2<->D2"]
@@ -344,6 +344,16 @@ class TestCli:
     def test_run_rejects_unknown_override(self, capsys):
         assert main(["run", "fig6", "--set", "bogus=1"]) == 2
         assert "does not support overrides" in capsys.readouterr().err
+
+    def test_run_rejects_empty_sampled_range(self, capsys):
+        # fig2 samples 1..max_failures failed links per trace; a bound
+        # below 1 leaves nothing to sample from.
+        for bound in ("-1", "0"):
+            assert main(["run", "fig2", "--preset", "tiny",
+                         "--set", f"max_failures={bound}"]) == 2
+            err = capsys.readouterr().err
+            assert "repro-flock: error:" in err
+            assert "'n_failures' from the empty range" in err
 
     def test_run_all_rejects_per_experiment_flags(self, capsys):
         # --scheme/--set/--shards validate against a single builder;
