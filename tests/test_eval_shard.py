@@ -507,6 +507,21 @@ class TestCliValidation:
         assert code == 2
         assert "shard 1 of 2 covers no work units" in capsys.readouterr().err
 
+    def test_shard_command_resumes(self, capsys, tmp_path):
+        # A shard whose units were submitted but never run (a crashed
+        # shard command) is finished by re-running the command; a rerun
+        # of a finished shard does nothing; another plan is refused.
+        path = tmp_path / "s0.db"
+        fleet.submit(path, "fig2", preset="tiny", shard=(0, 2))
+        argv = ["run", "fig2", "--preset", "tiny", "--shards", "2",
+                "--shard-index", "0", "--out", str(path)]
+        assert main(argv) == 0
+        assert "4 of 4 work unit(s) completed" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "0 of 4 work unit(s) completed" in capsys.readouterr().out
+        assert main(argv + ["--seed", "5"]) == 2
+        assert "refusing to resume" in capsys.readouterr().err
+
     def test_merge_rejects_non_shard_file(self, capsys, tmp_path):
         # A JSON shard document from before shards became broker files
         # cannot be collected.
