@@ -569,6 +569,12 @@ class TestCliValidation:
                      "--out", str(seeded)]) == 0
         assert main(["fleet", "collect", s0, str(seeded)]) == 2
         assert "disagree on 'seed'" in capsys.readouterr().err
+        overridden = tmp_path / "overridden.db"
+        assert main(["run", "fig2", "--preset", "tiny", "--set", "n_traces=2",
+                     "--shards", "2", "--shard-index", "1",
+                     "--out", str(overridden)]) == 0
+        assert main(["fleet", "collect", s0, str(overridden)]) == 2
+        assert "disagree on 'overrides'" in capsys.readouterr().err
         unfinished = tmp_path / "unfinished.db"
         fleet.submit(unfinished, "fig2", preset="tiny", shard=(1, 2))
         assert main(["fleet", "collect", s0, str(unfinished)]) == 2
