@@ -38,11 +38,13 @@ drains it, and ``fleet collect`` folds the files (in any order)::
 
 The collected metrics are bit-identical to a serial ``run`` with the
 same preset, seed, and overrides.  ``--shards`` composes with
-``--jobs``/``--executor`` (parallelism *within* a shard).  ``table1``
-runs as two phases: ``table1-calibrate`` sweeps the parameter grid
-(itself shardable), and ``table1-eval`` - pointed at the calibrate
-result via ``--set calibration=PATH``, or recomputing it per worker
-otherwise - evaluates the chosen operating points and collects
+``--jobs``/``--executor``: a shard enqueues its slice as one unit per
+grid call, so the pool runs each call's traces (parallelism *within* a
+shard).  A shard whose units failed or are still leased elsewhere exits
+2.  ``table1`` runs as two phases: ``table1-calibrate`` sweeps the
+parameter grid (itself shardable), and ``table1-eval`` - pointed at the
+calibrate result via ``--set calibration=PATH``, or recomputing it per
+worker otherwise - evaluates the chosen operating points and collects
 bit-identically.  The combined ``table1`` experiment refuses
 ``--shards`` because its build-time calibration dominates and would be
 repeated per worker.
@@ -876,6 +878,7 @@ def _main(argv=None) -> int:
         # A shard is a private fleet: its slice of the units in its own
         # broker file, drained here; 'fleet collect' folds the files.
         from .eval import fleet
+        from .eval.broker import Broker
 
         if args.shard_index is None or args.out is None:
             raise ExperimentError("--shards requires --shard-index and --out")
@@ -887,11 +890,21 @@ def _main(argv=None) -> int:
         done = fleet.work(
             args.out, runner=runner, wait=False, experiment=report.name
         )
+        with Broker.open(report.path) as broker:
+            counts = broker.counts(report.name)
+        shard = (
+            f"shard {args.shard_index + 1}/{args.shards} of {args.experiment}"
+        )
+        if counts.failed or not counts.finished:
+            raise ExperimentError(
+                f"{shard} did not finish: {counts.failed} failed, "
+                f"{counts.pending} pending and {counts.leased} leased of "
+                f"{counts.total} work unit(s) in {report.path}; see "
+                f"'repro-flock fleet status {report.path}'"
+            )
         print(
-            f"shard {args.shard_index + 1}/{args.shards} of "
-            f"{args.experiment} ({args.preset}): {done.completed} of "
-            f"{report.n_units} work unit(s) completed, {done.failed} "
-            f"failed -> {report.path}"
+            f"{shard} ({args.preset}): {counts.done} of {counts.total} work "
+            f"unit(s) done, {done.completed} by this run -> {report.path}"
         )
         return 0
     if args.shard_index is not None or args.out is not None:

@@ -17,10 +17,11 @@ Flow::
 
 A *static shard* is the same flow over a slice: ``submit(path_i, ...,
 shard=(i, n))`` enqueues only the ``i``-th of ``n`` balanced contiguous
-ranges of the experiment's units into its own broker file, one worker
-drains it, and ``collect(path_0, ..., path_n-1)`` folds every file's
-units together (``repro-flock run EXP --shards N --shard-index I --out
-sI.db`` is sugar for submit + work).
+ranges of the experiment's units into its own broker file, merged into
+one unit per grid call so the worker's executor pool spreads each
+call's traces; one worker drains it, and ``collect(path_0, ...,
+path_n-1)`` folds every file's units together (``repro-flock run EXP
+--shards N --shard-index I --out sI.db`` is sugar for submit + work).
 
 Fault tolerance comes from the broker's lease lifecycle: a worker that
 dies mid-unit simply stops renewing its claim, the lease expires, and
@@ -91,6 +92,7 @@ from .spec import (
 from .units import (
     SingleUnitRecorder,
     UnitReplayer,
+    WorkUnit,
     assemble_calls,
     plan_calls,
     plan_units,
@@ -232,6 +234,25 @@ def _shard_range(n_units: int, index: int, count: int) -> Tuple[int, int]:
     return start, start + base + (1 if index < extra else 0)
 
 
+def _merge_per_call(units: List[WorkUnit]) -> List[WorkUnit]:
+    """Merge each run of adjacent units of one grid call into one unit,
+    so the worker's executor pool runs the call's traces together."""
+    merged: List[WorkUnit] = []
+    for unit in units:
+        last = merged[-1] if merged else None
+        if (
+            last is not None and last.call_index == unit.call_index
+            and last.stop == unit.start
+        ):
+            merged[-1] = WorkUnit(
+                last.call_index, last.start, unit.stop,
+                seeds=last.seeds + unit.seeds,
+            )
+        else:
+            merged.append(unit)
+    return merged
+
+
 def submit(
     broker_path,
     experiment: str,
@@ -261,8 +282,12 @@ def submit(
     balanced contiguous ranges over the experiment's flat unit list
     (the stored call plan stays the full plan), so ``count`` broker
     files - one per shard - together hold every unit exactly once and
-    :func:`collect` folds them as one experiment.  A shard whose range
-    holds no unit is refused.
+    :func:`collect` folds them as one experiment.  The slice is
+    balanced in ``unit_traces`` units, then each grid call's part of it
+    is enqueued as one unit, so the shard's worker runs a call's traces
+    through its executor pool (``--jobs``/``--executor``) rather than
+    one trace at a time.  A shard whose range holds no unit is
+    refused.
 
     The broker file is created if absent and extended otherwise: one
     broker holds any number of experiments, each named (``name``,
@@ -322,7 +347,7 @@ def submit(
                 f"{experiment!r} at preset {preset!r} has {len(units)} "
                 f"unit(s); use at most {len(units)} shard(s)"
             )
-        units = units[start:stop]
+        units = _merge_per_call(units[start:stop])
     meta = {
         "experiment": experiment,
         "preset": preset,

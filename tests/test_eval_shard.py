@@ -25,7 +25,8 @@ from repro.eval.broker import Broker
 from repro.eval.harness import SchemeSetup, evaluate
 from repro.eval.metrics import TraceMetrics
 from repro.eval.reporting import load_result
-from repro.eval.runner import RunnerConfig
+from repro.eval import runner as runner_module
+from repro.eval.runner import GridHook, RunnerConfig
 from repro.eval.scenarios import make_trace_batch
 from repro.eval.serialize import (
     SCHEMA_VERSION,
@@ -95,6 +96,51 @@ def run_shards(workdir, n_shards, runner=None, experiment="fig2", **submit):
     return paths
 
 
+class RecordEveryTrace(GridHook):
+    """Record side of a serial run: executes every trace of every grid
+    call and keeps ``(labels, [results of trace 0, 1, ...])`` per call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def plan_call(self, labels, n_traces):
+        return range(n_traces)
+
+    def select_call(self, labels, n_traces):
+        self.calls.append((list(labels), [None] * n_traces))
+        return range(n_traces)
+
+    def record(self, trace_idx, results):
+        self.calls[-1][1][trace_idx] = list(results)
+
+
+def assembled_calls(paths):
+    """The per-call records ``fleet.collect`` replays from ``paths``."""
+    unit_results = []
+    for path in paths:
+        with Broker.open(path) as broker:
+            plan = broker.plan()
+            unit_results.extend(broker.results())
+    return assemble_calls(plan, unit_results)
+
+
+def assert_metrics_identical(serial, serial_calls, paths):
+    """Collected rows equal the serial run's, and so, trace by trace,
+    do every collected prediction and TraceMetrics (timings are fresh
+    per run)."""
+    assert fleet.collect(*paths).rows == serial.rows
+    replayer = UnitReplayer(assembled_calls(paths))
+    for labels, expected in serial_calls:
+        got = replayer.replay_call(labels, len(expected))
+        assert [idx for idx, _ in got] == list(range(len(expected)))
+        for (idx, results), want in zip(got, expected):
+            assert len(results) == len(want) == len(labels)
+            for label, a, b in zip(labels, want, results):
+                assert a.prediction == b.prediction, (label, idx)
+                assert a.metrics == b.metrics, (label, idx)
+    replayer.assert_exhausted()
+
+
 def tampered_copy(path, workdir, sql, *params):
     """A copy of a broker file with one SQL statement applied."""
     copy = Path(workdir) / f"tampered-{Path(path).name}"
@@ -133,6 +179,31 @@ def serial():
 
 
 @pytest.fixture(scope="module")
+def serial_calls(serial):
+    """Every trace's results of a serial fig2 run, per grid call."""
+    hook = RecordEveryTrace()
+    recorded = run_experiment(
+        "fig2", preset="tiny", runner=RunnerConfig(shard=hook)
+    )
+    assert recorded.rows == serial.rows
+    return hook.calls
+
+
+@pytest.fixture
+def pool_count(monkeypatch):
+    """How many executor pools the grids open (one per pooled call)."""
+    opened = []
+    make_pool = runner_module._make_pool
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return make_pool(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "_make_pool", counting)
+    return opened
+
+
+@pytest.fixture(scope="module")
 def shard_files(tmp_path_factory):
     """Two finished shard brokers of fig2 at the tiny preset."""
     return run_shards(tmp_path_factory.mktemp("shards"), 2)
@@ -161,17 +232,25 @@ class TestShardBounds:
         with pytest.raises(ExperimentError, match=r"index must be in \[0, 2\)"):
             fleet._shard_range(4, -1, 2)
 
-    def test_submit_enqueues_its_slice(self, shard_files):
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_submit_enqueues_its_slice(self, tmp_path, n_shards):
+        # fig2 has 8 one-trace units at the tiny preset, 4 per grid call.
         _, units = plan_units(build_experiment_spec("fig2", preset="tiny"))
-        enqueued = []
-        for path in shard_files:
+        for index in range(n_shards):
+            path = tmp_path / f"s{index}.db"
+            fleet.submit(path, "fig2", preset="tiny", shard=(index, n_shards))
             with Broker.open(path) as broker:
                 row = broker.resolve_experiment(None)
-                enqueued.append(broker.enqueued_units(row.id))
+                part = broker.enqueued_units(row.id)
                 # The stored call plan is the full plan, not the slice.
                 assert len(broker.plan()) == 2
-        assert [len(part) for part in enqueued] == [4, 4]
-        assert enqueued[0] + enqueued[1] == units
+            start, stop = fleet._shard_range(len(units), index, n_shards)
+            # The slice's traces, merged into one unit per grid call.
+            assert [
+                (unit.call_index, trace, unit.seeds[trace - unit.start])
+                for unit in part for trace in range(unit.start, unit.stop)
+            ] == [(u.call_index, u.start, u.seeds[0]) for u in units[start:stop]]
+            assert len({unit.call_index for unit in part}) == len(part)
 
     def test_empty_slice_rejected(self, tmp_path):
         # fig4d evaluates one trace at the tiny preset: a second shard
@@ -289,19 +368,26 @@ class TestCodec:
 
 class TestShardDeterminism:
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 7])
-    def test_any_shard_count_matches_serial(self, tmp_path, serial, n_shards):
-        # n_shards=7 over fig2's 8 tiny-preset units gives 1-unit shards.
+    def test_any_shard_count_matches_serial(
+        self, tmp_path, serial, serial_calls, n_shards
+    ):
+        # n_shards=7 over fig2's 8 tiny-preset units gives 1-trace shards.
         paths = run_shards(tmp_path, n_shards)
-        assert fleet.collect(*paths).rows == serial.rows
-        assert fleet.collect(*reversed(paths)).rows == serial.rows
+        assert_metrics_identical(serial, serial_calls, paths)
+        assert_metrics_identical(serial, serial_calls, paths[::-1])
 
-    def test_any_merge_order_matches_serial(self, tmp_path, serial):
+    def test_any_merge_order_matches_serial(
+        self, tmp_path, serial, serial_calls
+    ):
         paths = run_shards(tmp_path, 3)
         for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]):
-            collected = fleet.collect(*[paths[i] for i in order])
-            assert collected.rows == serial.rows
+            assert_metrics_identical(
+                serial, serial_calls, [paths[i] for i in order]
+            )
 
-    def test_subprocess_shards_match_serial(self, tmp_path, serial):
+    def test_subprocess_shards_match_serial(
+        self, tmp_path, serial, serial_calls
+    ):
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         workers = [
             subprocess.Popen(
@@ -316,8 +402,9 @@ class TestShardDeterminism:
         for worker in workers:
             _, err = worker.communicate(timeout=600)
             assert worker.returncode == 0, err
-        collected = fleet.collect(tmp_path / "s1.db", tmp_path / "s0.db")
-        assert collected.rows == serial.rows
+        assert_metrics_identical(
+            serial, serial_calls, [tmp_path / "s1.db", tmp_path / "s0.db"]
+        )
 
     def test_shard_results_are_json_serializable(self, shard_files):
         conn = sqlite3.connect(shard_files[0])
@@ -326,18 +413,37 @@ class TestShardDeterminism:
             for (text,) in conn.execute("SELECT payload FROM results")
         ]
         conn.close()
-        assert len(payloads) == 4
+        # Shard 0 of 2 is call 0's four traces, merged into one unit.
+        assert len(payloads) == 1
         for payload in payloads:
             assert payload["v"] == SCHEMA_VERSION
-            assert payload["u"] and all(results for _, results in payload["u"])
+            assert [idx for idx, _ in payload["u"]] == [0, 1, 2, 3]
+            assert all(results for _, results in payload["u"])
 
-    def test_composes_with_process_executor(self, tmp_path, serial):
-        # Four-trace units, so each unit's grid really uses the pool.
+    def test_composes_with_process_executor(
+        self, tmp_path, serial, serial_calls, pool_count
+    ):
+        # Each shard's one-call slice is one unit, so its grid really
+        # uses the pool.
         paths = run_shards(
-            tmp_path, 2, runner=RunnerConfig(executor="process", jobs=2),
-            unit_traces=4,
+            tmp_path, 2, runner=RunnerConfig(executor="process", jobs=2)
         )
-        assert fleet.collect(*paths).rows == serial.rows
+        assert len(pool_count) == 2
+        assert_metrics_identical(serial, serial_calls, paths)
+
+    def test_cli_shards_compose_with_process_executor(
+        self, tmp_path, serial, serial_calls, pool_count, capsys
+    ):
+        paths = [tmp_path / "s0.db", tmp_path / "s1.db"]
+        for index, path in enumerate(paths):
+            assert main([
+                "run", "fig2", "--preset", "tiny", "--shards", "2",
+                "--shard-index", str(index), "--out", str(path),
+                "--jobs", "2", "--executor", "process",
+            ]) == 0
+        assert len(pool_count) == 2
+        assert "1 of 1 work unit(s) done" in capsys.readouterr().out
+        assert_metrics_identical(serial, serial_calls, paths)
 
 
 class TestMergeValidation:
@@ -447,12 +553,7 @@ class TestMergeValidation:
 
     @pytest.fixture
     def calls(self, shard_files):
-        unit_results = []
-        for path in shard_files:
-            with Broker.open(path) as broker:
-                plan = broker.plan()
-                unit_results.extend(broker.results())
-        return assemble_calls(plan, unit_results)
+        return assembled_calls(shard_files)
 
     def test_replay_exhaustion_rejected(self, calls):
         spec = build_experiment_spec("fig2", preset="tiny")
@@ -516,11 +617,42 @@ class TestCliValidation:
         argv = ["run", "fig2", "--preset", "tiny", "--shards", "2",
                 "--shard-index", "0", "--out", str(path)]
         assert main(argv) == 0
-        assert "4 of 4 work unit(s) completed" in capsys.readouterr().out
+        assert "1 of 1 work unit(s) done, 1 by this run" in (
+            capsys.readouterr().out
+        )
         assert main(argv) == 0
-        assert "0 of 4 work unit(s) completed" in capsys.readouterr().out
+        assert "1 of 1 work unit(s) done, 0 by this run" in (
+            capsys.readouterr().out
+        )
         assert main(argv + ["--seed", "5"]) == 2
         assert "refusing to resume" in capsys.readouterr().err
+
+    def test_failed_shard_exits_2(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("unit blew up")
+
+        monkeypatch.setattr(fleet, "run_spec", broken)
+        path = tmp_path / "s0.db"
+        assert main(["run", "fig2", "--preset", "tiny", "--shards", "2",
+                     "--shard-index", "0", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "shard 1/2 of fig2 did not finish: 1 failed" in err
+        assert f"fleet status {path}" in err
+        with Broker.open(path) as broker:
+            assert broker.counts().failed == 1
+
+    def test_shard_leased_elsewhere_exits_2(self, capsys, tmp_path):
+        # Another process of the same shard command holds the only
+        # unit: this one has nothing to run and must not report success.
+        path = tmp_path / "s0.db"
+        fleet.submit(path, "fig2", preset="tiny", shard=(0, 2))
+        with Broker.open(path) as broker:
+            assert broker.claim("other-worker") is not None
+        assert main(["run", "fig2", "--preset", "tiny", "--shards", "2",
+                     "--shard-index", "0", "--out", str(path)]) == 2
+        assert "0 failed, 0 pending and 1 leased of 1" in (
+            capsys.readouterr().err
+        )
 
     def test_merge_rejects_non_shard_file(self, capsys, tmp_path):
         # A JSON shard document from before shards became broker files
