@@ -41,11 +41,12 @@ same preset, seed, and overrides.  ``--shards`` composes with
 ``--jobs``/``--executor``: a shard enqueues its slice as one unit per
 grid call, so the pool runs each call's traces (parallelism *within* a
 shard).  A shard whose units failed or are still leased elsewhere exits
-2.  ``table1`` runs as two phases: ``table1-calibrate`` sweeps the
-parameter grid (itself shardable), and ``table1-eval`` - pointed at the
-calibrate result via ``--set calibration=PATH``, or recomputing it per
-worker otherwise - evaluates the chosen operating points and collects
-bit-identically.  The combined ``table1`` experiment refuses
+2, and so does a ``fleet collect`` missing a shard's file (the error
+names the missing ``--shard-index`` values).  ``table1`` runs as two
+phases: ``table1-calibrate`` sweeps the parameter grid (itself
+shardable), and ``table1-eval`` - pointed at the calibrate result via
+``--set calibration=PATH``, or recomputing it per worker otherwise -
+evaluates the chosen operating points and collects bit-identically.  The combined ``table1`` experiment refuses
 ``--shards`` because its build-time calibration dominates and would be
 repeated per worker.
 

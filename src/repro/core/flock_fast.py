@@ -27,7 +27,13 @@ set's endpoint components), evaluate the memoized per-flow likelihood
 difference, and scatter-add with ``np.bincount``.  Flows come out in
 ascending order with at most one pair per (flow, comp), so every Δ[c]
 sums the same terms in the same order whatever the component order
-inside a flow (see :meth:`VectorArrays._flow_pairs`).  Because an
+inside a flow (see :meth:`VectorArrays._flow_pairs`).  Flows are priced
+in blocks of about :data:`_PAIR_BLOCK` pairs, cut at flow boundaries,
+and each block folds into Δ with one ``np.bincount`` whose first weight
+per bin is the running total: a bin starts from the same value and adds
+the same terms in the same flow-ascending order as a single pass over
+every flow, so Δ does not depend on the block size, bit for bit, while
+the per-pair temporaries stay a few MB.  Because an
 uncompressed problem is the trivial factoring (every set its own
 interior set, no endpoint comps), one code path serves both
 representations, and their Δ sums are identical term by term and in
@@ -62,6 +68,14 @@ from .problem import InferenceProblem
 
 
 from .problem import _expand_slices  # noqa: E402  (shared CSR helper)
+
+#: Flow pairs priced per block of :meth:`VectorJleState._state_delta`.
+#: Blocks end at flow boundaries, so a flow longer than this is priced
+#: whole.  Big enough that the per-block overhead (two concatenations
+#: of ``n_comps`` entries) is noise, small enough that a cold Δ's
+#: per-pair temporaries stay a few MB instead of growing with the flows.
+_PAIR_BLOCK = 1 << 16
+
 
 def addition_upper_bounds(
     problem: InferenceProblem,
@@ -257,8 +271,9 @@ class VectorArrays:
         good_count: np.ndarray,
         layer: _IsetLayer,
         good: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flow-major (flow, comp, count) pairs over good member paths.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The (comp, count) pair table over good member paths, and
+        each flow's two slices of it.
 
         A member path is good when its path holds no failed component
         and its set has no failed endpoint component.  A set with a
@@ -271,10 +286,18 @@ class VectorArrays:
         components, each counted at the set's good-member total (an
         endpoint component sits on every member path).
 
-        Bit-identity: callers scatter per-pair terms with
-        ``np.bincount``, which adds weights in input order.  Flows come
-        out in ascending order and each flow holds at most one pair per
-        component, so Δ[c] sums the same terms in the same
+        Returns ``(comps, counts, starts, lens)``: the table is built
+        once per call and its size is the distinct interior sets' pair
+        lists plus the sets' endpoint components; ``starts``/``lens``
+        are ``(n_flows, 2)`` slice bounds into it.  The caller expands
+        flow-major pairs from the slices, a block of flows at a time
+        (:meth:`VectorJleState._state_delta`), so no per-flow pair
+        array ever covers every flow at once.
+
+        Bit-identity: the caller scatters per-pair terms with
+        ``np.bincount``, which adds weights in input order.  Flows are
+        expanded in ascending order and each flow holds at most one pair
+        per component, so Δ[c] sums the same terms in the same
         flow-ascending order whatever the component order inside a
         flow - which is why Δ is bitwise identical to the set-granular
         count, and across problem representations.
@@ -299,10 +322,7 @@ class VectorArrays:
         lens = np.empty((len(aff_sets), 2), dtype=np.int64)
         lens[:, 0] = ilens
         lens[:, 1] = elens
-        flow_lens = lens[fsl]
-        fl = np.arange(len(fsl), dtype=np.int64).repeat(flow_lens.sum(axis=1))
-        idx = _expand_slices(starts[fsl].ravel(), flow_lens.ravel())
-        return fl, comps[idx], counts[idx]
+        return comps, counts, starts[fsl], lens[fsl]
 
     def affected_flows(self, comps: Iterable[int]) -> np.ndarray:
         arrays = [a for a in (self.comp_flows(c) for c in comps) if len(a)]
@@ -390,26 +410,6 @@ class VectorJleState(VectorArrays):
     @property
     def hypotheses_scanned(self) -> int:
         return (self.flips + 1) * self.problem.n_components
-
-    # Compatibility views in object-path terms (tests and diagnostics;
-    # the kernels maintain interior-path / set-level state instead).
-    @property
-    def flow_b(self) -> np.ndarray:
-        """Failed-path count per flow (object-view semantics)."""
-        return self._set_b[self.set_of_flow]
-
-    @property
-    def path_nfailed(self) -> np.ndarray:
-        """Failed-component count per *full* path (object-view ids)."""
-        if not self.problem.compressed:
-            return self._path_nfailed
-        hyp = self.hypothesis
-        table = self.problem.path_table
-        return np.fromiter(
-            (sum(c in hyp for c in comps) for comps in table),
-            dtype=np.int64,
-            count=len(table),
-        )
 
     @classmethod
     def rebase(
@@ -615,6 +615,20 @@ class VectorJleState(VectorArrays):
         ``f`` adds ``wt_f * (nll(b_f + g_fc) - nll(b_f))`` to Δ[c],
         where ``g_fc`` counts its good member paths holding ``c``; the
         contribution is ``None`` when no set has a good member.
+
+        Flows are priced in blocks: the cumsum of per-flow pair counts
+        and one ``searchsorted`` cut the flow list at the last flow
+        boundary at or below each multiple of :data:`_PAIR_BLOCK`, so a
+        block never splits a flow (a flow longer than a block is a block
+        of its own).  Each block expands only its own pairs and folds
+        them into Δ with one ``np.bincount`` over ``(every component,
+        the block's comps)`` weighted by ``(running Δ, the block's
+        terms)``.  ``np.bincount`` adds in input order from 0.0 and
+        ``0.0 + x == x``, so each Δ[c] starts from its running total and
+        adds the same terms in the same flow-ascending order as one pass
+        over all flows would: the result is bitwise independent of the
+        block size.  (``np.add.at`` would give the same bits, but ran
+        with twice the run-to-run spread.)
         """
         iset_b = np.bincount(
             layer.il, weights=layer.mult * ~good, minlength=len(layer.isets)
@@ -626,11 +640,28 @@ class VectorJleState(VectorArrays):
             return b_set, None
         b = b_set[fsl]
         base = self.nll(b, flows)
-        fl, comps, cnt = self._flow_pairs(
+        comps, counts, starts, lens = self._flow_pairs(
             aff_sets, fsl, good_count, layer, good
         )
-        contrib = wt[fl] * (self.nll(b[fl] + cnt, flows[fl]) - base[fl])
-        delta = np.bincount(comps, weights=contrib, minlength=self.n_comps)
+        npairs = lens.sum(axis=1)
+        ends = npairs.cumsum()
+        cuts = np.searchsorted(
+            ends, np.arange(_PAIR_BLOCK, ends[-1], _PAIR_BLOCK), side="right"
+        )
+        bounds = np.unique(np.concatenate(([0], cuts, [len(flows)])))
+        slots = np.arange(self.n_comps, dtype=np.int64)
+        delta = np.zeros(self.n_comps)
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            fl = np.arange(lo, hi, dtype=np.int64).repeat(npairs[lo:hi])
+            idx = _expand_slices(starts[lo:hi].ravel(), lens[lo:hi].ravel())
+            contrib = wt[fl] * (
+                self.nll(b[fl] + counts[idx], flows[fl]) - base[fl]
+            )
+            delta = np.bincount(
+                np.concatenate((slots, comps[idx])),
+                weights=np.concatenate((delta, contrib)),
+                minlength=self.n_comps,
+            )
         return b_set, delta
 
     def _initial_delta(self) -> np.ndarray:

@@ -111,6 +111,12 @@ MIGRATABLE_FORMATS = ("flock-broker-v2",)
 #: all of them.
 EXPERIMENT_META_KEYS = ("experiment", "preset", "seed", "scheme", "overrides")
 
+#: Optional experiment meta of a static shard's broker file:
+#: ``[index, count]``.  Not identity (each shard's file differs in it,
+#: and its units already differ), so it is stored only when given and
+#: stays out of :func:`plan_fingerprint`.
+SHARD_META_KEY = "shard"
+
 #: Journal states of an experiment row.  Units are only claimable from
 #: ``'ready'`` experiments; ``'enqueueing'`` marks an in-flight (or
 #: crashed) submission.
@@ -548,10 +554,14 @@ class Broker:
                 "refusing to journal an experiment with no work units"
             )
         _validate_budgets(lease_seconds, max_attempts)
-        unknown = sorted(set(meta) - set(EXPERIMENT_META_KEYS))
+        unknown = sorted(
+            set(meta) - set(EXPERIMENT_META_KEYS) - {SHARD_META_KEY}
+        )
         if unknown:
             raise ExperimentError(f"unknown broker meta keys: {unknown}")
         full_meta = {key: meta.get(key) for key in EXPERIMENT_META_KEYS}
+        if meta.get(SHARD_META_KEY) is not None:
+            full_meta[SHARD_META_KEY] = list(meta[SHARD_META_KEY])
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             exists = self._conn.execute(

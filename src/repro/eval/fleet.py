@@ -73,6 +73,7 @@ from ..errors import ExperimentError, FleetError
 from ..retry import DEFAULT_BROKER_RETRY, RetryPolicy
 from .broker import (
     EXPERIMENT_META_KEYS,
+    SHARD_META_KEY,
     Broker,
     ExperimentRow,
     FleetCounts,
@@ -282,7 +283,10 @@ def submit(
     balanced contiguous ranges over the experiment's flat unit list
     (the stored call plan stays the full plan), so ``count`` broker
     files - one per shard - together hold every unit exactly once and
-    :func:`collect` folds them as one experiment.  The slice is
+    :func:`collect` folds them as one experiment.  The experiment meta
+    records ``shard`` as ``[index, count]``, so that :func:`collect`
+    can name a missing shard; an unsharded submission's meta and plan
+    fingerprint do not carry it.  The slice is
     balanced in ``unit_traces`` units, then each grid call's part of it
     is enqueued as one unit, so the shard's worker runs a call's traces
     through its executor pool (``--jobs``/``--executor``) rather than
@@ -355,6 +359,8 @@ def submit(
         "scheme": scheme,
         "overrides": overrides,
     }
+    if shard is not None:
+        meta[SHARD_META_KEY] = list(shard)
     exp_name = name if name is not None else experiment
     fingerprint = plan_fingerprint(meta, plan, units)
     path = Path(broker_path)
@@ -751,6 +757,58 @@ def _finished_units(broker_path, experiment: Optional[str]):
         return row.meta, broker.plan(row.name), broker.results(row.name)
 
 
+def _check_shard_set(broker_paths, shards) -> None:
+    """Refuse static-shard files that are not one whole split.
+
+    ``shards`` holds each file's ``shard`` meta (``[index, count]``, or
+    ``None`` for a whole-fleet file).  A split with shards missing is
+    refused naming the missing ``--shard-index`` values, so the caller
+    knows which file to fetch.
+    """
+    if all(shard is None for shard in shards):
+        return
+    for path, shard in zip(broker_paths, shards):
+        if shard is not None and not (
+            isinstance(shard, list) and len(shard) == 2
+            and all(type(v) is int for v in shard)
+            and 0 <= shard[0] < shard[1]
+        ):
+            raise ExperimentError(
+                f"{path} holds a malformed shard meta {shard!r}; expected "
+                "[index, count] with 0 <= index < count"
+            )
+    given = ", ".join(
+        f"{path} (a whole fleet)" if shard is None
+        else f"{path} (shard {shard[0]} of {shard[1]})"
+        for path, shard in zip(broker_paths, shards)
+    )
+    counts = {None if shard is None else shard[1] for shard in shards}
+    if len(counts) > 1:
+        raise ExperimentError(
+            "incomplete unit coverage: the broker files do not come from "
+            f"one split of the experiment: {given}"
+        )
+    (count,) = counts
+    indices = [shard[0] for shard in shards]
+    problems = []
+    missing = sorted(set(range(count)) - set(indices))
+    if missing:
+        problems.append(
+            f"missing shard index(es) {', '.join(map(str, missing))} of {count}"
+        )
+    repeated = sorted({i for i in indices if indices.count(i) > 1})
+    if repeated:
+        problems.append(
+            f"shard index(es) {', '.join(map(str, repeated))} given twice"
+        )
+    if problems:
+        raise ExperimentError(
+            f"incomplete unit coverage: {'; '.join(problems)} (given: "
+            f"{given}); collect one broker file per --shard-index 0.."
+            f"{count - 1}"
+        )
+
+
 def collect(
     *broker_paths,
     runner: Optional[RunnerConfig] = None,
@@ -784,10 +842,12 @@ def collect(
         seen[resolved] = raw
     meta = plan = None
     unit_results: List = []
+    shards = []
     for path in broker_paths:
         file_meta, file_plan, results = _finished_units(path, experiment)
         if meta is None:
             meta, plan = file_meta, file_plan
+        shards.append(file_meta.get(SHARD_META_KEY))
         for key in EXPERIMENT_META_KEYS:
             if file_meta.get(key) != meta.get(key):
                 raise ExperimentError(
@@ -800,6 +860,7 @@ def collect(
                 f"{path} hold different grid-call plans"
             )
         unit_results.extend(results)
+    _check_shard_set(broker_paths, shards)
     calls = assemble_calls(plan, unit_results)
     replayer = UnitReplayer(calls)
     result = run_spec(

@@ -1,6 +1,6 @@
-"""Shared test utilities: the reference parameters and the random
+"""Shared test utilities: the reference parameters, the random
 problem generator used by the JLE, engine-equivalence, and Sherlock
-suites.
+suites, and object-view readers of a ``VectorJleState``'s counters.
 
 Kept outside conftest.py because these are plain importables (a
 hypothesis strategy and constants), not fixtures; test modules import
@@ -8,6 +8,7 @@ them absolutely (``from helpers import ...``) so collection works
 without turning ``tests/`` into a package.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.core.params import FlockParams
@@ -52,4 +53,28 @@ def random_problems(draw):
         )
     return InferenceProblem.from_observations(
         observations, n_components=N_COMPS, n_links=N_COMPS
+    )
+
+
+def flow_b(state):
+    """Failed-path count per flow of a ``VectorJleState`` (object-view
+    semantics, as the reference ``JleState.flow_b``)."""
+    return state._set_b[state.set_of_flow]
+
+
+def path_nfailed(state):
+    """Failed-component count per *full* path of a ``VectorJleState``
+    (object-view ids, as the reference ``JleState.path_nfailed``).
+
+    The engine keeps counts per interior path of a compressed problem,
+    so those are recounted here from the full path table.
+    """
+    if not state.problem.compressed:
+        return state._path_nfailed
+    hyp = state.hypothesis
+    table = state.problem.path_table
+    return np.fromiter(
+        (sum(c in hyp for c in comps) for comps in table),
+        dtype=np.int64,
+        count=len(table),
     )

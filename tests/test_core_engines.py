@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PARAMS, random_problems
+from helpers import PARAMS, flow_b, path_nfailed, random_problems
 from oracles.greedy_nojle import GreedyWithoutJle
 from oracles.jle import JleState, reference_flock
 from oracles.model import LikelihoodModel
@@ -57,10 +57,10 @@ class TestVectorJleState:
             assert vec.hypothesis == ref.hypothesis
             np.testing.assert_allclose(vec.delta, ref.delta, atol=1e-8)
             np.testing.assert_array_equal(
-                vec.path_nfailed, np.asarray(ref.path_nfailed)
+                path_nfailed(vec), np.asarray(ref.path_nfailed)
             )
             np.testing.assert_array_equal(
-                vec.flow_b, np.asarray(ref.flow_b)
+                flow_b(vec), np.asarray(ref.flow_b)
             )
 
     def test_involution(self, drop_problem):

@@ -21,7 +21,7 @@ from repro.core.flock import FlockInference
 from repro.core.params import DEFAULT_PER_PACKET
 from repro.errors import ExperimentError
 from repro.eval import fleet
-from repro.eval.broker import Broker
+from repro.eval.broker import Broker, plan_fingerprint
 from repro.eval.harness import SchemeSetup, evaluate
 from repro.eval.metrics import TraceMetrics
 from repro.eval.reporting import load_result
@@ -477,6 +477,45 @@ class TestMergeValidation:
         with pytest.raises(ExperimentError, match="disagree on 'overrides'"):
             fleet.collect(shard_files[0], other)
 
+    def test_shard_meta_recorded_only_on_shards(self, shard_files, tmp_path):
+        # A shard's file names its slice; a whole-fleet submission keeps
+        # the identity meta (and so the plan fingerprint) it always had.
+        for index, path in enumerate(shard_files):
+            with Broker.open(path) as broker:
+                assert broker.experiment_meta() == {**META, "shard": [index, 2]}
+        whole = tmp_path / "whole.db"
+        fleet.submit(whole, "fig2", preset="tiny")
+        with Broker.open(whole) as broker:
+            row = broker.resolve_experiment(None)
+            assert row.meta == META
+            plan = broker.plan(row.name)
+            units = broker.enqueued_units(row.id)
+            assert row.plan_hash == plan_fingerprint(META, plan, units)
+
+    def test_shard_set_errors_name_the_shards(self, shard_files, tmp_path):
+        s0, s1 = shard_files
+        copy = tmp_path / "copy.db"
+        shutil.copy(s0, copy)
+        with pytest.raises(
+            ExperimentError,
+            match=r"missing shard index\(es\) 1 of 2; shard index\(es\) 0 "
+                  r"given twice",
+        ):
+            fleet.collect(s0, copy)
+        third = tmp_path / "third.db"
+        fleet.submit(third, "fig2", preset="tiny", shard=(2, 3))
+        fleet.work(third, wait=False)
+        with pytest.raises(ExperimentError, match=r"do not come from one "
+                           r"split.*\(shard 2 of 3\)"):
+            fleet.collect(s0, third)
+        for bad in ("x", [1, 1], [0, 2, 1], [0.0, 2]):
+            tampered = tampered_copy(
+                s1, tmp_path, "UPDATE experiments SET meta = ?",
+                json.dumps({**META, "shard": bad}),
+            )
+            with pytest.raises(ExperimentError, match="malformed shard meta"):
+                fleet.collect(s0, tampered)
+
     def test_coverage_gap_rejected(self, shard_files, tmp_path):
         # Shard 0 of 2 covers units 0-3, shard 2 of 3 units 6-7: the
         # units 4-5 of neither file leave call 1 short.
@@ -711,6 +750,19 @@ class TestCliValidation:
         fleet.submit(unfinished, "fig2", preset="tiny", shard=(1, 2))
         assert main(["fleet", "collect", s0, str(unfinished)]) == 2
         assert "unfinished fleet" in capsys.readouterr().err
+
+
+    def test_collect_names_the_missing_shard(self, capsys, shard_files):
+        # One file of a two-shard split: the error names the shard that
+        # is absent, not only the grid call it leaves short.
+        s0, s1 = (str(path) for path in shard_files)
+        assert main(["fleet", "collect", s0]) == 2
+        err = capsys.readouterr().err
+        assert "missing shard index(es) 1 of 2" in err
+        assert f"{s0} (shard 0 of 2)" in err
+        assert "Traceback" not in err
+        assert main(["fleet", "collect", s1]) == 2
+        assert "missing shard index(es) 0 of 2" in capsys.readouterr().err
 
 
 class TestCliEndToEnd:
