@@ -508,6 +508,12 @@ class TestMergeValidation:
         with pytest.raises(ExperimentError, match=r"do not come from one "
                            r"split.*\(shard 2 of 3\)"):
             fleet.collect(s0, third)
+        unsharded = tampered_copy(
+            s1, tmp_path, "UPDATE experiments SET meta = ?", json.dumps(META)
+        )
+        with pytest.raises(ExperimentError, match=r"do not come from one "
+                           r"split.*\(a whole fleet\)"):
+            fleet.collect(s0, unsharded)
         for bad in ("x", [1, 1], [0, 2, 1], [0.0, 2]):
             tampered = tampered_copy(
                 s1, tmp_path, "UPDATE experiments SET meta = ?",
@@ -750,7 +756,6 @@ class TestCliValidation:
         fleet.submit(unfinished, "fig2", preset="tiny", shard=(1, 2))
         assert main(["fleet", "collect", s0, str(unfinished)]) == 2
         assert "unfinished fleet" in capsys.readouterr().err
-
 
     def test_collect_names_the_missing_shard(self, capsys, shard_files):
         # One file of a two-shard split: the error names the shard that
