@@ -14,8 +14,8 @@ arms over the identical chunk sequence:
 
 Telemetry construction is identical in both arms and excluded from the
 timings.  ``derived.stream_cycle_speedup`` (cold mean / warm mean) is
-the headline number; the large preset holds the same 100K-flow window
-as the columnar trajectory's ``BENCH_compressed.json``.
+the headline number; the large preset holds a 100K-flow window
+(``run_benchmarks.py``'s large preset: 100K passive flows + 5K probes).
 
 Usage::
 
@@ -42,7 +42,7 @@ PRESETS = {
     # preset -> (window_chunks, flows_per_chunk, probes_per_chunk)
     "tiny": (3, 400, 80),
     "ci": (4, 1_000, 150),
-    # window totals match BENCH_compressed's large preset: 100K passive
+    # window totals match run_benchmarks.py's large preset: 100K passive
     # flows + 5K probes retained at steady state.
     "large": (16, 6_250, 313),
 }

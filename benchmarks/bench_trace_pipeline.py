@@ -1,14 +1,13 @@
-"""Trace-construction benchmarks: columnar vs object pipeline.
+"""Trace-construction benchmark: simulate -> telemetry -> problem.
 
-The columnar pipeline (SpecBatch -> FlowBatch -> ObservationBatch ->
-``InferenceProblem.from_batch``) must beat the object pipeline
-(FlowSpec -> FlowRecord -> FlowObservation -> ``from_observations``)
-on the full simulate -> telemetry -> problem path while producing a
-bit-identical problem (asserted here on a spot check; the exhaustive
-sweep lives in ``tests/test_columnar_equivalence.py``).
+Times the struct-of-arrays pipeline (SpecBatch -> FlowBatch ->
+ObservationBatch -> ``InferenceProblem.from_batch``) at the ci preset,
+one fresh trace per round over a warm shared PathSpace.  Its
+bit-identity with the object pipeline oracle is swept in
+``tests/test_columnar_equivalence.py``.
 
-``benchmarks/run_benchmarks.py`` measures the same pair standalone and
-records the headline speedup in ``BENCH_<label>.json``.
+``benchmarks/run_benchmarks.py`` measures the same workload standalone
+(``trace_build_columnar``) into ``BENCH_<label>.json``.
 """
 
 import numpy as np
@@ -16,16 +15,10 @@ import pytest
 
 from repro.core.problem import InferenceProblem
 from repro.eval.experiments import standard_topology
-from repro.eval.scenarios import make_matrix, make_trace
-from repro.routing import EcmpRouting, PathSpace
-from repro.simulation import FlowLevelSimulator, SilentLinkDrops
-from repro.telemetry.inputs import (
-    TelemetryConfig,
-    build_observation_batch,
-    build_observations,
-)
-from repro.traffic import generate_passive_flows
-from repro.traffic.probes import a1_probe_plan
+from repro.eval.scenarios import make_trace
+from repro.routing import EcmpRouting
+from repro.simulation import SilentLinkDrops
+from repro.telemetry.inputs import TelemetryConfig, build_observation_batch
 
 N_PASSIVE = 20_000
 N_PROBES = 2_000
@@ -39,16 +32,12 @@ def world():
     scenario = SilentLinkDrops(n_failures=3, min_rate=4e-3, max_rate=1e-2)
     # Warm the shared PathSpace: experiments amortize interning across
     # their whole trace batch, so steady state is what we measure.
-    # The object arm gets its own persistent space for the same reason
-    # (neither arm is charged fresh-interning costs the other
-    # amortizes).
     make_trace(topo, routing, scenario, seed=1,
                n_passive=N_PASSIVE, n_probes=N_PROBES)
-    object_space = PathSpace(topo, routing)
-    return topo, routing, telemetry, scenario, object_space
+    return topo, routing, telemetry, scenario
 
 
-def _columnar(topo, routing, telemetry, scenario, object_space, seed):
+def _columnar(topo, routing, telemetry, scenario, seed):
     trace = make_trace(topo, routing, scenario, seed=seed,
                        n_passive=N_PASSIVE, n_probes=N_PROBES)
     batch = build_observation_batch(
@@ -57,45 +46,6 @@ def _columnar(topo, routing, telemetry, scenario, object_space, seed):
     return InferenceProblem.from_batch(batch, topo.n_components, topo.n_links)
 
 
-def _object(topo, routing, telemetry, scenario, object_space, seed):
-    rng = np.random.default_rng(seed)
-    injection = scenario.inject(topo, rng)
-    matrix = make_matrix(topo, "uniform", rng)
-    specs = list(generate_passive_flows(routing, matrix, N_PASSIVE, rng))
-    specs.extend(a1_probe_plan(topo, routing, N_PROBES, rng))
-    records = FlowLevelSimulator(topo).simulate(
-        specs, injection, rng, space=object_space
-    )
-    observations = build_observations(
-        records, topo, routing, telemetry, np.random.default_rng(5)
-    )
-    return InferenceProblem.from_observations(
-        observations, topo.n_components, topo.n_links
-    )
-
-
 def test_trace_build_columnar(benchmark, world):
     problem = benchmark(_columnar, *world, 7)
     assert problem.total_flows == N_PASSIVE + N_PROBES
-
-
-def test_trace_build_object(benchmark, world):
-    problem = benchmark(_object, *world, 7)
-    assert problem.total_flows == N_PASSIVE + N_PROBES
-
-
-def test_pipelines_agree_and_columnar_wins(world):
-    """Shape check: identical problems, columnar measurably faster."""
-    import time
-
-    t0 = time.perf_counter()
-    col = _columnar(*world, 9)
-    t1 = time.perf_counter()
-    obj = _object(*world, 9)
-    t2 = time.perf_counter()
-    assert col.flow_paths == obj.flow_paths
-    assert list(col.path_table) == list(obj.path_table)
-    assert np.array_equal(col.weights, obj.weights)
-    # Loose bound for CI noise; the committed BENCH_*.json records the
-    # real (>=5x at the large preset) number.
-    assert (t1 - t0) < (t2 - t1)

@@ -8,15 +8,14 @@ can be eyeballed against the paper), and asserts the figure's headline
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.problem import InferenceProblem
+from repro.eval.harness import build_problem
 from repro.eval.reporting import render_result
 from repro.eval.scenarios import make_trace
 from repro.routing import EcmpRouting
 from repro.simulation import SilentLinkDrops
-from repro.telemetry import TelemetryConfig, build_observations
+from repro.telemetry import TelemetryConfig
 from repro.topology import fat_tree
 
 
@@ -30,14 +29,7 @@ def drop_problem():
         SilentLinkDrops(n_failures=3, min_rate=4e-3, max_rate=1e-2),
         seed=99, n_passive=8000, n_probes=1000,
     )
-    observations = build_observations(
-        trace.records, topo, routing,
-        TelemetryConfig.from_spec("A1+A2+P"),
-        np.random.default_rng(5),
-    )
-    return InferenceProblem.from_observations(
-        observations, topo.n_components, topo.n_links
-    )
+    return build_problem(trace, TelemetryConfig.from_spec("A1+A2+P"))
 
 
 @pytest.fixture()

@@ -24,12 +24,6 @@ Benchmarks
   through the struct-of-arrays pipeline (FlowBatch / ObservationBatch /
   from_batch), one fresh trace per repeat over a shared PathSpace (the
   runner's steady state).
-* ``trace_build_object`` - the same workload through the object API
-  (FlowSpec list -> FlowRecord list -> build_observations ->
-  from_observations).  Note this is the *current* object API, whose
-  simulate() internally rides the batch kernel over a persistent
-  shared PathSpace - i.e. the reported speedup is conservative
-  relative to the pre-columnar per-record implementation.
 * ``simulate_columnar`` - trace generation alone (specs + simulator).
 * ``simulate_columnar_vec`` - the same trace generation with the
   vectorized RNG mode (``rng_mode="vectorized"``).
@@ -38,9 +32,8 @@ Benchmarks
 * ``localize_greedy_fast`` - full Flock greedy+JLE localization.
 * ``localize_gibbs`` - Gibbs sampling localization.
 
-``derived`` carries the headline ratios: ``trace_build_speedup``
-(object mean / columnar mean) and ``simulate_rng_speedup`` (grouped
-mean / vectorized mean).
+``derived`` carries the headline ratio ``simulate_rng_speedup``
+(grouped mean / vectorized mean).
 
 Timing semantics (also recorded in the artifact under ``timing``):
 each benchmark runs one untimed-for-the-mean *cold* call first (its
@@ -71,15 +64,13 @@ PRESETS = {
     "ci": (4_000, 600),
     "large": (100_000, 5_000),
     # The paper's simulation scale: full paper_simulation_clos fabric,
-    # 400K passive flows.  Only the compressed pipeline can run it;
-    # the object-pipeline arm is skipped.
+    # 400K passive flows.
     "paper": (400_000, 20_000),
 }
 
 #: Benchmarks excluded per preset (intractable by design at that scale).
 PRESET_SKIPS = {
     "paper": {
-        "trace_build_object",      # materializes ~9M per-pair projections
         "kernel_flip_vector",      # micro-bench; covered by localize_*
     },
 }
@@ -190,17 +181,11 @@ def build_benchmarks(preset: str, base_seed: int):
     from repro.core.params import DEFAULT_PER_PACKET
     from repro.core.problem import InferenceProblem
     from repro.eval.experiments import standard_topology
-    from repro.eval.scenarios import make_matrix, make_trace
+    from repro.eval.scenarios import make_trace
     from repro.eval.schemes import build_localizer
     from repro.routing import EcmpRouting
-    from repro.simulation import FlowLevelSimulator, SilentLinkDrops
-    from repro.telemetry.inputs import (
-        TelemetryConfig,
-        build_observation_batch,
-        build_observations,
-    )
-    from repro.traffic import generate_passive_flows
-    from repro.traffic.probes import a1_probe_plan
+    from repro.simulation import SilentLinkDrops
+    from repro.telemetry.inputs import TelemetryConfig, build_observation_batch
 
     n_passive, n_probes = PRESETS[preset]
     if preset in ("tiny", "paper"):
@@ -221,32 +206,6 @@ def build_benchmarks(preset: str, base_seed: int):
         )
         return InferenceProblem.from_batch(
             batch, topo.n_components, topo.n_links
-        )
-
-    # The object arm shares one space across repeats too, so neither
-    # arm is charged fresh-interning costs the other amortizes.
-    from repro.routing.paths import PathSpace
-
-    object_space = PathSpace(topo, routing)
-
-    def trace_build_object(i):
-        # The object API route: per-flow specs, per-flow records,
-        # per-flow observations.
-        rng = np.random.default_rng(base_seed + i)
-        injection = scenario.inject(topo, rng)
-        matrix = make_matrix(topo, "uniform", rng)
-        specs = list(
-            generate_passive_flows(routing, matrix, n_passive, rng)
-        )
-        specs.extend(a1_probe_plan(topo, routing, n_probes, rng))
-        records = FlowLevelSimulator(topo).simulate(
-            specs, injection, rng, space=object_space
-        )
-        observations = build_observations(
-            records, topo, routing, telemetry, np.random.default_rng(5)
-        )
-        return InferenceProblem.from_observations(
-            observations, topo.n_components, topo.n_links
         )
 
     def simulate_columnar(i):
@@ -271,7 +230,6 @@ def build_benchmarks(preset: str, base_seed: int):
     skips = PRESET_SKIPS.get(preset, set())
     benches = {
         "trace_build_columnar": trace_build_columnar,
-        "trace_build_object": trace_build_object,
         "simulate_columnar": simulate_columnar,
         "simulate_columnar_vec": simulate_columnar_vec,
         "kernel_delta_vector": kernel_delta_vector,
@@ -414,8 +372,6 @@ def main() -> int:
             derived[key] = slow / fast
             print(f"{caption}: {slow / fast:.2f}x")
 
-    _speedup("trace_build_speedup", "trace_build_object",
-             "trace_build_columnar", "trace build speedup (object/columnar)")
     _speedup("simulate_rng_speedup", "simulate_columnar",
              "simulate_columnar_vec",
              "simulate speedup (grouped/vectorized rng)")

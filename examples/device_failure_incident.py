@@ -9,16 +9,13 @@ spans its links - instead of a pile of per-link alerts.
 Run:  python examples/device_failure_incident.py
 """
 
-import numpy as np
-
 from repro import (
     DEFAULT_PER_PACKET,
     EcmpRouting,
     FlockInference,
-    InferenceProblem,
     SilentDeviceFailure,
     TelemetryConfig,
-    build_observations,
+    build_problem,
     evaluate_prediction,
     three_tier_clos,
 )
@@ -45,13 +42,7 @@ def main():
     print(f"incident: device {topo.name(node)} silently dropping packets on "
           f"{len(truth.drop_rates)}/{len(topo.device_links(node))} links")
 
-    observations = build_observations(
-        trace.records, topo, routing,
-        TelemetryConfig.from_spec("INT"), np.random.default_rng(3),
-    )
-    problem = InferenceProblem.from_observations(
-        observations, topo.n_components, topo.n_links
-    )
+    problem = build_problem(trace, TelemetryConfig.from_spec("INT"))
     prediction = FlockInference(DEFAULT_PER_PACKET).localize(problem)
 
     print("\nFlock's report:")

@@ -8,16 +8,13 @@ inference on the combined A1+A2+P telemetry.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro import (
     DEFAULT_PER_PACKET,
     EcmpRouting,
     FlockInference,
-    InferenceProblem,
     SilentLinkDrops,
     TelemetryConfig,
-    build_observations,
+    build_problem,
     evaluate_prediction,
     fat_tree,
     make_trace,
@@ -43,12 +40,7 @@ def main():
     # 3. Telemetry: active probes (A1), traced flagged flows (A2), and
     #    passive flow reports with ECMP path uncertainty (P).
     telemetry = TelemetryConfig.from_spec("A1+A2+P")
-    observations = build_observations(
-        trace.records, topo, routing, telemetry, np.random.default_rng(1)
-    )
-    problem = InferenceProblem.from_observations(
-        observations, topo.n_components, topo.n_links
-    )
+    problem = build_problem(trace, telemetry)
     print(problem.describe())
 
     # 4. Inference.

@@ -10,21 +10,15 @@ evaluation suite.
 
 Quickstart::
 
-    import numpy as np
     from repro import (
         EcmpRouting, FlockInference, SilentLinkDrops, TelemetryConfig,
-        build_observations, fat_tree, make_trace, InferenceProblem,
+        build_problem, fat_tree, make_trace,
     )
 
     topo = fat_tree(4)
     routing = EcmpRouting(topo)
     trace = make_trace(topo, routing, SilentLinkDrops(n_failures=2), seed=1)
-    obs = build_observations(
-        trace.records, topo, routing, TelemetryConfig.from_spec("A1+A2+P")
-    )
-    problem = InferenceProblem.from_observations(
-        obs, topo.n_components, topo.n_links
-    )
+    problem = build_problem(trace, TelemetryConfig.from_spec("A1+A2+P"))
     prediction = FlockInference().localize(problem)
     print({topo.component_name(c) for c in prediction.components})
 """
@@ -46,6 +40,7 @@ from .eval import (
     SchemeSetup,
     Trace,
     build_localizer,
+    build_problem,
     evaluate,
     evaluate_many,
     evaluate_prediction,
@@ -67,12 +62,7 @@ from .simulation import (
     SilentDeviceFailure,
     SilentLinkDrops,
 )
-from .telemetry import (
-    Collector,
-    TelemetryAgent,
-    TelemetryConfig,
-    build_observations,
-)
+from .telemetry import Collector, TelemetryAgent, TelemetryConfig
 from .topology import (
     Topology,
     fat_tree,
@@ -115,7 +105,6 @@ __all__ = [
     "TelemetryAgent",
     "Collector",
     "TelemetryConfig",
-    "build_observations",
     # core
     "FlockParams",
     "DEFAULT_PER_PACKET",
@@ -132,6 +121,7 @@ __all__ = [
     "SchemeSetup",
     "Trace",
     "make_trace",
+    "build_problem",
     "run_on_trace",
     "evaluate",
     "evaluate_many",

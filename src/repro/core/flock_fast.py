@@ -12,7 +12,7 @@ Shared structures (:class:`VectorArrays`), built on the problem's *set
 layer*:
 
 * ``path_comps``/``path_off`` - CSR of component ids per problem path
-  (interior projections for compressed problems);
+  (interior projections, and full projections of plain sets);
 * flows reference de-duplicated path sets; sets reference shared
   *interior sets* whose unique member paths carry an integer
   multiplicity column; per-set *endpoint components* sit on every
@@ -33,15 +33,15 @@ and each block folds into Δ with one ``np.bincount`` whose first weight
 per bin is the running total: a bin starts from the same value and adds
 the same terms in the same flow-ascending order as a single pass over
 every flow, so Δ does not depend on the block size, bit for bit, while
-the per-pair temporaries stay a few MB.  Because an
-uncompressed problem is the trivial factoring (every set its own
-interior set, no endpoint comps), one code path serves both
-representations, and their Δ sums are identical term by term and in
-accumulation order - which is what keeps compressed and uncompressed
-predictions bit-identical.  Per-flow pricing is the only layout: Δ is
-pinned bitwise to the set-granular pair-counting oracle
-(``tests/oracles/pair_counting.py``), and scores and log-likelihoods
-agree bitwise between compressed, uncompressed and object problems.
+the per-pair temporaries stay a few MB.  A plain set is the trivial
+factoring (its own interior set, no endpoint comps), so the same rows
+with every factored set expanded to plain full projections give Δ sums
+identical term by term and in accumulation order - which is what keeps
+predictions bit-identical between the two.  Per-flow pricing is the
+only layout: Δ is pinned bitwise to the set-granular pair-counting
+oracle (``tests/oracles/pair_counting.py``), and scores and
+log-likelihoods agree bitwise between a ``from_batch`` problem, its
+plain-set expansion and the object pipeline's problem.
 
 Engines built on the substrate:
 

@@ -14,34 +14,35 @@ construction
   the few components a hot caller asks about, one sorted inverted
   index once a caller asks about many.
 
-The problem's primary representation is columnar: CSR arrays for
+The problem's representation is columnar: CSR arrays for
 path -> components, set -> endpoint components, interior set ->
 component union and flow -> set, plus aligned per-flow count arrays.
 The vectorized kernels (:mod:`repro.core.flock_fast`) consume the
 arrays directly; the object views the baselines and the test oracles
 walk (``path_table``, ``flow_paths``, ``flows_by_comp``, ...) are lazy
-adapters materialized from the arrays on first access, with contents
-identical to what the historical per-flow construction produced.
+adapters materialized from the arrays on first access.
 
-Two constructors share the representation: :meth:`InferenceProblem
-.from_batch` is the columnar path (grouping is an ``np.unique`` over
-packed key columns; per-observation work is array algebra), and
-:meth:`InferenceProblem.from_observations` the object path kept for
-deserialized datasets and hand-built test problems.  Both produce
-bit-identical problems for the same logical input: local path ids and
-flow groups are numbered in first-appearance order either way.
+One constructor body builds every problem
+(:meth:`InferenceProblem._from_grouped`).  :meth:`InferenceProblem
+.from_batch` groups a columnar observation batch into it (an
+``np.unique`` over packed key columns; per-observation work is array
+algebra), the sliding window (:mod:`repro.core.window`) merges
+per-chunk grouped tables into it, and :meth:`InferenceProblem
+.from_observations` - hand-built observations - interns each
+observation's component paths as a plain set and calls ``from_batch``.
+Local path ids and flow groups are numbered in first-appearance order
+either way.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict, FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING,
-)
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import InferenceError
-from ..routing.paths import PathTable, _GrowableCSR, first_seen_ids
+from ..routing.paths import PathSpace, PathTable, _GrowableCSR, first_seen_ids
 from ..topology.base import sorted_unique
 from ..types import FlowObservation, TelemetryKind
 
@@ -59,17 +60,6 @@ def _expand_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     # One repeat of each slice's offset: start minus its output position.
     out += (starts - (ends - lengths)).repeat(lengths)
     return out
-
-
-def _csr_from_tuples(rows: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten int tuples into CSR (values, offsets)."""
-    lengths = np.fromiter((len(r) for r in rows), dtype=np.int64, count=len(rows))
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    values = np.fromiter(
-        (v for row in rows for v in row), dtype=np.int64, count=int(offsets[-1])
-    )
-    return values, offsets
 
 
 def _split_index(
@@ -158,9 +148,9 @@ def _concat_segments(
 
 
 class SetStageCache:
-    """Intern of the compressed set stage, one entry per gsid and key.
+    """Intern of the set stage, one entry per gsid and key.
 
-    A compressed build needs, per distinct path set (gsid), its
+    A build needs, per distinct path set (gsid), its
     endpoint components and interior-set key
     (:meth:`PathSpace.comp_set_parts`), and per distinct interior key
     its member gids and the sorted union of their components.  Each of
@@ -175,8 +165,8 @@ class SetStageCache:
 
     :meth:`InferenceProblem._from_grouped` then gathers the
     whole set stage - endpoint comps, interior members, interior unions
-    - with a handful of vectorized indexing passes.  Every compressed
-    build goes through a cache: ``from_batch`` with a fresh call-local
+    - with a handful of vectorized indexing passes.  Every build goes
+    through a cache: ``from_batch`` with a fresh call-local
     one (every key is new), the sliding window
     (:class:`repro.core.window.WindowedProblem`) with one that lives as
     long as the window and re-sees almost every key of the previous
@@ -451,22 +441,22 @@ class _CompFlows(_CompIndex):
 class InferenceProblem:
     """Immutable, indexed view of a telemetry snapshot.
 
-    Two representations share this class:
+    One layout serves every problem.  A flow's path set is stored as
+    *endpoint components* (components on every member path) plus a
+    reference to an *interior path set*:
 
-    * **Uncompressed** (``compressed == False``): every flow's path set
-      enumerates full per-host-pair component projections.  This is
-      what :meth:`from_observations` builds and what the object views
-      expose either way.
-    * **Compressed** (``compressed == True``, built by
-      :meth:`from_batch`): a flow's path set is stored as *endpoint
-      components* (the host links, present on every member path) plus a
-      reference to an *interior path set* shared by every host pair of
-      the same rack pair.  The problem's path table then holds unique
-      interior projections instead of ~pairs x ~w full projections -
-      at the paper's simulation scale this collapses ~9M distinct
-      component paths to a few hundred thousand.  Interior members are
-      de-duplicated per set with an integer multiplicity column; the
-      vectorized kernels (:mod:`repro.core.flock_fast`) weight by it.
+    * a factored pair set (:meth:`PathSpace.pair_set`) keeps its two
+      host links as endpoint components and shares one interior set
+      with every host pair of the same rack pair, so the path table
+      holds unique interior projections instead of ~pairs x ~w full
+      projections - at the paper's simulation scale this collapses ~9M
+      distinct component paths to a few hundred thousand;
+    * a plain set (an exact path, or a hand-built observation) is its
+      own interior set and has no endpoint components.
+
+    Interior members are de-duplicated per set with an integer
+    multiplicity column; the vectorized kernels
+    (:mod:`repro.core.flock_fast`) weight by it.
 
     Attributes
     ----------
@@ -476,131 +466,18 @@ class InferenceProblem:
         Boundary between link ids and device ids.
     path_comps / path_off:
         CSR of component ids per problem path (sorted, de-duplicated
-        per path).  Compressed problems store interior projections
-        here (plus full projections of exact-path flows).
+        per path): interior projections, and full projections of plain
+        sets.
     bad_packets / packets_sent / weights:
         Aligned int arrays: ``r``, ``t`` and the group multiplicity.
     exact:
         Aligned bool array: True when the flow's path is known exactly.
     flow_paths / path_table / flows_by_comp / paths_by_comp /
-    comps_by_flow / path_component_sets:
+    comps_by_flow:
         Lazy object views over the arrays (baselines and test
-        oracles); identical contents to the historical eager build -
-        compressed problems expand to the uncompressed view on first
-        access.
+        oracles): factored sets expand to full per-pair projections on
+        first access.
     """
-
-    def __init__(
-        self,
-        n_components: int,
-        n_links: int,
-        path_table: PathTable,
-        flow_paths: List[Tuple[int, ...]],
-        bad_packets: np.ndarray,
-        packets_sent: np.ndarray,
-        weights: np.ndarray,
-        exact: np.ndarray,
-        kinds: List[TelemetryKind],
-    ) -> None:
-        self.n_components = n_components
-        self.n_links = n_links
-        self.bad_packets = bad_packets
-        self.packets_sent = packets_sent
-        self.weights = weights
-        self.exact = exact
-        self._kinds: Optional[List[TelemetryKind]] = kinds
-        self._kind_codes: Optional[np.ndarray] = None
-        self._path_table: Optional[PathTable] = path_table
-        self._flow_paths: Optional[List[Tuple[int, ...]]] = flow_paths
-        self._path_component_sets: Optional[List[FrozenSet[int]]] = None
-
-        # Derive the columnar form, deduplicating flows' path-id tuples
-        # so all union work below happens once per distinct set.
-        self.path_comps, self.path_off = _csr_from_tuples(list(path_table))
-        set_index: Dict[Tuple[int, ...], int] = {}
-        unique_sets: List[Tuple[int, ...]] = []
-        set_of_flow = np.empty(len(flow_paths), dtype=np.int64)
-        for flow, fp in enumerate(flow_paths):
-            sid = set_index.get(fp)
-            if sid is None:
-                sid = len(unique_sets)
-                set_index[fp] = sid
-                unique_sets.append(fp)
-            set_of_flow[flow] = sid
-        set_pids, set_off = _csr_from_tuples(unique_sets)
-        self._finish(set_of_flow, set_pids, set_off)
-
-    @classmethod
-    def _from_arrays(
-        cls,
-        n_components: int,
-        n_links: int,
-        path_comps: np.ndarray,
-        path_off: np.ndarray,
-        set_of_flow: np.ndarray,
-        set_pids: np.ndarray,
-        set_off: np.ndarray,
-        bad_packets: np.ndarray,
-        packets_sent: np.ndarray,
-        weights: np.ndarray,
-        exact: np.ndarray,
-        kinds: List[TelemetryKind],
-    ) -> "InferenceProblem":
-        """Array-native constructor (the columnar pipeline's entry)."""
-        self = cls.__new__(cls)
-        self.n_components = n_components
-        self.n_links = n_links
-        self.bad_packets = bad_packets
-        self.packets_sent = packets_sent
-        self.weights = weights
-        self.exact = exact
-        self._kinds = kinds
-        self._kind_codes = None
-        self._path_table = None
-        self._flow_paths = None
-        self._path_component_sets = None
-        self.path_comps = path_comps
-        self.path_off = path_off
-        self._finish(set_of_flow, set_pids, set_off)
-        return self
-
-    def _finish(
-        self,
-        set_of_flow: np.ndarray,
-        set_pids: np.ndarray,
-        set_off: np.ndarray,
-    ) -> None:
-        """Set layer of the uncompressed layout: every set is its own
-        interior set with no endpoint components."""
-        n_comps = np.int64(self.n_components)
-        n_sets = len(set_off) - 1
-        self.compressed = False
-        self._set_of_flow = set_of_flow
-        self._set_pids = set_pids
-        self._set_off = set_off
-
-        # Per-set sorted component unions via one unique over packed
-        # (set, component) keys.
-        inst_counts = np.diff(self.path_off)[set_pids]
-        inst_set = np.repeat(
-            np.repeat(np.arange(n_sets, dtype=np.int64), np.diff(set_off)),
-            inst_counts,
-        )
-        inst_comp = self.path_comps[
-            _expand_slices(self.path_off[set_pids], inst_counts)
-        ]
-        keys = sorted_unique(inst_set * n_comps + inst_comp)
-        self._init_unified(
-            set_ecomps=np.empty(0, dtype=np.int64),
-            set_eoff=np.zeros(n_sets + 1, dtype=np.int64),
-            iset_of_set=np.arange(n_sets, dtype=np.int64),
-            iset_raw_pids=set_pids,
-            iset_raw_off=set_off,
-            iu_comps=keys % n_comps,
-            iu_bounds=np.searchsorted(
-                keys // n_comps, np.arange(n_sets + 1, dtype=np.int64)
-            ),
-        )
 
     def _defer_comp_flows(self) -> None:
         """Set up the per-component queries; nothing is sorted yet.
@@ -615,7 +492,7 @@ class InferenceProblem:
         components it builds its whole sorted index once and slices
         every later answer from it (see :class:`_CompIndex`); so do the
         whole-index readers (``flows_by_comp``,
-        ``addition_upper_bounds``, the uncompressed ``paths_by_comp``).
+        ``addition_upper_bounds``).
         Scan and index return identical arrays: int64 ids, ascending
         per component, read-only, empty for an unobserved component.
         """
@@ -649,63 +526,6 @@ class InferenceProblem:
     def _comp_flow_vals(self) -> np.ndarray:
         return self._flows.index()[0]
 
-    def _init_unified(
-        self,
-        set_ecomps: np.ndarray,
-        set_eoff: np.ndarray,
-        iset_of_set: np.ndarray,
-        iset_raw_pids: np.ndarray,
-        iset_raw_off: np.ndarray,
-        iu_comps: np.ndarray,
-        iu_bounds: np.ndarray,
-    ) -> None:
-        """Store the set layer the vectorized kernels consume.
-
-        Sets reference shared *interior sets* (``iset``); interior
-        members are de-duplicated with an integer multiplicity column.
-        ``set_ecomps`` holds each set's endpoint components (sorted,
-        disjoint from every member's interior components; empty for
-        uncompressed problems), ``iu_comps``/``iu_bounds`` each interior
-        set's sorted component union (CSR).
-        """
-        n_isets = len(iset_raw_off) - 1
-        n_paths = max(1, len(self.path_off) - 1)
-        self._set_ecomps = set_ecomps
-        self._set_eoff = set_eoff
-        self._iset_of_set = iset_of_set
-        self._iset_raw_pids = iset_raw_pids
-        self._iset_raw_off = iset_raw_off
-        self._iu_comps = iu_comps
-        self._iu_bounds = iu_bounds
-
-        # Unique members + multiplicity per interior set (member order
-        # inside a set does not matter to any kernel sum: pair counts
-        # re-sort by component and failed-path counts are exact integer
-        # sums).
-        raw_lens = np.diff(iset_raw_off)
-        if len(iset_raw_pids):
-            raw_iset = np.repeat(np.arange(n_isets, dtype=np.int64), raw_lens)
-            ukeys, mult = np.unique(
-                raw_iset * np.int64(n_paths) + iset_raw_pids, return_counts=True
-            )
-            self._iset_upids = ukeys % n_paths
-            self._iset_uoff = np.searchsorted(
-                ukeys // n_paths, np.arange(n_isets + 1, dtype=np.int64)
-            )
-            self._iset_umult = mult.astype(np.int64)
-        else:
-            self._iset_upids = np.empty(0, dtype=np.int64)
-            self._iset_umult = np.empty(0, dtype=np.int64)
-            self._iset_uoff = np.zeros(n_isets + 1, dtype=np.int64)
-        self._set_w = raw_lens[iset_of_set]
-        self._defer_comp_flows()
-        self._init_views()
-
-    def _init_views(self) -> None:
-        self._flows_by_comp: Optional[Dict[int, List[int]]] = None
-        self._paths_by_comp: Optional[Dict[int, List[int]]] = None
-        self._comps_by_flow: Optional[List[Tuple[int, ...]]] = None
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -716,49 +536,48 @@ class InferenceProblem:
         n_components: int,
         n_links: int,
     ) -> "InferenceProblem":
+        """Build the problem from hand-built object observations.
+
+        A thin adapter over :meth:`from_batch`: each observation's
+        component paths intern as one *plain* component set (no
+        endpoint components) in a private :class:`PathSpace` that holds
+        components only, so the result is the layout ``from_batch``
+        builds for exact paths - every set its own interior set.
+        """
+        from ..telemetry.inputs import KIND_CODE, ObservationBatch
+
         if n_links > n_components:
             raise InferenceError("n_links cannot exceed n_components")
-        path_table = PathTable()
-        grouped: Dict[Tuple, List] = {}
-        for obs in observations:
-            path_ids = tuple(path_table.intern(p) for p in obs.path_set)
+        # The component half of a space reads its topology only for
+        # the size of the component id space.
+        space = PathSpace(SimpleNamespace(n_components=n_components), None)
+        n = len(observations)
+        gsids = np.empty(n, dtype=np.int64)
+        for row, obs in enumerate(observations):
             for path in obs.path_set:
                 for comp in path:
                     if not 0 <= comp < n_components:
                         raise InferenceError(
                             f"component id {comp} outside [0, {n_components})"
                         )
-            key = (path_ids, obs.bad_packets, obs.packets_sent, obs.kind)
-            entry = grouped.get(key)
-            if entry is None:
-                grouped[key] = [1]
-            else:
-                entry[0] += 1
-
-        flow_paths: List[Tuple[int, ...]] = []
-        bad: List[int] = []
-        sent: List[int] = []
-        weights: List[int] = []
-        exact: List[bool] = []
-        kinds: List[TelemetryKind] = []
-        for (path_ids, r, t, kind), (count,) in grouped.items():
-            flow_paths.append(path_ids)
-            bad.append(r)
-            sent.append(t)
-            weights.append(count)
-            exact.append(len(path_ids) == 1)
-            kinds.append(kind)
-        return cls(
-            n_components=n_components,
-            n_links=n_links,
-            path_table=path_table,
-            flow_paths=flow_paths,
-            bad_packets=np.asarray(bad, dtype=np.int64),
-            packets_sent=np.asarray(sent, dtype=np.int64),
-            weights=np.asarray(weights, dtype=np.int64),
-            exact=np.asarray(exact, dtype=bool),
-            kinds=kinds,
+            gsids[row] = space.intern_comp_set(
+                [space.intern_components(path) for path in obs.path_set]
+            )
+        batch = ObservationBatch(
+            space=space,
+            path_set=gsids,
+            bad=np.fromiter(
+                (o.bad_packets for o in observations), dtype=np.int64, count=n
+            ),
+            sent=np.fromiter(
+                (o.packets_sent for o in observations), dtype=np.int64, count=n
+            ),
+            kind=np.fromiter(
+                (KIND_CODE[o.kind] for o in observations),
+                dtype=np.int64, count=n,
+            ),
         )
+        return cls.from_batch(batch, n_components, n_links)
 
     @classmethod
     def from_batch(
@@ -771,18 +590,17 @@ class InferenceProblem:
 
         Grouping is one ``np.unique`` over the packed
         (path-set, bad, sent, kind) key columns, reordered to
-        first-appearance order so groups - and the path table's local
-        ids - come out exactly as :meth:`from_observations` would
-        produce them for the same rows.
+        first-appearance order, so groups - and the path table's local
+        ids - are numbered in the order their first row appears.
 
         Factored pair sets stay factored: the problem's path table holds
         unique *interior* projections shared across every host pair of a
         rack pair, plus per-set endpoint components.  Predictions are
-        bit-identical to the uncompressed layout
-        :meth:`from_observations` builds for the same rows.
+        bit-identical to those over the same rows with every set
+        expanded to plain full projections.
         """
         if len(batch) == 0:
-            return cls.from_observations([], n_components, n_links)
+            return cls._empty(n_components, n_links)
         rep_rows, counts = _first_seen_unique_rows(
             batch.path_set, batch.bad, batch.sent, batch.kind
         )
@@ -798,6 +616,14 @@ class InferenceProblem:
         )
 
     @classmethod
+    def _empty(cls, n_components: int, n_links: int) -> "InferenceProblem":
+        """The problem with no flows (a window before its first chunk)."""
+        none = np.empty(0, dtype=np.int64)
+        return cls._from_grouped(
+            None, none, none, none, none, none, n_components, n_links
+        )
+
+    @classmethod
     def _from_grouped(
         cls,
         space,
@@ -810,8 +636,8 @@ class InferenceProblem:
         n_links: int,
         parts_cache: Optional["SetStageCache"] = None,
     ) -> "InferenceProblem":
-        """Compressed build from already-grouped rows in first-appearance
-        order: sets stay factored.
+        """The one constructor body: build from already-grouped rows in
+        first-appearance order.
 
         ``rep_gsids``/``bad``/``sent``/``kind_codes``/``weights`` are
         aligned per grouped flow.  :meth:`from_batch` lands here after
@@ -831,41 +657,48 @@ class InferenceProblem:
         :class:`SetStageCache`, kept across builds; a fresh one when the
         caller passes none).  Interior sets are numbered by first key
         appearance over the first-seen sets, so the gathered arrays do
-        not depend on what the cache interned before this build.
+        not depend on what the cache interned before this build.  With
+        no rows the space is never read.
         """
         if n_links > n_components:
             raise InferenceError("n_links cannot exceed n_components")
-        if len(rep_gsids) == 0:
-            return cls.from_observations([], n_components, n_links)
-
-        ordered_gsids, set_of_flow = first_seen_ids(rep_gsids)
-        if parts_cache is None:
-            parts_cache = SetStageCache()
-        rows = parts_cache.rows(space, ordered_gsids)
-        ordered_kids, iset_of_set = first_seen_ids(
-            parts_cache.key_of_row[rows]
-        )
-        set_ecomps, set_eoff = _gather_rows(
-            *parts_cache.ecomps.arrays(), rows
-        )
-        flat_gids, iset_raw_off = _gather_rows(
-            *parts_cache.members.arrays(), ordered_kids
-        )
-        iu_comps, iu_bounds = _gather_rows(
-            *parts_cache.unions.arrays(), ordered_kids
-        )
-        local_gids, iset_raw_pids = first_seen_ids(flat_gids)
-        path_comps, path_off = _gather_rows(*space.comp_csr(), local_gids)
-
-        if space.topology.n_components != n_components:
-            for arr in (path_comps, set_ecomps):
-                if len(arr):
-                    bad_mask = (arr < 0) | (arr >= n_components)
-                    if np.any(bad_mask):
-                        raise InferenceError(
-                            f"component id {int(arr[bad_mask][0])} outside "
-                            f"[0, {n_components})"
-                        )
+        if len(rep_gsids):
+            ordered_gsids, set_of_flow = first_seen_ids(rep_gsids)
+            if parts_cache is None:
+                parts_cache = SetStageCache()
+            rows = parts_cache.rows(space, ordered_gsids)
+            ordered_kids, iset_of_set = first_seen_ids(
+                parts_cache.key_of_row[rows]
+            )
+            set_ecomps, set_eoff = _gather_rows(
+                *parts_cache.ecomps.arrays(), rows
+            )
+            flat_gids, iset_raw_off = _gather_rows(
+                *parts_cache.members.arrays(), ordered_kids
+            )
+            iu_comps, iu_bounds = _gather_rows(
+                *parts_cache.unions.arrays(), ordered_kids
+            )
+            local_gids, iset_raw_pids = first_seen_ids(flat_gids)
+            path_comps, path_off = _gather_rows(
+                *space.comp_csr(), local_gids
+            )
+            if space.topology.n_components != n_components:
+                for arr in (path_comps, set_ecomps):
+                    if len(arr):
+                        bad_mask = (arr < 0) | (arr >= n_components)
+                        if np.any(bad_mask):
+                            raise InferenceError(
+                                f"component id {int(arr[bad_mask][0])} "
+                                f"outside [0, {n_components})"
+                            )
+        else:
+            none = np.empty(0, dtype=np.int64)
+            set_of_flow = iset_of_set = iset_raw_pids = none
+            path_comps = set_ecomps = iu_comps = none
+            path_off = set_eoff = iset_raw_off = iu_bounds = np.zeros(
+                1, dtype=np.int64
+            )
 
         self = cls.__new__(cls)
         self.n_components = n_components
@@ -875,22 +708,54 @@ class InferenceProblem:
         self.weights = weights
         # kinds materialize lazily from the codes: nothing on the
         # steady-state streaming path reads them.
-        self._kinds = None
+        self._kinds: Optional[List[TelemetryKind]] = None
         self._kind_codes = kind_codes
-        self._path_table = None
-        self._flow_paths = None
-        self._path_component_sets = None
+        self._path_table: Optional[PathTable] = None
+        self._flow_paths: Optional[List[Tuple[int, ...]]] = None
+        self._flows_by_comp: Optional[Dict[int, List[int]]] = None
+        self._paths_by_comp: Optional[Dict[int, List[int]]] = None
+        self._comps_by_flow: Optional[List[Tuple[int, ...]]] = None
         self.path_comps = path_comps
         self.path_off = path_off
-        self.compressed = True
         self._set_of_flow = set_of_flow
-        self._set_pids = None
-        self._set_off = None
-        self._init_unified(
-            set_ecomps, set_eoff, iset_of_set, iset_raw_pids, iset_raw_off,
-            iu_comps, iu_bounds,
-        )
+        # The set layer the vectorized kernels consume.  Sets reference
+        # shared interior sets (``iset``); ``set_ecomps`` holds each
+        # set's endpoint components (sorted, disjoint from every
+        # member's interior components; empty for plain sets),
+        # ``iu_comps``/``iu_bounds`` each interior set's sorted
+        # component union (CSR).
+        self._set_ecomps = set_ecomps
+        self._set_eoff = set_eoff
+        self._iset_of_set = iset_of_set
+        self._iset_raw_pids = iset_raw_pids
+        self._iset_raw_off = iset_raw_off
+        self._iu_comps = iu_comps
+        self._iu_bounds = iu_bounds
+
+        # Unique members + multiplicity per interior set (member order
+        # inside a set does not matter to any kernel sum: pair counts
+        # re-sort by component and failed-path counts are exact integer
+        # sums).
+        n_isets = len(iset_raw_off) - 1
+        n_paths = max(1, len(path_off) - 1)
+        raw_lens = np.diff(iset_raw_off)
+        if len(iset_raw_pids):
+            raw_iset = np.repeat(np.arange(n_isets, dtype=np.int64), raw_lens)
+            ukeys, mult = np.unique(
+                raw_iset * np.int64(n_paths) + iset_raw_pids, return_counts=True
+            )
+            self._iset_upids = ukeys % n_paths
+            self._iset_uoff = np.searchsorted(
+                ukeys // n_paths, np.arange(n_isets + 1, dtype=np.int64)
+            )
+            self._iset_umult = mult.astype(np.int64)
+        else:
+            self._iset_upids = np.empty(0, dtype=np.int64)
+            self._iset_umult = np.empty(0, dtype=np.int64)
+            self._iset_uoff = np.zeros(n_isets + 1, dtype=np.int64)
+        self._set_w = raw_lens[iset_of_set]
         self.exact = self._set_w[set_of_flow] == 1
+        self._defer_comp_flows()
         return self
 
     # ------------------------------------------------------------------
@@ -913,7 +778,7 @@ class InferenceProblem:
     def comp_path_ids(self, comp: int) -> np.ndarray:
         """Problem paths containing ``comp`` (ascending, read-only).
 
-        Compressed problems index their interior/exact path table here;
+        The path table holds interior and plain-set projections;
         endpoint components map to sets via :meth:`comp_eset_ids`
         instead.
         """
@@ -927,12 +792,13 @@ class InferenceProblem:
     # Lazy object views (baselines, test oracles)
     # ------------------------------------------------------------------
     def _materialize_object_paths(self) -> None:
-        """Expand a compressed problem to the uncompressed object view.
+        """Expand every set to full member projections.
 
         Full member projections are the (disjoint) union of each set's
         endpoint comps and its interior projections; scanning sets in
-        first-seen order and members in raw member order reproduces
-        :meth:`from_observations`'s first-seen local ids exactly.
+        first-seen order and members in raw member order numbers the
+        full paths in first-appearance order, as the plain layout of
+        the same rows numbers its path table.
         """
         table = PathTable()
         comps = self.path_comps.tolist()
@@ -981,18 +847,9 @@ class InferenceProblem:
     @property
     def path_table(self) -> PathTable:
         """Interning table of the problem's *full* component paths
-        (lazy; object-view semantics, identical to
-        :meth:`from_observations` output either way)."""
+        (lazy object view)."""
         if self._path_table is None:
-            if self.compressed:
-                self._materialize_object_paths()
-            else:
-                table = PathTable()
-                comps = self.path_comps.tolist()
-                for start, stop in zip(self.path_off[:-1].tolist(),
-                                       self.path_off[1:].tolist()):
-                    table.intern_canonical(tuple(comps[start:stop]))
-                self._path_table = table
+            self._materialize_object_paths()
         return self._path_table
 
     @property
@@ -1000,29 +857,8 @@ class InferenceProblem:
         """Per-flow interned path-id tuples (lazy; tuples are shared
         between flows with the same path set)."""
         if self._flow_paths is None:
-            if self.compressed:
-                self._materialize_object_paths()
-            else:
-                pids = self._set_pids.tolist()
-                set_tuples = [
-                    tuple(pids[start:stop])
-                    for start, stop in zip(self._set_off[:-1].tolist(),
-                                           self._set_off[1:].tolist())
-                ]
-                self._flow_paths = [
-                    set_tuples[s] for s in self._set_of_flow.tolist()
-                ]
+            self._materialize_object_paths()
         return self._flow_paths
-
-    @property
-    def path_component_sets(self) -> List[FrozenSet[int]]:
-        """Per-path frozen component sets (lazy; only the test oracles
-        walk these - the vectorized kernels use the CSR)."""
-        if self._path_component_sets is None:
-            self._path_component_sets = [
-                frozenset(comps) for comps in self.path_table
-            ]
-        return self._path_component_sets
 
     @property
     def flows_by_comp(self) -> Dict[int, List[int]]:
@@ -1033,17 +869,14 @@ class InferenceProblem:
 
     @property
     def paths_by_comp(self) -> Dict[int, List[int]]:
-        """{component: ascending path ids} (lazy view; object-view path
-        ids, i.e. full projections for compressed problems)."""
+        """{component: ascending path ids} (lazy view over the full
+        paths of :attr:`path_table`)."""
         if self._paths_by_comp is None:
-            if self.compressed:
-                out: Dict[int, List[int]] = {}
-                for pid, comps in enumerate(self.path_table):
-                    for comp in comps:
-                        out.setdefault(comp, []).append(pid)
-                self._paths_by_comp = out
-            else:
-                self._paths_by_comp = _split_index(*self._path_rows.index())
+            out: Dict[int, List[int]] = {}
+            for pid, comps in enumerate(self.path_table):
+                for comp in comps:
+                    out.setdefault(comp, []).append(pid)
+            self._paths_by_comp = out
         return self._paths_by_comp
 
     @property
@@ -1074,19 +907,6 @@ class InferenceProblem:
     def total_flows(self) -> int:
         """Number of underlying observations (sum of group weights)."""
         return int(self.weights.sum())
-
-    @property
-    def n_paths(self) -> int:
-        """Number of *full* component paths (object-view semantics).
-
-        Object-view walkers size their per-path state by this and index
-        it with :attr:`flow_paths` ids; compressed problems therefore
-        report the materialized object table's size.  Kernels index the
-        compressed table via ``len(path_off) - 1`` instead.
-        """
-        if self.compressed:
-            return len(self.path_table)
-        return len(self.path_off) - 1
 
     def is_device(self, comp: int) -> bool:
         return comp >= self.n_links
@@ -1121,10 +941,9 @@ class InferenceProblem:
         """One-line summary, handy in logs and experiment reports."""
         observed = len(self.observed_components)
         paths = len(self.path_off) - 1
-        kind = "interior paths" if self.compressed else "paths"
         return (
             f"InferenceProblem(flows={self.total_flows} grouped to "
-            f"{self.n_flows}, {kind}={paths}, "
+            f"{self.n_flows}, interior paths={paths}, "
             f"components={observed} observed of "
             f"{self.n_components})"
         )

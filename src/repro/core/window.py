@@ -10,7 +10,7 @@ handed to :meth:`InferenceProblem._from_grouped`.
 
 The window owns a :class:`~repro.core.problem.SetStageCache` for its
 whole life.  It interns, once per path set and once per interior key,
-what the compressed build needs: endpoint components, interior members,
+what the build needs: endpoint components, interior members,
 and each interior key's sorted component union.  A steady-state cycle
 re-sees almost every key of the previous one, so it gathers the set
 stage from flat arrays and computes unions only for the few keys new to
@@ -144,8 +144,8 @@ class WindowedProblem:
     def problem(self) -> InferenceProblem:
         """The current window's problem (empty before any append)."""
         if self._problem is None:
-            self._problem = InferenceProblem.from_observations(
-                [], self.n_components, self.n_links
+            self._problem = InferenceProblem._empty(
+                self.n_components, self.n_links
             )
         return self._problem
 

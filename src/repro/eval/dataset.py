@@ -32,7 +32,9 @@ import json
 from pathlib import Path
 from typing import Dict, List, Union
 
-from ..errors import ExperimentError
+import numpy as np
+
+from ..errors import ExperimentError, TopologyError
 from ..routing.ecmp import EcmpRouting
 from ..simulation.droprate import DropRatePlan
 from ..simulation.failures import (
@@ -46,10 +48,13 @@ from ..simulation.failures import (
 from ..topology.base import Topology
 from ..topology.clos import three_tier_clos
 from ..topology.leafspine import testbed
-from ..types import FlowRecord, GroundTruth
+from ..types import FlowBatch, FlowRecord, GroundTruth
 from .scenarios import SKEWED, UNIFORM, Trace, make_trace
 
 FORMAT_TAG = "flock-trace-v1"
+
+#: The positional fields of one serialized flow record.
+RECORD_FIELDS = ("src", "dst", "sent", "bad", "rtt_us", "is_probe", "path")
 
 
 def trace_to_dict(trace: Trace) -> Dict:
@@ -85,52 +90,107 @@ def trace_to_dict(trace: Trace) -> Dict:
 def trace_from_dict(payload: Dict) -> Trace:
     """Rebuild a trace from its serialized form.
 
-    The reconstructed ``Injection`` carries the ground truth and
-    analysis mode; the drop-rate plan is restored from the recorded
-    per-link rates (healthy links read back as rate 0, which is fine -
-    consumers of a dataset never re-simulate it).
+    The flows load as a :class:`~repro.types.FlowBatch` over the
+    rebuilt routing's shared path space
+    (:meth:`FlowBatch.from_records`).  The reconstructed ``Injection``
+    carries the ground truth and analysis mode; the drop-rate plan is
+    restored from the recorded per-link rates (healthy links read back
+    as rate 0, which is fine - consumers of a dataset never re-simulate
+    it).  A malformed document raises :class:`ExperimentError` here,
+    before anything is built from it.
     """
-    if payload.get("format") != FORMAT_TAG:
-        raise ExperimentError(
-            f"not a {FORMAT_TAG} document: format={payload.get('format')!r}"
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_TAG:
+        found = payload.get("format") if isinstance(payload, dict) else payload
+        raise ExperimentError(f"not a {FORMAT_TAG} document: format={found!r}")
+    try:
+        topo_spec = payload["topology"]
+        topology = Topology(
+            names=topo_spec["names"],
+            roles=topo_spec["roles"],
+            links=[tuple(pair) for pair in topo_spec["links"]],
         )
-    topo_spec = payload["topology"]
-    topology = Topology(
-        names=topo_spec["names"],
-        roles=topo_spec["roles"],
-        links=[tuple(pair) for pair in topo_spec["links"]],
-    )
-    truth_spec = payload["ground_truth"]
-    truth = GroundTruth(
-        failed_links=frozenset(truth_spec["failed_links"]),
-        failed_devices=frozenset(truth_spec["failed_devices"]),
-        drop_rates={int(k): v for k, v in truth_spec["drop_rates"].items()},
-    )
-    import numpy as np
-
-    rates = np.zeros(topology.n_links)
-    for link, rate in truth.drop_rates.items():
-        rates[link] = rate
+        truth_spec = payload["ground_truth"]
+        truth = GroundTruth(
+            failed_links=frozenset(truth_spec["failed_links"]),
+            failed_devices=frozenset(truth_spec["failed_devices"]),
+            drop_rates={int(k): v for k, v in truth_spec["drop_rates"].items()},
+        )
+        rates = np.zeros(topology.n_links)
+        for link, rate in truth.drop_rates.items():
+            rates[link] = rate
+        rows = payload["records"]
+    except (KeyError, TypeError, ValueError, IndexError, TopologyError) as exc:
+        raise ExperimentError(
+            f"malformed {FORMAT_TAG} document: {type(exc).__name__}: {exc}"
+        ) from None
     injection = Injection(
         ground_truth=truth,
         plan=DropRatePlan(topology, rates),
         analysis=payload.get("analysis", "per_packet"),
     )
-    records = [
-        FlowRecord(
-            src=src, dst=dst, packets_sent=sent, bad_packets=bad,
-            rtt_ms=rtt_us / 1000.0, is_probe=bool(probe), path=tuple(path),
-        )
-        for src, dst, sent, bad, rtt_us, probe, path in payload["records"]
-    ]
+    routing = EcmpRouting(topology)
+    records = _parse_records(rows, topology)
     return Trace(
         topology=topology,
-        routing=EcmpRouting(topology),
+        routing=routing,
         injection=injection,
-        records=records,
+        batch=FlowBatch.from_records(records, routing.path_space()),
         seed=payload.get("seed", 0),
         meta=payload.get("meta", {}),
     )
+
+
+def _parse_records(rows, topology: Topology) -> List[FlowRecord]:
+    """Validated flow records of a document's ``"records"`` list.
+
+    Every field is an integer, ``0 <= bad <= sent``, ``rtt_us >= 0``,
+    and the path is a walk over the topology's links from ``src`` to
+    ``dst``; a passive flow runs between two distinct hosts.
+    """
+    if not isinstance(rows, list):
+        raise ExperimentError(
+            f"'records' must be a list, got {type(rows).__name__}"
+        )
+    n_nodes = topology.n_nodes
+    hosts = set(topology.hosts)
+    records: List[FlowRecord] = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != len(RECORD_FIELDS):
+            raise ExperimentError(
+                f"record {i}: expected [{', '.join(RECORD_FIELDS)}], got {row!r}"
+            )
+        src, dst, sent, bad, rtt_us, probe, path = row
+        if not isinstance(path, list) or not all(
+            type(v) is int for v in (src, dst, sent, bad, rtt_us, probe, *path)
+        ):
+            raise ExperimentError(
+                f"record {i}: fields must be integers and the path a list "
+                f"of node ids, got {row!r}"
+            )
+        if not 0 <= bad <= sent or rtt_us < 0 or probe not in (0, 1):
+            raise ExperimentError(
+                f"record {i}: needs 0 <= bad <= sent, rtt_us >= 0 and "
+                f"is_probe 0 or 1, got {row!r}"
+            )
+        if (
+            not path or path[0] != src or path[-1] != dst
+            or not all(0 <= v < n_nodes for v in path)
+            or not all(topology.has_link(u, v) for u, v in zip(path, path[1:]))
+        ):
+            raise ExperimentError(
+                f"record {i}: path {path} is not a walk over links from "
+                f"src {src} to dst {dst}"
+            )
+        if not probe and (src == dst or src not in hosts or dst not in hosts):
+            raise ExperimentError(
+                f"record {i}: a passive flow runs between two distinct "
+                f"hosts, got src {src} and dst {dst}"
+            )
+        records.append(FlowRecord(
+            src=src, dst=dst, packets_sent=sent, bad_packets=bad,
+            rtt_ms=rtt_us / 1000.0, is_probe=bool(probe), path=tuple(path),
+        ))
+    return records
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
@@ -145,7 +205,11 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
 def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace from a JSON file."""
     with Path(path).open() as handle:
-        return trace_from_dict(json.load(handle))
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:
+            raise ExperimentError(f"{path}: not JSON: {exc}") from None
+    return trace_from_dict(payload)
 
 
 def generate_suite(

@@ -46,12 +46,7 @@ import numpy as np
 
 from ..core.problem import InferenceProblem
 from ..simulation.failures import PER_FLOW
-from ..telemetry.inputs import (
-    PathMemo,
-    TelemetryConfig,
-    build_observation_batch,
-    build_observations,
-)
+from ..telemetry.inputs import TelemetryConfig, build_observation_batch
 from ..types import Prediction
 from .metrics import AggregateMetrics, TraceMetrics, aggregate, evaluate_prediction
 from .scenarios import Trace
@@ -120,50 +115,30 @@ def effective_telemetry(trace: Trace, telemetry: TelemetryConfig) -> TelemetryCo
     return telemetry
 
 
-def build_problem(
-    trace: Trace,
-    telemetry: TelemetryConfig,
-    memo: Optional[PathMemo] = None,
-) -> InferenceProblem:
+def build_problem(trace: Trace, telemetry: TelemetryConfig) -> InferenceProblem:
     """Build a scheme's inference problem for a trace.
 
-    A trace carrying a columnar :class:`~repro.types.FlowBatch` builds
-    through the struct-of-arrays pipeline (vectorized masking +
-    ``np.unique`` grouping; path lookups memoized in the batch's shared
-    :class:`~repro.routing.paths.PathSpace`); a records-only trace
-    (e.g. a deserialized dataset) takes the object pipeline.  Both
-    yield bit-identical problems for the same trace and seed.  ``memo``
-    shares path-component lookups between object-pipeline builds of the
-    same trace (pure topology functions, so sharing cannot change
-    results).
+    The trace's :class:`~repro.types.FlowBatch` goes through the
+    struct-of-arrays pipeline: vectorized masking, then ``np.unique``
+    grouping, with path lookups memoized in the batch's shared
+    :class:`~repro.routing.paths.PathSpace`.
     """
     config = effective_telemetry(trace, telemetry)
     rng = np.random.default_rng(trace.seed + 0x5EED)
-    if trace.batch is not None:
-        obs = build_observation_batch(trace.batch, config, rng)
-        return InferenceProblem.from_batch(
-            obs,
-            n_components=trace.topology.n_components,
-            n_links=trace.topology.n_links,
-        )
-    observations = build_observations(
-        trace.records, trace.topology, trace.routing, config, rng, memo
-    )
-    return InferenceProblem.from_observations(
-        observations,
+    obs = build_observation_batch(trace.batch, config, rng)
+    return InferenceProblem.from_batch(
+        obs,
         n_components=trace.topology.n_components,
         n_links=trace.topology.n_links,
     )
 
 
 def timed_build(
-    trace: Trace,
-    telemetry: TelemetryConfig,
-    memo: Optional[PathMemo] = None,
+    trace: Trace, telemetry: TelemetryConfig
 ) -> Tuple[InferenceProblem, float]:
     """Build a problem and measure construction time."""
     t0 = time.perf_counter()
-    problem = build_problem(trace, telemetry, memo)
+    problem = build_problem(trace, telemetry)
     return problem, time.perf_counter() - t0
 
 

@@ -73,26 +73,25 @@ def detach_traces(traces: Sequence) -> Tuple[List[Tuple[object, object]], List]:
 
     A trace whose batch shares its routing's PathSpace is cloned with
     the topology/routing/space stripped and a world index attached; any
-    other trace (records-only, or a hand-built batch over a private
-    space) ships unchanged.  Materialized record caches are dropped
+    other trace (a hand-built batch over a private space) ships
+    unchanged.  Materialized record caches are dropped
     from clones - workers re-derive them from the batch if needed.
     """
     worlds: List[Tuple[object, object]] = []
     world_ids: Dict[int, int] = {}
     payloads: List = []
     for trace in traces:
-        batch = getattr(trace, "batch", None)
-        routing = getattr(trace, "routing", None)
-        space = getattr(routing, "_path_space", None)
-        if batch is None or space is None or batch.space is not space:
+        batch = trace.batch
+        space = trace.routing._path_space
+        if batch.space is not space:
             payloads.append(trace)
             continue
-        key = id(routing)
+        key = id(trace.routing)
         idx = world_ids.get(key)
         if idx is None:
             idx = len(worlds)
             world_ids[key] = idx
-            worlds.append((trace.topology, routing))
+            worlds.append((trace.topology, trace.routing))
         clone = copy.copy(trace)
         clone.topology = None
         clone.routing = None
@@ -236,23 +235,19 @@ class ProblemCache:
 
     Keyed by the *effective* telemetry config (after the per-flow
     analysis override), so e.g. ``Flock (A2)`` and ``007 (A2)`` share
-    one build.  Distinct specs still share work: columnar traces carry
-    a shared :class:`~repro.routing.paths.PathSpace` whose memoized
-    component projections serve every build of the trace (and every
-    trace of the batch); records-only traces get one
-    :class:`~repro.telemetry.inputs.PathMemo` per cache for the same
-    purpose.  Records the original build time with each entry so cache
+    one build.  Distinct specs still share work: a trace's batch
+    carries a shared :class:`~repro.routing.paths.PathSpace` whose
+    memoized component projections serve every build of the trace
+    (and every trace of the batch).  Records the original build time with each entry so cache
     hits still report the cost of constructing their problem.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[object, Tuple[object, float]] = {}
-        self._memo = None
         self.hits = 0
 
     def get(self, trace, telemetry):
         """Return (problem, build_seconds) for a trace + telemetry spec."""
-        from ..telemetry.inputs import PathMemo
         from .harness import effective_telemetry, timed_build
 
         key = effective_telemetry(trace, telemetry)
@@ -260,9 +255,7 @@ class ProblemCache:
         if entry is not None:
             self.hits += 1
             return entry
-        if self._memo is None:
-            self._memo = PathMemo(trace.topology, trace.routing)
-        entry = timed_build(trace, telemetry, self._memo)
+        entry = timed_build(trace, telemetry)
         self._entries[key] = entry
         return entry
 

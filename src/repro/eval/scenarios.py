@@ -4,8 +4,8 @@ A :class:`Trace` bundles everything one experiment repetition needs:
 the topology and routing, the injected ground truth, and the simulated
 flows that telemetry inputs are derived from.  Simulation is columnar
 end to end (:class:`~repro.types.FlowBatch`); ``trace.records``
-materializes the object-pipeline view lazily for legacy consumers
-(the agent/collector path, dataset serialization, diagnostics).
+materializes the object view lazily for the consumers that iterate
+records (the agent/collector path, dataset serialization).
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ SKEWED = "skewed"
 class Trace:
     """One simulated monitoring interval.
 
-    Holds either the columnar ``batch`` (the native representation the
-    simulator produces), a ``records`` list (legacy construction, e.g.
-    deserialized datasets), or both.  ``records`` is a property: when
-    only the batch exists, the object view is materialized on first
-    access and cached, so legacy consumers pay the per-record cost only
-    if they actually iterate records.
+    Its flows are the columnar ``batch`` (:class:`~repro.types.FlowBatch`),
+    whether the simulator produced it or a dataset load rebuilt it.
+    ``records`` is the object view of the same flows, materialized on
+    first access and cached, so consumers that iterate records (the
+    agent/collector path, dataset serialization) pay the per-record
+    cost only when they do.
     """
 
     def __init__(
@@ -44,34 +44,28 @@ class Trace:
         topology: Topology,
         routing: EcmpRouting,
         injection: Injection,
-        records: Optional[List[FlowRecord]] = None,
+        batch: FlowBatch,
         seed: int = 0,
         meta: Optional[Dict] = None,
-        batch: Optional[FlowBatch] = None,
     ) -> None:
-        if records is None and batch is None:
-            raise ExperimentError("a trace needs flow records or a flow batch")
         self.topology = topology
         self.routing = routing
         self.injection = injection
+        self.batch = batch
         self.seed = seed
         self.meta = {} if meta is None else meta
-        self.batch = batch
-        self._records = records
+        self._records: Optional[List[FlowRecord]] = None
 
     @property
     def records(self) -> List[FlowRecord]:
-        """Object-pipeline view of the trace's flows (lazy, cached)."""
+        """Object view of the trace's flows (lazy, cached)."""
         if self._records is None:
             self._records = self.batch.records()
         return self._records
 
     @property
     def n_flows(self) -> int:
-        """Flow count without materializing the record view."""
-        if self.batch is not None:
-            return len(self.batch)
-        return len(self._records)
+        return len(self.batch)
 
     @property
     def ground_truth(self) -> GroundTruth:

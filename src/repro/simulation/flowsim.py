@@ -12,27 +12,24 @@ probability from the per-link plan, draws the number of bad packets from
 a binomial, and (when a latency model is present) samples an RTT.  Flows
 are grouped by shared path set so the binomial draws vectorize.
 
-The native unit of work is the columnar :meth:`FlowLevelSimulator
+The unit of work is the columnar :meth:`FlowLevelSimulator
 .simulate_batch`: path sets arrive interned (a
-:class:`~repro.traffic.flows.SpecBatch`), grouping is an ``np.unique``
-over set ids, per-path drop probabilities are memoized per injection by
-interned path id, and the result is a struct-of-arrays
-:class:`~repro.types.FlowBatch` - no per-record Python anywhere on the
-hot path.  :meth:`FlowLevelSimulator.simulate` is the object-API
-adapter: it columnarizes the specs, runs the same batch kernel (the RNG
-stream is identical), and materializes :class:`~repro.types.FlowRecord`
-objects.
+:class:`~repro.traffic.flows.SpecBatch`; object specs columnarize with
+``SpecBatch.from_specs``), grouping is an ``np.unique`` over set ids,
+per-path drop probabilities are memoized per injection by interned path
+id, and the result is a struct-of-arrays :class:`~repro.types.FlowBatch`
+- no per-record Python anywhere on the hot path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..routing.paths import PathSpace, first_seen_ids
 from ..topology.base import Topology
-from ..traffic.flows import FlowSpec, SpecBatch
+from ..traffic.flows import SpecBatch
 from ..types import FlowBatch, FlowRecord
 from .failures import Injection
 
@@ -218,29 +215,6 @@ class FlowLevelSimulator:
                 idx = order[offsets[g]:offsets[g + 1]]
                 chosen[idx] = space.member_pids(sid_list[g], choice[idx])
         return bad.astype(np.int64), chosen
-
-    def simulate(
-        self,
-        specs: Sequence[FlowSpec],
-        injection: Injection,
-        rng: np.random.Generator,
-        space: Optional[PathSpace] = None,
-    ) -> List[FlowRecord]:
-        """Run object specs and return one :class:`FlowRecord` per flow.
-
-        Adapter over :meth:`simulate_batch`; results are bit-identical
-        to the historical per-record implementation at fixed seeds.
-        """
-        if not specs:
-            return []
-        if space is None:
-            from ..routing.ecmp import EcmpRouting
-
-            space = PathSpace(self._topo, EcmpRouting(self._topo))
-        batch = self.simulate_batch(
-            SpecBatch.from_specs(specs, space), injection, rng
-        )
-        return batch.records()
 
 
 def _path_survivals(space: PathSpace, plan) -> np.ndarray:

@@ -13,7 +13,6 @@ from .inputs import (
     ObservationBatch,
     TelemetryConfig,
     build_observation_batch,
-    build_observations,
     build_observations_from_reports,
 )
 from .records import MAX_PATH_NODES, FlowReport
@@ -35,6 +34,5 @@ __all__ = [
     "TelemetryConfig",
     "ObservationBatch",
     "build_observation_batch",
-    "build_observations",
     "build_observations_from_reports",
 ]

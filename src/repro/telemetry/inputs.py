@@ -34,7 +34,7 @@ from ..routing.paths import PathSpace
 from ..simulation.failures import PER_FLOW, PER_PACKET
 from ..simulation.latency import RTT_BAD_THRESHOLD_MS
 from ..topology.base import Topology
-from ..types import FlowBatch, FlowObservation, FlowRecord, TelemetryKind
+from ..types import FlowBatch, FlowObservation, TelemetryKind
 from .records import FlowReport
 
 _KIND_BY_NAME = {kind.value: kind for kind in TelemetryKind}
@@ -89,12 +89,9 @@ class PathMemo:
     """Memoizes component lookups for one (topology, routing) pair.
 
     Both lookup kinds are pure functions of the topology, so a memo can
-    be shared across every telemetry build of the same trace: the INT
-    build resolves exact-path components for all records once, and the
-    A1/A2/P builds then find their (overlapping) paths already cached.
-    The runner's problem cache passes one memo per trace work unit for
-    exactly this reason; a fresh memo per build is the uncached
-    fallback.
+    be shared across every collector-side build of the same fabric
+    (:func:`build_observations_from_reports`): each report's exact path
+    and ECMP set resolve to components once.
     """
 
     def __init__(self, topology: Topology, routing: EcmpRouting):
@@ -144,88 +141,6 @@ def record_bad(record) -> int:
 
 def record_sent(record) -> int:
     return record.packets_sent
-
-
-def build_observations(
-    records: Sequence[FlowRecord],
-    topology: Topology,
-    routing: EcmpRouting,
-    config: TelemetryConfig,
-    rng: Optional[np.random.Generator] = None,
-    memo: Optional[PathMemo] = None,
-) -> List[FlowObservation]:
-    """Build inference observations from ground-truth simulator records.
-
-    The simulator knows each flow's exact path; this function decides
-    what each telemetry kind may reveal.  ``memo`` shares path lookups
-    across builds of the same trace (see :class:`PathMemo`).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    kinds = config.kinds
-    want_a1 = TelemetryKind.A1 in kinds
-    want_a2 = TelemetryKind.A2 in kinds
-    want_p = TelemetryKind.PASSIVE in kinds
-    want_int = TelemetryKind.INT in kinds
-    if memo is None:
-        memo = PathMemo(topology, routing)
-    include_devices = config.include_devices
-
-    observations: List[FlowObservation] = []
-    for record in records:
-        bad, sent = _record_counts(
-            record, config.analysis, config.rtt_threshold_ms, record.rtt_ms
-        )
-        if record.is_probe:
-            if not (want_a1 or want_int):
-                continue
-            comps = memo.exact(record.path, include_devices)
-            observations.append(
-                FlowObservation(
-                    path_set=(comps,),
-                    packets_sent=sent,
-                    bad_packets=bad,
-                    kind=TelemetryKind.A1,
-                )
-            )
-            continue
-
-        flagged = bad >= 1
-        if want_int:
-            if config.passive_sampling < 1.0 and rng.random() >= config.passive_sampling:
-                continue
-            comps = memo.exact(record.path, include_devices)
-            observations.append(
-                FlowObservation(
-                    path_set=(comps,),
-                    packets_sent=sent,
-                    bad_packets=bad,
-                    kind=TelemetryKind.INT,
-                )
-            )
-        elif want_a2 and flagged:
-            comps = memo.exact(record.path, include_devices)
-            observations.append(
-                FlowObservation(
-                    path_set=(comps,),
-                    packets_sent=sent,
-                    bad_packets=bad,
-                    kind=TelemetryKind.A2,
-                )
-            )
-        elif want_p:
-            if config.passive_sampling < 1.0 and rng.random() >= config.passive_sampling:
-                continue
-            path_set = memo.ecmp(record.src, record.dst, include_devices)
-            observations.append(
-                FlowObservation(
-                    path_set=path_set,
-                    packets_sent=sent,
-                    bad_packets=bad,
-                    kind=TelemetryKind.PASSIVE,
-                )
-            )
-    return observations
 
 
 def build_observations_from_reports(
@@ -329,39 +244,19 @@ class ObservationBatch:
     def __len__(self) -> int:
         return len(self.path_set)
 
-    def observations(self) -> List[FlowObservation]:
-        """Materialize object observations (adapter for diagnostics)."""
-        space = self.space
-        out: List[FlowObservation] = []
-        for gsid, bad, sent, code in zip(
-            self.path_set.tolist(), self.bad.tolist(), self.sent.tolist(),
-            self.kind.tolist(),
-        ):
-            gids = space.comp_set(gsid)
-            out.append(
-                FlowObservation(
-                    path_set=tuple(space.comp_path(int(g)) for g in gids),
-                    packets_sent=sent,
-                    bad_packets=bad,
-                    kind=KIND_ORDER[code],
-                )
-            )
-        return out
-
 
 def build_observation_batch(
     batch: FlowBatch,
     config: TelemetryConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> ObservationBatch:
-    """Columnar :func:`build_observations` over a simulated flow batch.
+    """Inference observations of a flow batch, as columns.
 
     The A1/A2/P/INT composition and flagged-flow de-duplication are
     boolean-mask algebra over the batch columns; path-component
-    resolution is one memoized gather per distinct path (set) id.  Row
-    order, retained rows, and the sampling RNG stream are identical to
-    the object pipeline's, which is what keeps the resulting
-    :class:`~repro.core.problem.InferenceProblem` bit-identical.
+    resolution is one memoized gather per distinct path (set) id.  Rows
+    keep batch order, and passive sampling draws one uniform per row
+    that reaches a sampling decision, in row order.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -410,8 +305,8 @@ def build_observation_batch(
 
     if config.passive_sampling < 1.0 and np.any(sampled):
         # One uniform per row that reaches a sampling decision, in row
-        # order - the same stream the object pipeline's per-record
-        # ``rng.random()`` calls consume.
+        # order - the stream a per-record ``rng.random()`` loop would
+        # consume.
         draws = rng.random(int(sampled.sum()))
         keep[sampled] &= draws < config.passive_sampling
 

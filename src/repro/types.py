@@ -116,10 +116,10 @@ class FlowBatch:
     construction.  Paths are interned: ``path_set`` holds each flow's
     ECMP candidate-set id and ``chosen_path`` the node-path id the
     simulator picked, both resolved against ``space``
-    (:class:`~repro.routing.paths.PathSpace`).  ``records()`` is the
-    object-pipeline adapter - it materializes the exact per-flow
-    records the legacy API produced, so baselines, the agent/collector
-    path, and the dataset serializer keep working unchanged.
+    (:class:`~repro.routing.paths.PathSpace`).  ``records()``
+    materializes the object view (the agent/collector path and the
+    dataset serializer read it) and :meth:`from_records` rebuilds a
+    batch from it (dataset load).
 
     Streaming chunks carry an optional ``t_start`` column (per-flow
     arrival time in seconds); batch producers leave it ``None``.
@@ -250,21 +250,31 @@ class FlowBatch:
     def from_records(
         records: Sequence["FlowRecord"], space: "PathSpace"
     ) -> "FlowBatch":
-        """Columnarize object records (each record's exact path becomes
-        a singleton path set - the candidate sets are not recoverable)."""
+        """Columnarize object records.
+
+        Path sets are the ones the simulator's batch holds: a probe's
+        is its pinned path alone, a passive flow's is its host pair's
+        ECMP set (:meth:`PathSpace.pair_set`), so passive telemetry
+        over the result sees the same candidate sets.
+        """
         n = len(records)
         chosen = np.fromiter(
             (space.intern_path(r.path) for r in records), dtype=np.int64, count=n
         )
-        path_set = np.fromiter(
-            (space.intern_set((space.path_nodes(int(pid)),)) for pid in chosen),
-            dtype=np.int64,
-            count=n,
+        src = np.fromiter((r.src for r in records), dtype=np.int64, count=n)
+        dst = np.fromiter((r.dst for r in records), dtype=np.int64, count=n)
+        is_probe = np.fromiter(
+            (r.is_probe for r in records), dtype=bool, count=n
         )
+        path_set = np.empty(n, dtype=np.int64)
+        path_set[~is_probe] = space.pair_sets(src[~is_probe], dst[~is_probe])
+        path_set[is_probe] = [
+            space.intern_set((r.path,)) for r in records if r.is_probe
+        ]
         return FlowBatch(
             space=space,
-            src=np.fromiter((r.src for r in records), dtype=np.int64, count=n),
-            dst=np.fromiter((r.dst for r in records), dtype=np.int64, count=n),
+            src=src,
+            dst=dst,
             packets=np.fromiter(
                 (r.packets_sent for r in records), dtype=np.int64, count=n
             ),
@@ -274,9 +284,7 @@ class FlowBatch:
             rtt_ms=np.fromiter(
                 (r.rtt_ms for r in records), dtype=np.float64, count=n
             ),
-            is_probe=np.fromiter(
-                (r.is_probe for r in records), dtype=bool, count=n
-            ),
+            is_probe=is_probe,
             path_set=path_set,
             chosen_path=chosen,
         )

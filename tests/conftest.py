@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.telemetry import build_observations
 from repro.core.problem import InferenceProblem
 from repro.routing.ecmp import EcmpRouting
 from repro.simulation.failures import SilentLinkDrops
-from repro.telemetry.inputs import TelemetryConfig, build_observations
+from repro.telemetry.inputs import TelemetryConfig
 from repro.topology import fat_tree, testbed, three_tier_clos
 from repro.eval.scenarios import make_trace
 

@@ -66,11 +66,9 @@ def path_nfailed(state):
     """Failed-component count per *full* path of a ``VectorJleState``
     (object-view ids, as the reference ``JleState.path_nfailed``).
 
-    The engine keeps counts per interior path of a compressed problem,
-    so those are recounted here from the full path table.
+    The engine keeps counts per interior path, so they are recounted
+    here from the full path table.
     """
-    if not state.problem.compressed:
-        return state._path_nfailed
     hyp = state.hypothesis
     table = state.problem.path_table
     return np.fromiter(

@@ -26,6 +26,7 @@ from repro.core.problem import InferenceProblem
 from repro.types import Prediction
 
 from .model import normalized_flow_ll
+from .problem import n_paths, path_component_sets
 
 
 class GreedyWithoutJle:
@@ -48,7 +49,8 @@ class GreedyWithoutJle:
         )
         widths = [len(fp) for fp in problem.flow_paths]
         weights = problem.weights
-        path_nfailed = [0] * problem.n_paths
+        path_nfailed = [0] * n_paths(problem)
+        path_sets = path_component_sets(problem)
         flow_b = [0] * problem.n_flows
 
         hypothesis = set()
@@ -65,7 +67,7 @@ class GreedyWithoutJle:
                 b = flow_b[flow]
                 b_new = b
                 for pid in problem.flow_paths[flow]:
-                    if path_nfailed[pid] == 0 and comp in problem.path_component_sets[pid]:
+                    if path_nfailed[pid] == 0 and comp in path_sets[pid]:
                         b_new += 1
                 if b_new != b:
                     s = float(scores[flow])

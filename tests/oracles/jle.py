@@ -38,6 +38,7 @@ from repro.errors import InferenceError
 from repro.types import Prediction
 
 from .model import normalized_flow_ll
+from .problem import n_paths, path_component_sets
 
 
 class JleState:
@@ -51,7 +52,8 @@ class JleState:
         )
         self._w: List[int] = [len(fp) for fp in problem.flow_paths]
         self._weights = problem.weights
-        self.path_nfailed: List[int] = [0] * problem.n_paths
+        self.path_nfailed: List[int] = [0] * n_paths(problem)
+        self._path_sets = path_component_sets(problem)
         self.flow_b: List[int] = [0] * problem.n_flows
         self.hypothesis: Set[int] = set()
         self.ll: float = 0.0
@@ -144,7 +146,7 @@ class JleState:
             b_new = 0
             for pid in problem.flow_paths[flow]:
                 nf = self.path_nfailed[pid]
-                if comp in problem.path_component_sets[pid]:
+                if comp in self._path_sets[pid]:
                     nf -= 1
                 if nf > 0:
                     b_new += 1
@@ -178,7 +180,7 @@ class JleState:
             new_counts: Dict[int, int] = {}
             for pid in problem.flow_paths[flow]:
                 nf = self.path_nfailed[pid]
-                contains = comp in problem.path_component_sets[pid]
+                contains = comp in self._path_sets[pid]
                 nf_new = nf + step if contains else nf
                 failed_old = nf > 0
                 failed_new = nf_new > 0

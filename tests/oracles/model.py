@@ -18,6 +18,8 @@ from repro.core.model import evidence_scores
 from repro.core.params import FlockParams
 from repro.errors import InferenceError
 
+from .problem import path_component_sets
+
 
 def evidence_score(r: int, t: int, params: FlockParams) -> float:
     """Per-flow evidence score ``s`` (scalar).
@@ -80,6 +82,7 @@ class LikelihoodModel:
         self._problem = problem
         self._params = params
         self._scores = evidence_scores(problem.bad_packets, problem.packets_sent, params)
+        self._path_sets = None  # full-path component sets, on first use
 
     @property
     def params(self) -> FlockParams:
@@ -91,10 +94,12 @@ class LikelihoodModel:
     def flow_ll(self, flow: int, hypothesis: Set[int]) -> float:
         """Normalized log likelihood contribution of one flow (unweighted)."""
         problem = self._problem
+        if self._path_sets is None:
+            self._path_sets = path_component_sets(problem)
         b = 0
         path_ids = problem.flow_paths[flow]
         for pid in path_ids:
-            if problem.path_component_sets[pid] & hypothesis:
+            if self._path_sets[pid] & hypothesis:
                 b += 1
         return normalized_flow_ll(b, len(path_ids), float(self._scores[flow]))
 

@@ -2,10 +2,10 @@
 
 The struct-of-arrays trace pipeline (SpecBatch -> FlowBatch ->
 ObservationBatch -> InferenceProblem.from_batch) must be *bit-identical*
-to the object pipeline (FlowSpec -> FlowRecord -> FlowObservation ->
-from_observations) at fixed seeds: same simulated records, same problem
-arrays and indexes, and the same prediction from every registered
-scheme.  These tests sweep every registered failure scenario at the
+to the object pipeline oracle (the trace's FlowRecords ->
+FlowObservations -> from_observations, ``oracles.problem.object_problem``)
+at fixed seeds: same problem arrays and indexes, and the same
+prediction from every registered scheme.  These tests sweep every registered failure scenario at the
 tiny preset.
 """
 
@@ -14,34 +14,22 @@ import pytest
 
 from oracles.gibbs import SequentialGibbs
 from oracles.jle import JleState
-from oracles.problem import uncompressed_from_batch
+from oracles.problem import n_paths, object_problem, uncompressed_from_batch
 from repro.core.gibbs import GibbsInference
 from repro.core.params import DEFAULT_PER_PACKET
 from repro.core.problem import InferenceProblem
 from repro.eval.experiments import standard_topology
 from repro.eval.harness import build_problem, effective_telemetry
-from repro.eval.scenarios import Trace, make_trace
+from repro.eval.scenarios import make_trace
 from repro.telemetry.inputs import build_observation_batch
 from repro.eval.schemes import make_setup, scheme_names
 from repro.routing import EcmpRouting, PathSpace
-from repro.simulation import DropRatePlan, FlowLevelSimulator, SilentLinkDrops
+from repro.simulation import DropRatePlan, SilentLinkDrops
 from repro.simulation.failures import make_scenario, scenario_names
 from repro.simulation.flowsim import _all_path_drop_probs
 from repro.telemetry import TelemetryConfig
 from repro.topology import fat_tree
-from repro.traffic import SpecBatch, UniformTraffic, generate_passive_flows
-
-
-def _strip_batch(trace: Trace) -> Trace:
-    """A records-only clone that forces the object pipeline."""
-    return Trace(
-        topology=trace.topology,
-        routing=trace.routing,
-        injection=trace.injection,
-        records=trace.records,
-        seed=trace.seed,
-        meta=dict(trace.meta),
-    )
+from repro.types import TelemetryKind
 
 
 def _assert_problems_identical(col: InferenceProblem, obj: InferenceProblem):
@@ -71,11 +59,10 @@ def test_problem_identical_across_registered_scenarios(tiny_world, scenario_name
     trace = make_trace(
         topo, routing, scenario, seed=42, n_passive=1_200, n_probes=200,
     )
-    object_trace = _strip_batch(trace)
     for spec in ("A1+A2+P", "INT", "A2", "A1+P", "P"):
         telemetry = TelemetryConfig.from_spec(spec)
         col = build_problem(trace, telemetry)
-        obj = build_problem(object_trace, telemetry)
+        obj = object_problem(trace, telemetry)
         _assert_problems_identical(col, obj)
 
 
@@ -93,14 +80,16 @@ def test_scheme_predictions_identical(tiny_world, scenario_name, scheme):
     )
     setup = make_setup(scheme)
     col = build_problem(trace, setup.telemetry)
-    assert col.compressed
+    # Passive (P) rows keep their pair sets factored.
+    passive = TelemetryKind.PASSIVE in setup.telemetry.kinds
+    assert bool(len(col._set_ecomps)) == passive
     obs_batch = build_observation_batch(
         trace.batch, effective_telemetry(trace, setup.telemetry),
         np.random.default_rng(trace.seed + 0x5EED),
     )
     unc = uncompressed_from_batch(obs_batch, topo.n_components, topo.n_links)
-    assert not unc.compressed
-    obj = build_problem(_strip_batch(trace), setup.telemetry)
+    assert not len(unc._set_ecomps)
+    obj = object_problem(trace, setup.telemetry)
     pred_col = setup.localizer.localize(col)
     pred_unc = setup.localizer.localize(unc)
     pred_obj = setup.localizer.localize(obj)
@@ -126,8 +115,8 @@ def test_compressed_problem_views_match_uncompressed(tiny_world, scenario_name):
     rng = np.random.default_rng(trace.seed + 0x5EED)
     batch = build_observation_batch(trace.batch, telemetry, rng)
     unc = uncompressed_from_batch(batch, topo.n_components, topo.n_links)
-    assert col.compressed and not unc.compressed
-    assert col.n_paths == unc.n_paths
+    assert len(col._set_ecomps) and not len(unc._set_ecomps)
+    assert n_paths(col) == n_paths(unc)
     _assert_problems_identical(col, unc)
 
 
@@ -192,25 +181,8 @@ def test_sampled_telemetry_identical(tiny_world):
     for spec in ("INT", "P", "A1+P"):
         telemetry = TelemetryConfig.from_spec(spec, passive_sampling=0.4)
         col = build_problem(trace, telemetry)
-        obj = build_problem(_strip_batch(trace), telemetry)
+        obj = object_problem(trace, telemetry)
         _assert_problems_identical(col, obj)
-
-
-def test_simulate_adapter_matches_batch(tiny_world):
-    """The object simulate() API rides the batch kernel bit-identically."""
-    topo, routing = tiny_world
-    rng = np.random.default_rng(11)
-    injection = SilentLinkDrops(n_failures=1).inject(topo, rng)
-    matrix = UniformTraffic(topo)
-    specs = generate_passive_flows(routing, matrix, 400, rng)
-    sim = FlowLevelSimulator(topo)
-
-    records = sim.simulate(specs, injection, np.random.default_rng(5))
-    space = PathSpace(topo, routing)
-    batch = sim.simulate_batch(
-        SpecBatch.from_specs(specs, space), injection, np.random.default_rng(5)
-    )
-    assert batch.records() == records
 
 
 def test_vectorized_path_drop_probs_bit_identical(tiny_world):

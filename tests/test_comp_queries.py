@@ -30,7 +30,7 @@ from repro.eval.schemes import make_setup
 from repro.routing import EcmpRouting
 from repro.simulation.failures import make_scenario
 from repro.simulation.stream import replay_stream
-from repro.telemetry.inputs import build_observation_batch
+from repro.telemetry.inputs import KIND_CODE, build_observation_batch
 from repro.types import FlowObservation, TelemetryKind
 
 PROMOTE = problem_mod._PROMOTE_AFTER
@@ -167,10 +167,11 @@ def test_queries_equal_oracle_on_simulated_problems(
     oracle's - and so does every answer after promotion."""
     topo, routing = tiny_world
     build = InferenceProblem.from_batch if compressed else uncompressed_from_batch
-    problem = build(
-        _batch(topo, routing, seed, n_flows), topo.n_components, topo.n_links
-    )
-    assert problem.compressed == compressed
+    batch = _batch(topo, routing, seed, n_flows)
+    problem = build(batch, topo.n_components, topo.n_links)
+    # Only passive (P) rows carry factored pair sets with endpoint comps.
+    passive = bool(np.any(batch.kind == KIND_CODE[TelemetryKind.PASSIVE]))
+    assert bool(len(problem._set_ecomps)) == (compressed and passive)
     oracle = Oracle(problem)
     order = np.random.default_rng(order_seed).permutation(topo.n_components)
     _assert_answers(problem, oracle, order[:n_queries].tolist())

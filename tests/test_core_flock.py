@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.telemetry import build_observations
 from repro.baselines.sherlock import SherlockFerret
 from repro.core.flock import FlockInference
 from repro.core.params import DEFAULT_PER_PACKET, FlockParams
@@ -10,7 +11,7 @@ from repro.core.problem import InferenceProblem
 from repro.errors import InferenceError
 from repro.routing import EcmpRouting
 from repro.simulation import SilentDeviceFailure, SilentLinkDrops, NoFailure
-from repro.telemetry.inputs import TelemetryConfig, build_observations
+from repro.telemetry.inputs import TelemetryConfig
 from repro.topology import fat_tree
 from repro.eval.scenarios import make_trace
 from repro.types import FlowObservation

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles.problem import uncompressed_from_batch
+from oracles.problem import n_paths, uncompressed_from_batch
 from repro.core.problem import InferenceProblem
 from repro.errors import InferenceError
 from repro.types import FlowObservation, TelemetryKind
@@ -31,7 +31,7 @@ class TestConstruction:
     def test_path_interning_shared(self):
         observations = [obs(((0, 1),), 10, 0), obs(((0, 1), (2,)), 10, 0)]
         problem = InferenceProblem.from_observations(observations, 3, 3)
-        assert problem.n_paths == 2  # (0,1) interned once
+        assert n_paths(problem) == 2  # (0,1) interned once
 
     def test_component_bounds_checked(self):
         with pytest.raises(InferenceError):
@@ -51,7 +51,7 @@ class TestConstruction:
         observations = [obs(((0, 1), (0, 1)), 10, 1)]
         problem = InferenceProblem.from_observations(observations, 2, 2)
         assert problem.flow_pathset_size(0) == 2
-        assert problem.n_paths == 1
+        assert n_paths(problem) == 1
 
 
 class TestIndexes:
@@ -95,7 +95,7 @@ class TestIndexes:
         uncompressed = uncompressed_from_batch(
             batch, topo.n_components, topo.n_links
         )
-        assert compressed.compressed and not uncompressed.compressed
+        assert len(compressed._set_ecomps) and not len(uncompressed._set_ecomps)
         for problem in (compressed, uncompressed):
             want = tuple(np.unique(problem._set_union_comps).tolist())
             assert want

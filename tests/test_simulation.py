@@ -123,6 +123,14 @@ class TestScenarios:
             SilentLinkDrops(n_failures=n_fabric + 1).inject(small_fat_tree, rng)
 
 
+def _simulate(topo, specs, injection, rng):
+    """Object specs through the batch simulator, as object records."""
+    space = PathSpace(topo, EcmpRouting(topo))
+    return FlowLevelSimulator(topo).simulate_batch(
+        SpecBatch.from_specs(specs, space), injection, rng
+    ).records()
+
+
 class TestFlowSimulator:
     def test_zero_rates_no_drops(self, small_fat_tree, ft_routing, rng):
         injection = NoFailure().inject(small_fat_tree, rng)
@@ -134,9 +142,7 @@ class TestFlowSimulator:
         )
         matrix = UniformTraffic(small_fat_tree)
         specs = generate_passive_flows(ft_routing, matrix, 300, rng)
-        records = FlowLevelSimulator(small_fat_tree).simulate(
-            specs, injection, rng
-        )
+        records = _simulate(small_fat_tree, specs, injection, rng)
         assert all(r.bad_packets == 0 for r in records)
 
     def test_total_loss_link(self, small_fat_tree, ft_routing, rng):
@@ -152,7 +158,7 @@ class TestFlowSimulator:
         )
         matrix = UniformTraffic(topo)
         specs = generate_passive_flows(ft_routing, matrix, 500, rng)
-        records = FlowLevelSimulator(topo).simulate(specs, injection, rng)
+        records = _simulate(topo, specs, injection, rng)
         for record in records:
             links = {
                 topo.link_id(u, v)
@@ -167,9 +173,7 @@ class TestFlowSimulator:
         matrix = UniformTraffic(small_fat_tree)
         specs = generate_passive_flows(ft_routing, matrix, 100, rng)
         injection = NoFailure().inject(small_fat_tree, rng)
-        records = FlowLevelSimulator(small_fat_tree).simulate(
-            specs, injection, rng
-        )
+        records = _simulate(small_fat_tree, specs, injection, rng)
         for spec, record in zip(specs, records):
             assert record.path in spec.paths
             assert record.src == spec.src
@@ -199,7 +203,7 @@ class TestFlowSimulator:
             FlowSpec(src=host, dst=path[-1], packets=1000, paths=(path,))
             for _ in range(200)
         ]
-        records = FlowLevelSimulator(topo).simulate(specs, injection, rng)
+        records = _simulate(topo, specs, injection, rng)
         total_bad = sum(r.bad_packets for r in records)
         total = sum(r.packets_sent for r in records)
         assert total_bad / total == pytest.approx(0.02, rel=0.2)
@@ -212,7 +216,7 @@ class TestFlowSimulator:
 
     def test_empty_specs(self, small_fat_tree, rng):
         injection = NoFailure().inject(small_fat_tree, rng)
-        assert FlowLevelSimulator(small_fat_tree).simulate([], injection, rng) == []
+        assert _simulate(small_fat_tree, [], injection, rng) == []
 
 
 # --- vectorized simulator RNG -----------------------------------------

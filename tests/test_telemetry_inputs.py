@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles.telemetry import build_observations
 from repro.errors import TelemetryError
 from repro.simulation.failures import PER_FLOW
-from repro.telemetry import TelemetryConfig, build_observations
+from repro.telemetry import TelemetryConfig
 from repro.telemetry.inputs import build_observations_from_reports
 from repro.telemetry.records import FlowReport
 from repro.types import FlowRecord, TelemetryKind
