@@ -31,6 +31,10 @@ from repro import (
 from repro.telemetry import UdpCollectorServer, UdpTransport
 from repro.telemetry.inputs import build_observations_from_reports
 
+#: How long the collector may ingest nothing before the demo stops
+#: waiting for the agent's remaining reports.
+STALL_SECONDS = 0.5
+
 
 def main():
     topo = fat_tree(4)
@@ -54,8 +58,14 @@ def main():
         agent.observe(trace.records)
         agent.flush()
         transport.close()
+        # UDP may drop datagrams even on loopback: stop waiting once the
+        # collector has ingested nothing new for STALL_SECONDS.
+        seen, last_growth = -1, time.perf_counter()
         while collector.pending_reports < agent.exported_reports:
-            if time.perf_counter() - t0 > 10.0:
+            now = time.perf_counter()
+            if collector.pending_reports > seen:
+                seen, last_growth = collector.pending_reports, now
+            elif now - last_growth > STALL_SECONDS:
                 break
             time.sleep(0.005)
         elapsed = time.perf_counter() - t0
@@ -63,6 +73,9 @@ def main():
               f"{agent.exported_messages} messages; collector ingested "
               f"{collector.pending_reports} in {elapsed*1e3:.0f} ms "
               f"({collector.pending_reports/elapsed:,.0f} reports/s)")
+        lost = agent.exported_reports - collector.pending_reports
+        if lost:
+            print(f"{lost} report(s) lost in transit (UDP datagrams dropped)")
 
     reports = collector.drain()
     observations = build_observations_from_reports(

@@ -32,6 +32,8 @@ import numpy as np
 
 from .params import FlockParams
 
+_sum = np.add.reduce
+
 
 def evidence_scores(
     r: np.ndarray, t: np.ndarray, params: FlockParams
@@ -75,8 +77,16 @@ def normalized_flow_ll_fast(
     All four arguments must be aligned 1-D arrays (no broadcasting).
     """
     b = np.asarray(b, dtype=np.float64)
+    d = w - b
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = np.log(((w - b) + b * es) / w)
+        out = np.log((d + b * es) / w)
+        total = _sum(out)
+    # The common call has every row finite, which one sum tells: a sum
+    # of finite logs cannot overflow.  Its b >= w rows (d <= 0) then
+    # take s in place, with no mask scans.
+    if math.isfinite(total):
+        np.copyto(out, s, where=d <= 0)
+        return out
     # Non-finite rows are the overflow cases: b == 0 with es == inf
     # (0*inf = NaN; the exact value is 0), and b > 0 where es or the
     # product b*es overflowed (out = inf; take the logaddexp path).

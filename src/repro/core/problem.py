@@ -42,24 +42,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from ..errors import InferenceError
-from ..routing.paths import PathSpace, PathTable, _GrowableCSR, first_seen_ids
-from ..topology.base import sorted_unique
+from ..routing.paths import (
+    PathSpace,
+    PathTable,
+    _expand_slices,
+    _gather_rows,
+    first_seen_ids,
+)
 from ..types import FlowObservation, TelemetryKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.inputs import ObservationBatch
-
-
-def _expand_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices covering [starts[i], starts[i]+lengths[i]) for every i."""
-    ends = lengths.cumsum()
-    total = int(ends[-1]) if len(ends) else 0
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.arange(total, dtype=np.int64)
-    # One repeat of each slice's offset: start minus its output position.
-    out += (starts - (ends - lengths)).repeat(lengths)
-    return out
 
 
 def _split_index(
@@ -125,114 +118,6 @@ def _first_seen_unique_rows(*cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     )
     order = np.argsort(first_idx, kind="stable")
     return first_idx[order], counts[order]
-
-
-def _gather_rows(
-    values: np.ndarray, off: np.ndarray, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sub-CSR (values, offsets) of the CSR rows ``rows``, in that order."""
-    lens = off[rows + 1] - off[rows]
-    sub_off = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lens, out=sub_off[1:])
-    return values[_expand_slices(off[rows], lens)], sub_off
-
-
-def _concat_segments(
-    segments: Sequence[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten a non-empty list of int64 arrays into (values, lengths)."""
-    lens = np.fromiter(
-        (len(s) for s in segments), dtype=np.int64, count=len(segments)
-    )
-    return np.concatenate(segments), lens
-
-
-class SetStageCache:
-    """Intern of the set stage, one entry per gsid and key.
-
-    A build needs, per distinct path set (gsid), its
-    endpoint components and interior-set key
-    (:meth:`PathSpace.comp_set_parts`), and per distinct interior key
-    its member gids and the sorted union of their components.  Each of
-    these is a pure function of the gsid or the key, so the cache
-    interns it once, in flat CSR form:
-
-    * :meth:`rows` walks ``comp_set_parts`` only for gsids it has not
-      seen;
-    * the component unions of the keys that walk interned are computed
-      in one batched sort (:meth:`_refresh`), so a union costs work
-      once per key, not once per build the key appears in.
-
-    :meth:`InferenceProblem._from_grouped` then gathers the
-    whole set stage - endpoint comps, interior members, interior unions
-    - with a handful of vectorized indexing passes.  Every build goes
-    through a cache: ``from_batch`` with a fresh call-local
-    one (every key is new), the sliding window
-    (:class:`repro.core.window.WindowedProblem`) with one that lives as
-    long as the window and re-sees almost every key of the previous
-    cycle.  The cache belongs to that caller, never to the
-    :class:`PathSpace`, so its arrays go away with the build or window.
-    """
-
-    def __init__(self) -> None:
-        self._row = np.full(1024, -1, dtype=np.int64)  # gsid -> row
-        self._key_index: Dict[Tuple, int] = {}
-        self._key_rows: List[int] = []
-        self.key_of_row = np.empty(0, dtype=np.int64)
-        self.ecomps = _GrowableCSR()  # per row: endpoint components
-        self.members = _GrowableCSR()  # per key: member gids, raw order
-        self.unions = _GrowableCSR()  # per key: sorted component union
-
-    def rows(self, space, gsids: np.ndarray) -> np.ndarray:
-        """Cache row of every (distinct) gsid, interning unseen ones."""
-        top = int(gsids.max()) + 1 if len(gsids) else 0
-        if top > len(self._row):
-            grown = np.full(max(top, 2 * len(self._row)), -1, dtype=np.int64)
-            grown[: len(self._row)] = self._row
-            self._row = grown
-        rows = self._row[gsids]
-        missing = gsids[rows < 0]
-        if len(missing):
-            new_e: List[np.ndarray] = []
-            new_m: List[np.ndarray] = []
-            for g in missing.tolist():
-                ecomps, members, key = space.comp_set_parts(g)
-                kid = self._key_index.get(key)
-                if kid is None:
-                    kid = self.members.n_rows + len(new_m)
-                    self._key_index[key] = kid
-                    new_m.append(members)
-                self._row[g] = len(self._key_rows)
-                self._key_rows.append(kid)
-                new_e.append(ecomps)
-            self._refresh(space, new_e, new_m)
-            rows = self._row[gsids]
-        return rows
-
-    def _refresh(
-        self, space, new_e: List[np.ndarray], new_m: List[np.ndarray]
-    ) -> None:
-        """Extend the flat arrays by the newly interned tail, computing
-        the new keys' sorted component unions in one batched pass."""
-        self.key_of_row = np.asarray(self._key_rows, dtype=np.int64)
-        self.ecomps.append(*_concat_segments(new_e))
-        if not new_m:
-            return
-        members, m_lens = _concat_segments(new_m)
-        self.members.append(members, m_lens)
-        cc_flat, cc_off = space.comp_csr()
-        counts = cc_off[members + 1] - cc_off[members]
-        comps = cc_flat[_expand_slices(cc_off[members], counts)]
-        owner = np.repeat(
-            np.repeat(np.arange(len(new_m), dtype=np.int64), m_lens), counts
-        )
-        # The space projects from its own topology, so its component
-        # ids are below that topology's count.
-        span = np.int64(space.topology.n_components)
-        keys = sorted_unique(owner * span + comps)
-        self.unions.append(
-            keys % span, np.bincount(keys // span, minlength=len(new_m))
-        )
 
 
 #: Distinct components a per-component query answers by scanning before
@@ -634,7 +519,6 @@ class InferenceProblem:
         weights: np.ndarray,
         n_components: int,
         n_links: int,
-        parts_cache: Optional["SetStageCache"] = None,
     ) -> "InferenceProblem":
         """The one constructor body: build from already-grouped rows in
         first-appearance order.
@@ -646,39 +530,34 @@ class InferenceProblem:
         merging per-chunk grouped tables - the shared entry is what
         makes windowed problems bit-identical to batch rebuilds.
 
-        Each distinct path set contributes its endpoint components and
-        a reference to a shared interior member array
-        (:meth:`PathSpace.comp_set_parts`); the local path table interns
-        only distinct interior/exact projections.  At paper scale this
-        is what keeps the build - and every kernel that runs on it -
-        tractable.
-
-        The set stage is gathered from ``parts_cache`` (the window's
-        :class:`SetStageCache`, kept across builds; a fresh one when the
-        caller passes none).  Interior sets are numbered by first key
-        appearance over the first-seen sets, so the gathered arrays do
-        not depend on what the cache interned before this build.  With
+        The set stage is a handful of gathers over the space's
+        comp-set columns (:meth:`PathSpace.comp_set_columns`).  A
+        factored set contributes its two endpoint components and the
+        key of its rack pair's shared interior set; a plain set is its
+        own interior set and has no endpoint components.  Interior sets
+        are keyed by a kind-tagged gsid (odd for a shared interior,
+        even for a plain set) and numbered by first appearance over the
+        first-seen sets; their member gids and sorted component unions
+        are gathered from the space, which memoizes each union per
+        gsid.  The local path table interns only distinct
+        interior/exact projections.  At paper scale this is what keeps
+        the build - and every kernel that runs on it - tractable.  With
         no rows the space is never read.
         """
         if n_links > n_components:
             raise InferenceError("n_links cannot exceed n_components")
         if len(rep_gsids):
             ordered_gsids, set_of_flow = first_seen_ids(rep_gsids)
-            if parts_cache is None:
-                parts_cache = SetStageCache()
-            rows = parts_cache.rows(space, ordered_gsids)
-            ordered_kids, iset_of_set = first_seen_ids(
-                parts_cache.key_of_row[rows]
-            )
-            set_ecomps, set_eoff = _gather_rows(
-                *parts_cache.ecomps.arrays(), rows
-            )
-            flat_gids, iset_raw_off = _gather_rows(
-                *parts_cache.members.arrays(), ordered_kids
-            )
-            iu_comps, iu_bounds = _gather_rows(
-                *parts_cache.unions.arrays(), ordered_kids
-            )
+            lo, hi, interior = space.comp_set_columns(ordered_gsids)
+            factored = interior >= 0
+            inner = np.where(factored, interior, ordered_gsids)
+            ordered_keys, iset_of_set = first_seen_ids(2 * inner + factored)
+            set_eoff = np.zeros(len(ordered_gsids) + 1, dtype=np.int64)
+            np.cumsum(2 * factored, out=set_eoff[1:])
+            set_ecomps = np.column_stack((lo, hi))[factored].ravel()
+            iset_gsids = ordered_keys >> 1
+            flat_gids, iset_raw_off = space.comp_set_members(iset_gsids)
+            iu_comps, iu_bounds = space.comp_set_unions(iset_gsids)
             local_gids, iset_raw_pids = first_seen_ids(flat_gids)
             path_comps, path_off = _gather_rows(
                 *space.comp_csr(), local_gids

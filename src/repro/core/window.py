@@ -8,15 +8,14 @@ is grouped once (the same packed ``np.unique`` pass ``from_batch``
 uses); per cycle only the small per-chunk grouped tables are merged and
 handed to :meth:`InferenceProblem._from_grouped`.
 
-The window owns a :class:`~repro.core.problem.SetStageCache` for its
-whole life.  It interns, once per path set and once per interior key,
-what the build needs: endpoint components, interior members,
-and each interior key's sorted component union.  A steady-state cycle
-re-sees almost every key of the previous one, so it gathers the set
-stage from flat arrays and computes unions only for the few keys new to
-the stream, instead of re-deriving every union from all of the window's
-(interior set, component) pairs each cycle - about 750K on the
-2496-link paper fabric with eight 525-flow chunks.
+The set stage of each build is a gather over the
+:class:`~repro.routing.paths.PathSpace`'s comp-set columns, and the
+space memoizes each interior's sorted component union by gsid.  A
+steady-state cycle re-sees almost every interior of the previous one,
+so it computes unions only for the few interiors new to the stream,
+instead of re-deriving every union from all of the window's (interior
+set, component) pairs each cycle - about 750K on the 2496-link paper
+fabric with eight 525-flow chunks.
 
 Bit-identity with a full rebuild is by construction, not by luck:
 
@@ -47,7 +46,6 @@ from ..errors import InferenceError
 from ..telemetry.inputs import ObservationBatch
 from .problem import (
     InferenceProblem,
-    SetStageCache,
     _first_seen_unique_rows,
     _row_group_keys,
 )
@@ -129,11 +127,6 @@ class WindowedProblem:
         self.window = window
         self._chunks: Deque[_Chunk] = deque()
         self._space = None
-        # Interned set-stage facts (comp_set_parts results and interior
-        # unions) survive across cycles: the compressed set stage
-        # gathers from flat cached arrays and touches the space only
-        # for ids new to the stream.
-        self._parts_cache = SetStageCache()
         self._problem: Optional[InferenceProblem] = None
 
     @property
@@ -242,7 +235,6 @@ class WindowedProblem:
             self._space,
             gsid[rep], bad[rep], sent[rep], kind[rep], weights,
             self.n_components, self.n_links,
-            parts_cache=self._parts_cache,
         )
 
         # Expired rows still carry flow indices of the previous

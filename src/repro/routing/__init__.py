@@ -1,8 +1,8 @@
 """Routing substrate: ECMP path enumeration and path interning."""
 
 from .ecmp import EcmpRouting, wcmp_weights
-from .paths import PathSetTable, PathSpace, PathTable
+from .paths import PathSpace, PathTable
 
 __all__ = [
-    "EcmpRouting", "wcmp_weights", "PathTable", "PathSetTable", "PathSpace",
+    "EcmpRouting", "wcmp_weights", "PathTable", "PathSpace",
 ]

@@ -9,23 +9,28 @@ only on the number of failed paths, not the specific failed links").
 
 Two layers live here:
 
-* :class:`PathTable` / :class:`PathSetTable` - the per-problem interning
-  tables the inference kernels index with (local, first-seen ids).
+* :class:`PathTable` - the per-problem table of component paths that
+  the problem's object views index with (local, first-seen ids).
 * :class:`PathSpace` - the *global* interning space of the columnar
   trace pipeline: node paths, node path sets, and their component
   projections are assigned stable integer ids once per (topology,
   routing) pair and reused across every trace and telemetry build that
-  shares it.  All hot lookups are dense numpy array gathers, so the
-  per-flow cost of path handling is a vectorized index instead of a
-  tuple hash.
+  shares it.  Host-pair path sets and their component projections are
+  rows of int columns found by packed-key lookups, so resolving a
+  trace's pairs, projecting their sets and gathering a problem's set
+  stage are vectorized passes instead of a tuple hash per pair.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
+
+from ..errors import TopologyError
+from ..topology.base import sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..routing.ecmp import EcmpRouting
@@ -79,24 +84,18 @@ def first_seen_ids(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 class PathTable:
     """Interning table for component-id paths.
 
-    Each distinct sorted component tuple gets a dense integer id.
+    Each distinct canonical (sorted, de-duplicated) component tuple
+    gets a dense integer id.
     """
 
     def __init__(self) -> None:
         self._paths: List[ComponentPath] = []
         self._index: Dict[ComponentPath, int] = {}
 
-    def intern(self, components: Sequence[int]) -> int:
-        """Return the id for this component set, creating it if new."""
-        return self.intern_canonical(tuple(sorted(set(components))))
-
     def intern_canonical(self, key: ComponentPath) -> int:
-        """Intern an already sorted, de-duplicated component tuple.
-
-        The columnar problem builder feeds tuples straight from the
-        global :class:`PathSpace` (canonical by construction), skipping
-        the per-path re-sort of :meth:`intern`.
-        """
+        """Intern an already sorted, de-duplicated component tuple
+        (the problem's views feed tuples straight from the global
+        :class:`PathSpace`, canonical by construction)."""
         existing = self._index.get(key)
         if existing is not None:
             return existing
@@ -115,97 +114,123 @@ class PathTable:
         return iter(self._paths)
 
 
-class PathSetTable:
-    """Interning table for path sets (tuples of path ids)."""
-
-    def __init__(self) -> None:
-        self._sets: List[Tuple[int, ...]] = []
-        self._index: Dict[Tuple[int, ...], int] = {}
-
-    def intern(self, path_ids: Iterable[int]) -> int:
-        key = tuple(sorted(path_ids))
-        existing = self._index.get(key)
-        if existing is not None:
-            return existing
-        set_id = len(self._sets)
-        self._sets.append(key)
-        self._index[key] = set_id
-        return set_id
-
-    def paths(self, set_id: int) -> Tuple[int, ...]:
-        return self._sets[set_id]
-
-    def __len__(self) -> int:
-        return len(self._sets)
-
-    def __iter__(self):
-        return iter(self._sets)
+def _expand_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices covering [starts[i], starts[i]+lengths[i]) for every i."""
+    ends = lengths.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    out = np.arange(total, dtype=np.int64)
+    # One repeat of each slice's offset: start minus its output position.
+    out += (starts - (ends - lengths)).repeat(lengths)
+    return out
 
 
-class _FactoredSet:
-    """A host-pair path set stored without materializing its paths.
-
-    Every host pair in the same rack pair shares one switch-level path
-    set (``switch_sid``); only the two endpoint hops differ.  Member
-    node paths are ``(src,) + switch_path + (dst,)`` in switch-set
-    order - exactly what :meth:`EcmpRouting.host_paths` enumerates - but
-    they are interned lazily (:meth:`PathSpace.set_path_ids`) or one
-    member at a time (:meth:`PathSpace.member_pids`), so a paper-scale
-    trace never pays for the ~w paths x ~400K pairs expansion.
-    """
-
-    __slots__ = ("src", "dst", "switch_sid", "src_link", "dst_link", "pids")
-
-    def __init__(self, src: int, dst: int, switch_sid: int,
-                 src_link: int, dst_link: int) -> None:
-        self.src = src
-        self.dst = dst
-        self.switch_sid = switch_sid
-        self.src_link = src_link
-        self.dst_link = dst_link
-        self.pids: Optional[np.ndarray] = None
-
-    def __getstate__(self):
-        return (self.src, self.dst, self.switch_sid,
-                self.src_link, self.dst_link, self.pids)
-
-    def __setstate__(self, state):
-        (self.src, self.dst, self.switch_sid,
-         self.src_link, self.dst_link, self.pids) = state
+def _gather_rows(
+    values: np.ndarray, off: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sub-CSR (values, offsets) of the CSR rows ``rows``, in that order."""
+    lens = off[rows + 1] - off[rows]
+    sub_off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lens, out=sub_off[1:])
+    return values[_expand_slices(off[rows], lens)], sub_off
 
 
-class _FactoredCompSet:
-    """A component path set stored as endpoint comps + a shared interior.
-
-    ``ecomps`` are the component ids on *every* member path (the two
-    host links of the pair); ``switch_gsid`` is the component path-set
-    id of the rack pair's switch-level projections, shared by all host
-    pairs of the rack pair.  Full member projections materialize lazily
-    (:meth:`PathSpace.comp_set`); the compressed problem build consumes
-    the parts directly (:meth:`PathSpace.comp_set_parts`).
-    """
-
-    __slots__ = ("ecomps", "switch_gsid", "gids")
-
-    def __init__(self, ecomps: np.ndarray, switch_gsid: int) -> None:
-        self.ecomps = ecomps
-        self.switch_gsid = switch_gsid
-        self.gids: Optional[np.ndarray] = None
-
-    def __getstate__(self):
-        return (self.ecomps, self.switch_gsid, self.gids)
-
-    def __setstate__(self, state):
-        self.ecomps, self.switch_gsid, self.gids = state
+def _first_rows(ids: np.ndarray, n_ids: int) -> np.ndarray:
+    """Row of the first occurrence of each id in ``0..n_ids-1``."""
+    first = np.empty(n_ids, dtype=np.int64)
+    # Written back to front, so each id keeps its earliest row.
+    first[ids[::-1]] = np.arange(len(ids) - 1, -1, -1, dtype=np.int64)
+    return first
 
 
 def _reserve(buf: np.ndarray, size: int) -> np.ndarray:
-    """``buf`` if it holds ``size`` entries, else a copy with doubled room."""
+    """``buf`` if it holds ``size`` rows, else a copy with doubled room."""
     if size <= len(buf):
         return buf
-    grown = np.empty(max(size, 2 * len(buf)), dtype=buf.dtype)
+    grown = np.empty((max(size, 2 * len(buf)),) + buf.shape[1:], dtype=buf.dtype)
     grown[: len(buf)] = buf
     return grown
+
+
+class _Rows:
+    """Append-only int64 table of fixed width, one row per dense id.
+
+    Writers append under the owning space's lock before they publish
+    the new ids; a growth copies the filled prefix, so a lock-free
+    reader of a published id always finds its row.
+    """
+
+    __slots__ = ("_buf", "n")
+
+    def __init__(self, width: int) -> None:
+        self._buf = np.empty((64, width), dtype=np.int64)
+        self.n = 0
+
+    def __getstate__(self):
+        return self._buf[: self.n].copy()
+
+    def __setstate__(self, state):
+        self._buf = state
+        self.n = len(state)
+
+    def append(self, rows: np.ndarray) -> None:
+        n = self.n
+        self._buf = _reserve(self._buf, n + len(rows))
+        self._buf[n:n + len(rows)] = rows
+        self.n = n + len(rows)
+
+    def __getitem__(self, ids) -> np.ndarray:
+        """Rows of ``ids`` (an int or an int array); out of range raises."""
+        return self._buf[: self.n][ids]
+
+    def column(self, col: int, ids: np.ndarray) -> np.ndarray:
+        return self._buf[: self.n, col][ids]
+
+
+class _PackedMap:
+    """Packed int64 keys -> int64 ids, answered by one ``searchsorted``.
+
+    An insert merges its batch into fresh sorted arrays published in one
+    assignment, so a lock-free reader sees the map before or after the
+    batch, never part of it.  Writers hold the owning space's lock.
+    """
+
+    __slots__ = ("_kv",)
+
+    def __init__(self) -> None:
+        self._kv = (_EMPTY_I64, _EMPTY_I64)
+
+    def __getstate__(self):
+        return self._kv
+
+    def __setstate__(self, state):
+        self._kv = state
+
+    def __len__(self) -> int:
+        return len(self._kv[0])
+
+    def items(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(keys ascending, their ids)."""
+        return self._kv
+
+    def get(self, keys: np.ndarray) -> np.ndarray:
+        """The id of each key, -1 where absent."""
+        ks, vs = self._kv
+        if len(ks) == 0:
+            return np.full(len(keys), -1, dtype=np.int64)
+        pos = np.searchsorted(ks, keys)
+        np.minimum(pos, len(ks) - 1, out=pos)
+        return np.where(ks[pos] == keys, vs[pos], -1)
+
+    def insert(self, keys: np.ndarray, ids: np.ndarray) -> None:
+        """Add distinct keys that are not in the map yet."""
+        order = np.argsort(keys)
+        ks, vs = self._kv
+        at = np.searchsorted(ks, keys[order])
+        self._kv = (
+            np.insert(ks, at, keys[order]), np.insert(vs, at, ids[order])
+        )
 
 
 class _GrowableCSR:
@@ -323,6 +348,15 @@ class _DenseCache:
         return out
 
 
+# Columns of a node-set row, one row per sid.  A host-pair (factored)
+# set fills every column; a plain set has -1 in all but its size.
+_SRC, _DST, _SWITCH, _SRC_LINK, _DST_LINK, _SIZE = range(6)
+# Columns of a component-set row, one row per gsid: the two endpoint
+# components (ascending) and the interior gsid of a factored set; -1 in
+# all three for a plain set.
+_LO, _HI, _INTERIOR = range(3)
+
+
 class PathSpace:
     """Global interning space for one (topology, routing) pair.
 
@@ -335,6 +369,18 @@ class PathSpace:
     array-level analogue of the object pipeline's
     :class:`~repro.telemetry.inputs.PathMemo`.
 
+    Sets come in two kinds, both rows of int columns:
+
+    * a *plain* set lists its members: pids for a node set, gids for a
+      component set.  Plain sets are interned by member tuple.
+    * a *factored* set is a host pair's ECMP set.  Every host pair of a
+      rack pair shares one switch-level set (the *interior*); only the
+      two host links differ.  A pair's node set is the row (src, dst,
+      switch sid, src link, dst link, size), found by the packed key
+      ``src * n_nodes + dst``; its component set is the row (endpoint
+      comp lo, endpoint comp hi, interior gsid), found by a packed key
+      of the same three values.  Members materialize only on demand.
+
     The space is owned by a trace's :class:`~repro.types.FlowBatch` and
     shared by every telemetry/problem build of that trace; all ids are
     stable for the lifetime of the space, which is what lets the runner
@@ -344,18 +390,33 @@ class PathSpace:
     def __init__(self, topology: "Topology", routing: "EcmpRouting") -> None:
         self.topology = topology
         self.routing = routing
-        # Node paths and node path sets.
+        # Node paths.
         self._paths: List[Tuple[int, ...]] = []
         self._path_index: Dict[Tuple[int, ...], int] = {}
-        self._sets: List[object] = []  # np.ndarray | _FactoredSet
+        # Node path sets (rows: _SRC.._SIZE).  Plain sets keep their
+        # pids here; factored sets land here once materialized.
+        self._set_rows = _Rows(6)
+        self._set_pids: Dict[int, np.ndarray] = {}
         self._set_index: Dict[Tuple[int, ...], int] = {}
-        self._pair_sid: Dict[Tuple[int, int], int] = {}
-        self._rack_pair_sid: Dict[Tuple[int, int], int] = {}
+        self._pair_sid = _PackedMap()
+        self._rack_pair_sid = _PackedMap()
+        # (rack, host link) of every node, -1 for non-hosts; on first use.
+        self._host_cols: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # Component projections (shared id space across device flags).
         self._comp_paths: List[ComponentPath] = []
         self._comp_index: Dict[ComponentPath, int] = {}
-        self._comp_sets: List[np.ndarray] = []
-        self._comp_set_index: Dict[Tuple[int, ...], int] = {}
+        # Component path sets (rows: _LO, _HI, _INTERIOR).  Members of
+        # plain sets form one CSR over every gsid (factored rows are
+        # empty); factored sets expand into ``_cset_full`` on demand.
+        self._cset_rows = _Rows(3)
+        self._cset_members = _GrowableCSR()
+        self._cset_index: Dict[Tuple[int, ...], int] = {}
+        self._factored_gsid = _PackedMap()
+        self._cset_full: Dict[int, np.ndarray] = {}
+        # Sorted component union of a plain comp set (an interior or an
+        # exact path's set), a CSR row per set, memoized on first use.
+        self._union_row = _DenseCache()
+        self._unions = _GrowableCSR()
         # One int object per component id (an object array): projection
         # keys gathered from it share their elements instead of each
         # holding fresh ints.
@@ -370,8 +431,8 @@ class PathSpace:
         self._cc_csr = _GrowableCSR()
         # A space is shared by every trace of a (topology, routing) pair;
         # under the thread executor two trace units may intern
-        # concurrently.  Lookups are GIL-atomic dict reads; only the
-        # miss paths take this lock.
+        # concurrently.  Lookups read published dicts, maps and rows
+        # without locking; only the miss paths take this lock.
         self._lock = threading.RLock()
 
     def __getstate__(self):
@@ -393,7 +454,7 @@ class PathSpace:
 
     @property
     def n_sets(self) -> int:
-        return len(self._sets)
+        return self._set_rows.n
 
     def intern_path(self, nodes: Sequence[int]) -> int:
         key = tuple(nodes)
@@ -411,20 +472,46 @@ class PathSpace:
         return self._paths[pid]
 
     def intern_set(self, paths: Sequence[Sequence[int]]) -> int:
-        """Intern an *ordered* sequence of node paths; order is
-        preserved (the simulator's per-set ECMP choice indexes into
-        it).  Callers with repeat lookups memoize the sid themselves
-        (:meth:`pair_set`), so this always re-derives the pid key."""
+        """Intern an *ordered* sequence of node paths as a plain set;
+        order is preserved (the simulator's per-set ECMP choice indexes
+        into it)."""
         pids = tuple(self.intern_path(p) for p in paths)
         sid = self._set_index.get(pids)
         if sid is None:
             with self._lock:
                 sid = self._set_index.get(pids)
                 if sid is None:
-                    sid = len(self._sets)
-                    self._sets.append(np.asarray(pids, dtype=np.int64))
-                    self._set_index[pids] = sid
+                    sid = self.n_sets
+                    row = np.full((1, 6), -1, dtype=np.int64)
+                    row[0, _SIZE] = len(pids)
+                    self._append_sets(row, [pids])
         return sid
+
+    def _append_sets(
+        self, rows: np.ndarray, plain: Sequence[Tuple[int, ...]]
+    ) -> None:
+        """Store the sets ``n_sets, n_sets + 1, ...``; callers hold the
+        lock and pass only sets new to the space.
+
+        ``rows`` are in set-row layout; the plain rows (switch -1) take
+        their pid tuples from ``plain``, in order.  Rows and pids land
+        before any id is published: plain sets in the pid-tuple index,
+        pair sets in the packed pair map.
+        """
+        n0 = self.n_sets
+        is_plain = rows[:, _SWITCH] < 0
+        plain_sids = (n0 + np.flatnonzero(is_plain)).tolist()
+        for sid, pids in zip(plain_sids, plain):
+            self._set_pids[sid] = np.asarray(pids, dtype=np.int64)
+        self._set_rows.append(rows)
+        for sid, pids in zip(plain_sids, plain):
+            self._set_index[pids] = sid
+        pairs = rows[~is_plain]
+        if len(pairs):
+            self._pair_sid.insert(
+                pairs[:, _SRC] * np.int64(self.topology.n_nodes) + pairs[:, _DST],
+                n0 + np.flatnonzero(~is_plain),
+            )
 
     def set_path_ids(self, sid: int) -> np.ndarray:
         """Path ids of a node path set, in interned order.
@@ -432,38 +519,39 @@ class PathSpace:
         Factored pair sets materialize (and intern) their member paths
         on first access; the hot pipeline never calls this for them.
         """
-        entry = self._sets[sid]
-        if isinstance(entry, _FactoredSet):
-            if entry.pids is None:
-                with self._lock:
-                    if entry.pids is None:
-                        middles = self._sets[entry.switch_sid]
-                        pids = tuple(
-                            self.intern_path(
-                                (entry.src,) + self._paths[mid] + (entry.dst,)
-                            )
-                            for mid in middles.tolist()
-                        )
-                        self._set_index.setdefault(pids, sid)
-                        entry.pids = np.asarray(pids, dtype=np.int64)
-            return entry.pids
-        return entry
+        pids = self._set_pids.get(sid)
+        if pids is None:
+            src, dst, switch = self._set_rows[sid][[_SRC, _DST, _SWITCH]].tolist()
+            with self._lock:
+                pids = self._set_pids.get(sid)
+                if pids is None:
+                    key = tuple(
+                        self.intern_path((src,) + self._paths[mid] + (dst,))
+                        for mid in self._set_pids[switch].tolist()
+                    )
+                    self._set_index.setdefault(key, sid)
+                    pids = np.asarray(key, dtype=np.int64)
+                    self._set_pids[sid] = pids
+        return pids
 
     def set_is_factored(self, sid: int) -> bool:
-        return isinstance(self._sets[sid], _FactoredSet)
-
-    def set_factored(self, sid: int) -> _FactoredSet:
-        entry = self._sets[sid]
-        if not isinstance(entry, _FactoredSet):
-            raise TypeError(f"set {sid} is not a factored pair set")
-        return entry
+        return bool(self._set_rows[sid][_SWITCH] >= 0)
 
     def set_size(self, sid: int) -> int:
         """Member count of a set, without materializing factored sets."""
-        entry = self._sets[sid]
-        if isinstance(entry, _FactoredSet):
-            return len(self._sets[entry.switch_sid])
-        return len(entry)
+        return int(self._set_rows[sid][_SIZE])
+
+    def set_sizes(self, sids: np.ndarray) -> np.ndarray:
+        """:meth:`set_size` of every sid, one gather."""
+        return self._set_rows.column(_SIZE, sids)
+
+    def pair_set_columns(
+        self, sids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(switch-level sid, src host link, dst host link) of each
+        sid, -1 in all three for a plain set."""
+        rows = self._set_rows[sids]
+        return rows[:, _SWITCH], rows[:, _SRC_LINK], rows[:, _DST_LINK]
 
     def member_pids(self, sid: int, choice: np.ndarray) -> np.ndarray:
         """Path ids of the chosen members of a set.
@@ -473,75 +561,123 @@ class PathSpace:
         most one full node path per flow instead of the whole ~w-wide
         candidate set per pair).
         """
-        entry = self._sets[sid]
-        if isinstance(entry, _FactoredSet):
-            if entry.pids is not None:
-                return entry.pids[choice]
-            middles = self._sets[entry.switch_sid]
-            paths = self._paths
-            mapping = {
-                int(j): self.intern_path(
-                    (entry.src,) + paths[int(middles[int(j)])] + (entry.dst,)
-                )
-                for j in np.unique(choice).tolist()
-            }
-            return np.fromiter(
-                (mapping[j] for j in choice.tolist()),
-                dtype=np.int64,
-                count=len(choice),
+        pids = self._set_pids.get(sid)
+        if pids is not None:
+            return pids[choice]
+        src, dst, switch = self._set_rows[sid][[_SRC, _DST, _SWITCH]].tolist()
+        middles = self._set_pids[switch]
+        paths = self._paths
+        mapping = {
+            int(j): self.intern_path(
+                (src,) + paths[int(middles[int(j)])] + (dst,)
             )
-        return entry[choice]
+            for j in np.unique(choice).tolist()
+        }
+        return np.fromiter(
+            (mapping[j] for j in choice.tolist()),
+            dtype=np.int64,
+            count=len(choice),
+        )
 
     def pair_set(self, src: int, dst: int) -> int:
-        """The ECMP path set for a host pair, interned *factored*.
-
-        The set is stored as (src, dst, switch-level sid): every host
-        pair of a rack pair shares one switch-level path set, so the
-        per-pair cost is O(1) instead of O(paths).  Member order equals
-        :meth:`EcmpRouting.host_paths` order exactly.
-        """
-        key = (src, dst)
-        sid = self._pair_sid.get(key)
-        if sid is None:
-            with self._lock:
-                sid = self._pair_sid.get(key)
-                if sid is None:
-                    topo = self.topology
-                    src_rack = topo.rack_of(src)
-                    dst_rack = topo.rack_of(dst)
-                    rkey = (src_rack, dst_rack)
-                    switch_sid = self._rack_pair_sid.get(rkey)
-                    if switch_sid is None:
-                        # switch_paths(a, a) is the trivial single-node
-                        # path, covering same-rack pairs.
-                        switch_sid = self.intern_set(
-                            self.routing.switch_paths(src_rack, dst_rack)
-                        )
-                        self._rack_pair_sid[rkey] = switch_sid
-                    sid = len(self._sets)
-                    self._sets.append(
-                        _FactoredSet(
-                            src, dst, switch_sid,
-                            topo.link_id(src, src_rack),
-                            topo.link_id(dst_rack, dst),
-                        )
-                    )
-                    self._pair_sid[key] = sid
-        return sid
+        """The ECMP path set of one host pair (see :meth:`pair_sets`)."""
+        return int(self.pair_sets(
+            np.asarray([src], dtype=np.int64), np.asarray([dst], dtype=np.int64)
+        )[0])
 
     def pair_sets(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`pair_set` over aligned host arrays."""
+        """The ECMP path set of each host pair of aligned host arrays,
+        interned *factored*.
+
+        A pair's set is one row (src, dst, switch-level sid, host links,
+        size): every host pair of a rack pair shares one switch-level
+        set, so a pair costs O(1) instead of O(paths).  Member order
+        equals :meth:`EcmpRouting.host_paths` order exactly.  Known
+        pairs resolve with one packed-key lookup; new pairs intern in
+        ascending packed-key order (see :meth:`_intern_pairs`).
+        """
         if len(src) == 0:
             return np.empty(0, dtype=np.int64)
         packed = src.astype(np.int64) * np.int64(self.topology.n_nodes) + dst
         uniq, inverse = np.unique(packed, return_inverse=True)
-        n_nodes = self.topology.n_nodes
-        sids = np.fromiter(
-            (self.pair_set(int(key) // n_nodes, int(key) % n_nodes) for key in uniq),
-            dtype=np.int64,
-            count=len(uniq),
-        )
+        sids = self._pair_sid.get(uniq)
+        if np.any(sids < 0):
+            with self._lock:
+                sids = self._pair_sid.get(uniq)
+                new = sids < 0
+                if np.any(new):
+                    sids[new] = self._intern_pairs(uniq[new])
         return sids[inverse]
+
+    def _host_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(rack, host link) of every node id, -1 for non-hosts and in
+        one trailing entry."""
+        cols = self._host_cols
+        if cols is None:
+            topo = self.topology
+            rack = np.full(topo.n_nodes + 1, -1, dtype=np.int64)
+            link = np.full(topo.n_nodes + 1, -1, dtype=np.int64)
+            for host in topo.hosts:
+                rack[host] = topo.rack_of(host)
+                link[host] = topo.link_id(host, int(rack[host]))
+            self._host_cols = cols = (rack, link)
+        return cols
+
+    def _intern_pairs(self, keys: np.ndarray) -> np.ndarray:
+        """Intern the pair sets of new, ascending packed pair keys;
+        callers hold the lock.
+
+        Numbering is that of one pair at a time in key order: a rack
+        pair new to the space interns its switch-level set (a plain set)
+        just before its first pair.  Only those rack pairs run Python;
+        every pair row is written by array passes.
+        """
+        n_nodes = self.topology.n_nodes
+        src, dst = np.divmod(keys, n_nodes)
+        rack, link = self._host_columns()
+        # Index -1 is the trailing non-host entry, for out-of-range ids.
+        src_rack = rack[np.where((src >= 0) & (src < n_nodes), src, -1)]
+        dst_rack = rack[dst]
+        bad = (src_rack < 0) | (dst_rack < 0)
+        if np.any(bad):
+            row = int(np.argmax(bad))
+            node = src[row] if src_rack[row] < 0 else dst[row]
+            raise TopologyError(f"node {int(node)} is not a host")
+        rack_keys, rack_of_pair = first_seen_ids(src_rack * n_nodes + dst_rack)
+        switch = self._rack_pair_sid.get(rack_keys)
+        first = _first_rows(rack_of_pair, len(rack_keys))
+        new_racks = np.flatnonzero(switch < 0)
+        n0 = self.n_sets
+        # opens[i] = 1 where a new switch-level set precedes pair i.
+        opens = np.zeros(len(keys), dtype=np.int64)
+        fresh: Dict[Tuple[int, ...], int] = {}
+        for r in new_racks.tolist():
+            a, b = divmod(int(rack_keys[r]), n_nodes)
+            pids = tuple(
+                self.intern_path(p) for p in self.routing.switch_paths(a, b)
+            )
+            sid = self._set_index.get(pids, fresh.get(pids))
+            if sid is None:
+                sid = fresh[pids] = n0 + int(first[r]) + len(fresh)
+                opens[first[r]] = 1
+            switch[r] = sid
+        pair_sids = n0 + np.arange(len(keys), dtype=np.int64) + np.cumsum(opens)
+        pair_switch = switch[rack_of_pair]
+        block = np.full((len(keys) + len(fresh), 6), -1, dtype=np.int64)
+        block[
+            np.fromiter(fresh.values(), dtype=np.int64, count=len(fresh)) - n0,
+            _SIZE,
+        ] = [len(pids) for pids in fresh]
+        known = pair_switch < n0
+        sizes = np.empty(len(keys), dtype=np.int64)
+        sizes[known] = self._set_rows.column(_SIZE, pair_switch[known])
+        sizes[~known] = block[pair_switch[~known] - n0, _SIZE]
+        block[pair_sids - n0] = np.column_stack(
+            (src, dst, pair_switch, link[src], link[dst], sizes)
+        )
+        self._append_sets(block, list(fresh))
+        self._rack_pair_sid.insert(rack_keys[new_racks], switch[new_racks])
+        return pair_sids
 
     # ------------------------------------------------------------------
     # Component projections
@@ -549,6 +685,10 @@ class PathSpace:
     @property
     def n_comp_paths(self) -> int:
         return len(self._comp_paths)
+
+    @property
+    def n_comp_sets(self) -> int:
+        return self._cset_rows.n
 
     def intern_components(self, components: Sequence[int]) -> int:
         key = tuple(sorted(set(components)))
@@ -567,40 +707,80 @@ class PathSpace:
         return self._comp_paths[gid]
 
     def intern_comp_set(self, gids: Sequence[int]) -> int:
+        """Intern an ordered component-path sequence as a plain set."""
         key = tuple(gids)
-        gsid = self._comp_set_index.get(key)
+        gsid = self._cset_index.get(key)
         if gsid is None:
             with self._lock:
-                gsid = self._comp_set_index.get(key)
-                if gsid is None:
-                    gsid = len(self._comp_sets)
-                    self._comp_sets.append(np.asarray(key, dtype=np.int64))
-                    self._comp_set_index[key] = gsid
+                gsid = int(self._intern_plain_sets([key])[0])
         return gsid
 
-    def intern_factored_comp_set(
-        self, ecomps: Tuple[int, ...], switch_gsid: int
-    ) -> int:
-        """Intern a component path set as endpoint comps + shared interior.
+    def _find_plain_sets(
+        self, keys: Sequence[Tuple[int, ...]]
+    ) -> Tuple[np.ndarray, List[Tuple[int, ...]]]:
+        """gsid of each plain member tuple, or ``-1 - j`` for the j-th
+        distinct tuple new to the space; also the new tuples, in order."""
+        index = self._cset_index
+        fresh: Dict[Tuple[int, ...], int] = {}
+        out = np.empty(len(keys), dtype=np.int64)
+        for row, key in enumerate(keys):
+            gsid = index.get(key)
+            if gsid is None:
+                gsid = -1 - fresh.setdefault(key, len(fresh))
+            out[row] = gsid
+        return out, list(fresh)
 
-        ``ecomps`` (sorted component ids, present on every member path)
-        plus the rack pair's interior projection set ``switch_gsid``
-        describe the full set without enumerating per-pair projections.
+    def _intern_plain_sets(self, keys: Sequence[Tuple[int, ...]]) -> np.ndarray:
+        """gsid of each plain member tuple, interning new ones in order
+        with one append; callers hold the lock."""
+        gsids, fresh = self._find_plain_sets(keys)
+        if fresh:
+            new = gsids < 0
+            gsids[new] = self.n_comp_sets - 1 - gsids[new]
+            self._append_comp_sets(
+                np.full((len(fresh), 3), -1, dtype=np.int64), fresh
+            )
+        return gsids
+
+    def _factored_keys(
+        self, interior: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> np.ndarray:
+        """Packed map key of factored comp sets (interior, lo, hi)."""
+        span = np.int64(self.topology.n_components)
+        return (interior * span + lo) * span + hi
+
+    def _append_comp_sets(
+        self, rows: np.ndarray, plain: Sequence[Tuple[int, ...]]
+    ) -> None:
+        """Store the comp sets ``n_comp_sets, ...``; callers hold the
+        lock and pass only sets new to the space.
+
+        ``rows`` are in comp-set-row layout; the plain rows (interior
+        -1) take their member tuples from ``plain``, in order.  Rows and
+        members land before any id is published: plain sets in the
+        member-tuple index, factored sets in the packed key map.
         """
-        key = ("f", ecomps, switch_gsid)
-        gsid = self._comp_set_index.get(key)
-        if gsid is None:
-            with self._lock:
-                gsid = self._comp_set_index.get(key)
-                if gsid is None:
-                    gsid = len(self._comp_sets)
-                    self._comp_sets.append(
-                        _FactoredCompSet(
-                            np.asarray(ecomps, dtype=np.int64), switch_gsid
-                        )
-                    )
-                    self._comp_set_index[key] = gsid
-        return gsid
+        n0 = self.n_comp_sets
+        is_plain = rows[:, _INTERIOR] < 0
+        lens = np.zeros(len(rows), dtype=np.int64)
+        lens[is_plain] = [len(key) for key in plain]
+        self._cset_members.append(
+            np.fromiter(
+                chain.from_iterable(plain), dtype=np.int64, count=int(lens.sum())
+            ),
+            lens,
+        )
+        self._cset_rows.append(rows)
+        for gsid, key in zip((n0 + np.flatnonzero(is_plain)).tolist(), plain):
+            self._cset_index[key] = gsid
+        factored = rows[~is_plain]
+        if len(factored):
+            self._factored_gsid.insert(
+                self._factored_keys(
+                    factored[:, _INTERIOR], factored[:, _LO], factored[:, _HI]
+                ),
+                n0 + np.flatnonzero(~is_plain),
+            )
 
     def comp_set(self, gsid: int) -> np.ndarray:
         """Component-path ids of one component path set (ordered, with
@@ -609,53 +789,86 @@ class PathSpace:
         Factored sets expand lazily: each member's full projection is
         the (disjoint) union of the endpoint comps and one interior
         projection.  Only adapters and lazy object views call this for
-        factored sets; the compressed pipeline uses
-        :meth:`comp_set_parts`.
+        factored sets; a problem build gathers
+        :meth:`comp_set_columns` and the interior's members instead.
         """
-        entry = self._comp_sets[gsid]
-        if isinstance(entry, _FactoredCompSet):
-            if entry.gids is None:
-                with self._lock:
-                    if entry.gids is None:
-                        interior = self.comp_set(entry.switch_gsid)
-                        e = tuple(entry.ecomps.tolist())
-                        entry.gids = np.fromiter(
-                            (
-                                self.intern_components(
-                                    e + self._comp_paths[int(g)]
-                                )
-                                for g in interior.tolist()
-                            ),
-                            dtype=np.int64,
-                            count=len(interior),
-                        )
-            return entry.gids
-        return entry
+        lo, hi, interior = self._cset_rows[gsid].tolist()
+        if interior < 0:
+            return self.comp_set_members(np.asarray([gsid]))[0]
+        full = self._cset_full.get(gsid)
+        if full is None:
+            members = self.comp_set(interior)
+            with self._lock:
+                full = self._cset_full.get(gsid)
+                if full is None:
+                    full = np.fromiter(
+                        (
+                            self.intern_components(
+                                (lo, hi) + self._comp_paths[g]
+                            )
+                            for g in members.tolist()
+                        ),
+                        dtype=np.int64,
+                        count=len(members),
+                    )
+                    self._cset_full[gsid] = full
+        return full
 
     def comp_set_is_factored(self, gsid: int) -> bool:
-        return isinstance(self._comp_sets[gsid], _FactoredCompSet)
+        return bool(self._cset_rows[gsid][_INTERIOR] >= 0)
 
-    def comp_set_parts(
-        self, gsid: int
-    ) -> Tuple[np.ndarray, np.ndarray, Tuple]:
-        """(endpoint comps, member projection gids, interior-sharing key).
+    def comp_set_columns(
+        self, gsids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(endpoint comp lo, endpoint comp hi, interior gsid) of each
+        gsid, -1 in all three for a plain set.
 
-        For a factored set the members are the *interior* projections
-        (shared across every host pair of the rack pair) and the key is
-        ``("f", switch_gsid)``; for a plain set the members are the full
-        projections, the endpoint array is empty, and the key is
-        ``("p", gsid)``.  Two sets with equal keys share identical
-        member arrays - the compressed problem build interns its
-        interior path table once per distinct key.
+        A factored set's members are the interior's members, each
+        extended by both endpoint comps, which lie on every member path
+        and on no interior projection.
         """
-        entry = self._comp_sets[gsid]
-        if isinstance(entry, _FactoredCompSet):
-            return (
-                entry.ecomps,
-                self.comp_set(entry.switch_gsid),
-                ("f", entry.switch_gsid),
-            )
-        return _EMPTY_I64, entry, ("p", gsid)
+        rows = self._cset_rows[gsids]
+        return rows[:, _LO], rows[:, _HI], rows[:, _INTERIOR]
+
+    def comp_set_members(self, gsids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Member gids of plain comp sets, as a (values, offsets) CSR in
+        ``gsids`` order (a factored set's row is empty)."""
+        with self._lock:
+            flat, off = self._cset_members.arrays()
+        return _gather_rows(flat, off, gsids)
+
+    def comp_set_unions(self, gsids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted component union of each plain comp set's members, as a
+        (values, offsets) CSR in ``gsids`` order.
+
+        A union is a pure function of the gsid, so the space memoizes
+        it: the first request sorts the unions of every gsid it misses
+        in one batched pass, later ones gather.  Problem builds ask for
+        their interiors, bounded by rack pairs per device flag.
+        """
+        rows = self._union_row.lookup(gsids, self._fill_unions, self._lock)
+        with self._lock:
+            flat, off = self._unions.arrays()
+        return _gather_rows(flat, off, rows)
+
+    def _fill_unions(self, missed: np.ndarray) -> np.ndarray:
+        members, m_off = self.comp_set_members(missed)
+        cc_flat, cc_off = self.comp_csr()
+        counts = cc_off[members + 1] - cc_off[members]
+        comps = cc_flat[_expand_slices(cc_off[members], counts)]
+        owner = np.repeat(
+            np.repeat(np.arange(len(missed), dtype=np.int64), np.diff(m_off)),
+            counts,
+        )
+        # The space projects from its own topology, so its component
+        # ids are below that topology's count.
+        span = np.int64(self.topology.n_components)
+        keys = sorted_unique(owner * span + comps)
+        first = self._unions.n_rows
+        self._unions.append(
+            keys % span, np.bincount(keys // span, minlength=len(missed))
+        )
+        return np.arange(first, first + len(missed), dtype=np.int64)
 
     def _intern_projections(
         self, pids: np.ndarray, include_devices: bool
@@ -705,9 +918,9 @@ class PathSpace:
         The distinct missed pids project in one batch; their
         one-member comp sets then intern in first-seen pid order.
         """
-        def fill(missed: np.ndarray) -> List[int]:
+        def fill(missed: np.ndarray) -> np.ndarray:
             gids = self._intern_projections(missed, include_devices)
-            return [self.intern_comp_set((gid,)) for gid in gids]
+            return self._intern_plain_sets([(gid,) for gid in gids])
 
         return self._pid_gsid[int(include_devices)].lookup(
             pids, fill, self._lock
@@ -716,56 +929,95 @@ class PathSpace:
     def set_gsids(self, sids: np.ndarray, include_devices: bool) -> np.ndarray:
         """Component path-set id of each node path set.
 
-        Factored pair sets project to *factored* component sets: the
-        endpoint host links plus the rack pair's interior projection
-        set, so the projection cost of a pair is O(1) once its rack
-        pair has been seen.
+        A plain set projects to the plain comp set of its members'
+        projections.  A factored pair set projects to a *factored* comp
+        set: its two host links plus the projection of its rack pair's
+        switch-level set (its interior), so a pair costs O(1) once its
+        rack pair has been seen.
 
-        Batch fill: the switch-level sets the missed sids need (each
-        plain set itself, each factored set's interior) that are not
-        yet projected are collected in first-seen order, and all their
-        member paths project in one :meth:`path_gids` call.  Comp sets
-        then intern in miss order, an interior just before the first
-        factored set that uses it - the order a one-set-at-a-time fill
-        produced, which checkpoint resume and drift detection rely on.
+        Batch fill: the interiors (and plain sets) that no earlier fill
+        projected are the only per-item Python work - their members
+        project in one :meth:`path_gids` call, and each projects to a
+        member tuple.  Every other step is an array pass over the
+        missed sids.  New comp sets are numbered as a one-set-at-a-time
+        fill in miss order numbered them: at a set's row, first its
+        interior if that is new to the space, then its factored key if
+        that is new - checkpoint resume and drift detection rely on
+        this order.  An exclusive cumsum over per-row "opens an
+        interior" and "opens a key" flags assigns those ids.
         """
         cache = self._sid_gsid[int(include_devices)]
 
         def fill(missed: np.ndarray) -> np.ndarray:
-            sets = self._sets
-            entries = [sets[sid] for sid in missed.tolist()]
-            inner = [
-                entry.switch_sid if isinstance(entry, _FactoredSet) else sid
-                for sid, entry in zip(missed.tolist(), entries)
-            ]
-            known = dict(zip(inner, cache.gather(np.asarray(inner)).tolist()))
-            todo = [sid for sid, gsid in known.items() if gsid < 0]
-            members = [sets[sid] for sid in todo]
-            gids = (
-                self.path_gids(np.concatenate(members), include_devices).tolist()
-                if members else []
+            rows = self._set_rows[missed]
+            factored = rows[:, _SWITCH] >= 0
+            inner = np.where(factored, rows[:, _SWITCH], missed)
+            inner_ids, inner_of_row = first_seen_ids(inner)
+            inner_gsid = cache.gather(inner_ids)
+            first = _first_rows(inner_of_row, len(inner_ids))
+            n_rows = len(missed)
+            opens_interior = np.zeros(n_rows, dtype=np.int64)
+            # Interiors new to this flag: a known member tuple gives its
+            # gsid now, a new one the placeholder -1 - j, j in row order.
+            todo = np.flatnonzero(inner_gsid < 0)
+            fresh: List[Tuple[int, ...]] = []
+            if len(todo):
+                members = [
+                    self._set_pids[sid] for sid in inner_ids[todo].tolist()
+                ]
+                gids = self.path_gids(
+                    np.concatenate(members), include_devices
+                ).tolist()
+                bounds = np.cumsum([0] + [len(m) for m in members]).tolist()
+                found, fresh = self._find_plain_sets(
+                    [tuple(gids[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+                )
+                inner_gsid[todo] = found
+                new = np.flatnonzero(found < 0)
+                opener = new[_first_rows(-1 - found[new], len(fresh))]
+                opens_interior[first[todo[opener]]] = 1
+            row_inner = inner_gsid[inner_of_row]
+            # Factored rows group by (interior, endpoint comps); shifting
+            # placeholders by len(fresh) keeps the packed keys distinct.
+            frows = np.flatnonzero(factored)
+            src_link = rows[frows, _SRC_LINK]
+            dst_link = rows[frows, _DST_LINK]
+            lo = np.minimum(src_link, dst_link)
+            hi = np.maximum(src_link, dst_link)
+            f_inner = row_inner[frows]
+            key_vals, key_of_frow = first_seen_ids(
+                self._factored_keys(f_inner + len(fresh), lo, hi)
             )
-            start = 0
-            pending = {}
-            for sid, member in zip(todo, members):
-                pending[sid] = gids[start:start + len(member)]
-                start += len(member)
-            out = np.empty(len(missed), dtype=np.int64)
-            for row, (entry, sid) in enumerate(zip(entries, inner)):
-                gsid = known[sid]
-                if gsid < 0:
-                    known[sid] = gsid = self.intern_comp_set(pending[sid])
-                if isinstance(entry, _FactoredSet):
-                    if entry.src_link <= entry.dst_link:
-                        ecomps = (entry.src_link, entry.dst_link)
-                    else:
-                        ecomps = (entry.dst_link, entry.src_link)
-                    gsid = self.intern_factored_comp_set(ecomps, gsid)
-                out[row] = gsid
-            cache.store(
-                np.asarray(todo, dtype=np.int64),
-                np.asarray([known[sid] for sid in todo], dtype=np.int64),
+            key_first = _first_rows(key_of_frow, len(key_vals))
+            key_gsid = np.full(len(key_vals), -1, dtype=np.int64)
+            # Only a key whose interior is known can be in the map.
+            known = f_inner[key_first] >= 0
+            kf = key_first[known]
+            key_gsid[known] = self._factored_gsid.get(
+                self._factored_keys(f_inner[kf], lo[kf], hi[kf])
             )
+            new_keys = np.flatnonzero(key_gsid < 0)
+            new_first = key_first[new_keys]
+            key_rows = frows[new_first]
+            opens_key = np.zeros(n_rows, dtype=np.int64)
+            opens_key[key_rows] = 1
+            opened = opens_interior + opens_key
+            before = self.n_comp_sets + np.cumsum(opened) - opened
+            if fresh:
+                interior_ids = before[np.flatnonzero(opens_interior)]
+                placeholder = inner_gsid < 0
+                inner_gsid[placeholder] = interior_ids[-1 - inner_gsid[placeholder]]
+                row_inner = inner_gsid[inner_of_row]
+            key_gsid[new_keys] = before[key_rows] + opens_interior[key_rows]
+            block = np.full((int(opened.sum()), 3), -1, dtype=np.int64)
+            block[key_gsid[new_keys] - self.n_comp_sets] = np.column_stack(
+                (lo[new_first], hi[new_first], row_inner[key_rows])
+            )
+            if len(block):
+                self._append_comp_sets(block, fresh)
+            cache.store(inner_ids[todo], inner_gsid[todo])
+            out = row_inner.copy()
+            out[frows] = key_gsid[key_of_frow]
             return out
 
         return cache.lookup(sids, fill, self._lock)

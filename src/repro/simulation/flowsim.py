@@ -88,19 +88,19 @@ class FlowLevelSimulator:
             sids, order, offsets = _first_seen_groups(specs.path_set)
             surv_by_pid = _path_survivals(space, plan)
             rates = plan.rates
+            switch_sid, src_link, dst_link = space.pair_set_columns(sids)
             for g, sid in enumerate(sids.tolist()):
                 idx = order[offsets[g]:offsets[g + 1]]
-                if space.set_is_factored(sid):
+                if switch_sid[g] >= 0:
                     # Factored pair set: drop probability composes from
                     # the endpoint-link survivals and the shared
                     # switch-segment survivals; only the *chosen* member
                     # paths are ever materialized.
-                    fset = space.set_factored(sid)
-                    middles = space.set_path_ids(fset.switch_sid)
+                    middles = space.set_path_ids(int(switch_sid[g]))
                     drop_probs = 1.0 - (
-                        (1.0 - rates[fset.src_link])
+                        (1.0 - rates[src_link[g]])
                         * surv_by_pid[middles]
-                        * (1.0 - rates[fset.dst_link])
+                        * (1.0 - rates[dst_link[g]])
                     )
                     choice = rng.integers(0, len(middles), size=len(idx))
                     bad[idx] = rng.binomial(packets[idx], drop_probs[choice])
@@ -140,9 +140,10 @@ class FlowLevelSimulator:
 
         All randomness collapses into two generator calls - one uniform
         array for the ECMP choices and one vectorized binomial for the
-        drops - so the per-group Python loop that remains only gathers
-        group metadata and materializes the chosen member paths of
-        factored sets (interning work the grouped mode pays too).
+        drops.  Group metadata is a gather over the space's set
+        columns; the only per-group Python loop left materializes the
+        chosen member paths of factored sets (interning work the
+        grouped mode pays too).
         """
         space = specs.space
         rates = plan.rates
@@ -151,19 +152,9 @@ class FlowLevelSimulator:
         sids, gids = first_seen_ids(specs.path_set)
         n_groups = len(sids)
         sid_list = sids.tolist()
-        sizes = np.empty(n_groups, dtype=np.int64)
-        factored = np.zeros(n_groups, dtype=bool)
-        src_link = np.zeros(n_groups, dtype=np.int64)
-        dst_link = np.zeros(n_groups, dtype=np.int64)
-        switch_sid = np.zeros(n_groups, dtype=np.int64)
-        for g, sid in enumerate(sid_list):
-            sizes[g] = space.set_size(sid)
-            if space.set_is_factored(sid):
-                fset = space.set_factored(sid)
-                factored[g] = True
-                src_link[g] = fset.src_link
-                dst_link[g] = fset.dst_link
-                switch_sid[g] = fset.switch_sid
+        sizes = space.set_sizes(sids)
+        switch_sid, src_link, dst_link = space.pair_set_columns(sids)
+        factored = switch_sid >= 0
 
         # One uniform per flow prices its ECMP choice: floor(u * k) is
         # uniform over [0, k) (clipped against the u == 1.0 corner).

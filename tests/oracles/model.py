@@ -71,6 +71,31 @@ def normalized_flow_ll_vec(
     return out
 
 
+def normalized_flow_ll_fast_reference(
+    b: np.ndarray, w: np.ndarray, s: np.ndarray, es: np.ndarray
+) -> np.ndarray:
+    """The earlier body of :func:`repro.core.model.normalized_flow_ll_fast`,
+    which checked every call for non-finite and ``b >= w`` rows with
+    element masks; the production kernel must match it bit for bit."""
+    b = np.asarray(b, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.log(((w - b) + b * es) / w)
+    nonfinite = ~np.isfinite(out)
+    if nonfinite.any():
+        out[nonfinite & (b <= 0)] = 0.0
+        fix = nonfinite & (b > 0) & (b < w)
+        if fix.any():
+            bf = b[fix]
+            wf = w[fix]
+            out[fix] = np.logaddexp(
+                np.log((wf - bf) / wf), np.log(bf / wf) + s[fix]
+            )
+    full = b >= w
+    if full.any():
+        out[full] = s[full]
+    return out
+
+
 class LikelihoodModel:
     """Full-hypothesis likelihood evaluation over an inference problem.
 

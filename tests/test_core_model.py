@@ -16,6 +16,7 @@ from oracles.model import (
     LikelihoodModel,
     evidence_score,
     normalized_flow_ll,
+    normalized_flow_ll_fast_reference,
     normalized_flow_ll_vec,
 )
 from repro.core.model import (
@@ -128,6 +129,36 @@ class TestNormalizedFlowLL:
             assert fast[0] == scalar
         else:
             assert fast[0] == pytest.approx(scalar, rel=1e-12, abs=1e-12)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=20),
+                st.integers(min_value=1, max_value=16),
+                st.one_of(
+                    st.floats(min_value=-900.0, max_value=900.0),
+                    st.sampled_from([-1000.0, 709.0, 710.0]),
+                ),
+                st.sampled_from(["exp", "inf", "zero"]),
+            ),
+            max_size=24,
+        ),
+        int_b=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_fast_kernel_bitwise_equals_reference(self, rows, int_b):
+        """Every output bit equals the earlier kernel body's, on rows
+        mixing ``es = inf`` (``0 * inf`` is NaN), ``es = 0``, ``b = 0``,
+        ``b == w`` and ``b > w`` (a negative log argument is NaN)."""
+        b = np.array([r[0] for r in rows], dtype=np.int64 if int_b else float)
+        w = np.array([r[1] for r in rows], dtype=float)
+        s = np.array([r[2] for r in rows], dtype=float)
+        es = evidence_exp(s)
+        es[[r[3] == "inf" for r in rows]] = np.inf
+        es[[r[3] == "zero" for r in rows]] = 0.0
+        got = normalized_flow_ll_fast(b, w, s, es)
+        want = normalized_flow_ll_fast_reference(b, w, s, es)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @given(
         w=st.integers(min_value=2, max_value=8),

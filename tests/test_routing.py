@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import RoutingError
 from repro.routing import (
-    EcmpRouting, PathSetTable, PathSpace, PathTable, wcmp_weights,
+    EcmpRouting, PathSpace, PathTable, wcmp_weights,
 )
 from repro.topology import fat_tree, leaf_spine
 
@@ -124,28 +124,12 @@ class TestWcmp:
 
 
 class TestInterning:
-    def test_path_table_dedupes_and_sorts(self):
-        table = PathTable()
-        a = table.intern((3, 1, 2))
-        b = table.intern((1, 2, 3))
-        assert a == b
-        assert table.components(a) == (1, 2, 3)
-        assert len(table) == 1
-
     def test_path_table_distinct(self):
         table = PathTable()
-        a = table.intern((1, 2))
-        b = table.intern((1, 3))
+        a = table.intern_canonical((1, 2))
+        b = table.intern_canonical((1, 3))
         assert a != b
         assert len(table) == 2
-
-    def test_pathset_table(self):
-        table = PathSetTable()
-        a = table.intern((2, 1))
-        b = table.intern((1, 2))
-        assert a == b
-        assert table.paths(a) == (1, 2)
-        assert len(table) == 1
 
 
 def _csr(rows):

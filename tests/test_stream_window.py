@@ -182,26 +182,25 @@ def test_window_equals_rebuild_while_keys_keep_arriving(
 
 
 def test_set_stage_cache_interns_unions_mid_stream(tiny_world):
-    """The window's cache keeps interning keys after the first cycle,
-    and every interned union is the sorted union of its members'
-    components."""
+    """The space's union memo, which every window build gathers from,
+    keeps interning interiors after the first cycle, and every memoized
+    union is the sorted union of its members' components."""
     topo = tiny_world[0]
     routing = EcmpRouting(topo)
     space = routing.path_space()
     telemetry = make_setup("flock").telemetry
     windowed = WindowedProblem(topo.n_components, topo.n_links, window=2)
-    cache = windowed._parts_cache
     n_keys = []
     for index in range(6):
         windowed.append(_small_chunk_obs(topo, routing, telemetry, index, 4))
-        n_keys.append(cache.members.n_rows)
+        n_keys.append(space._unions.n_rows)
     assert n_keys[-1] > n_keys[0]
-    assert len(cache.key_of_row) == cache.ecomps.n_rows
-    m_flat, m_off = cache.members.arrays()
-    u_flat, u_off = cache.unions.arrays()
-    assert cache.unions.n_rows == cache.members.n_rows
-    for key in range(cache.members.n_rows):
-        members = m_flat[m_off[key]:m_off[key + 1]].tolist()
+    rows = space._union_row.gather(np.arange(space.n_comp_sets))
+    memoized = np.flatnonzero(rows >= 0)
+    assert np.array_equal(np.sort(rows[memoized]), np.arange(n_keys[-1]))
+    u_flat, u_off = space.comp_set_unions(memoized)
+    for key, gsid in enumerate(memoized.tolist()):
+        members = space.comp_set(gsid).tolist()
         want = sorted({c for g in members for c in space.comp_path(g)})
         assert u_flat[u_off[key]:u_off[key + 1]].tolist() == want
 
