@@ -207,9 +207,6 @@ class _PackedMap:
     def __setstate__(self, state):
         self._kv = state
 
-    def __len__(self) -> int:
-        return len(self._kv[0])
-
     def items(self) -> Tuple[np.ndarray, np.ndarray]:
         """(keys ascending, their ids)."""
         return self._kv
