@@ -23,68 +23,45 @@ from ..topology.base import Topology
 NodePath = Tuple[int, ...]
 
 
-class EcmpRouting:
-    """Per-topology ECMP path provider with rack-pair caching.
+class SwitchPaths:
+    """Every shortest switch-only path between two switches, cached per
+    switch pair.
 
-    Parameters
-    ----------
-    topology:
-        The fabric to route over.
-    max_paths:
-        Safety cap on the number of equal-cost paths enumerated per pair.
-        Clos path-set sizes are small (k^2/4 in a fat-tree); hitting the
-        cap raises, because silently truncating would bias inference.
+    Shared by an :class:`EcmpRouting` and that routing's
+    :class:`~repro.routing.paths.PathSpace`.  It refers to neither, so
+    the routing and its space hold no reference cycle: they are freed as
+    soon as the last trace holding them is, rather than at whatever
+    later point a full garbage collection runs.
     """
 
-    def __init__(self, topology: Topology, max_paths: int = 4096) -> None:
+    def __init__(self, topology: Topology, max_paths: int) -> None:
         self._topo = topology
         self._max_paths = max_paths
-        self._switch_cache: Dict[Tuple[int, int], Tuple[NodePath, ...]] = {}
-        self._probe_cache: Dict[Tuple[int, int], Tuple[NodePath, ...]] = {}
-        self._path_space = None
+        self._cache: Dict[Tuple[int, int], Tuple[NodePath, ...]] = {}
 
-    @property
-    def topology(self) -> Topology:
-        return self._topo
+    def __len__(self) -> int:
+        """Switch pairs enumerated so far."""
+        return len(self._cache)
 
-    def path_space(self):
-        """The shared :class:`~repro.routing.paths.PathSpace` of this
-        routing instance.
+    def get(self, src: int, dst: int) -> Tuple[NodePath, ...]:
+        """All shortest switch-only paths from ``src`` to ``dst``.
 
-        Lazily created, then reused by every trace built over this
-        routing - path and path-set ids are assigned once per
-        (topology, routing) pair and persist across traces, which is
-        what makes the columnar pipeline's interning cost amortize to
-        zero over an experiment's trace batch.
-        """
-        if self._path_space is None:
-            from .paths import PathSpace
-
-            self._path_space = PathSpace(self._topo, self)
-        return self._path_space
-
-    # ------------------------------------------------------------------
-    # Switch-level path sets
-    # ------------------------------------------------------------------
-    def switch_paths(self, src: int, dst: int) -> Tuple[NodePath, ...]:
-        """All shortest switch-only paths between two switches.
-
-        Paths include both endpoints.  ``switch_paths(a, a)`` is the
-        trivial single-node path.
+        Paths include both endpoints.  ``get(a, a)`` is the trivial
+        single-node path.
         """
         if src == dst:
             return ((src,),)
         key = (src, dst)
-        cached = self._switch_cache.get(key)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
-        reverse = self._switch_cache.get((dst, src))
+        reverse = self._cache.get((dst, src))
         if reverse is not None:
             paths = tuple(tuple(reversed(p)) for p in reverse)
-            self._switch_cache[key] = paths
+            self._cache[key] = paths
             return paths
         paths = self._all_shortest_paths(src, dst)
-        self._switch_cache[key] = paths
+        self._cache[key] = paths
         return paths
 
     def _all_shortest_paths(self, src: int, dst: int) -> Tuple[NodePath, ...]:
@@ -129,6 +106,57 @@ class EcmpRouting:
             frontier = nxt
         return dist
 
+
+class EcmpRouting:
+    """Per-topology ECMP path provider with rack-pair caching.
+
+    Parameters
+    ----------
+    topology:
+        The fabric to route over.
+    max_paths:
+        Safety cap on the number of equal-cost paths enumerated per pair.
+        Clos path-set sizes are small (k^2/4 in a fat-tree); hitting the
+        cap raises, because silently truncating would bias inference.
+    """
+
+    def __init__(self, topology: Topology, max_paths: int = 4096) -> None:
+        self._topo = topology
+        self.switch_level = SwitchPaths(topology, max_paths)
+        self._probe_cache: Dict[Tuple[int, int], Tuple[NodePath, ...]] = {}
+        self._path_space = None
+
+    @property
+    def topology(self) -> Topology:
+        return self._topo
+
+    def path_space(self):
+        """The shared :class:`~repro.routing.paths.PathSpace` of this
+        routing instance.
+
+        Lazily created, then reused by every trace built over this
+        routing - path and path-set ids are assigned once per
+        (topology, routing) pair and persist across traces, which is
+        what makes the columnar pipeline's interning cost amortize to
+        zero over an experiment's trace batch.
+        """
+        if self._path_space is None:
+            from .paths import PathSpace
+
+            self._path_space = PathSpace(self._topo, self)
+        return self._path_space
+
+    # ------------------------------------------------------------------
+    # Switch-level path sets
+    # ------------------------------------------------------------------
+    def switch_paths(self, src: int, dst: int) -> Tuple[NodePath, ...]:
+        """All shortest switch-only paths between two switches.
+
+        Paths include both endpoints.  ``switch_paths(a, a)`` is the
+        trivial single-node path.
+        """
+        return self.switch_level.get(src, dst)
+
     # ------------------------------------------------------------------
     # Host-level path sets
     # ------------------------------------------------------------------
@@ -168,7 +196,7 @@ class EcmpRouting:
     # ------------------------------------------------------------------
     @property
     def cached_pairs(self) -> int:
-        return len(self._switch_cache)
+        return len(self.switch_level)
 
 
 def wcmp_weights(paths: Tuple[NodePath, ...], capacities=None) -> Tuple[float, ...]:

@@ -386,7 +386,10 @@ class PathSpace:
 
     def __init__(self, topology: "Topology", routing: "EcmpRouting") -> None:
         self.topology = topology
-        self.routing = routing
+        # The routing's switch-level enumerator, not the routing itself:
+        # the routing holds this space, so a back-reference would make
+        # a cycle that only a full garbage collection frees.
+        self._switch_paths = None if routing is None else routing.switch_level
         # Node paths.
         self._paths: List[Tuple[int, ...]] = []
         self._path_index: Dict[Tuple[int, ...], int] = {}
@@ -651,7 +654,7 @@ class PathSpace:
         for r in new_racks.tolist():
             a, b = divmod(int(rack_keys[r]), n_nodes)
             pids = tuple(
-                self.intern_path(p) for p in self.routing.switch_paths(a, b)
+                self.intern_path(p) for p in self._switch_paths.get(a, b)
             )
             sid = self._set_index.get(pids, fresh.get(pids))
             if sid is None:

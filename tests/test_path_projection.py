@@ -68,10 +68,10 @@ class PerKeySpace(PathSpace):
             rkey = np.asarray([src_rack * n_nodes + dst_rack], dtype=np.int64)
             switch = int(self._rack_pair_sid.get(rkey)[0])
             if switch < 0:
-                # switch_paths(a, a) is the trivial single-node path,
-                # covering same-rack pairs.
+                # get(a, a) is the trivial single-node path, covering
+                # same-rack pairs.
                 switch = self.intern_set(
-                    self.routing.switch_paths(src_rack, dst_rack)
+                    self._switch_paths.get(src_rack, dst_rack)
                 )
                 self._rack_pair_sid.insert(
                     rkey, np.asarray([switch], dtype=np.int64)

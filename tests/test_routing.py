@@ -1,8 +1,10 @@
 """Tests for ECMP path enumeration and path interning."""
 
+import gc
 import pickle
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -240,3 +242,25 @@ class TestPathSpaceCSR:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         _assert_csrs_fresh(space)
+
+
+def test_routing_and_its_space_free_without_a_collection():
+    """A routing and its shared space hold no reference cycle, so
+    dropping the last reference frees both at once.  An experiment's
+    spaces hold tens of MB; left to the cycle collector, they outlive
+    it by however long the next full collection takes to come."""
+    topo = fat_tree(4)
+    routing = EcmpRouting(topo)
+    space = routing.path_space()
+    hosts = np.asarray(topo.hosts, dtype=np.int64)
+    sids = space.pair_sets(hosts[:-1], hosts[1:])
+    space.set_gsids(sids, include_devices=True)
+    refs = [weakref.ref(routing), weakref.ref(space)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del routing, space
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
