@@ -20,26 +20,35 @@ layer*:
 * ``comp -> flows``, ``comp -> paths`` and ``comp -> endpoint sets``
   inverted maps.
 
-The workhorse pattern: count (interior set, component) pairs over
-*good* member paths once per distinct interior set with one sort, expand
-them straight to flows (each flow reads its interior set's list plus its
-set's endpoint components), evaluate the memoized per-flow likelihood
-difference, and scatter-add with ``np.bincount``.  Flows come out in
-ascending order with at most one pair per (flow, comp), so every Δ[c]
-sums the same terms in the same order whatever the component order
-inside a flow (see :meth:`VectorArrays._flow_pairs`).  Flows are priced
-in blocks of about :data:`_PAIR_BLOCK` pairs, cut at flow boundaries,
-and each block folds into Δ with one ``np.bincount`` whose first weight
-per bin is the running total: a bin starts from the same value and adds
-the same terms in the same flow-ascending order as a single pass over
-every flow, so Δ does not depend on the block size, bit for bit, while
-the per-pair temporaries stay a few MB.  A plain set is the trivial
-factoring (its own interior set, no endpoint comps), so the same rows
-with every factored set expanded to plain full projections give Δ sums
-identical term by term and in accumulation order - which is what keeps
+The workhorse pattern: list (component, count) pairs once per distinct
+interior set, price each flow once per distinct count, and scatter-add
+the per-pair terms with ``np.bincount``.  Under the empty hypothesis
+every member path is good, so an interior set's list is its memoized
+component union with member counts, which the problem gathers from the
+:class:`~repro.routing.paths.PathSpace` - the cold Δ sorts nothing.
+Under any other hypothesis the lists are counted over *good* members
+with one sort.  A flow reads two slices of the pair table, its interior
+set's list and its set's endpoint components, and its likelihood term
+depends on a pair only through the count: ``wt_f * (nll(b_f + g) -
+nll(b_f))`` is evaluated once per (flow, distinct count) - a few slots
+per flow, against tens of pairs - and each pair gathers its term
+through its flow's slot offset.  Flows come out in ascending order with
+at most one pair per (flow, comp), so every Δ[c] sums the same terms in
+the same order whatever the component order inside a flow (see
+:meth:`VectorArrays._flow_pairs`).  Pairs are folded in blocks of about
+:data:`_PAIR_BLOCK`, cut at flow boundaries, and each block folds into
+Δ with one ``np.bincount`` whose first weight per bin is the running
+total: a bin starts from the same value and adds the same terms in the
+same flow-ascending order as a single pass over every flow, so Δ does
+not depend on the block size, bit for bit, while the per-pair
+temporaries stay a few MB.  A plain set is the trivial factoring (its
+own interior set, no endpoint comps), so the same rows with every
+factored set expanded to plain full projections give Δ sums identical
+term by term and in accumulation order - which is what keeps
 predictions bit-identical between the two.  Per-flow pricing is the
 only layout: Δ is pinned bitwise to the set-granular pair-counting
-oracle (``tests/oracles/pair_counting.py``), and scores and
+oracle (``tests/oracles/pair_counting.py``) and to the per-pair
+pricing it replaced (``tests/oracles/per_pair.py``), and scores and
 log-likelihoods agree bitwise between a ``from_batch`` problem, its
 plain-set expansion and the object pipeline's problem.
 
@@ -69,8 +78,8 @@ from .problem import InferenceProblem
 
 from .problem import _expand_slices  # noqa: E402  (shared CSR helper)
 
-#: Flow pairs priced per block of :meth:`VectorJleState._state_delta`.
-#: Blocks end at flow boundaries, so a flow longer than this is priced
+#: Flow pairs folded per block of :meth:`VectorJleState._price`.
+#: Blocks end at flow boundaries, so a flow longer than this is folded
 #: whole.  Big enough that the per-block overhead (two concatenations
 #: of ``n_comps`` entries) is noise, small enough that a cold Δ's
 #: per-pair temporaries stay a few MB instead of growing with the flows.
@@ -159,13 +168,36 @@ class _IsetLayer(NamedTuple):
     mult: np.ndarray
 
 
+class _FlowPairs(NamedTuple):
+    """A priced call's (component, slot) table and its flows' views.
+
+    ``comps``/``slots`` are the table entries: the affected interior
+    sets' (component, count) lists, then the sets' endpoint
+    components.  An entry's *slot* numbers its count among the
+    distinct counts a flow of its set prices.  ``starts``/``lens`` are
+    each flow's ``(n_flows, 2)`` slice bounds into the table (interior
+    list, endpoint components).  ``slot_flow``/``slot_count`` list
+    every (flow, slot) pair flow-major, and ``toff`` is each flow's
+    first position in them.
+    """
+
+    comps: np.ndarray
+    slots: np.ndarray
+    starts: np.ndarray
+    lens: np.ndarray
+    slot_flow: np.ndarray
+    slot_count: np.ndarray
+    toff: np.ndarray
+
+
 class VectorArrays:
     """Shared CSR arrays + likelihood vectors for one problem.
 
-    Every engine prices per flow: (component, count) pairs are counted
+    Every engine prices per flow: (component, count) pairs are listed
     once per distinct interior set (:meth:`_flow_pairs`) and each flow's
-    likelihood term is evaluated individually, so Δ, ll and predictions
-    are bitwise identical across problem representations.
+    likelihood term is evaluated individually, once per distinct count,
+    so Δ, ll and predictions are bitwise identical across problem
+    representations.
     """
 
     def __init__(self, problem: InferenceProblem, params: FlockParams) -> None:
@@ -190,6 +222,9 @@ class VectorArrays:
         self.iset_umult = problem._iset_umult.astype(np.float64)
         self.iset_uoff = problem._iset_uoff
         self.iset_ulen = np.diff(self.iset_uoff)
+        # Raw member paths per interior set: the largest count any of
+        # its (component, count) pairs can reach.
+        self.iset_w = np.diff(problem._iset_raw_off)
         self.set_ecomps = problem._set_ecomps
         self.set_eoff = problem._set_eoff
         self.set_elen = np.diff(self.set_eoff)
@@ -268,31 +303,34 @@ class VectorArrays:
         self,
         aff_sets: np.ndarray,
         fsl: np.ndarray,
+        set_il: np.ndarray,
         good_count: np.ndarray,
-        layer: _IsetLayer,
-        good: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The (comp, count) pair table over good member paths, and
-        each flow's two slices of it.
+        lists: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        iset_w: np.ndarray,
+    ) -> _FlowPairs:
+        """The (comp, slot) pair table over good member paths, each
+        flow's two slices of it, and every flow's distinct counts.
 
-        A member path is good when its path holds no failed component
-        and its set has no failed endpoint component.  A set with a
-        failed endpoint thus has no good members (``good_count`` 0)
-        and no pairs, and every other set's good members are its
-        interior set's path-good members: ``good`` marks those per
-        interior-set instance, and each distinct interior set is
-        counted once.  Flow ``i`` (of set ``fsl[i]``) then reads two
-        slices: its interior set's pair list, and its set's endpoint
-        components, each counted at the set's good-member total (an
-        endpoint component sits on every member path).
+        ``lists`` are the (component, integer count) lists of the
+        affected sets' distinct interior sets as a CSR ``(comps,
+        counts, bounds)``, one row per local interior set (``set_il``
+        maps each affected set to its row, ``iset_w`` bounds each row's
+        counts).  A set with no good member (``good_count`` 0) reads no
+        pairs.  Flow ``i`` (of set ``fsl[i]``) reads two slices: its
+        interior set's list, and its set's endpoint components, each
+        counted at the set's good-member total (an endpoint component
+        sits on every member path).
 
-        Returns ``(comps, counts, starts, lens)``: the table is built
-        once per call and its size is the distinct interior sets' pair
-        lists plus the sets' endpoint components; ``starts``/``lens``
-        are ``(n_flows, 2)`` slice bounds into it.  The caller expands
-        flow-major pairs from the slices, a block of flows at a time
-        (:meth:`VectorJleState._state_delta`), so no per-flow pair
-        array ever covers every flow at once.
+        A flow's likelihood term depends on its pair only through the
+        count, and a list holds few distinct counts, so each flow gets
+        one *slot* per distinct count of its interior list, plus one
+        for its endpoint components when it has any.  The distinct
+        counts are numbered in one pass: count ``c`` of row ``i`` marks
+        cell ``woff[i] + c`` of a table with ``iset_w[i] + 1`` cells per
+        row, and a cumsum over the marks numbers each row's distinct
+        counts in ascending order.  The caller prices every (flow,
+        slot) once and gathers each pair's term through ``toff[flow] +
+        slot`` (:meth:`VectorJleState._price`).
 
         Bit-identity: the caller scatters per-pair terms with
         ``np.bincount``, which adds weights in input order.  Flows are
@@ -302,27 +340,48 @@ class VectorArrays:
         flow - which is why Δ is bitwise identical to the set-granular
         count, and across problem representations.
         """
-        n_comps = np.int64(self.n_comps)
-        n_isets = len(layer.isets)
+        icomps, icounts, ibounds = lists
+        ilen = np.diff(ibounds)
+        span = iset_w + 1
+        woff = np.zeros(len(span) + 1, dtype=np.int64)
+        np.cumsum(span, out=woff[1:])
+        cell = np.repeat(woff[:-1], ilen) + icounts
+        seen = np.zeros(int(woff[-1]), dtype=bool)
+        seen[cell] = True
+        dcell = np.flatnonzero(seen)
+        doff = np.searchsorted(dcell, woff)
+        nd = np.diff(doff)
+        dcount = (dcell - np.repeat(woff[:-1], nd)).astype(np.float64)
+        cell_slot = np.cumsum(seen) - 1 - np.repeat(doff[:-1], span)
+
         live = good_count > 0
-        live_iset = np.zeros(n_isets, dtype=bool)
-        live_iset[layer.set_il[live]] = True
-        keys, cnts = self._iset_pair_lists(layer, good & live_iset[layer.il])
-        ibounds = np.searchsorted(
-            keys, np.arange(n_isets + 1, dtype=np.int64) * n_comps
-        )
-        ilens = np.where(live, np.diff(ibounds)[layer.set_il], 0)
+        ilens = np.where(live, ilen[set_il], 0)
         elens = np.where(live, self.set_elen[aff_sets], 0)
         eidx = _expand_slices(self.set_eoff[aff_sets], elens)
-        comps = np.concatenate((keys % n_comps, self.set_ecomps[eidx]))
-        counts = np.concatenate((cnts, np.repeat(good_count, elens)))
+        islots = np.where(live, nd[set_il], 0)
+        comps = np.concatenate((icomps, self.set_ecomps[eidx]))
+        slots = np.concatenate((cell_slot[cell], np.repeat(islots, elens)))
         starts = np.empty((len(aff_sets), 2), dtype=np.int64)
-        starts[:, 0] = ibounds[layer.set_il]
-        starts[:, 1] = len(keys) + elens.cumsum() - elens
+        starts[:, 0] = ibounds[set_il]
+        starts[:, 1] = len(icomps) + elens.cumsum() - elens
         lens = np.empty((len(aff_sets), 2), dtype=np.int64)
         lens[:, 0] = ilens
         lens[:, 1] = elens
-        return comps, counts, starts[fsl], lens[fsl]
+
+        # Every flow's slots: its interior's distinct counts, then its
+        # set's good-member total when it has endpoint components.
+        nslots = (islots + (elens > 0))[fsl]
+        toff = nslots.cumsum() - nslots
+        slot_flow = np.repeat(np.arange(len(fsl), dtype=np.int64), nslots)
+        j = np.arange(len(slot_flow), dtype=np.int64) - toff[slot_flow]
+        fset = fsl[slot_flow]
+        src = np.where(
+            j < islots[fset], doff[set_il[fset]] + j, len(dcount) + fset
+        )
+        slot_count = np.concatenate((dcount, good_count))[src]
+        return _FlowPairs(
+            comps, slots, starts[fsl], lens[fsl], slot_flow, slot_count, toff
+        )
 
     def affected_flows(self, comps: Iterable[int]) -> np.ndarray:
         arrays = [a for a in (self.comp_flows(c) for c in comps) if len(a)]
@@ -611,12 +670,62 @@ class VectorJleState(VectorArrays):
         Prices weighted flows under an explicit structural state:
         ``good`` marks interior-set instances whose path holds no
         failed component, ``e_failed`` the affected sets with a failed
-        endpoint component (every member failed, ``b = w``).  Flow
-        ``f`` adds ``wt_f * (nll(b_f + g_fc) - nll(b_f))`` to Δ[c],
-        where ``g_fc`` counts its good member paths holding ``c``; the
+        endpoint component (every member failed, ``b = w``).  A member
+        path is good when its path holds no failed component and its
+        set has no failed endpoint component, so a set with a failed
+        endpoint has no good members and no pairs, and every other
+        set's good members are its interior set's path-good members:
+        each distinct interior set's (component, count) list is counted
+        once, over its good members, with one sort
+        (:meth:`_iset_pair_lists`), then priced by :meth:`_price`.  The
         contribution is ``None`` when no set has a good member.
+        """
+        iset_b = np.bincount(
+            layer.il, weights=layer.mult * ~good, minlength=len(layer.isets)
+        )
+        set_w = self.set_w[aff_sets]
+        b_set = np.where(e_failed, set_w, iset_b[layer.set_il])
+        good_count = set_w - b_set
+        live = good_count > 0
+        if not np.any(live):
+            return b_set, None
+        n_comps = np.int64(self.n_comps)
+        n_isets = len(layer.isets)
+        live_iset = np.zeros(n_isets, dtype=bool)
+        live_iset[layer.set_il[live]] = True
+        keys, cnts = self._iset_pair_lists(layer, good & live_iset[layer.il])
+        ibounds = np.searchsorted(
+            keys, np.arange(n_isets + 1, dtype=np.int64) * n_comps
+        )
+        lists = (keys % n_comps, cnts.astype(np.int64), ibounds)
+        return b_set, self._price(
+            flows, wt, aff_sets, fsl, layer.set_il, b_set, good_count,
+            lists, self.iset_w[layer.isets],
+        )
 
-        Flows are priced in blocks: the cumsum of per-flow pair counts
+    def _price(
+        self,
+        flows: np.ndarray,
+        wt: np.ndarray,
+        aff_sets: np.ndarray,
+        fsl: np.ndarray,
+        set_il: np.ndarray,
+        b_set: np.ndarray,
+        good_count: np.ndarray,
+        lists: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        iset_w: np.ndarray,
+    ) -> np.ndarray:
+        """Δ contribution of weighted flows from their pair lists.
+
+        Flow ``f`` adds ``wt_f * (nll(b_f + g_fc) - nll(b_f))`` to Δ[c],
+        where ``g_fc`` counts its good member paths holding ``c``
+        (``b_set``/``good_count`` per affected set, ``lists`` and
+        ``iset_w`` as :meth:`_flow_pairs` takes them).  The term is
+        evaluated once per (flow, distinct count) - the same
+        element-wise expression, so every pair's term keeps its bits -
+        and each pair gathers its term by its flow's slot offset.
+
+        Flows are folded in blocks: the cumsum of per-flow pair counts
         and one ``searchsorted`` cut the flow list at the last flow
         boundary at or below each multiple of :data:`_PAIR_BLOCK`, so a
         block never splits a flow (a flow longer than a block is a block
@@ -630,45 +739,57 @@ class VectorJleState(VectorArrays):
         block size.  (``np.add.at`` would give the same bits, but ran
         with twice the run-to-run spread.)
         """
-        iset_b = np.bincount(
-            layer.il, weights=layer.mult * ~good, minlength=len(layer.isets)
-        )
-        set_w = self.set_w[aff_sets]
-        b_set = np.where(e_failed, set_w, iset_b[layer.set_il])
-        good_count = set_w - b_set
-        if not np.any(good_count > 0):
-            return b_set, None
         b = b_set[fsl]
         base = self.nll(b, flows)
-        comps, counts, starts, lens = self._flow_pairs(
-            aff_sets, fsl, good_count, layer, good
+        pairs = self._flow_pairs(
+            aff_sets, fsl, set_il, good_count, lists, iset_w
         )
-        npairs = lens.sum(axis=1)
+        tf = pairs.slot_flow
+        terms = wt[tf] * (
+            self.nll(b[tf] + pairs.slot_count, flows[tf]) - base[tf]
+        )
+        npairs = pairs.lens.sum(axis=1)
         ends = npairs.cumsum()
         cuts = np.searchsorted(
             ends, np.arange(_PAIR_BLOCK, ends[-1], _PAIR_BLOCK), side="right"
         )
         bounds = np.unique(np.concatenate(([0], cuts, [len(flows)])))
-        slots = np.arange(self.n_comps, dtype=np.int64)
+        bins = np.arange(self.n_comps, dtype=np.int64)
         delta = np.zeros(self.n_comps)
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            fl = np.arange(lo, hi, dtype=np.int64).repeat(npairs[lo:hi])
-            idx = _expand_slices(starts[lo:hi].ravel(), lens[lo:hi].ravel())
-            contrib = wt[fl] * (
-                self.nll(b[fl] + counts[idx], flows[fl]) - base[fl]
+            idx = _expand_slices(
+                pairs.starts[lo:hi].ravel(), pairs.lens[lo:hi].ravel()
             )
+            at = pairs.toff[lo:hi].repeat(npairs[lo:hi]) + pairs.slots[idx]
             delta = np.bincount(
-                np.concatenate((slots, comps[idx])),
-                weights=np.concatenate((delta, contrib)),
+                np.concatenate((bins, pairs.comps[idx])),
+                weights=np.concatenate((delta, terms[at])),
                 minlength=self.n_comps,
             )
-        return b_set, delta
+        return delta
 
     def _initial_delta(self) -> np.ndarray:
         """Δ of the empty hypothesis: every flow's contribution at ``b = 0``
-        (``nll(0)`` is exactly 0, so this is the bare pair sum)."""
-        flows = np.arange(self.problem.n_flows, dtype=np.int64)
-        return self._delta_contrib(flows, self.wt)[0]
+        (``nll(0)`` is exactly 0, so this is the bare pair sum).
+
+        Every member is good, so each interior set's pair list is its
+        component union with member counts, which the problem gathered
+        from the space's memo: no member is expanded or sorted here.
+        """
+        if self.problem.n_flows == 0 or self.n_sets == 0:
+            return np.zeros(self.n_comps, dtype=np.float64)
+        problem = self.problem
+        return self._price(
+            np.arange(problem.n_flows, dtype=np.int64),
+            self.wt,
+            np.arange(self.n_sets, dtype=np.int64),
+            self.set_of_flow,
+            self.iset_of_set,
+            np.zeros(self.n_sets),
+            self.set_w,
+            (problem._iu_comps, problem._iu_counts, problem._iu_bounds),
+            self.iset_w,
+        )
 
     # ------------------------------------------------------------------
     def addition_gains(self, candidates: np.ndarray) -> np.ndarray:

@@ -537,10 +537,10 @@ class InferenceProblem:
         own interior set and has no endpoint components.  Interior sets
         are keyed by a kind-tagged gsid (odd for a shared interior,
         even for a plain set) and numbered by first appearance over the
-        first-seen sets; their member gids and sorted component unions
-        are gathered from the space, which memoizes each union per
-        gsid.  The local path table interns only distinct
-        interior/exact projections.  At paper scale this is what keeps
+        first-seen sets; their member gids and sorted component unions,
+        with each component's member count, are gathered from the
+        space, which memoizes both per gsid.  The local path table
+        interns only distinct interior/exact projections.  At paper scale this is what keeps
         the build - and every kernel that runs on it - tractable.  With
         no rows the space is never read.
         """
@@ -557,7 +557,7 @@ class InferenceProblem:
             set_ecomps = np.column_stack((lo, hi))[factored].ravel()
             iset_gsids = ordered_keys >> 1
             flat_gids, iset_raw_off = space.comp_set_members(iset_gsids)
-            iu_comps, iu_bounds = space.comp_set_unions(iset_gsids)
+            iu_comps, iu_counts, iu_bounds = space.comp_set_unions(iset_gsids)
             local_gids, iset_raw_pids = first_seen_ids(flat_gids)
             path_comps, path_off = _gather_rows(
                 *space.comp_csr(), local_gids
@@ -575,6 +575,7 @@ class InferenceProblem:
             none = np.empty(0, dtype=np.int64)
             set_of_flow = iset_of_set = iset_raw_pids = none
             path_comps = set_ecomps = iu_comps = none
+            iu_counts = np.empty(0, dtype=np.int32)
             path_off = set_eoff = iset_raw_off = iu_bounds = np.zeros(
                 1, dtype=np.int64
             )
@@ -602,13 +603,15 @@ class InferenceProblem:
         # set's endpoint components (sorted, disjoint from every
         # member's interior components; empty for plain sets),
         # ``iu_comps``/``iu_bounds`` each interior set's sorted
-        # component union (CSR).
+        # component union (CSR), and ``iu_counts`` how many raw member
+        # paths hold each union component.
         self._set_ecomps = set_ecomps
         self._set_eoff = set_eoff
         self._iset_of_set = iset_of_set
         self._iset_raw_pids = iset_raw_pids
         self._iset_raw_off = iset_raw_off
         self._iu_comps = iu_comps
+        self._iu_counts = iu_counts
         self._iu_bounds = iu_bounds
 
         # Unique members + multiplicity per interior set (member order

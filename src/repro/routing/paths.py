@@ -30,7 +30,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKIN
 import numpy as np
 
 from ..errors import TopologyError
-from ..topology.base import sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..routing.ecmp import EcmpRouting
@@ -56,22 +55,28 @@ def first_seen_ids(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     n = len(values)
     if n and values.dtype.kind in "iu" and int(values.min()) >= 0:
         span = int(values.max()) + 1
+        if span <= 4 * n:
+            # Dense ids (gsids, interior keys): each value's earliest
+            # row by one ordered minimum reduction over a span-sized
+            # table, then one argsort of the seen values' first rows.
+            first = np.full(span, n, dtype=np.int64)
+            np.minimum.at(first, values, np.arange(n, dtype=np.int64))
+            seen = np.flatnonzero(first < n)
+            ordered = seen[np.argsort(first[seen])]
+            return _ranked(ordered, span, values)
         if span <= 1 << 16:
-            # Dense small ids (interned path/set handles): a uint16
-            # radix argsort replaces the comparison sort inside
-            # np.unique.  Stability makes each run's first element the
-            # value's earliest row, which is all first-seen order needs.
+            # Sparse small ids: a uint16 radix argsort replaces the
+            # comparison sort inside np.unique.  Stability makes each
+            # run's first element the value's earliest row, which is
+            # all first-seen order needs.
             order = np.argsort(values.astype(np.uint16), kind="stable")
             sv = values[order]
             boundary = np.empty(n, dtype=bool)
             boundary[0] = True
             np.not_equal(sv[1:], sv[:-1], out=boundary[1:])
             first_idx = order[boundary]
-            seen_order = np.argsort(first_idx)
-            ordered = sv[boundary][seen_order]
-            rank = np.empty(span, dtype=np.int64)
-            rank[ordered] = np.arange(len(ordered), dtype=np.int64)
-            return ordered.astype(values.dtype, copy=False), rank[values]
+            ordered = sv[boundary][np.argsort(first_idx)]
+            return _ranked(ordered, span, values)
     uniq, first_idx, inverse = np.unique(
         values, return_index=True, return_inverse=True
     )
@@ -79,6 +84,15 @@ def first_seen_ids(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     rank = np.empty(len(uniq), dtype=np.int64)
     rank[order] = np.arange(len(uniq), dtype=np.int64)
     return uniq[order], rank[inverse]
+
+
+def _ranked(
+    ordered: np.ndarray, span: int, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``first_seen_ids``' answer from its distinct values in order."""
+    rank = np.empty(span, dtype=np.int64)
+    rank[ordered] = np.arange(len(ordered), dtype=np.int64)
+    return ordered.astype(values.dtype, copy=False), rank[values]
 
 
 class PathTable:
@@ -126,14 +140,22 @@ def _expand_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_index(
+    off: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(value positions, sub-offsets) of the CSR rows ``rows``, in order."""
+    lens = off[rows + 1] - off[rows]
+    sub_off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lens, out=sub_off[1:])
+    return _expand_slices(off[rows], lens), sub_off
+
+
 def _gather_rows(
     values: np.ndarray, off: np.ndarray, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sub-CSR (values, offsets) of the CSR rows ``rows``, in that order."""
-    lens = off[rows + 1] - off[rows]
-    sub_off = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lens, out=sub_off[1:])
-    return values[_expand_slices(off[rows], lens)], sub_off
+    idx, sub_off = _row_index(off, rows)
+    return values[idx], sub_off
 
 
 def _first_rows(ids: np.ndarray, n_ids: int) -> np.ndarray:
@@ -231,7 +253,8 @@ class _PackedMap:
 
 
 class _GrowableCSR:
-    """Append-only int64 CSR that grows by its newly appended tail.
+    """Append-only CSR (int64 values by default) that grows by its
+    newly appended tail.
 
     Rows land in capacity-doubling buffers, so appending k values costs
     O(k) amortized instead of re-converting every row held so far.
@@ -242,8 +265,8 @@ class _GrowableCSR:
 
     __slots__ = ("_flat", "_off", "n_rows")
 
-    def __init__(self) -> None:
-        self._flat = np.empty(64, dtype=np.int64)
+    def __init__(self, dtype=np.int64) -> None:
+        self._flat = np.empty(64, dtype=dtype)
         self._off = np.zeros(64, dtype=np.int64)
         self.n_rows = 0
 
@@ -414,9 +437,11 @@ class PathSpace:
         self._factored_gsid = _PackedMap()
         self._cset_full: Dict[int, np.ndarray] = {}
         # Sorted component union of a plain comp set (an interior or an
-        # exact path's set), a CSR row per set, memoized on first use.
+        # exact path's set), a CSR row per set, memoized on first use,
+        # and beside it each component's member count (int32).
         self._union_row = _DenseCache()
         self._unions = _GrowableCSR()
+        self._union_counts = _GrowableCSR(np.int32)
         # One int object per component id (an object array): projection
         # keys gathered from it share their elements instead of each
         # holding fresh ints.
@@ -837,37 +862,54 @@ class PathSpace:
             flat, off = self._cset_members.arrays()
         return _gather_rows(flat, off, gsids)
 
-    def comp_set_unions(self, gsids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def comp_set_unions(
+        self, gsids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted component union of each plain comp set's members, as a
-        (values, offsets) CSR in ``gsids`` order.
+        (values, counts, offsets) CSR in ``gsids`` order.
 
-        A union is a pure function of the gsid, so the space memoizes
-        it: the first request sorts the unions of every gsid it misses
-        in one batched pass, later ones gather.  Problem builds ask for
-        their interiors, bounded by rack pairs per device flag.
+        ``counts`` (int32) is aligned with ``values``: how many member
+        paths of the set - repeated members counted each time - hold
+        that component.  This is exactly the (component, count) list
+        the JLE Δ prices when no member has failed.
+
+        Union and counts are a pure function of the gsid, so the space
+        memoizes both: the first request sorts the unions of every gsid
+        it misses in one batched pass, later ones gather.  Problem
+        builds ask for their interiors, bounded by rack pairs per
+        device flag.
         """
         rows = self._union_row.lookup(gsids, self._fill_unions, self._lock)
         with self._lock:
             flat, off = self._unions.arrays()
-        return _gather_rows(flat, off, rows)
+            counts = self._union_counts.arrays()[0]
+        idx, sub_off = _row_index(off, rows)
+        return flat[idx], counts[idx], sub_off
 
     def _fill_unions(self, missed: np.ndarray) -> np.ndarray:
         members, m_off = self.comp_set_members(missed)
         cc_flat, cc_off = self.comp_csr()
-        counts = cc_off[members + 1] - cc_off[members]
-        comps = cc_flat[_expand_slices(cc_off[members], counts)]
+        lens = cc_off[members + 1] - cc_off[members]
+        comps = cc_flat[_expand_slices(cc_off[members], lens)]
         owner = np.repeat(
             np.repeat(np.arange(len(missed), dtype=np.int64), np.diff(m_off)),
-            counts,
+            lens,
         )
         # The space projects from its own topology, so its component
-        # ids are below that topology's count.
+        # ids are below that topology's count.  A run of equal sorted
+        # keys is one component of one set; its length is the count.
         span = np.int64(self.topology.n_components)
-        keys = sorted_unique(owner * span + comps)
+        keys = np.sort(owner * span + comps)
+        run = np.empty(len(keys), dtype=bool)
+        run[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=run[1:])
+        starts = np.flatnonzero(run)
+        counts = np.diff(np.append(starts, len(keys))).astype(np.int32)
+        keys = keys[starts]
+        row_lens = np.bincount(keys // span, minlength=len(missed))
         first = self._unions.n_rows
-        self._unions.append(
-            keys % span, np.bincount(keys // span, minlength=len(missed))
-        )
+        self._unions.append(keys % span, row_lens)
+        self._union_counts.append(counts, row_lens)
         return np.arange(first, first + len(missed), dtype=np.int64)
 
     def _intern_projections(

@@ -20,12 +20,15 @@ N_COMPS = 10
 
 
 @st.composite
-def random_problems(draw):
+def random_problems(draw, overflow=False):
     """Small random inference problems over N_COMPS components.
 
     Each member path after a set's first repeats an already-drawn one
     with probability 1/3, so repeated member paths (multiplicity > 1,
     as ECMP paths projecting to one component path produce) are common.
+    With ``overflow``, a flow drops all of its 400 packets with
+    probability 1/4: its evidence score exceeds 709, so ``exp(s)``
+    overflows to inf.
     """
     n_flows = draw(st.integers(min_value=1, max_value=12))
     observations = []
@@ -46,6 +49,8 @@ def random_problems(draw):
             path_set.append(tuple(sorted(comps)))
         t = draw(st.integers(min_value=1, max_value=200))
         r = draw(st.integers(min_value=0, max_value=min(t, 8)))
+        if overflow and draw(st.integers(min_value=0, max_value=3)) == 0:
+            t = r = 400
         observations.append(
             FlowObservation(
                 path_set=tuple(path_set), packets_sent=t, bad_packets=r

@@ -38,7 +38,7 @@ PROBLEM_ARRAYS = (
     "path_comps", "path_off", "_set_of_flow",
     "_set_ecomps", "_set_eoff", "_iset_of_set",
     "_iset_upids", "_iset_uoff", "_iset_umult",
-    "_iu_comps", "_iu_bounds",
+    "_iu_comps", "_iu_counts", "_iu_bounds",
     "bad_packets", "packets_sent", "weights", "exact", "_kind_codes",
 )
 

@@ -394,6 +394,78 @@ def test_interleaved_interning_equals_per_key_oracle(name, ops):
     _assert_same_tables(clone, got)
 
 
+def _assert_union_counts(space, gsids):
+    """Each plain gsid's memoized union and counts equal a recount of
+    its members' component rows."""
+    u_flat, u_counts, u_off = space.comp_set_unions(gsids)
+    assert u_counts.dtype == np.int32
+    members, m_off = space.comp_set_members(gsids)
+    cc_flat, cc_off = space.comp_csr()
+    for row in range(len(gsids)):
+        counted = {}
+        for gid in members[m_off[row]:m_off[row + 1]].tolist():
+            for comp in cc_flat[cc_off[gid]:cc_off[gid + 1]].tolist():
+                counted[comp] = counted.get(comp, 0) + 1
+        lo, hi = u_off[row], u_off[row + 1]
+        assert u_flat[lo:hi].tolist() == sorted(counted)
+        assert u_counts[lo:hi].tolist() == [counted[c] for c in sorted(counted)]
+
+
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(name=st.sampled_from(sorted(TOPOLOGIES)), ops=INTERLEAVED_OPS)
+def test_union_counts_recount_members(name, ops):
+    """Random interleavings of pair, set and exact lookups under both
+    device flags, each followed by a union read of the plain sets it
+    reached: every union's member counts equal a recount from
+    ``comp_set_members`` and ``comp_csr``, memoized early or late, and
+    a pickled space answers the same."""
+    routing = ROUTINGS[name]
+    topo = routing.topology
+    hosts = topo.hosts
+    space = PathSpace(topo, routing)
+    sids = []
+    for kind, flag, picks in ops:
+        if kind in ("pair", "pairs"):
+            src = np.asarray([hosts[a % len(hosts)] for a in picks])
+            dst = np.asarray([hosts[(a + 1 + b) % len(hosts)]
+                              for a, b in zip(picks, picks[1:] + picks[:1])])
+            keep = src != dst
+            pair_sids = space.pair_sets(src[keep], dst[keep]).tolist()
+            sids += pair_sids + [_switch_sid(space, sid) for sid in pair_sids]
+            continue
+        if kind == "probe":
+            # Bounced probe paths: members that share a projection.
+            host = hosts[picks[0] % len(hosts)]
+            core = topo.cores[picks[-1] % len(topo.cores)]
+            paths = routing.probe_paths(host, core)
+            sids += [
+                space.intern_set([_bounce(p) for p in paths]),
+                space.intern_set(paths[:1]),
+            ]
+            continue
+        pool = sids if kind == "set" else range(space.n_paths)
+        if not pool:
+            continue
+        keys = np.asarray([pool[i % len(pool)] for i in picks], dtype=np.int64)
+        method = "set_gsids" if kind == "set" else "exact_gsids"
+        gsids = getattr(space, method)(keys, flag)
+        interior = space.comp_set_columns(gsids)[2]
+        _assert_union_counts(space, np.where(interior >= 0, interior, gsids))
+
+    plain = np.asarray(
+        [g for g in range(space.n_comp_sets) if not space.comp_set_is_factored(g)],
+        dtype=np.int64,
+    )
+    clone = pickle.loads(pickle.dumps(space))
+    _assert_union_counts(space, plain)
+    for got, want in zip(clone.comp_set_unions(plain), space.comp_set_unions(plain)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_pair_comp_sets_retain_few_bytes():
     """Projecting host pairs whose interiors are known keeps each new
     comp set as a few int columns: at most 128 B retained per set."""
@@ -541,8 +613,8 @@ def test_threads_share_one_space():
 def test_threads_intern_pairs_and_unions():
     """More threads than cores, switching often, intern overlapping
     batches of new pairs, project them and memoize their interiors'
-    unions on one space: every id is handed out once, and every set
-    holds what a serial space holds."""
+    unions and member counts on one space: every id is handed out once,
+    and every set holds what a serial space holds."""
     routing = ROUTINGS["fat_tree4"]
     topo = routing.topology
     hosts = topo.hosts
@@ -596,7 +668,8 @@ def test_threads_intern_pairs_and_unions():
     )
     assert sorted(gsids) == list(range(shared.n_comp_sets))
     for rows in results:
-        for pick, flag, sids, got_gsids, interiors, (u_flat, u_off) in rows:
+        for pick, flag, sids, got_gsids, interiors, unions in rows:
+            u_flat, u_counts, u_off = unions
             want_sids = serial.pair_sets(pick[:, 0], pick[:, 1])
             want_gsids = serial.set_gsids(want_sids, flag)
             for row, (src, dst) in enumerate(pick.tolist()):
@@ -611,3 +684,6 @@ def test_threads_intern_pairs_and_unions():
                 members = shared.comp_set(int(interiors[row])).tolist()
                 want = sorted({c for g in members for c in shared.comp_path(g)})
                 assert u_flat[u_off[row]:u_off[row + 1]].tolist() == want
+                assert u_counts[u_off[row]:u_off[row + 1]].tolist() == [
+                    sum(c in shared.comp_path(g) for g in members) for c in want
+                ]

@@ -8,11 +8,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RoutingError
 from repro.routing import (
     EcmpRouting, PathSpace, PathTable, wcmp_weights,
 )
+from repro.routing.paths import first_seen_ids
 from repro.topology import fat_tree, leaf_spine
 
 
@@ -264,3 +267,57 @@ def test_routing_and_its_space_free_without_a_collection():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _unique_first_seen(values):
+    """``first_seen_ids`` by ``np.unique`` and a first-row argsort."""
+    uniq, first_idx, inverse = np.unique(
+        values, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first_idx, kind="stable")
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[order] = np.arange(len(uniq), dtype=np.int64)
+    return uniq[order], rank[inverse]
+
+
+INT_DTYPES = (
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+)
+
+
+@st.composite
+def dense_ids(draw):
+    """Non-negative ints whose span (max + 1) is at most 4x their count,
+    the inputs ``first_seen_ids`` numbers without a sort."""
+    dtype = draw(st.sampled_from(INT_DTYPES))
+    n = draw(st.integers(1, 300))
+    top = min(4 * n, int(np.iinfo(dtype).max) + 1)
+    span = draw(st.integers(1, top))
+    values = draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+    return np.asarray(values, dtype=dtype)
+
+
+@given(values=dense_ids())
+@settings(max_examples=200, deadline=None)
+def test_first_seen_ids_dense_path_matches_unique(values):
+    """Same distinct values in first-appearance order, same dtype, and
+    the same int64 ids as the ``np.unique`` reference."""
+    assert int(values.max()) + 1 <= 4 * len(values)
+    got_vals, got_ids = first_seen_ids(values)
+    want_vals, want_ids = _unique_first_seen(values)
+    assert got_vals.dtype == values.dtype
+    assert got_ids.dtype == np.int64
+    assert np.array_equal(got_vals, want_vals)
+    assert np.array_equal(got_ids, want_ids)
+
+
+@pytest.mark.parametrize("span", [1 << 10, 1 << 17])
+def test_first_seen_ids_sparse_paths_match_unique(span):
+    """Spans above 4x the count take the radix (below 2^16) and the
+    ``np.unique`` branches; both agree with the reference."""
+    values = np.random.default_rng(span).integers(0, span, 50)
+    values[0] = span - 1
+    got = first_seen_ids(values)
+    want = _unique_first_seen(values)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

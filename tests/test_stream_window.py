@@ -77,7 +77,7 @@ KERNEL_ARRAYS = (
     "path_comps", "path_off", "_set_of_flow",
     "_set_ecomps", "_set_eoff", "_iset_of_set",
     "_iset_upids", "_iset_uoff", "_iset_umult",
-    "_iu_comps", "_iu_bounds",
+    "_iu_comps", "_iu_counts", "_iu_bounds",
     "_set_union_comps", "_set_union_bounds",
 )
 
@@ -198,7 +198,7 @@ def test_set_stage_cache_interns_unions_mid_stream(tiny_world):
     rows = space._union_row.gather(np.arange(space.n_comp_sets))
     memoized = np.flatnonzero(rows >= 0)
     assert np.array_equal(np.sort(rows[memoized]), np.arange(n_keys[-1]))
-    u_flat, u_off = space.comp_set_unions(memoized)
+    u_flat, _, u_off = space.comp_set_unions(memoized)
     for key, gsid in enumerate(memoized.tolist()):
         members = space.comp_set(gsid).tolist()
         want = sorted({c for g in members for c in space.comp_path(g)})
