@@ -93,7 +93,7 @@ def test_udp_loopback_rate(benchmark, show):
             agent.flush()
             transport.close()
             deadline = time.time() + 10.0
-            while (collector.messages_ingested < n_messages
+            while (collector.messages_ingested < agent.exported_messages
                    and time.time() < deadline):
                 time.sleep(0.005)
         return collector.messages_ingested

@@ -9,8 +9,9 @@ Two workloads at ``ci`` preset:
   telemetry spec), where the legacy path rebuilt the identical problem
   16 times per trace - the trial-fan-out case the runner exists for.
 
-Both must produce bit-identical metrics under every executor; the
-fan-out must also show a multiple-x wall-clock win over legacy serial.
+Both must produce bit-identical metrics serially and on the process
+pool; the fan-out must also show a multiple-x wall-clock win over
+legacy serial.
 """
 
 import time
@@ -41,7 +42,8 @@ def _comparison_rows(timings):
 
 
 def test_scheme_grid_cache_and_equivalence(show):
-    """Fig. 2 grid: cache counts are exact, all executors bit-identical."""
+    """Fig. 2 grid: cache counts are exact, serial and pooled runs
+    bit-identical."""
     setups = standard_scheme_suite()
     traces = silent_drop_traces("ci", seed=7, n_traces=4)
     run_grid(setups, traces[:1], RunnerConfig())  # warm-up
@@ -54,11 +56,8 @@ def test_scheme_grid_cache_and_equivalence(show):
     cached_seconds, cached = _grid_seconds(
         setups, traces, RunnerConfig(), cached_stats
     )
-    thread_seconds, threaded = _grid_seconds(
-        setups, traces, RunnerConfig(executor="thread", jobs=2)
-    )
     process_seconds, processed = _grid_seconds(
-        setups, traces, RunnerConfig(executor="process", jobs=2)
+        setups, traces, RunnerConfig(jobs=2)
     )
     show(
         ExperimentResult(
@@ -67,7 +66,6 @@ def test_scheme_grid_cache_and_equivalence(show):
             rows=_comparison_rows({
                 "legacy (serial, no cache)": legacy_seconds,
                 "serial + problem cache": cached_seconds,
-                "thread pool (2) + cache": thread_seconds,
                 "process pool (2) + cache": process_seconds,
             }),
         )
@@ -82,7 +80,7 @@ def test_scheme_grid_cache_and_equivalence(show):
 
     # Every configuration must agree bit-for-bit on the metrics.
     for label, summary in legacy.items():
-        for other in (cached, threaded, processed):
+        for other in (cached, processed):
             assert other[label].accuracy == summary.accuracy, label
 
 

@@ -8,7 +8,7 @@ Examples::
     repro-flock run fig2 --preset ci --jobs 4
     repro-flock run fig2 --scheme flock --set n_traces=4
     repro-flock run fig4c --preset paper --seed 3
-    repro-flock run all --preset ci --jobs 8 --executor process
+    repro-flock run all --preset ci --jobs 8
     repro-flock stream gray-drift --preset ci --window 4 --cycle 12
 
 Experiments, schemes, and failure scenarios all resolve through
@@ -38,7 +38,7 @@ drains it, and ``fleet collect`` folds the files (in any order)::
 
 The collected metrics are bit-identical to a serial ``run`` with the
 same preset, seed, and overrides.  ``--shards`` composes with
-``--jobs``/``--executor``: a shard enqueues its slice as one unit per
+``--jobs``: a shard enqueues its slice as one unit per
 grid call, so the pool runs each call's traces (parallelism *within* a
 shard).  A shard whose units failed or are still leased elsewhere exits
 2, and so does a ``fleet collect`` missing a shard's file (the error
@@ -70,7 +70,7 @@ from typing import Dict, List, Optional
 from .errors import ExperimentError, ReproError
 from .eval import experiments
 from .eval.reporting import print_result, save_result
-from .eval.runner import EXECUTORS, RunnerConfig
+from .eval.runner import RunnerConfig
 from .eval.schemes import get_scheme, scheme_names
 from .eval.spec import (
     default_experiment_names,
@@ -117,11 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="parallel workers for scheme evaluation (default: serial)",
-    )
-    run.add_argument(
-        "--executor", choices=EXECUTORS, default=None,
-        help="execution backend; defaults to 'process' when --jobs > 1",
+        help="worker processes for scheme evaluation (default: serial)",
     )
     run.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -216,11 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fwork.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="parallel scheme evaluation within each unit",
-    )
-    fwork.add_argument(
-        "--executor", choices=EXECUTORS, default=None,
-        help="execution backend; defaults to 'process' when --jobs > 1",
+        help="worker processes for scheme evaluation within each unit",
     )
     fwork.add_argument(
         "--heartbeat-seconds", type=float, default=None, metavar="S",
@@ -433,9 +425,9 @@ def _run_one(name: str, args, runner: Optional[RunnerConfig] = None) -> None:
 
 
 def _runner_from_args(args) -> Optional[RunnerConfig]:
-    if args.jobs is None and args.executor is None:
+    if args.jobs is None:
         return None
-    return RunnerConfig.resolve(jobs=args.jobs, executor=args.executor)
+    return RunnerConfig(jobs=args.jobs)
 
 
 def _error_headline(error: str) -> str:

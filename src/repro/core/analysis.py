@@ -73,10 +73,6 @@ class Theorem2Report:
     rates_separated: bool
     min_link_packets: int
 
-    @property
-    def satisfied(self) -> bool:
-        return self.failures_ok and self.hyperparams_ok and self.rates_separated
-
 
 def check_theorem2(
     topology: Topology,

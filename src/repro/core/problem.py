@@ -155,12 +155,6 @@ class _CompIndex:
     sorted index (:meth:`_build`: ``(vals, bounds)``) once, and every
     later query slices it.  Either way the answer is the same
     ascending, read-only int64 array.
-
-    Threads share problems (the runner's thread executor), so every
-    memo entry and the index are published whole, each in one
-    assignment: a reader sees nothing or a finished array, and a race
-    at worst computes one answer twice.  No lock, so problems stay
-    picklable.
     """
 
     def __init__(self, n_components: int) -> None:

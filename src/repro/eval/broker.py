@@ -713,14 +713,6 @@ class Broker:
             )
         return row
 
-    def unit_count(self, experiment_id: int) -> int:
-        """Units inserted so far for one experiment (resume cursor)."""
-        (count,) = self._conn.execute(
-            "SELECT COUNT(*) FROM units WHERE experiment_id = ?",
-            (experiment_id,),
-        ).fetchone()
-        return count
-
     def enqueued_units(self, experiment_id: int) -> List[WorkUnit]:
         """The experiment's inserted units in ``unit_index`` order
         (a resumed submission verifies its prefix against these)."""
@@ -1121,23 +1113,6 @@ class Broker:
             )
         )
         return FleetCounts(**{status: rows.get(status, 0) for status in STATUSES})
-
-    def counts_by_experiment(self) -> Dict[str, FleetCounts]:
-        """Per-experiment lifecycle counts, priority order."""
-        tallies = {
-            (eid, status): count
-            for eid, status, count in self._conn.execute(
-                "SELECT experiment_id, status, COUNT(*) FROM units "
-                "GROUP BY experiment_id, status"
-            )
-        }
-        return {
-            row.name: FleetCounts(**{
-                status: tallies.get((row.id, status), 0)
-                for status in STATUSES
-            })
-            for row in self.experiments()
-        }
 
     def next_lease_expiry(self) -> Optional[float]:
         """Earliest outstanding lease expiry (workers sleep until it)."""

@@ -207,14 +207,6 @@ def flock_setup(
     )
 
 
-def netbouncer_setup(spec: str, **overrides) -> SchemeSetup:
-    return make_setup("netbouncer", spec=spec, overrides=overrides)
-
-
-def v007_setup(spec: str = "A2", **overrides) -> SchemeSetup:
-    return make_setup("007", spec=spec, overrides=overrides)
-
-
 def standard_scheme_suite(params: FlockParams = DEFAULT_PER_PACKET) -> List[SchemeSetup]:
     """The Fig. 2 scheme x input grid, as constructed setups."""
     return [ref.setup() for ref in standard_suite_refs(params)]

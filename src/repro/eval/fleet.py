@@ -18,7 +18,7 @@ Flow::
 A *static shard* is the same flow over a slice: ``submit(path_i, ...,
 shard=(i, n))`` enqueues only the ``i``-th of ``n`` balanced contiguous
 ranges of the experiment's units into its own broker file, merged into
-one unit per grid call so the worker's executor pool spreads each
+one unit per grid call so the worker's process pool spreads each
 call's traces; one worker drains it, and ``collect(path_0, ...,
 path_n-1)`` folds every file's units together (``repro-flock run EXP
 --shards N --shard-index I --out sI.db`` is sugar for submit + work).
@@ -237,7 +237,7 @@ def _shard_range(n_units: int, index: int, count: int) -> Tuple[int, int]:
 
 def _merge_per_call(units: List[WorkUnit]) -> List[WorkUnit]:
     """Merge each run of adjacent units of one grid call into one unit,
-    so the worker's executor pool runs the call's traces together."""
+    so the worker's process pool runs the call's traces together."""
     merged: List[WorkUnit] = []
     for unit in units:
         last = merged[-1] if merged else None
@@ -289,7 +289,7 @@ def submit(
     fingerprint do not carry it.  The slice is
     balanced in ``unit_traces`` units, then each grid call's part of it
     is enqueued as one unit, so the shard's worker runs a call's traces
-    through its executor pool (``--jobs``/``--executor``) rather than
+    through its process pool (``--jobs``) rather than
     one trace at a time.  A shard whose range holds no unit is
     refused.
 

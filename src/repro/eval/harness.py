@@ -18,13 +18,13 @@ runner subsystem in :mod:`repro.eval.runner`:
 * The grid of (scheme, trace) work is partitioned into per-*trace*
   units so schemes sharing a telemetry spec build their observations
   once per trace through a :class:`~repro.eval.runner.ProblemCache`.
-* A :class:`~repro.eval.runner.RunnerConfig` selects the executor
-  (``serial`` / ``thread`` / ``process``) and worker count;
-  ``evaluate_many(..., jobs=N)`` is shorthand for an N-worker process
-  pool.  Results are streamed into per-scheme accumulators as units
-  complete, then frozen into :class:`EvalSummary` objects.
-* All randomness derives from each trace's seed, so every executor
-  produces bit-identical metrics for fixed seeds.
+* A :class:`~repro.eval.runner.RunnerConfig` sets the worker count:
+  one runs the grid serially, more run it on a process pool;
+  ``evaluate_many(..., jobs=N)`` is shorthand for the same.  Results
+  are streamed into per-scheme accumulators as units complete, then
+  frozen into :class:`EvalSummary` objects.
+* All randomness derives from each trace's seed, so serial and pooled
+  runs produce bit-identical metrics for fixed seeds.
 * Batches can additionally be distributed across OS processes or
   machines as fleet work units (:mod:`repro.eval.fleet`), with only
   wire-format results (:mod:`repro.eval.serialize`) crossing back;
@@ -68,8 +68,8 @@ class SchemeSetup:
 class TraceResult:
     """Outcome of one scheme on one trace.
 
-    ``problem`` is ``None`` for results produced by the process
-    executor or decoded from the wire format
+    ``problem`` is ``None`` for results produced on the process pool
+    or decoded from the wire format
     (:mod:`repro.eval.serialize`) - shipping the built problem over
     IPC or between machines is not worth it; rebuild with
     :func:`build_problem` if you need it.
@@ -202,16 +202,15 @@ def evaluate_many(
     runner: Optional["RunnerConfig"] = None,
     *,
     jobs: Optional[int] = None,
-    executor: Optional[str] = None,
 ) -> Dict[str, EvalSummary]:
     """Evaluate several schemes on the same traces (the paper's tables).
 
-    ``runner`` gives full control over execution; ``jobs``/``executor``
-    are conveniences (``jobs=4`` alone means a 4-worker process pool).
+    ``runner`` gives full control over execution; ``jobs`` is a
+    convenience (``jobs=4`` means a 4-worker process pool).
     Raises :class:`~repro.errors.ExperimentError` when two setups share
     a label, since their results would silently overwrite each other.
     """
     from .runner import RunnerConfig, run_grid
 
-    config = RunnerConfig.resolve(runner, jobs, executor)
+    config = RunnerConfig.resolve(runner, jobs)
     return run_grid(setups, traces, config)

@@ -1,55 +1,45 @@
-"""Parallel experiment execution: executors, problem cache, streaming.
+"""Parallel experiment execution: the process pool, problem cache, streaming.
 
 The harness used to run every (scheme, trace) pair strictly serially
 and rebuild the telemetry observations for each scheme even when two
 schemes consume the same input (the Fig. 2 grid evaluates eight schemes
 over five distinct telemetry specs, so three of every eight problem
 builds were redundant).  This module factors experiment execution into
-three pluggable pieces:
+three pieces:
 
 * **Work units** - one unit per *trace*, covering every scheme on that
   trace (:func:`_run_trace_unit`).  Grouping by trace keeps the problem
-  cache effective under every executor: all schemes that share a
-  telemetry spec hit the same cached problem no matter how traces are
-  distributed over workers.
-* **Executors** - ``"serial"`` (plain loop), ``"thread"``
-  (:class:`~concurrent.futures.ThreadPoolExecutor`), and ``"process"``
-  (:class:`~concurrent.futures.ProcessPoolExecutor`), selected by
-  :class:`RunnerConfig`.  A failure in any unit propagates out of
-  :func:`run_grid` as the original exception; remaining units are
-  cancelled rather than left to hang.
+  cache effective however traces are spread over workers: all schemes
+  that share a telemetry spec hit the same cached problem.
+* **One pool** - :attr:`RunnerConfig.jobs` is the only parallelism
+  setting.  ``jobs == 1`` runs a plain loop; ``jobs > 1`` runs the
+  units on a :class:`~concurrent.futures.ProcessPoolExecutor`.  A
+  failure in any unit propagates out of :func:`run_grid` as the
+  original exception; remaining units are cancelled rather than left
+  to hang.
 * **Streaming aggregation** - completed units feed per-scheme
   :class:`_SummaryAccumulator` objects as they arrive, so metric sums
   are folded in completion order while per-trace results stay in trace
-  order.  Serial and parallel paths therefore produce bit-identical
+  order.  Serial and pooled paths therefore produce bit-identical
   :class:`~repro.eval.harness.EvalSummary` metrics for fixed seeds.
 
 Determinism: every work unit derives its randomness from the trace's
 own seed (see :func:`~repro.eval.harness.build_problem`), so results do
-not depend on the executor, the number of jobs, or completion order.
+not depend on the number of jobs or on completion order.
 """
 
 from __future__ import annotations
 
 import copy
-import os
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace as dataclass_replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError
 
-EXECUTORS = ("serial", "thread", "process")
-
 
 # ----------------------------------------------------------------------
-# Process-executor world shipping
+# Process-pool world shipping
 # ----------------------------------------------------------------------
 #
 # A columnar trace's batch carries the routing-global PathSpace, whose
@@ -167,8 +157,8 @@ class GridHook:
 class RunnerConfig:
     """How to execute an evaluation grid.
 
-    ``executor`` is one of :data:`EXECUTORS`; ``jobs`` is the worker
-    count (ignored by the serial executor).  ``cache`` disables the
+    ``jobs`` is the worker count: 1 runs the grid serially, more runs
+    it on a process pool of that many workers.  ``cache`` disables the
     per-trace problem cache, which only exists so benchmarks can
     measure the legacy rebuild-per-scheme behaviour.
 
@@ -182,16 +172,11 @@ class RunnerConfig:
     accumulators.  ``None`` (the default) runs everything locally.
     """
 
-    executor: str = "serial"
     jobs: int = 1
     cache: bool = True
     shard: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
-            raise ExperimentError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
         if self.jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -199,21 +184,13 @@ class RunnerConfig:
     def resolve(
         runner: Optional["RunnerConfig"] = None,
         jobs: Optional[int] = None,
-        executor: Optional[str] = None,
     ) -> "RunnerConfig":
-        """Normalize the (runner | jobs/executor) calling conventions.
-
-        ``jobs=N`` alone picks the process executor for N > 1, matching
-        the CLI's ``--jobs`` flag; an explicit ``runner`` wins.
-        """
+        """Normalize the (runner | jobs) calling conventions: an
+        explicit ``runner`` wins, then ``jobs`` (the CLI's ``--jobs``),
+        then the serial default."""
         if runner is not None:
             return runner
-        if jobs is None and executor is None:
-            return RunnerConfig()
-        n = jobs if jobs is not None else (os.cpu_count() or 1)
-        if executor is None:
-            executor = "serial" if n == 1 else "process"
-        return RunnerConfig(executor=executor, jobs=n)
+        return RunnerConfig() if jobs is None else RunnerConfig(jobs=jobs)
 
 
 @dataclass
@@ -294,7 +271,7 @@ def _run_trace_unit(setups, trace, use_cache: bool, keep_problems: bool = True):
 class _SummaryAccumulator:
     """Streams one scheme's TraceResults into an EvalSummary.
 
-    Units complete out of order under parallel executors; results are
+    Units complete out of order on the pool; results are
     slotted by trace index so ``per_trace`` and the aggregated metrics
     match the serial path exactly.
     """
@@ -314,17 +291,14 @@ class _SummaryAccumulator:
 
 
 def _make_pool(
-    config: RunnerConfig,
-    worlds: Optional[List[Tuple[object, object]]] = None,
-) -> Executor:
-    if config.executor == "thread":
-        return ThreadPoolExecutor(max_workers=config.jobs)
+    config: RunnerConfig, worlds: List[Tuple[object, object]]
+) -> ProcessPoolExecutor:
     # Shared worlds (topology + routing + its PathSpace) ship once per
     # worker via the initializer instead of once per task.
     return ProcessPoolExecutor(
         max_workers=config.jobs,
         initializer=_init_worker_worlds,
-        initargs=(worlds or [],),
+        initargs=(worlds,),
     )
 
 
@@ -334,7 +308,7 @@ def run_grid(
     config: Optional[RunnerConfig] = None,
     stats: Optional[RunnerStats] = None,
 ) -> Dict[str, object]:
-    """Evaluate a scheme x trace grid under the configured executor.
+    """Evaluate a scheme x trace grid, serially or on the process pool.
 
     Returns ``{setup.labeled(): EvalSummary}`` in setup order.  Raises
     :class:`ExperimentError` when two setups share a label (their
@@ -392,22 +366,18 @@ def run_grid(
         if stats is not None:
             stats.merge(built, hits)
 
-    if config.executor == "serial" or len(indices) <= 1:
+    if config.jobs == 1 or len(indices) <= 1:
         for idx in indices:
             fold(idx, _run_trace_unit(setups, traces[idx], config.cache))
     else:
-        keep_problems = config.executor != "process"
-        if config.executor == "process":
-            worlds, payloads = detach_traces(traces)
-        else:
-            worlds, payloads = [], list(traces)
+        worlds, payloads = detach_traces(traces)
         with _make_pool(config, worlds) as pool:
             pending: Dict[object, int] = {}
             try:
                 for idx in indices:
                     future = pool.submit(
                         _run_trace_unit, setups, payloads[idx], config.cache,
-                        keep_problems,
+                        keep_problems=False,
                     )
                     pending[future] = idx
                 while pending:

@@ -27,7 +27,7 @@ Design rules:
   NumPy scalars are coerced to native Python numbers on encode (their
   64-bit values are preserved exactly).
 * **``problem`` is dropped.** :class:`TraceResult.problem` never goes
-  on the wire - the process executor already refuses to ship built
+  on the wire - the process pool already refuses to ship built
   problems over IPC, and the collector only needs predictions,
   metrics, and timings.  Decoded results read back ``problem=None``.
 * **Compact keys.** Single-letter keys keep broker files small; each

@@ -257,7 +257,7 @@ class SingleUnitRecorder(GridHook):
                 f"submitted plan recorded {len(self._plan)}; this worker's "
                 "checkout no longer matches the broker's submitter"
             )
-        # A process or thread pool records traces in completion order.
+        # The process pool records traces in completion order.
         units = sorted(
             self.calls[self.unit.call_index]["units"], key=lambda e: e[0]
         )

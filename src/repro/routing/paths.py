@@ -23,7 +23,6 @@ Two layers live here:
 
 from __future__ import annotations
 
-import threading
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -176,12 +175,7 @@ def _reserve(buf: np.ndarray, size: int) -> np.ndarray:
 
 
 class _Rows:
-    """Append-only int64 table of fixed width, one row per dense id.
-
-    Writers append under the owning space's lock before they publish
-    the new ids; a growth copies the filled prefix, so a lock-free
-    reader of a published id always finds its row.
-    """
+    """Append-only int64 table of fixed width, one row per dense id."""
 
     __slots__ = ("_buf", "n")
 
@@ -211,12 +205,7 @@ class _Rows:
 
 
 class _PackedMap:
-    """Packed int64 keys -> int64 ids, answered by one ``searchsorted``.
-
-    An insert merges its batch into fresh sorted arrays published in one
-    assignment, so a lock-free reader sees the map before or after the
-    batch, never part of it.  Writers hold the owning space's lock.
-    """
+    """Packed int64 keys -> int64 ids, answered by one ``searchsorted``."""
 
     __slots__ = ("_kv",)
 
@@ -259,8 +248,7 @@ class _GrowableCSR:
     Rows land in capacity-doubling buffers, so appending k values costs
     O(k) amortized instead of re-converting every row held so far.
     :meth:`arrays` returns views of the filled prefix; an append never
-    writes inside it, so views handed out earlier stay valid.  Not
-    thread-safe on its own: shared owners append under their lock.
+    writes inside it, so views handed out earlier stay valid.
     """
 
     __slots__ = ("_flat", "_off", "n_rows")
@@ -318,13 +306,10 @@ class _DenseCache:
     """A growable int64 array mapping dense ids to dense ids (-1 = miss).
 
     Batch-fill contract: :meth:`lookup` hands ``fill`` every distinct
-    missed key at once, as an int64 array in first-seen order, under the
-    owning space's lock; ``fill`` returns one value per key and must
-    intern in key order, so a batch creates exactly the ids - in
-    exactly the order - that filling the same keys one at a time
-    would.  Reads never mutate; concurrent readers at worst see a stale
-    array and recompute under the lock, where the fill finds its keys
-    already interned (fills are pure functions of stable ids).
+    missed key at once, as an int64 array in first-seen order;
+    ``fill`` returns one value per key and must intern in key order, so
+    a batch creates exactly the ids - in exactly the order - that
+    filling the same keys one at a time would.
     """
 
     __slots__ = ("_arr",)
@@ -341,8 +326,7 @@ class _DenseCache:
         return out
 
     def store(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Record ``values`` (an array or list) for ``keys``; callers
-        hold the owner's lock."""
+        """Record ``values`` (an array or list) for ``keys``."""
         if len(keys) == 0:
             return
         size = int(keys.max()) + 1
@@ -353,18 +337,15 @@ class _DenseCache:
             self._arr = arr = grown
         arr[keys] = values
 
-    def lookup(self, keys: np.ndarray, fill, lock) -> np.ndarray:
+    def lookup(self, keys: np.ndarray, fill) -> np.ndarray:
         """Vectorized gather; one ``fill(missed)`` call computes every
         distinct miss (see the class docstring)."""
         out = self.gather(keys)
-        if np.any(out < 0):
-            with lock:
-                out = self.gather(keys)
-                missed = keys[out < 0]
-                if len(missed):
-                    missed = first_seen_ids(missed)[0]
-                    self.store(missed, fill(missed))
-                    out = self.gather(keys)
+        miss = out < 0
+        if np.any(miss):
+            missed = first_seen_ids(keys[miss])[0]
+            self.store(missed, fill(missed))
+            out = self.gather(keys)
         return out
 
 
@@ -405,6 +386,8 @@ class PathSpace:
     shared by every telemetry/problem build of that trace; all ids are
     stable for the lifetime of the space, which is what lets the runner
     reuse them across traces of the same (topology, telemetry spec).
+    A space takes no lock, so one thread at a time may use it; the
+    runner's pool workers are processes, each with its own copy.
     """
 
     def __init__(self, topology: "Topology", routing: "EcmpRouting") -> None:
@@ -454,20 +437,14 @@ class PathSpace:
         # lazily (see :meth:`link_csr` / :meth:`comp_csr`).
         self._link_csr = _GrowableCSR()
         self._cc_csr = _GrowableCSR()
-        # A space is shared by every trace of a (topology, routing) pair;
-        # under the thread executor two trace units may intern
-        # concurrently.  Lookups read published dicts, maps and rows
-        # without locking; only the miss paths take this lock.
-        self._lock = threading.RLock()
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_lock"], state["_comp_ints"]
+        del state["_comp_ints"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._lock = threading.RLock()
         self._comp_ints = _int_objects(self.topology.n_components)
 
     # ------------------------------------------------------------------
@@ -485,12 +462,9 @@ class PathSpace:
         key = tuple(nodes)
         pid = self._path_index.get(key)
         if pid is None:
-            with self._lock:
-                pid = self._path_index.get(key)
-                if pid is None:
-                    pid = len(self._paths)
-                    self._paths.append(key)
-                    self._path_index[key] = pid
+            pid = len(self._paths)
+            self._paths.append(key)
+            self._path_index[key] = pid
         return pid
 
     def path_nodes(self, pid: int) -> Tuple[int, ...]:
@@ -503,34 +477,28 @@ class PathSpace:
         pids = tuple(self.intern_path(p) for p in paths)
         sid = self._set_index.get(pids)
         if sid is None:
-            with self._lock:
-                sid = self._set_index.get(pids)
-                if sid is None:
-                    sid = self.n_sets
-                    row = np.full((1, 6), -1, dtype=np.int64)
-                    row[0, _SIZE] = len(pids)
-                    self._append_sets(row, [pids])
+            sid = self.n_sets
+            row = np.full((1, 6), -1, dtype=np.int64)
+            row[0, _SIZE] = len(pids)
+            self._append_sets(row, [pids])
         return sid
 
     def _append_sets(
         self, rows: np.ndarray, plain: Sequence[Tuple[int, ...]]
     ) -> None:
-        """Store the sets ``n_sets, n_sets + 1, ...``; callers hold the
-        lock and pass only sets new to the space.
+        """Store the sets ``n_sets, n_sets + 1, ...``; callers pass only
+        sets new to the space.
 
         ``rows`` are in set-row layout; the plain rows (switch -1) take
-        their pid tuples from ``plain``, in order.  Rows and pids land
-        before any id is published: plain sets in the pid-tuple index,
-        pair sets in the packed pair map.
+        their pid tuples from ``plain``, in order: plain sets land in
+        the pid-tuple index, pair sets in the packed pair map.
         """
         n0 = self.n_sets
         is_plain = rows[:, _SWITCH] < 0
-        plain_sids = (n0 + np.flatnonzero(is_plain)).tolist()
-        for sid, pids in zip(plain_sids, plain):
+        for sid, pids in zip((n0 + np.flatnonzero(is_plain)).tolist(), plain):
             self._set_pids[sid] = np.asarray(pids, dtype=np.int64)
-        self._set_rows.append(rows)
-        for sid, pids in zip(plain_sids, plain):
             self._set_index[pids] = sid
+        self._set_rows.append(rows)
         pairs = rows[~is_plain]
         if len(pairs):
             self._pair_sid.insert(
@@ -547,16 +515,13 @@ class PathSpace:
         pids = self._set_pids.get(sid)
         if pids is None:
             src, dst, switch = self._set_rows[sid][[_SRC, _DST, _SWITCH]].tolist()
-            with self._lock:
-                pids = self._set_pids.get(sid)
-                if pids is None:
-                    key = tuple(
-                        self.intern_path((src,) + self._paths[mid] + (dst,))
-                        for mid in self._set_pids[switch].tolist()
-                    )
-                    self._set_index.setdefault(key, sid)
-                    pids = np.asarray(key, dtype=np.int64)
-                    self._set_pids[sid] = pids
+            key = tuple(
+                self.intern_path((src,) + self._paths[mid] + (dst,))
+                for mid in self._set_pids[switch].tolist()
+            )
+            self._set_index.setdefault(key, sid)
+            pids = np.asarray(key, dtype=np.int64)
+            self._set_pids[sid] = pids
         return pids
 
     def set_is_factored(self, sid: int) -> bool:
@@ -626,12 +591,9 @@ class PathSpace:
         packed = src.astype(np.int64) * np.int64(self.topology.n_nodes) + dst
         uniq, inverse = np.unique(packed, return_inverse=True)
         sids = self._pair_sid.get(uniq)
-        if np.any(sids < 0):
-            with self._lock:
-                sids = self._pair_sid.get(uniq)
-                new = sids < 0
-                if np.any(new):
-                    sids[new] = self._intern_pairs(uniq[new])
+        new = sids < 0
+        if np.any(new):
+            sids[new] = self._intern_pairs(uniq[new])
         return sids[inverse]
 
     def _host_columns(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -649,8 +611,7 @@ class PathSpace:
         return cols
 
     def _intern_pairs(self, keys: np.ndarray) -> np.ndarray:
-        """Intern the pair sets of new, ascending packed pair keys;
-        callers hold the lock.
+        """Intern the pair sets of new, ascending packed pair keys.
 
         Numbering is that of one pair at a time in key order: a rack
         pair new to the space interns its switch-level set (a plain set)
@@ -719,12 +680,9 @@ class PathSpace:
         key = tuple(sorted(set(components)))
         gid = self._comp_index.get(key)
         if gid is None:
-            with self._lock:
-                gid = self._comp_index.get(key)
-                if gid is None:
-                    gid = len(self._comp_paths)
-                    self._comp_paths.append(key)
-                    self._comp_index[key] = gid
+            gid = len(self._comp_paths)
+            self._comp_paths.append(key)
+            self._comp_index[key] = gid
         return gid
 
     def comp_path(self, gid: int) -> ComponentPath:
@@ -736,8 +694,7 @@ class PathSpace:
         key = tuple(gids)
         gsid = self._cset_index.get(key)
         if gsid is None:
-            with self._lock:
-                gsid = int(self._intern_plain_sets([key])[0])
+            gsid = int(self._intern_plain_sets([key])[0])
         return gsid
 
     def _find_plain_sets(
@@ -757,7 +714,7 @@ class PathSpace:
 
     def _intern_plain_sets(self, keys: Sequence[Tuple[int, ...]]) -> np.ndarray:
         """gsid of each plain member tuple, interning new ones in order
-        with one append; callers hold the lock."""
+        with one append."""
         gsids, fresh = self._find_plain_sets(keys)
         if fresh:
             new = gsids < 0
@@ -777,13 +734,13 @@ class PathSpace:
     def _append_comp_sets(
         self, rows: np.ndarray, plain: Sequence[Tuple[int, ...]]
     ) -> None:
-        """Store the comp sets ``n_comp_sets, ...``; callers hold the
-        lock and pass only sets new to the space.
+        """Store the comp sets ``n_comp_sets, ...``; callers pass only
+        sets new to the space.
 
         ``rows`` are in comp-set-row layout; the plain rows (interior
-        -1) take their member tuples from ``plain``, in order.  Rows and
-        members land before any id is published: plain sets in the
-        member-tuple index, factored sets in the packed key map.
+        -1) take their member tuples from ``plain``, in order: plain
+        sets land in the member-tuple index, factored sets in the
+        packed key map.
         """
         n0 = self.n_comp_sets
         is_plain = rows[:, _INTERIOR] < 0
@@ -823,20 +780,15 @@ class PathSpace:
         full = self._cset_full.get(gsid)
         if full is None:
             members = self.comp_set(interior)
-            with self._lock:
-                full = self._cset_full.get(gsid)
-                if full is None:
-                    full = np.fromiter(
-                        (
-                            self.intern_components(
-                                (lo, hi) + self._comp_paths[g]
-                            )
-                            for g in members.tolist()
-                        ),
-                        dtype=np.int64,
-                        count=len(members),
-                    )
-                    self._cset_full[gsid] = full
+            full = np.fromiter(
+                (
+                    self.intern_components((lo, hi) + self._comp_paths[g])
+                    for g in members.tolist()
+                ),
+                dtype=np.int64,
+                count=len(members),
+            )
+            self._cset_full[gsid] = full
         return full
 
     def comp_set_is_factored(self, gsid: int) -> bool:
@@ -858,9 +810,7 @@ class PathSpace:
     def comp_set_members(self, gsids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Member gids of plain comp sets, as a (values, offsets) CSR in
         ``gsids`` order (a factored set's row is empty)."""
-        with self._lock:
-            flat, off = self._cset_members.arrays()
-        return _gather_rows(flat, off, gsids)
+        return _gather_rows(*self._cset_members.arrays(), gsids)
 
     def comp_set_unions(
         self, gsids: np.ndarray
@@ -879,10 +829,9 @@ class PathSpace:
         builds ask for their interiors, bounded by rack pairs per
         device flag.
         """
-        rows = self._union_row.lookup(gsids, self._fill_unions, self._lock)
-        with self._lock:
-            flat, off = self._unions.arrays()
-            counts = self._union_counts.arrays()[0]
+        rows = self._union_row.lookup(gsids, self._fill_unions)
+        flat, off = self._unions.arrays()
+        counts = self._union_counts.arrays()[0]
         idx, sub_off = _row_index(off, rows)
         return flat[idx], counts[idx], sub_off
 
@@ -916,9 +865,8 @@ class PathSpace:
         self, pids: np.ndarray, include_devices: bool
     ) -> List[int]:
         """Project node paths in one batch and intern the results in
-        ``pids`` order; callers hold the lock.  The gids returned are
-        the int objects the index holds, so keys built from them share
-        those objects."""
+        ``pids`` order.  The gids returned are the int objects the index
+        holds, so keys built from them share those objects."""
         paths = self._paths
         flat, off = self.topology.paths_components(
             [paths[pid] for pid in pids.tolist()], include_devices
@@ -932,8 +880,6 @@ class PathSpace:
                                   map(slice, bounds[:-1], bounds[1:]))):
             gid = index.get(key)
             if gid is None:
-                # Append before indexing: lock-free readers of the
-                # index must find the path already stored.
                 gid = len(comp_paths)
                 comp_paths.append(key)
                 index[key] = gid
@@ -949,9 +895,7 @@ class PathSpace:
         fill would assign.
         """
         return self._pid_gid[int(include_devices)].lookup(
-            pids,
-            lambda missed: self._intern_projections(missed, include_devices),
-            self._lock,
+            pids, lambda missed: self._intern_projections(missed, include_devices)
         )
 
     def exact_gsids(self, pids: np.ndarray, include_devices: bool) -> np.ndarray:
@@ -964,9 +908,7 @@ class PathSpace:
             gids = self._intern_projections(missed, include_devices)
             return self._intern_plain_sets([(gid,) for gid in gids])
 
-        return self._pid_gsid[int(include_devices)].lookup(
-            pids, fill, self._lock
-        )
+        return self._pid_gsid[int(include_devices)].lookup(pids, fill)
 
     def set_gsids(self, sids: np.ndarray, include_devices: bool) -> np.ndarray:
         """Component path-set id of each node path set.
@@ -1062,7 +1004,7 @@ class PathSpace:
             out[frows] = key_gsid[key_of_frow]
             return out
 
-        return cache.lookup(sids, fill, self._lock)
+        return cache.lookup(sids, fill)
 
     # ------------------------------------------------------------------
     # Per-path link ids (used by the vectorized simulator and latency
@@ -1081,11 +1023,10 @@ class PathSpace:
         out of these arrays instead of iterating component tuples; only
         gids interned since the previous call are converted.
         """
-        with self._lock:
-            csr = self._cc_csr
-            if csr.n_rows < len(self._comp_paths):
-                csr.append_rows(self._comp_paths[csr.n_rows:])
-            return csr.arrays()
+        csr = self._cc_csr
+        if csr.n_rows < len(self._comp_paths):
+            csr.append_rows(self._comp_paths[csr.n_rows:])
+        return csr.arrays()
 
     def link_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR of link ids per node path, covering every interned pid.
@@ -1095,14 +1036,13 @@ class PathSpace:
         per-path drop probabilities of a trace with one vectorized
         reduce over it.
         """
-        with self._lock:
-            csr = self._link_csr
-            n = len(self._paths)
-            if csr.n_rows < n:
-                csr.append_rows(
-                    self.path_link_ids(pid) for pid in range(csr.n_rows, n)
-                )
-            return csr.arrays()
+        csr = self._link_csr
+        n = len(self._paths)
+        if csr.n_rows < n:
+            csr.append_rows(
+                self.path_link_ids(pid) for pid in range(csr.n_rows, n)
+            )
+        return csr.arrays()
 
     def paths_cross_links(
         self, pids: np.ndarray, links: Iterable[int]

@@ -20,6 +20,12 @@ from ..errors import CodecError, TelemetryError
 from .codec import decode_message
 from .records import FlowReport
 
+#: Receive buffer the server requests for its socket.  An agent flush
+#: is a burst of datagrams, which the default buffer (about 208 KiB on
+#: common Linux set-ups) drops in part; the kernel caps the request at
+#: ``net.core.rmem_max``.
+RCVBUF_BYTES = 4 << 20
+
 
 class Collector:
     """Decodes export messages and buffers the contained reports."""
@@ -70,6 +76,7 @@ class UdpCollectorServer:
     def __init__(self, collector: Collector, host: str = "127.0.0.1", port: int = 0):
         self._collector = collector
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RCVBUF_BYTES)
         self._sock.bind((host, port))
         self._sock.settimeout(0.1)
         self._running = False

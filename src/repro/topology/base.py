@@ -224,9 +224,6 @@ class Topology:
         """Return ``(neighbor, link_id)`` pairs of ``node``."""
         return self._adj[node]
 
-    def degree(self, node: int) -> int:
-        return len(self._adj[node])
-
     def rack_of(self, host: int) -> int:
         """The rack switch a host attaches to."""
         try:

@@ -375,27 +375,3 @@ def validate_probability(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return float(value)
-
-
-def path_links_and_devices(
-    nodes: Sequence[int],
-    n_links: int,
-    link_lookup,
-    switch_mask: Sequence[bool],
-    include_devices: bool,
-) -> Tuple[int, ...]:
-    """Convert a node-sequence path into a sorted component-id tuple.
-
-    ``link_lookup(u, v)`` must return the link id for an adjacent node
-    pair.  Device components are included only for nodes flagged True in
-    ``switch_mask`` (hosts are never failable components in this model).
-    Repeated traversals (e.g. probe bounce paths) collapse into a set.
-    """
-    comps = set()
-    for u, v in zip(nodes, nodes[1:]):
-        comps.add(link_lookup(u, v))
-    if include_devices:
-        for node in nodes:
-            if switch_mask[node]:
-                comps.add(n_links + node)
-    return tuple(sorted(comps))

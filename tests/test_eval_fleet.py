@@ -101,7 +101,7 @@ class TestUnitModel:
             rec.unit_payload()
 
     def test_unit_payload_accepts_completion_order(self):
-        # A process or thread pool records a unit's traces as they
+        # The process pool records a unit's traces as they
         # finish; the payload is still the unit's full range, in order.
         rec = SingleUnitRecorder(WorkUnit(0, 0, 2), PLAN)
         rec.select_call(["a", "b"], 3)

@@ -1,4 +1,4 @@
-"""Tests for the parallel experiment runner (executors, cache, errors)."""
+"""Tests for the parallel experiment runner (process pool, cache, errors)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.core.params import DEFAULT_PER_PACKET, FlockParams
 from repro.errors import ExperimentError, InferenceError
 from repro.eval.harness import SchemeSetup, evaluate, evaluate_many
 from repro.eval.runner import (
-    EXECUTORS,
     RunnerConfig,
     RunnerStats,
     _run_trace_unit,
@@ -59,7 +58,7 @@ def suite():
 
 
 class TestWorldShipping:
-    """The process executor ships the shared PathSpace once per worker
+    """The process pool ships the shared PathSpace once per worker
     (pool initializer), not once per task."""
 
     def test_detached_payload_excludes_path_space(self, traces):
@@ -97,12 +96,9 @@ class TestWorldShipping:
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_matches_serial_trace_for_trace(self, traces, executor):
+    def test_matches_serial_trace_for_trace(self, traces):
         serial = run_grid(suite(), traces, RunnerConfig())
-        parallel = run_grid(
-            suite(), traces, RunnerConfig(executor=executor, jobs=2)
-        )
+        parallel = run_grid(suite(), traces, RunnerConfig(jobs=2))
         assert set(serial) == set(parallel)
         for label, expected in serial.items():
             got = parallel[label]
@@ -112,11 +108,9 @@ class TestExecutorEquivalence:
                 assert a.prediction.components == b.prediction.components
                 assert a.metrics == b.metrics
                 assert a.prediction.log_likelihood == b.prediction.log_likelihood
-                if executor == "process":
-                    # Problems are not shipped back over IPC.
-                    assert b.problem is None
-                else:
-                    assert b.problem is not None
+                # Problems are not shipped back over IPC.
+                assert a.problem is not None
+                assert b.problem is None
 
     def test_evaluate_many_jobs_shorthand(self, traces):
         serial = evaluate_many(suite(), traces)
@@ -157,15 +151,15 @@ class TestProblemCache:
 
 
 class TestFailurePropagation:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_worker_failure_raises(self, traces, executor):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "process"])
+    def test_worker_failure_raises(self, traces, jobs):
         setups = [
             SchemeSetup("Flock", FlockInference(DEFAULT_PER_PACKET),
                         TelemetryConfig.from_spec("A2")),
             SchemeSetup("broken", FailingLocalizer(),
                         TelemetryConfig.from_spec("A2")),
         ]
-        config = RunnerConfig(executor=executor, jobs=2)
+        config = RunnerConfig(jobs=jobs)
         with pytest.raises(InferenceError, match="boom in worker"):
             run_grid(setups, traces, config)
 
@@ -182,20 +176,15 @@ class TestValidation:
         with pytest.raises(ExperimentError, match="duplicate"):
             evaluate_many(dup, traces)
 
-    def test_unknown_executor(self):
-        with pytest.raises(ExperimentError):
-            RunnerConfig(executor="gpu")
-
     def test_bad_jobs(self):
         with pytest.raises(ExperimentError):
             RunnerConfig(jobs=0)
 
     def test_resolve_defaults(self):
         assert RunnerConfig.resolve() == RunnerConfig()
-        assert RunnerConfig.resolve(jobs=1).executor == "serial"
-        resolved = RunnerConfig.resolve(jobs=3)
-        assert resolved.executor == "process" and resolved.jobs == 3
-        explicit = RunnerConfig(executor="thread", jobs=5)
+        assert RunnerConfig.resolve(jobs=1) == RunnerConfig()
+        assert RunnerConfig.resolve(jobs=3).jobs == 3
+        explicit = RunnerConfig(jobs=5)
         assert RunnerConfig.resolve(explicit, jobs=9) is explicit
 
 

