@@ -85,11 +85,11 @@ def test_udp_loopback_rate(benchmark, show):
 
     def run():
         collector = Collector()
-        n_messages = 400
         with UdpCollectorServer(collector) as server:
             transport = UdpTransport(*server.address)
             agent = TelemetryAgent(transport, reveal_paths=True)
-            agent.observe(_records(n_messages * 25))
+            # 10,000 records export as 385 messages of up to 26 records.
+            agent.observe(_records(10_000))
             agent.flush()
             transport.close()
             deadline = time.time() + 10.0
