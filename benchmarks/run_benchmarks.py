@@ -25,15 +25,10 @@ Benchmarks
   from_batch), one fresh trace per repeat over a shared PathSpace (the
   runner's steady state).
 * ``simulate_columnar`` - trace generation alone (specs + simulator).
-* ``simulate_columnar_vec`` - the same trace generation with the
-  vectorized RNG mode (``rng_mode="vectorized"``).
 * ``kernel_delta_vector`` - JLE delta-array construction.
 * ``kernel_flip_vector`` - one JLE flip pair on the vector state.
 * ``localize_greedy_fast`` - full Flock greedy+JLE localization.
 * ``localize_gibbs`` - Gibbs sampling localization.
-
-``derived`` carries the headline ratio ``simulate_rng_speedup``
-(grouped mean / vectorized mean).
 
 Timing semantics (also recorded in the artifact under ``timing``):
 each benchmark runs one untimed-for-the-mean *cold* call first (its
@@ -214,13 +209,6 @@ def build_benchmarks(preset: str, base_seed: int):
             n_passive=n_passive, n_probes=n_probes,
         )
 
-    def simulate_columnar_vec(i):
-        return make_trace(
-            topo, routing, scenario, seed=base_seed + 1000 + i,
-            n_passive=n_passive, n_probes=n_probes,
-            rng_mode="vectorized",
-        )
-
     # A fixed mid-size problem for the kernel micro-benchmarks.
     kernel_problem = trace_build_columnar(10_000)
 
@@ -231,7 +219,6 @@ def build_benchmarks(preset: str, base_seed: int):
     benches = {
         "trace_build_columnar": trace_build_columnar,
         "simulate_columnar": simulate_columnar,
-        "simulate_columnar_vec": simulate_columnar_vec,
         "kernel_delta_vector": kernel_delta_vector,
     }
 
@@ -363,19 +350,6 @@ def main() -> int:
         print(f"no regressions across {compared} benchmark(s)")
         return 0
 
-    derived = {}
-
-    def _speedup(key, slow_name, fast_name, caption):
-        slow = results.get(slow_name, {}).get("mean_s")
-        fast = results.get(fast_name, {}).get("mean_s")
-        if slow and fast:
-            derived[key] = slow / fast
-            print(f"{caption}: {slow / fast:.2f}x")
-
-    _speedup("simulate_rng_speedup", "simulate_columnar",
-             "simulate_columnar_vec",
-             "simulate speedup (grouped/vectorized rng)")
-
     label = args.label or args.preset
     payload = {
         "label": label,
@@ -385,7 +359,6 @@ def main() -> int:
         "repeats": args.repeats,
         "timing": TIMING_SEMANTICS,
         "benchmarks": results,
-        "derived": derived,
     }
     out = Path(args.out_dir) / f"BENCH_{label}.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -97,7 +97,7 @@ def make_trace(
     traffic: str = UNIFORM,
     packets_per_probe: int = 40,
     mean_flow_bytes: float = 200_000.0,
-    rng_mode: str = "grouped",
+    rng_mode: str = "vectorized",
 ) -> Trace:
     """Inject a scenario, generate traffic and probes, and simulate.
 
@@ -107,6 +107,9 @@ def make_trace(
     from the routing's shared :class:`~repro.routing.paths.PathSpace`,
     so interning work amortizes across every trace of the batch.
     """
+    # The one-value keyword stays because benchmarks/e2e passes it.
+    if rng_mode != "vectorized":
+        raise ValueError(f"rng_mode must be 'vectorized', got {rng_mode!r}")
     rng = np.random.default_rng(seed)
     injection = scenario.inject(topology, rng)
     space = routing.path_space()
@@ -128,7 +131,7 @@ def make_trace(
         )
     specs = SpecBatch.concat(batches) if batches else SpecBatch.empty(space)
     simulator = FlowLevelSimulator(topology)
-    batch = simulator.simulate_batch(specs, injection, rng, rng_mode=rng_mode)
+    batch = simulator.simulate_batch(specs, injection, rng)
     return Trace(
         topology=topology,
         routing=routing,

@@ -20,7 +20,8 @@ Design rules:
   stale checkout fails loudly instead of merging garbage.  A missing
   field is tolerated (hand-built payloads from the same process), a
   *wrong* one never is.  Bump :data:`SCHEMA_VERSION` whenever any wire
-  layout in this module changes.
+  layout in this module changes or the simulator's draws for a given
+  seed change.
 * **Bit-identical floats.** Values pass through JSON's ``repr``-based
   float formatting, which round-trips IEEE-754 doubles exactly, so a
   collected fleet run reproduces a serial run's metrics bit for bit.
@@ -53,8 +54,10 @@ from .metrics import AggregateMetrics, TraceMetrics
 
 #: Wire schema version.  Emitted in every top-level payload this module
 #: (and the broker layer on top of it) produces; checked on
-#: decode.  Bump on any change to the wire layouts below.
-SCHEMA_VERSION = 2
+#: decode.  Bump on any change to the wire layouts below, and whenever
+#: the simulator's draws for a given seed change, so results and
+#: checkpoints from the old stream are refused rather than mixed in.
+SCHEMA_VERSION = 3
 
 
 def payload_checksum(text: str) -> str:

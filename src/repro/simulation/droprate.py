@@ -38,11 +38,11 @@ class DropRatePlan:
         # A plan is immutable (``with_rates`` returns a fresh plan), so
         # the cache is valid for the plan's lifetime - i.e. per
         # injection.  The columnar simulator computes all path
-        # probabilities in one vectorized pass instead
-        # (:func:`repro.simulation.flowsim._all_path_drop_probs`, which
-        # is asserted bit-identical to this scalar fold); the memo
-        # serves scalar callers, which may price the same path many
-        # times per trace.
+        # survivals in one vectorized pass instead
+        # (:func:`repro.simulation.flowsim._path_survivals`, whose
+        # complement is asserted bit-identical to this scalar fold);
+        # the memo serves scalar callers, which may price the same path
+        # many times per trace.
         self._path_prob_cache: Dict[Tuple[int, ...], float] = {}
 
     @property

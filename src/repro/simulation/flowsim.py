@@ -9,16 +9,19 @@ drop probabilities on links but does not model queuing or TCP."
 For every flow spec the simulator picks one actual path uniformly from
 the ECMP set (the routing model of Eq. 1), computes the path's drop
 probability from the per-link plan, draws the number of bad packets from
-a binomial, and (when a latency model is present) samples an RTT.  Flows
-are grouped by shared path set so the binomial draws vectorize.
+a binomial, and (when a latency model is present) samples an RTT.  Every
+draw is whole-batch - one uniform array for the ECMP choices, one
+binomial call for the drops - so the stream a seed produces does not
+depend on how flows group by path set.
 
 The unit of work is the columnar :meth:`FlowLevelSimulator
 .simulate_batch`: path sets arrive interned (a
 :class:`~repro.traffic.flows.SpecBatch`; object specs columnarize with
-``SpecBatch.from_specs``), grouping is an ``np.unique`` over set ids,
-per-path drop probabilities are memoized per injection by interned path
-id, and the result is a struct-of-arrays :class:`~repro.types.FlowBatch`
-- no per-record Python anywhere on the hot path.
+``SpecBatch.from_specs``), set metadata is gathered per distinct set
+id, per-path drop probabilities are computed once per injection by
+interned path id, and the result is a struct-of-arrays
+:class:`~repro.types.FlowBatch` - no per-record Python anywhere on the
+hot path.
 """
 
 from __future__ import annotations
@@ -45,72 +48,84 @@ class FlowLevelSimulator:
         specs: SpecBatch,
         injection: Injection,
         rng: np.random.Generator,
-        rng_mode: str = "grouped",
     ) -> FlowBatch:
         """Run a columnar spec batch and return a columnar trace.
 
-        Flows group by interned path-set id (first-seen order, matching
-        the object pipeline's grouping and hence its RNG stream); each
-        group draws one vectorized ECMP choice and one vectorized
-        binomial.  Path drop probabilities are computed once per
-        distinct path id per injection.
-
-        ``rng_mode`` versions the RNG stream contract:
-
-        * ``"grouped"`` (default) draws per path-set group - the
-          historical, bit-identical stream every pinned trace depends
-          on.  At paper scale (~366K groups) the per-group generator
-          call overhead dominates trace generation.
-        * ``"vectorized"`` draws whole-batch: one uniform array prices
-          every ECMP choice and one binomial call prices every flow.
-          Group-rejection sampling (``Generator.integers``) and
-          variable-size binomial batching make this stream impossible
-          to reproduce group-wise, so it is a *different, versioned*
-          stream - deterministic per seed, same marginal distributions,
-          different draws.
+        All randomness is drawn whole-batch: one uniform array prices
+        every flow's ECMP choice and one binomial call prices every
+        flow's drops.  Path drop probabilities are computed once per
+        distinct path id per injection, and group metadata is a gather
+        over the space's set columns.  The only per-group Python loop
+        left materializes the chosen member paths of factored sets,
+        after every draw is made.
         """
-        if rng_mode not in ("grouped", "vectorized"):
-            raise ValueError(
-                f"rng_mode must be 'grouped' or 'vectorized', got {rng_mode!r}"
-            )
         space = specs.space
-        plan = injection.plan
+        rates = injection.plan.rates
         n = len(specs)
         packets = specs.packets
         bad = np.zeros(n, dtype=np.int64)
         chosen = np.zeros(n, dtype=np.int64)
 
-        if n and rng_mode == "vectorized":
-            bad, chosen = self._simulate_flows_vectorized(
-                specs, plan, rng
-            )
-        elif n:
-            sids, order, offsets = _first_seen_groups(specs.path_set)
-            surv_by_pid = _path_survivals(space, plan)
-            rates = plan.rates
+        if n:
+            surv_by_pid = _path_survivals(space, injection.plan)
+            sids, gids = first_seen_ids(specs.path_set)
+            n_groups = len(sids)
+            sid_list = sids.tolist()
+            sizes = space.set_sizes(sids)
             switch_sid, src_link, dst_link = space.pair_set_columns(sids)
-            for g, sid in enumerate(sids.tolist()):
-                idx = order[offsets[g]:offsets[g + 1]]
-                if switch_sid[g] >= 0:
-                    # Factored pair set: drop probability composes from
-                    # the endpoint-link survivals and the shared
-                    # switch-segment survivals; only the *chosen* member
-                    # paths are ever materialized.
-                    middles = space.set_path_ids(int(switch_sid[g]))
-                    drop_probs = 1.0 - (
-                        (1.0 - rates[src_link[g]])
-                        * surv_by_pid[middles]
-                        * (1.0 - rates[dst_link[g]])
-                    )
-                    choice = rng.integers(0, len(middles), size=len(idx))
-                    bad[idx] = rng.binomial(packets[idx], drop_probs[choice])
-                    chosen[idx] = space.member_pids(sid, choice)
-                else:
-                    set_pids = space.set_path_ids(sid)
-                    drop_probs = 1.0 - surv_by_pid[set_pids]
-                    choice = rng.integers(0, len(set_pids), size=len(idx))
-                    bad[idx] = rng.binomial(packets[idx], drop_probs[choice])
-                    chosen[idx] = set_pids[choice]
+            factored = switch_sid >= 0
+
+            # One uniform per flow prices its ECMP choice: floor(u * k)
+            # is uniform over [0, k) (clipped against the u == 1.0
+            # corner).
+            k = sizes[gids]
+            choice = np.minimum((rng.random(n) * k).astype(np.int64), k - 1)
+            p = np.empty(n)
+            fac_f = factored[gids]
+            if np.any(fac_f):
+                # Factored flows: the chosen *middle* segment prices the
+                # drop; a CSR over the few unique switch sids gathers it.
+                usw = np.unique(switch_sid[factored])
+                sw_lists = [space.set_path_ids(int(s)) for s in usw]
+                sw_off = np.zeros(len(usw) + 1, dtype=np.int64)
+                np.cumsum([len(a) for a in sw_lists], out=sw_off[1:])
+                sw_flat = np.concatenate(sw_lists)
+                sw_rank = np.searchsorted(usw, switch_sid)
+                fg = gids[fac_f]
+                mid = sw_flat[sw_off[sw_rank[fg]] + choice[fac_f]]
+                p[fac_f] = 1.0 - (
+                    (1.0 - rates[src_link[fg]])
+                    * surv_by_pid[mid]
+                    * (1.0 - rates[dst_link[fg]])
+                )
+            plain_f = ~fac_f
+            if np.any(plain_f):
+                plain_groups = np.nonzero(~factored)[0]
+                pl_lists = [
+                    space.set_path_ids(sid_list[g]) for g in plain_groups
+                ]
+                pl_off = np.zeros(len(pl_lists) + 1, dtype=np.int64)
+                np.cumsum([len(a) for a in pl_lists], out=pl_off[1:])
+                pl_flat = np.concatenate(pl_lists)
+                pl_rank = np.cumsum(~factored) - 1
+                pid_plain = pl_flat[
+                    pl_off[pl_rank[gids[plain_f]]] + choice[plain_f]
+                ]
+                p[plain_f] = 1.0 - surv_by_pid[pid_plain]
+                chosen[plain_f] = pid_plain
+
+            bad = rng.binomial(packets, p).astype(np.int64)
+
+            if np.any(fac_f):
+                # Factored chosen paths still intern lazily per group,
+                # but with every draw already made above.
+                order = np.argsort(gids, kind="stable")
+                counts = np.bincount(gids, minlength=n_groups)
+                offsets = np.zeros(n_groups + 1, dtype=np.int64)
+                np.cumsum(counts, out=offsets[1:])
+                for g in np.nonzero(factored)[0].tolist():
+                    idx = order[offsets[g]:offsets[g + 1]]
+                    chosen[idx] = space.member_pids(sid_list[g], choice[idx])
 
         if injection.latency_model is not None:
             crosses = space.paths_cross_links(chosen, injection.flapped_links)
@@ -129,83 +144,6 @@ class FlowLevelSimulator:
             path_set=specs.path_set,
             chosen_path=chosen,
         )
-
-    def _simulate_flows_vectorized(
-        self,
-        specs: SpecBatch,
-        plan,
-        rng: np.random.Generator,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Whole-batch draws: (bad, chosen) for every flow at once.
-
-        All randomness collapses into two generator calls - one uniform
-        array for the ECMP choices and one vectorized binomial for the
-        drops.  Group metadata is a gather over the space's set
-        columns; the only per-group Python loop left materializes the
-        chosen member paths of factored sets (interning work the
-        grouped mode pays too).
-        """
-        space = specs.space
-        rates = plan.rates
-        surv_by_pid = _path_survivals(space, plan)
-        n = len(specs)
-        sids, gids = first_seen_ids(specs.path_set)
-        n_groups = len(sids)
-        sid_list = sids.tolist()
-        sizes = space.set_sizes(sids)
-        switch_sid, src_link, dst_link = space.pair_set_columns(sids)
-        factored = switch_sid >= 0
-
-        # One uniform per flow prices its ECMP choice: floor(u * k) is
-        # uniform over [0, k) (clipped against the u == 1.0 corner).
-        k = sizes[gids]
-        choice = np.minimum((rng.random(n) * k).astype(np.int64), k - 1)
-        p = np.empty(n)
-        chosen = np.empty(n, dtype=np.int64)
-        fac_f = factored[gids]
-        if np.any(fac_f):
-            # Factored flows: the chosen *middle* segment prices the
-            # drop; a CSR over the few unique switch sids gathers it.
-            usw = np.unique(switch_sid[factored])
-            sw_lists = [space.set_path_ids(int(s)) for s in usw]
-            sw_off = np.zeros(len(usw) + 1, dtype=np.int64)
-            np.cumsum([len(a) for a in sw_lists], out=sw_off[1:])
-            sw_flat = np.concatenate(sw_lists)
-            sw_rank = np.searchsorted(usw, switch_sid)
-            fg = gids[fac_f]
-            mid = sw_flat[sw_off[sw_rank[fg]] + choice[fac_f]]
-            p[fac_f] = 1.0 - (
-                (1.0 - rates[src_link[fg]])
-                * surv_by_pid[mid]
-                * (1.0 - rates[dst_link[fg]])
-            )
-        plain_f = ~fac_f
-        if np.any(plain_f):
-            plain_groups = np.nonzero(~factored)[0]
-            pl_lists = [space.set_path_ids(sid_list[g]) for g in plain_groups]
-            pl_off = np.zeros(len(pl_lists) + 1, dtype=np.int64)
-            np.cumsum([len(a) for a in pl_lists], out=pl_off[1:])
-            pl_flat = np.concatenate(pl_lists)
-            pl_rank = np.cumsum(~factored) - 1
-            pid_plain = pl_flat[
-                pl_off[pl_rank[gids[plain_f]]] + choice[plain_f]
-            ]
-            p[plain_f] = 1.0 - surv_by_pid[pid_plain]
-            chosen[plain_f] = pid_plain
-
-        bad = rng.binomial(specs.packets, p)
-
-        if np.any(fac_f):
-            # Factored chosen paths still intern lazily per group, but
-            # with every draw already made above.
-            order = np.argsort(gids, kind="stable")
-            counts = np.bincount(gids, minlength=n_groups)
-            offsets = np.zeros(n_groups + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            for g in np.nonzero(factored)[0].tolist():
-                idx = order[offsets[g]:offsets[g + 1]]
-                chosen[idx] = space.member_pids(sid_list[g], choice[idx])
-        return bad.astype(np.int64), chosen
 
 
 def _path_survivals(space: PathSpace, plan) -> np.ndarray:
@@ -233,42 +171,17 @@ def _path_survivals(space: PathSpace, plan) -> np.ndarray:
     return surv
 
 
-def _all_path_drop_probs(space: PathSpace, plan) -> np.ndarray:
-    """Drop probability of every interned path (1 - survival)."""
-    surv = _path_survivals(space, plan)
-    probs = 1.0 - surv
-    return probs
-
-
-def _first_seen_groups(
-    values: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group equal values, numbering groups in first-appearance order.
-
-    Returns ``(group_values, order, offsets)``: ``order`` is a
-    permutation of row indices sorted by (group, original position), so
-    ``order[offsets[g]:offsets[g + 1]]`` selects group ``g``'s rows in
-    original order - the same iteration the object pipeline's
-    insertion-ordered dict grouping produced.
-    """
-    group_values, group_ids = first_seen_ids(values)
-    order = np.argsort(group_ids, kind="stable")
-    counts = np.bincount(group_ids, minlength=len(group_values))
-    offsets = np.zeros(len(group_values) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return group_values, order, offsets
-
-
 def empirical_link_loss(
     topology: Topology, records: Sequence[FlowRecord]
 ) -> Dict[int, Tuple[int, int]]:
     """Aggregate (bad, total) packets per link from ground-truth paths.
 
     A simulator-fidelity diagnostic: with many flows, a link's empirical
-    loss share converges toward its planned drop rate.  Bad packets of a
-    flow are attributed fractionally is not possible without per-packet
-    data, so this attributes a flow's packets to every link on its path
-    (the standard tomography load matrix).
+    loss share converges toward its planned drop rate.  Without
+    per-packet data a flow's bad packets cannot be attributed to the
+    link that dropped them, so this attributes all of a flow's packets,
+    good and bad, to every link on its path (the standard tomography
+    load matrix).
     """
     totals: Dict[int, Tuple[int, int]] = {}
     for record in records:

@@ -22,7 +22,11 @@ from repro.eval.chaos import ChaosPolicy, ChaosSpec, WorkerCrash
 from repro.eval.experiments import standard_topology
 from repro.eval.harness import SchemeSetup
 from repro.eval.schemes import make_setup
-from repro.eval.serialize import encode_unit_payload, payload_checksum
+from repro.eval.serialize import (
+    SCHEMA_VERSION,
+    encode_unit_payload,
+    payload_checksum,
+)
 from repro.eval.spec import run_experiment
 from repro.eval.stream import StreamMonitor
 from repro.retry import RetryPolicy
@@ -148,7 +152,7 @@ class TestBrokerHardening:
         path = _submit(tmp_path, lease_seconds=10.0)
         with Broker.open(path) as broker:
             leased = broker.claim("w0", now=100.0)
-            wire, checksum = encode_unit_payload({"v": 2})
+            wire, checksum = encode_unit_payload({"v": SCHEMA_VERSION})
             assert not broker.complete(
                 leased.unit_id, "w0", now=150.0, wire=wire, checksum=checksum
             )

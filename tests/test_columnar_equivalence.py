@@ -26,7 +26,7 @@ from repro.eval.schemes import make_setup, scheme_names
 from repro.routing import EcmpRouting, PathSpace
 from repro.simulation import DropRatePlan, SilentLinkDrops
 from repro.simulation.failures import make_scenario, scenario_names
-from repro.simulation.flowsim import _all_path_drop_probs
+from repro.simulation.flowsim import _path_survivals
 from repro.telemetry import TelemetryConfig
 from repro.topology import fat_tree
 from repro.types import TelemetryKind
@@ -195,7 +195,7 @@ def test_vectorized_path_drop_probs_bit_identical(tiny_world):
         for other in topo.hosts[-4:]:
             if host != other:
                 space.pair_set(host, other)
-    probs = _all_path_drop_probs(space, plan)
+    probs = 1.0 - _path_survivals(space, plan)
     for pid in range(space.n_paths):
         scalar = plan.path_drop_probability(space.path_nodes(pid))
         assert probs[pid] == scalar
@@ -204,7 +204,7 @@ def test_vectorized_path_drop_probs_bit_identical(tiny_world):
     # without corrupting their neighbors' reduceat segments - including
     # a trailing one, whose start index falls off the end of the CSR.
     space.intern_path((topo.hosts[0],))
-    probs = _all_path_drop_probs(space, plan)
+    probs = 1.0 - _path_survivals(space, plan)
     assert probs[space.n_paths - 1] == 0.0
     for pid in range(space.n_paths - 1):
         assert probs[pid] == plan.path_drop_probability(space.path_nodes(pid))

@@ -40,20 +40,37 @@ class TestGibbs:
         assert pred.scores[1] < 0.1
 
     def test_recovers_failures_on_trace(self, drop_problem, drop_trace):
-        # Gibbs can stick in a mode that swaps a link for its device
-        # (the paper's stated reason for preferring greedy: convergence
-        # is hard to bound), so assert full recall rather than the exact
-        # hypothesis.
+        # Single-site Gibbs can stay stuck in a mode that swaps a link
+        # for its device (the paper's stated reason for preferring
+        # greedy: convergence is hard to bound), so one cold chain's
+        # answer depends on its seed.  Assert over ten chain seeds
+        # instead: started at greedy's answer (the truth here) every
+        # chain keeps it, and cold chains recover the failures in at
+        # least half the seeds.  tests/oracles/gibbs.py pins the chain
+        # itself step for step.
+        from repro.core.flock_fast import VectorJleState
         from repro.eval.metrics import evaluate_prediction
 
-        gibbs = GibbsInference(
-            DEFAULT_PER_PACKET, sweeps=15, burn_in=5, seed=2
-        ).localize(drop_problem)
-        metrics = evaluate_prediction(
-            gibbs, drop_trace.ground_truth, drop_trace.topology
-        )
-        assert metrics.recall == 1.0
-        assert metrics.precision >= 0.5
+        greedy = FlockInference(DEFAULT_PER_PACKET).localize(drop_problem)
+        truth = frozenset(drop_trace.ground_truth.failed_links)
+        assert greedy.components == truth
+        recovered = 0
+        for seed in range(10):
+            sampler = GibbsInference(
+                DEFAULT_PER_PACKET, sweeps=15, burn_in=5, seed=seed
+            )
+            warm = VectorJleState(drop_problem, DEFAULT_PER_PACKET)
+            for comp in sorted(truth):
+                warm.flip(comp)
+            kept = sampler.localize(drop_problem, initial_state=warm)
+            assert kept.components == truth
+            metrics = evaluate_prediction(
+                sampler.localize(drop_problem),
+                drop_trace.ground_truth,
+                drop_trace.topology,
+            )
+            recovered += metrics.recall == 1.0 and metrics.precision >= 0.5
+        assert recovered >= 5
 
     def test_validation(self):
         with pytest.raises(InferenceError):

@@ -554,6 +554,30 @@ class TestFleetCli:
         assert main(["fleet", "work", str(tmp_path / "missing.db")]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_broker_of_the_previous_simulator_stream_is_refused(
+        self, tmp_path, capsys
+    ):
+        # Schema v2 units were simulated with the per-group RNG stream;
+        # mixing them with this checkout's draws must fail loudly.
+        broker = str(tmp_path / "b.db")
+        assert main(["fleet", "submit", broker, "fig2",
+                     "--preset", "tiny"]) == 0
+        capsys.readouterr()
+        conn = sqlite3.connect(broker)
+        conn.execute(
+            "UPDATE meta SET value = '2' WHERE key = 'schema_version'"
+        )
+        conn.commit()
+        conn.close()
+        for args in (["work", broker, "--no-wait"], ["collect", broker]):
+            assert main(["fleet"] + args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro-flock: error: ")
+            assert (
+                f"wire schema v2 but this checkout speaks v{SCHEMA_VERSION}"
+                in err
+            )
+
 
 class TestCliValidation:
     """CLI-boundary validation: bad counts and indices fail with errors

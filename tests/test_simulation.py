@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.eval.experiments import standard_topology
+from repro.eval.scenarios import make_trace
 from repro.routing import EcmpRouting, PathSpace
 from repro.simulation import (
     DropRatePlan,
@@ -19,6 +20,7 @@ from repro.simulation import (
     good_link_rates,
 )
 from repro.simulation.failures import PER_FLOW, PER_PACKET
+from repro.simulation.flowsim import _path_survivals
 from repro.topology import fat_tree
 from repro.traffic import (
     FlowSpec,
@@ -219,7 +221,7 @@ class TestFlowSimulator:
         assert _simulate(small_fat_tree, [], injection, rng) == []
 
 
-# --- vectorized simulator RNG -----------------------------------------
+# --- simulator RNG stream ---------------------------------------------
 
 @pytest.fixture(scope="module")
 def tiny_world():
@@ -238,57 +240,70 @@ def _spec_batch(tiny_world, seed, n_flows=800):
     return SpecBatch.from_specs(specs, space), injection
 
 
-def test_rng_modes_deterministic(tiny_world):
+def test_simulation_is_deterministic_per_seed(tiny_world):
     topo, _ = tiny_world
     batch, injection = _spec_batch(tiny_world, seed=11)
     sim = FlowLevelSimulator(topo)
-    for mode in ("grouped", "vectorized"):
-        a = sim.simulate_batch(
-            batch, injection, np.random.default_rng(5), rng_mode=mode
-        )
-        b = sim.simulate_batch(
-            batch, injection, np.random.default_rng(5), rng_mode=mode
-        )
-        assert np.array_equal(a.bad, b.bad)
-        assert np.array_equal(a.chosen_path, b.chosen_path)
-    # grouped is the default: omitting rng_mode is the historical stream.
-    default = sim.simulate_batch(batch, injection, np.random.default_rng(5))
-    grouped = sim.simulate_batch(
-        batch, injection, np.random.default_rng(5), rng_mode="grouped"
-    )
-    assert np.array_equal(default.bad, grouped.bad)
-    assert np.array_equal(default.chosen_path, grouped.chosen_path)
+    a = sim.simulate_batch(batch, injection, np.random.default_rng(5))
+    b = sim.simulate_batch(batch, injection, np.random.default_rng(5))
+    assert np.array_equal(a.bad, b.bad)
+    assert np.array_equal(a.chosen_path, b.chosen_path)
+    c = sim.simulate_batch(batch, injection, np.random.default_rng(6))
+    assert not np.array_equal(a.bad, c.bad)
 
 
-def test_vectorized_rng_is_versioned_but_valid(tiny_world):
-    """The vectorized stream is explicitly different from grouped, but
-    every chosen path must still be a real (src, dst) member path and
-    loss mass must stay in the same regime."""
+def test_simulation_is_valid_and_unbiased(tiny_world):
+    """Every chosen path is a member of its flow's set, and the mean
+    total of bad packets over many seeds matches its exact expectation.
+
+    A flow of ``n`` packets picks one of its set's ``k`` paths
+    uniformly, so its bad count is a binomial mixture with mean
+    ``n * mean(p)`` and variance ``mean(n p (1 - p)) + n^2 var(p)``
+    over the member drop probabilities ``p``.
+    """
     topo, _ = tiny_world
     batch, injection = _spec_batch(tiny_world, seed=11)
     sim = FlowLevelSimulator(topo)
-    grouped = sim.simulate_batch(
-        batch, injection, np.random.default_rng(5), rng_mode="grouped"
-    )
-    vec = sim.simulate_batch(
-        batch, injection, np.random.default_rng(5), rng_mode="vectorized"
-    )
-    assert not np.array_equal(grouped.bad, vec.bad)
     space = batch.space
-    for i in range(0, len(batch), 37):
-        nodes = space.path_nodes(int(vec.chosen_path[i]))
-        assert nodes[0] == batch.src[i]
-        assert nodes[-1] == batch.dst[i]
-    g_rate = grouped.bad.sum() / grouped.packets.sum()
-    v_rate = vec.bad.sum() / vec.packets.sum()
-    assert v_rate > 0
-    assert 0.2 < v_rate / g_rate < 5.0
+    members = {
+        sid: space.set_path_ids(sid)
+        for sid in np.unique(batch.path_set).tolist()
+    }
+    drop = 1.0 - _path_survivals(space, injection.plan)
+    n = batch.packets.astype(np.float64)
+    mean_p = np.empty(len(batch))
+    var_p = np.empty(len(batch))
+    within = np.empty(len(batch))
+    for i, sid in enumerate(batch.path_set.tolist()):
+        p = drop[members[sid]]
+        mean_p[i] = p.mean()
+        var_p[i] = p.var()
+        within[i] = (p * (1.0 - p)).mean()
+    expected = float(np.sum(n * mean_p))
+    variance = float(np.sum(n * within + n * n * var_p))
+
+    # (set id, member path id) pairs, packed for one isin per draw.
+    width = len(drop)
+    member_keys = np.concatenate(
+        [sid * width + pids for sid, pids in members.items()]
+    )
+    n_seeds = 200
+    totals = np.empty(n_seeds)
+    for seed in range(n_seeds):
+        out = sim.simulate_batch(batch, injection, np.random.default_rng(seed))
+        keys = batch.path_set * width + out.chosen_path
+        assert np.isin(keys, member_keys).all()
+        totals[seed] = out.bad.sum()
+    z = (totals.mean() - expected) / np.sqrt(variance / n_seeds)
+    assert expected > 0
+    assert abs(z) < 4.0, z
 
 
 def test_rng_mode_rejects_unknown(tiny_world):
-    topo, _ = tiny_world
-    batch, injection = _spec_batch(tiny_world, seed=11, n_flows=10)
+    topo, routing = tiny_world
+    scenario = SilentLinkDrops(n_failures=1)
+    make_trace(topo, routing, scenario, seed=5, n_passive=10, n_probes=0,
+               rng_mode="vectorized")
     with pytest.raises(ValueError, match="rng_mode"):
-        FlowLevelSimulator(topo).simulate_batch(
-            batch, injection, np.random.default_rng(5), rng_mode="turbo"
-        )
+        make_trace(topo, routing, scenario, seed=5, n_passive=10,
+                   n_probes=0, rng_mode="grouped")

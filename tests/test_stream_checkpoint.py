@@ -14,6 +14,7 @@ from repro.errors import CheckpointError, ExperimentError, InferenceError
 from repro.eval import experiments
 from repro.eval.schemes import make_setup
 from repro.eval.serialize import (
+    SCHEMA_VERSION,
     cycle_report_from_wire,
     cycle_report_to_wire,
     decode_stream_checkpoint,
@@ -293,6 +294,27 @@ class TestCliResume:
         out = capsys.readouterr().out
         assert "resuming gray-drift" in out
         assert "6 cycle(s) already done" in out
+
+    def test_resume_refuses_a_checkpoint_of_the_previous_stream(
+        self, tmp_path, capsys
+    ):
+        # A schema v2 checkpoint replays chunks of the per-group RNG
+        # stream; resuming it on this checkout's draws must fail.
+        path = tmp_path / "v2.ckpt"
+        args = ["stream", "gray-drift", "--preset", "tiny", "--cycles", "4",
+                "--flows", "200", "--probes", "50", "--window", "3"]
+        assert main(args + ["--checkpoint", str(path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        assert doc["v"] == SCHEMA_VERSION
+        doc["v"] = 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="wire schema v2"):
+            decode_stream_checkpoint(path.read_text())
+        assert main(["stream", "--resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-flock: error: ")
+        assert "checkpoint speaks wire schema v2" in err
 
     def test_resume_rejects_non_checkpoint_file(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
