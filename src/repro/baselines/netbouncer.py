@@ -25,19 +25,28 @@ knobs match the paper's "NetBouncer has 3 [parameters]".
 Like 007, NetBouncer consumes exact-path flows only.
 
 Implementation notes: flows aggregate into per-link-path success ratios
-with whole-array passes over the problem CSRs; each coordinate-descent
-step computes all of a link's path products with one masked
-``np.multiply.reduceat`` (excluded coordinates read as an exact 1.0
-factor), and the per-link boundary scan of the concave case prices both
-endpoints vectorized.  Scalar accumulations are reproduced with
-``cumsum`` folds, so estimates match the historical per-path Python
-loops bit for bit.  The device rule walks the component indexes
-(``comp -> paths``, ``comp -> flows``, endpoint columns) instead of the
-object views, so compressed problems never expand.
+with whole-array passes over the problem CSRs (one Python step per
+problem set, not per flow), and one ``np.unique`` numbers the links.
+Everything of a coordinate step but ``x`` is fixed for the whole
+descent, so ``localize`` builds it once, as a per-link plan: the link
+slots of the link's member paths (its own slots redirected to a
+constant 1.0 slot after the last link), the member segment starts, the
+members' ``y`` and a term buffer seeded with ``(-lam/2, -lam)``.  A
+sweep step then gathers ``x`` over the slots, takes every member's
+``q`` with one ``np.multiply.reduceat``, writes ``y q`` and ``q q``
+into the buffer with one multiply, and folds both rows left to right
+with one row-wise ``add.accumulate``; the concave case prices its two
+boundary candidates with the same fold.  Links still update one at a
+time in ascending order, members in ascending path order, so estimates
+match the per-path scalar loops of ``tests/oracles/netbouncer.py`` bit
+for bit.  The device rule walks the component indexes (``comp ->
+paths``, ``comp -> flows``, endpoint columns) instead of the object
+views, so compressed problems never expand.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -48,11 +57,13 @@ from ..types import Prediction
 from .base import exact_flow_components
 
 
-def _seq_sum(terms: np.ndarray, init: float) -> float:
-    """Left-to-right ``init + t1 + t2 + ...`` (the scalar-loop order)."""
-    if len(terms) == 0:
-        return init
-    return float(np.cumsum(np.concatenate(([init], terms)))[-1])
+def _row_folds(terms: np.ndarray) -> List[float]:
+    """Left-to-right sum of each row of ``terms`` (the scalar-loop order).
+
+    Column 0 holds each fold's seed, so row ``r`` yields
+    ``terms[r, 0] + terms[r, 1] + ...`` added one term at a time.
+    """
+    return np.add.accumulate(terms, axis=1)[:, -1].tolist()
 
 
 class NetBouncer:
@@ -68,8 +79,8 @@ class NetBouncer:
         max_sweeps: int = 50,
         tol: float = 1e-9,
     ) -> None:
-        if regularization < 0.0:
-            raise InferenceError("regularization must be non-negative")
+        if not 0.0 <= regularization < math.inf:
+            raise InferenceError("regularization must be finite and non-negative")
         if not 0.0 < drop_threshold < 1.0:
             raise InferenceError("drop_threshold must be in (0, 1)")
         if not 0.0 < device_frac <= 1.0:
@@ -86,110 +97,122 @@ class NetBouncer:
     def _aggregate(self, problem):
         """Group exact flows into per-(link-)path success ratios.
 
-        Returns (paths as link tuples in first-seen order, y array).
-        Flows of one problem set share their components, so grouping
-        runs per distinct set and only merges sets whose link tuples
-        coincide.
+        Returns (per-path link counts, the paths' link ids concatenated
+        in first-seen path order, y array).  Flows of one problem set
+        share their components, so grouping visits only each set's
+        first valid flow and merges sets whose link tuples coincide.
         """
         flows, comps, off = exact_flow_components(problem)
-        if len(flows) == 0:
-            return [], np.empty(0)
         sent = problem.packets_sent[flows]
-        bad = problem.bad_packets[flows]
-        wt = problem.weights[flows]
         local = np.repeat(np.arange(len(flows), dtype=np.int64), np.diff(off))
         link_rows = comps < problem.n_links
-        l_local = local[link_rows]
         l_comp = comps[link_rows]
-        lcounts = np.bincount(l_local, minlength=len(flows))
+        lcounts = np.bincount(local[link_rows], minlength=len(flows))
+        valid = np.flatnonzero((lcounts > 0) & (sent > 0))
+        if len(valid) == 0:
+            return valid, valid, np.empty(0)  # no paths
         loff = np.zeros(len(flows) + 1, dtype=np.int64)
         np.cumsum(lcounts, out=loff[1:])
 
-        valid = (lcounts > 0) & (sent > 0)
-        sets = problem._set_of_flow[flows]
-        group_of_set: Dict[int, int] = {}
+        _, first, set_rank = np.unique(
+            problem._set_of_flow[flows[valid]],
+            return_index=True,
+            return_inverse=True,
+        )
+        group_of_set = np.empty(len(first), dtype=np.int64)
         group_index: Dict[Tuple[int, ...], int] = {}
-        paths: List[Tuple[int, ...]] = []
-        group_ids = np.full(len(flows), -1, dtype=np.int64)
+        reps: List[int] = []  # per path, the flow it was first seen on
         l_comp_list = l_comp.tolist()
-        for i in np.nonzero(valid)[0].tolist():
-            sid = int(sets[i])
-            gid = group_of_set.get(sid)
-            if gid is None:
-                links = tuple(l_comp_list[loff[i]:loff[i + 1]])
-                gid = group_index.get(links)
-                if gid is None:
-                    gid = len(paths)
-                    group_index[links] = gid
-                    paths.append(links)
-                group_of_set[sid] = gid
-            group_ids[i] = gid
+        loff_list = loff.tolist()
+        # Sets in the order of their first valid flow.
+        for u in np.argsort(first).tolist():
+            i = int(valid[first[u]])
+            links = tuple(l_comp_list[loff_list[i]:loff_list[i + 1]])
+            gid = group_index.setdefault(links, len(reps))
+            if gid == len(reps):
+                reps.append(i)
+            group_of_set[u] = gid
+        group_ids = group_of_set[set_rank]
 
-        sel = group_ids >= 0
+        wt = problem.weights[flows]
+        bad = problem.bad_packets[flows]
         good = np.bincount(
-            group_ids[sel],
-            weights=(wt * (sent - bad))[sel],
-            minlength=len(paths),
+            group_ids, weights=(wt * (sent - bad))[valid], minlength=len(reps)
         )
         total = np.bincount(
-            group_ids[sel], weights=(wt * sent)[sel], minlength=len(paths)
+            group_ids, weights=(wt * sent)[valid], minlength=len(reps)
         )
-        return paths, good / total
+        reps = np.asarray(reps, dtype=np.int64)
+        plen = lcounts[reps]
+        return plen, l_comp[_expand_slices(loff[reps], plen)], good / total
+
+    def _plan(
+        self, plen: np.ndarray, slots: np.ndarray, y: np.ndarray, n_links: int
+    ) -> list:
+        """Per link, everything of its coordinate step but ``x``.
+
+        ``slots`` holds the paths' link indices concatenated.  Entry
+        ``li`` is ``(flat, starts, yq, terms)`` over the link's ``m``
+        member paths in ascending path order: their link slots, with
+        link ``li``'s own slots replaced by ``n_links`` (the constant
+        1.0 slot of ``x``); each member's segment start in ``flat``; a
+        ``(2, m)`` array with the members' ``y`` in row 0 (row 1 takes
+        the current ``q``); and a ``(2, m + 1)`` term buffer whose
+        column 0 seeds the ``num``/``den`` folds.
+        """
+        plo = np.zeros(len(plen) + 1, dtype=np.int64)
+        np.cumsum(plen, out=plo[1:])
+        path_of = np.repeat(np.arange(len(plen), dtype=np.int64), plen)
+        # (link, member path) pairs by link, then ascending path.
+        order = np.argsort(slots, kind="stable")
+        link_of_pair = slots[order]
+        members = path_of[order]
+        bounds = np.searchsorted(
+            link_of_pair, np.arange(n_links + 1, dtype=np.int64)
+        ).tolist()
+        seg = plen[members]
+        seg_off = np.zeros(len(members) + 1, dtype=np.int64)
+        np.cumsum(seg, out=seg_off[1:])
+        flat = slots[_expand_slices(plo[members], seg)]
+        flat[flat == np.repeat(link_of_pair, seg)] = n_links
+        ym = y[members]
+        seeds = (-self._lam / 2.0, -self._lam)
+
+        plan = []
+        for li in range(n_links):
+            a, b = bounds[li], bounds[li + 1]
+            lo, hi = int(seg_off[a]), int(seg_off[b])
+            yq = np.empty((2, b - a))
+            yq[0] = ym[a:b]
+            terms = np.empty((2, b - a + 1))
+            terms[:, 0] = seeds
+            plan.append((flat[lo:hi], seg_off[a:b] - lo, yq, terms))
+        return plan
 
     # ------------------------------------------------------------------
     def localize(self, problem) -> Prediction:
-        paths, y = self._aggregate(problem)
-        if not paths:
+        plen, raw_links, y = self._aggregate(problem)
+        if not len(plen):
             return Prediction.empty()
 
-        links = sorted({link for path in paths for link in path})
-        link_index = {link: i for i, link in enumerate(links)}
-        # Path -> link-index CSR (member order preserved).
-        plen = np.fromiter(
-            (len(p) for p in paths), dtype=np.int64, count=len(paths)
-        )
-        plo = np.zeros(len(paths) + 1, dtype=np.int64)
-        np.cumsum(plen, out=plo[1:])
-        pl_flat = np.fromiter(
-            (link_index[l] for path in paths for l in path),
-            dtype=np.int64,
-            count=int(plo[-1]),
-        )
-        # link index -> member paths (ascending), via a stable sort.
-        path_of = np.repeat(np.arange(len(paths), dtype=np.int64), plen)
-        order = np.argsort(pl_flat, kind="stable")
-        pol_vals = path_of[order]
-        pol_bounds = np.searchsorted(
-            pl_flat[order], np.arange(len(links) + 1, dtype=np.int64)
-        )
-
-        x = np.ones(len(links))
-        lam = self._lam
+        links, slots = np.unique(raw_links, return_inverse=True)
+        plan = self._plan(plen, slots, y, len(links))
+        # Slot len(links) stays 1.0: the plan points each link's own
+        # slots there, so the left-to-right product skips the link.
+        x = np.ones(len(links) + 1)
         for _ in range(self._max_sweeps):
             max_move = 0.0
-            for li in range(len(links)):
-                members = pol_vals[pol_bounds[li]:pol_bounds[li + 1]]
-                if not len(members):
-                    continue
-                seg_lens = plen[members]
-                idx = _expand_slices(plo[members], seg_lens)
-                flat = pl_flat[idx]
-                vals = x[flat]
-                # The excluded coordinate reads as an exact 1.0 factor,
-                # so the left-to-right fold equals the skip-one loop.
-                vals[flat == li] = 1.0
-                starts = np.zeros(len(members), dtype=np.int64)
-                np.cumsum(seg_lens[:-1], out=starts[1:])
-                q = np.multiply.reduceat(vals, starts)
-                ym = y[members]
-                num = _seq_sum(ym * q, -lam / 2.0)
-                den = _seq_sum(q * q, -lam)
+            for li, (flat, starts, yq, terms) in enumerate(plan):
+                q = np.multiply.reduceat(x[flat], starts)
+                yq[1] = q
+                np.multiply(yq, q, out=terms[:, 1:])
+                num, den = _row_folds(terms)
                 if den > 1e-12:
                     new = min(1.0, max(0.0, num / den))
                 elif den < -1e-12:
                     # Regularizer dominates: the quadratic is concave, so
                     # the minimum is at a boundary; pick the better one.
-                    new = self._boundary_min(ym, q)
+                    new = self._boundary_min(yq[0], q)
                 else:
                     continue
                 max_move = max(max_move, abs(new - x[li]))
@@ -197,29 +220,31 @@ class NetBouncer:
             if max_move < self._tol:
                 break
 
-        drop = 1.0 - x
+        links = links.tolist()
+        drop = (1.0 - x[:-1]).tolist()
         failed_links = frozenset(
-            links[i] for i in range(len(links)) if drop[i] > self._drop_threshold
+            link for link, d in zip(links, drop) if d > self._drop_threshold
         )
 
         predicted = set(failed_links)
         predicted |= self._failed_devices(problem, failed_links)
-        scores = {links[i]: float(drop[i]) for i in range(len(links))}
+        scores = dict(zip(links, drop))
         return Prediction(components=frozenset(predicted), scores=scores)
 
-    def _boundary_min(self, ym: np.ndarray, q: np.ndarray) -> float:
-        """Evaluate the per-coordinate objective at x_l in {0, 1}."""
-        best_val = None
-        best_x = 1.0
-        for candidate in (0.0, 1.0):
-            resid = ym - candidate * q
-            val = _seq_sum(
-                resid * resid, 0.0
-            ) + self._lam * candidate * (1.0 - candidate)
-            if best_val is None or val < best_val:
-                best_val = val
-                best_x = candidate
-        return best_x
+    @staticmethod
+    def _boundary_min(ym: np.ndarray, q: np.ndarray) -> float:
+        """Evaluate the per-coordinate objective at x_l in {0, 1}.
+
+        The regularizer ``lam * x (1 - x)`` is 0 at both endpoints, so
+        each candidate costs its squared residuals (``ym`` at 0,
+        ``ym - q`` at 1); 0 wins unless 1 is strictly lower.
+        """
+        terms = np.zeros((2, len(q) + 1))
+        terms[0, 1:] = ym
+        np.subtract(ym, q, out=terms[1, 1:])
+        np.multiply(terms, terms, out=terms)
+        at0, at1 = _row_folds(terms)
+        return 1.0 if at1 < at0 else 0.0
 
     def _failed_devices(self, problem, failed_links: frozenset) -> set:
         """Blame a device when enough of its observed links failed.

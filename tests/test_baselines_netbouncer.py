@@ -1,7 +1,13 @@
 """Tests for the NetBouncer coordinate-descent baseline."""
 
-import pytest
+import math
+import struct
 
+import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
+
+from oracles.netbouncer import netbouncer_localize
 from repro.baselines.netbouncer import NetBouncer
 from repro.core.problem import InferenceProblem
 from repro.errors import InferenceError
@@ -96,6 +102,9 @@ class TestValidation:
     def test_invalid_params(self):
         with pytest.raises(InferenceError):
             NetBouncer(regularization=-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InferenceError):
+                NetBouncer(regularization=bad)
         with pytest.raises(InferenceError):
             NetBouncer(drop_threshold=0.0)
         with pytest.raises(InferenceError):
@@ -106,3 +115,90 @@ class TestValidation:
     def test_empty_problem(self):
         pred = NetBouncer().localize(problem_from([]))
         assert pred.components == frozenset()
+
+
+# ----------------------------------------------------------------------
+# Bitwise agreement with the per-path scalar loops
+# ----------------------------------------------------------------------
+
+N_LINKS = 8
+N_COMPS = 12  # ids 8..11 are devices
+
+
+@st.composite
+def netbouncer_cases(draw):
+    """A small problem (mostly exact flows, some path sets, a few
+    devices) and NetBouncer settings.
+
+    Regularizations of 0.5 and above make the per-link quadratic
+    concave on links whose path products are small, and flows that drop
+    every packet drive links to x = 0, which with no regularization
+    leaves the links sharing their paths a flat (skipped) step.
+    """
+    observations = []
+    for _ in range(draw(st.integers(min_value=1, max_value=14))):
+        n_paths = draw(st.sampled_from((1, 1, 1, 2)))
+        path_set = draw(
+            st.lists(
+                st.lists(
+                    st.integers(min_value=0, max_value=N_COMPS - 1),
+                    min_size=1, max_size=4, unique=True,
+                ).map(lambda comps: tuple(sorted(comps))),
+                min_size=n_paths, max_size=n_paths, unique=True,
+            )
+        )
+        sent = draw(st.integers(min_value=0, max_value=400))
+        bad = draw(
+            st.sampled_from((0, sent)) | st.integers(min_value=0, max_value=sent)
+        )
+        observations.append(FlowObservation(tuple(path_set), sent, bad))
+    problem = problem_from(observations, N_COMPS, N_LINKS)
+    settings_ = dict(
+        regularization=draw(
+            st.sampled_from((0.0, 0.005, 0.5, 2.0))
+            | st.floats(min_value=0.0, max_value=3.0)
+        ),
+        drop_threshold=draw(st.sampled_from((3e-3, 0.05, 0.5))),
+        device_frac=draw(st.sampled_from((0.25, 0.5, 1.0))),
+        max_sweeps=draw(st.integers(min_value=1, max_value=50)),
+        tol=draw(st.sampled_from((1e-9, 1e-3))),
+    )
+    return problem, settings_
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@given(case=netbouncer_cases())
+@settings(max_examples=200, deadline=None)
+def test_localize_matches_scalar_oracle_bitwise(case):
+    problem, settings_ = case
+    got = NetBouncer(**settings_).localize(problem)
+    want = netbouncer_localize(problem, **settings_)
+    assert got.components == want.components
+    assert (got.scores is None) == (want.scores is None)
+    got_scores, want_scores = got.scores or {}, want.scores or {}
+    assert list(got_scores) == list(want_scores)
+    assert [_bits(v) for v in got_scores.values()] == [
+        _bits(v) for v in want_scores.values()
+    ]
+
+
+@pytest.mark.parametrize("branch", ["concave", "skip"])
+def test_cases_reach_branch(branch):
+    """The bitwise property above covers the boundary and flat steps."""
+
+    def reaches(case):
+        problem, settings_ = case
+        branches = {}
+        netbouncer_localize(problem, **settings_, branches=branches)
+        return branches.get(branch, 0) > 0
+
+    find(
+        netbouncer_cases(),
+        reaches,
+        settings=settings(
+            max_examples=2000, phases=[Phase.generate], database=None
+        ),
+    )
