@@ -28,8 +28,12 @@ from repro import (
     fat_tree,
     make_trace,
 )
-from repro.telemetry import UdpCollectorServer, UdpTransport
-from repro.telemetry.inputs import build_observations_from_reports
+from repro.telemetry import (
+    UdpCollectorServer,
+    UdpTransport,
+    batch_from_reports,
+    build_observation_batch,
+)
 
 #: How long the collector may ingest nothing before the demo stops
 #: waiting for the agent's remaining reports.
@@ -77,12 +81,13 @@ def main():
         if lost:
             print(f"{lost} report(s) lost in transit (UDP datagrams dropped)")
 
-    reports = collector.drain()
-    observations = build_observations_from_reports(
-        reports, topo, routing,
-        TelemetryConfig.from_spec("INT"), np.random.default_rng(0),
+    # The drained reports become a flow batch, then take the same
+    # path as every simulated trace.
+    batch = batch_from_reports(collector.drain(), routing.path_space())
+    observations = build_observation_batch(
+        batch, TelemetryConfig.from_spec("INT"), np.random.default_rng(0)
     )
-    problem = InferenceProblem.from_observations(
+    problem = InferenceProblem.from_batch(
         observations, topo.n_components, topo.n_links
     )
     prediction = FlockInference(DEFAULT_PER_PACKET).localize(problem)

@@ -65,9 +65,9 @@ Unit lifecycle::
   submitted :class:`~repro.eval.units.CallPlan` sequence; opening a
   broker from a checkout speaking a different wire version fails
   loudly, and workers additionally validate their live grid against
-  the stored plan before any result is written.  A ``flock-broker-v2``
-  file (single-experiment layout) is migrated in place to v3 on open;
-  v1 files (no checksums, no renewal) are rejected with guidance.
+  the stored plan before any result is written.  Files of an older
+  format - v1 (no checksums, no renewal) and v2 (single-experiment
+  layout) - are rejected with guidance to resubmit.
 
 Concurrency: WAL journal mode plus short ``BEGIN IMMEDIATE``
 transactions make claim/complete safe across processes and machines
@@ -98,13 +98,10 @@ from .units import (
 BROKER_FORMAT = "flock-broker-v3"
 
 #: Formats this checkout recognizes but no longer speaks (v1 predates
-#: result checksums and mid-unit lease renewal).
-OUTDATED_FORMATS = ("flock-broker-v1",)
-
-#: Formats this checkout upgrades in place on :meth:`Broker.open` (v2
-#: is the single-experiment layout: one plan in the ``meta`` table, no
-#: ``experiments`` journal).
-MIGRATABLE_FORMATS = ("flock-broker-v2",)
+#: result checksums and mid-unit lease renewal; v2 is the
+#: single-experiment layout, and every v2 file carries a wire schema
+#: older than this checkout's, so its results could not be decoded).
+OUTDATED_FORMATS = ("flock-broker-v1", "flock-broker-v2")
 
 #: Experiment-identity keys stored per experiment row: everything that
 #: changes the spec.  Broker files collected together must agree on
@@ -382,12 +379,7 @@ class Broker:
     def open(
         cls, path, fault_hook: Optional[Callable[[str], None]] = None
     ) -> "Broker":
-        """Open an existing broker, validating format + wire schema.
-
-        A v2 (single-experiment) broker is migrated to the v3 layout in
-        place - its one experiment becomes a ``'ready'`` journal row -
-        so long-running fleets survive the checkout upgrade.
-        """
+        """Open an existing broker, validating format + wire schema."""
         path = Path(path)
         if not path.exists():
             raise ExperimentError(f"broker file {path} does not exist")
@@ -419,9 +411,6 @@ class Broker:
                     f"checkout speaks v{SCHEMA_VERSION}; run the fleet on "
                     "matching checkouts"
                 )
-            if fmt in MIGRATABLE_FORMATS:
-                cls._migrate_v2(conn)
-                fmt = BROKER_FORMAT
             if fmt != BROKER_FORMAT:
                 raise ExperimentError(
                     f"{path} is not a {BROKER_FORMAT} database (format={fmt!r})"
@@ -430,87 +419,6 @@ class Broker:
             conn.close()
             raise
         return cls(path, conn, fault_hook=fault_hook)
-
-    @staticmethod
-    def _migrate_v2(conn: sqlite3.Connection) -> None:
-        """Upgrade a v2 single-experiment broker to the v3 layout.
-
-        The v2 meta rows (plan, lease/attempt budgets, experiment
-        identity) become one ``'ready'`` experiment row; units are
-        re-pointed at it.  Runs in one transaction and re-checks the
-        format after taking the write lock, so concurrent openers
-        migrate exactly once.
-        """
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            rows = dict(conn.execute("SELECT key, value FROM meta"))
-            if json.loads(rows.get("format", "null")) == BROKER_FORMAT:
-                conn.execute("COMMIT")  # someone else migrated first
-                return
-            meta = {
-                key: json.loads(rows.get(key, "null"))
-                for key in EXPERIMENT_META_KEYS
-            }
-            plan_wire = json.loads(rows["plan"])
-            lease_seconds = float(json.loads(rows["lease_seconds"]))
-            max_attempts = int(json.loads(rows["max_attempts"]))
-            created_at = float(json.loads(rows.get("created_at", "0")))
-            unit_rows = conn.execute(
-                "SELECT id, call_index, start, stop, seeds FROM units "
-                "ORDER BY id"
-            ).fetchall()
-            units = [
-                WorkUnit(r[1], r[2], r[3], seeds=tuple(json.loads(r[4])))
-                for r in unit_rows
-            ]
-            fingerprint = plan_fingerprint(
-                meta, call_plans_from_wire(plan_wire), units
-            )
-            conn.execute(
-                "CREATE TABLE experiments ("
-                "id INTEGER PRIMARY KEY, name TEXT NOT NULL UNIQUE, "
-                "meta TEXT NOT NULL, plan TEXT NOT NULL, "
-                "plan_hash TEXT NOT NULL, "
-                "priority INTEGER NOT NULL DEFAULT 0, "
-                "state TEXT NOT NULL DEFAULT 'enqueueing', "
-                "n_units INTEGER NOT NULL, lease_seconds REAL NOT NULL, "
-                "max_attempts INTEGER NOT NULL, created_at REAL NOT NULL)"
-            )
-            conn.execute(
-                "INSERT INTO experiments (id, name, meta, plan, plan_hash, "
-                "priority, state, n_units, lease_seconds, max_attempts, "
-                "created_at) VALUES (1, ?, ?, ?, ?, 0, 'ready', ?, ?, ?, ?)",
-                (
-                    str(meta.get("experiment")), json.dumps(meta),
-                    json.dumps(plan_wire), fingerprint, len(units),
-                    lease_seconds, max_attempts, created_at,
-                ),
-            )
-            conn.execute("ALTER TABLE units ADD COLUMN experiment_id INTEGER")
-            conn.execute("ALTER TABLE units ADD COLUMN unit_index INTEGER")
-            conn.execute("UPDATE units SET experiment_id = 1")
-            conn.executemany(
-                "UPDATE units SET unit_index = ? WHERE id = ?",
-                [(index, row[0]) for index, row in enumerate(unit_rows)],
-            )
-            conn.execute(
-                "UPDATE meta SET value = ? WHERE key = 'format'",
-                (_encode_meta(BROKER_FORMAT),),
-            )
-            conn.executemany(
-                "DELETE FROM meta WHERE key = ?",
-                [
-                    (key,)
-                    for key in (
-                        "plan", "lease_seconds", "max_attempts",
-                        *EXPERIMENT_META_KEYS,
-                    )
-                ],
-            )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     def close(self) -> None:
         self._conn.close()

@@ -85,14 +85,20 @@ def encode_unit_payload(payload: Dict) -> Tuple[str, str]:
 def check_schema_version(payload, what: str) -> None:
     """Reject a payload produced by a different wire schema version.
 
-    A payload without a ``"v"`` field passes (legacy or hand-built
-    input); one carrying the wrong version is from a checkout speaking
-    a different codec and must not be decoded field by field.
+    Every writer stamps ``"v"``, so a payload without it was not
+    written by this codec; one carrying the wrong version is from a
+    checkout speaking a different codec.  Neither may be decoded field
+    by field.
     """
     if not isinstance(payload, dict):
         return
-    version = payload.get("v")
-    if version is not None and version != SCHEMA_VERSION:
+    if "v" not in payload:
+        raise ExperimentError(
+            f"{what} payload carries no wire schema version; this "
+            f"checkout speaks v{SCHEMA_VERSION}"
+        )
+    version = payload["v"]
+    if version != SCHEMA_VERSION:
         raise ExperimentError(
             f"{what} payload speaks wire schema v{version!r} but this "
             f"checkout speaks v{SCHEMA_VERSION}; producer and consumer "

@@ -366,9 +366,7 @@ class PathSpace:
     single component path, *gsids* for an ordered component path set).
     The projections are memoized per ``include_devices`` flag, so e.g.
     the INT build of a trace resolves every chosen path once and the
-    A1/A2/P builds of the same trace find them already cached - the
-    array-level analogue of the object pipeline's
-    :class:`~repro.telemetry.inputs.PathMemo`.
+    A1/A2/P builds of the same trace find them already cached.
 
     Sets come in two kinds, both rows of int columns:
 

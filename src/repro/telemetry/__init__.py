@@ -12,8 +12,8 @@ from .collector import Collector, UdpCollectorServer
 from .inputs import (
     ObservationBatch,
     TelemetryConfig,
+    batch_from_reports,
     build_observation_batch,
-    build_observations_from_reports,
 )
 from .records import MAX_PATH_NODES, FlowReport
 
@@ -33,6 +33,6 @@ __all__ = [
     "UdpCollectorServer",
     "TelemetryConfig",
     "ObservationBatch",
+    "batch_from_reports",
     "build_observation_batch",
-    "build_observations_from_reports",
 ]

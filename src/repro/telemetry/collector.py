@@ -6,8 +6,11 @@ agents and (ii) periodically runs inference on the collected input."
 :class:`Collector` is the decode-and-buffer half; a
 :class:`UdpCollectorServer` wraps it in a background thread receiving
 datagrams on loopback, which is how the Fig. 7 scaling benchmark drives
-it.  Inference-input construction from the buffered reports lives in
-:mod:`repro.telemetry.inputs`.
+it.  The drained reports enter inference like any trace:
+:func:`repro.telemetry.inputs.batch_from_reports` turns them into a
+:class:`~repro.types.FlowBatch`, then
+:func:`~repro.telemetry.inputs.build_observation_batch` and
+:meth:`~repro.core.problem.InferenceProblem.from_batch` apply.
 """
 
 from __future__ import annotations

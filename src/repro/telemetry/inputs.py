@@ -1,5 +1,10 @@
 """Construction of inference inputs from telemetry (paper section 6.2).
 
+Every input goes through one pipeline: a :class:`~repro.types.FlowBatch`
+(a simulated trace's own batch, a loaded dataset, or collector wire
+reports via :func:`batch_from_reports`) -> :func:`build_observation_batch`
+-> :meth:`repro.core.problem.InferenceProblem.from_batch`.
+
 The four input types:
 
 * **A1** - active host<->core probes with known paths (NetBouncer-style).
@@ -13,7 +18,9 @@ The four input types:
 Combinations compose by union with flagged-flow de-duplication: with
 ``A2+P`` a flagged flow appears once, with its exact path; its
 unflagged peers appear with path sets.  ``INT`` supersedes ``P``/``A2``
-for passive flows.
+for passive flows.  A1, A2 and INT need a flow's exact path, so a wire
+report whose agent did not trace the flow reaches the input only as a
+passive ``P`` row, with its host pair's ECMP path set.
 
 Per-flow vs per-packet analysis (paper section 3.2): the per-packet
 analysis reports (retransmissions, packets sent); the per-flow analysis
@@ -23,18 +30,16 @@ link-flap scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import TelemetryError
-from ..routing.ecmp import EcmpRouting
+from ..errors import RoutingError, TelemetryError, TopologyError
 from ..routing.paths import PathSpace
 from ..simulation.failures import PER_FLOW, PER_PACKET
 from ..simulation.latency import RTT_BAD_THRESHOLD_MS
-from ..topology.base import Topology
-from ..types import FlowBatch, FlowObservation, TelemetryKind
+from ..types import FlowBatch, TelemetryKind
 from .records import FlowReport
 
 _KIND_BY_NAME = {kind.value: kind for kind in TelemetryKind}
@@ -85,142 +90,67 @@ class TelemetryConfig:
         return "+".join(k.value for k in order if k in self.kinds)
 
 
-class PathMemo:
-    """Memoizes component lookups for one (topology, routing) pair.
-
-    Both lookup kinds are pure functions of the topology, so a memo can
-    be shared across every collector-side build of the same fabric
-    (:func:`build_observations_from_reports`): each report's exact path
-    and ECMP set resolve to components once.
-    """
-
-    def __init__(self, topology: Topology, routing: EcmpRouting):
-        self._topo = topology
-        self._routing = routing
-        self._exact: Dict[Tuple, Tuple[int, ...]] = {}
-        self._ecmp: Dict[Tuple, Tuple[Tuple[int, ...], ...]] = {}
-
-    def exact(self, path, include_devices: bool) -> Tuple[int, ...]:
-        """Components of one known node path."""
-        key = (path, include_devices)
-        cached = self._exact.get(key)
-        if cached is None:
-            cached = self._topo.path_components(path, include_devices)
-            self._exact[key] = cached
-        return cached
-
-    def ecmp(
-        self, src: int, dst: int, include_devices: bool
-    ) -> Tuple[Tuple[int, ...], ...]:
-        """Component path *set* for a passive flow's (src, dst)."""
-        key = (src, dst, include_devices)
-        cached = self._ecmp.get(key)
-        if cached is None:
-            node_paths = self._routing.host_paths(src, dst)
-            cached = tuple(
-                self.exact(p, include_devices) for p in node_paths
-            )
-            self._ecmp[key] = cached
-        return cached
-
-
-def _record_counts(
-    record, analysis: str, rtt_threshold_ms: float, rtt_ms: float
-) -> Tuple[int, int]:
-    """(bad, sent) under the configured analysis mode."""
-    if analysis == PER_PACKET:
-        return record_bad(record), record_sent(record)
-    return (1 if rtt_ms > rtt_threshold_ms else 0), 1
-
-
-def record_bad(record) -> int:
-    if isinstance(record, FlowReport):
-        return record.retransmissions
-    return record.bad_packets
-
-
-def record_sent(record) -> int:
-    return record.packets_sent
-
-
-def build_observations_from_reports(
-    reports: Sequence[FlowReport],
-    topology: Topology,
-    routing: EcmpRouting,
-    config: TelemetryConfig,
-    rng: Optional[np.random.Generator] = None,
-    memo: Optional[PathMemo] = None,
-) -> List[FlowObservation]:
-    """Build inference observations from collector-side wire reports.
-
-    Reports only carry a path when the agent traced one; a kind that
-    needs exact paths (A1/A2/INT) skips pathless reports, and passive
-    handling falls back to the ECMP path set for (src, dst).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    kinds = config.kinds
-    want_a1 = TelemetryKind.A1 in kinds
-    want_a2 = TelemetryKind.A2 in kinds
-    want_p = TelemetryKind.PASSIVE in kinds
-    want_int = TelemetryKind.INT in kinds
-    if memo is None:
-        memo = PathMemo(topology, routing)
-    include_devices = config.include_devices
-
-    observations: List[FlowObservation] = []
-    for report in reports:
-        rtt_ms = report.rtt_us / 1000.0
-        bad, sent = _record_counts(
-            report, config.analysis, config.rtt_threshold_ms, rtt_ms
-        )
-        has_path = report.path is not None
-        if report.is_probe:
-            if not (want_a1 or want_int) or not has_path:
-                continue
-            comps = memo.exact(report.path, include_devices)
-            observations.append(
-                FlowObservation(
-                    path_set=(comps,), packets_sent=sent, bad_packets=bad,
-                    kind=TelemetryKind.A1,
-                )
-            )
-            continue
-        flagged = bad >= 1
-        if want_int and has_path:
-            if config.passive_sampling < 1.0 and rng.random() >= config.passive_sampling:
-                continue
-            comps = memo.exact(report.path, include_devices)
-            observations.append(
-                FlowObservation(
-                    path_set=(comps,), packets_sent=sent, bad_packets=bad,
-                    kind=TelemetryKind.INT,
-                )
-            )
-        elif want_a2 and flagged and has_path:
-            comps = memo.exact(report.path, include_devices)
-            observations.append(
-                FlowObservation(
-                    path_set=(comps,), packets_sent=sent, bad_packets=bad,
-                    kind=TelemetryKind.A2,
-                )
-            )
-        elif want_p:
-            if config.passive_sampling < 1.0 and rng.random() >= config.passive_sampling:
-                continue
-            path_set = memo.ecmp(report.src, report.dst, include_devices)
-            observations.append(
-                FlowObservation(
-                    path_set=path_set, packets_sent=sent, bad_packets=bad,
-                    kind=TelemetryKind.PASSIVE,
-                )
-            )
-    return observations
-
-
 # ----------------------------------------------------------------------
 # Columnar pipeline
 # ----------------------------------------------------------------------
+
+
+def batch_from_reports(
+    reports: Sequence[FlowReport], space: PathSpace
+) -> FlowBatch:
+    """Collector wire reports as a flow batch over ``space``.
+
+    Columns are read as the paper's collector reads a report: ``bad``
+    is its retransmission count and ``rtt_ms`` is ``rtt_us / 1000``.
+    A report without a traced path gets ``chosen_path`` -1.  Reports
+    are outside input, so they are checked before anything is interned
+    in the shared space: a traced path must be a walk over the
+    topology's links (:class:`TopologyError`), and a passive report
+    must run between two distinct hosts (:class:`RoutingError`).
+    """
+    topology = space.topology
+    n_nodes = topology.n_nodes
+    n = len(reports)
+    paths = [report.path for report in reports]
+    _check_walks({p for p in paths if p is not None}, topology)
+    src = np.fromiter((r.src for r in reports), dtype=np.int64, count=n)
+    dst = np.fromiter((r.dst for r in reports), dtype=np.int64, count=n)
+    is_probe = np.fromiter((r.is_probe for r in reports), dtype=bool, count=n)
+    is_host = np.zeros(n_nodes + 1, dtype=bool)
+    is_host[list(topology.hosts)] = True
+    # Out-of-range ids read the trailing non-host entry.
+    src_host = is_host[np.minimum(src, n_nodes)]
+    dst_host = is_host[np.minimum(dst, n_nodes)]
+    bad_pair = ~is_probe & ~(src_host & dst_host & (src != dst))
+    if np.any(bad_pair):
+        row = int(np.argmax(bad_pair))
+        raise RoutingError(
+            f"report {row}: a passive flow runs between two distinct "
+            f"hosts, got src {int(src[row])} and dst {int(dst[row])}"
+        )
+    return FlowBatch.from_flows(
+        space,
+        src=src,
+        dst=dst,
+        packets=[r.packets_sent for r in reports],
+        bad=[r.retransmissions for r in reports],
+        rtt_ms=[r.rtt_us / 1000.0 for r in reports],
+        is_probe=is_probe,
+        paths=paths,
+    )
+
+
+def _check_walks(paths, topology) -> None:
+    """Raise :class:`TopologyError` unless every node path is a walk
+    over ``topology``'s links."""
+    n_nodes = topology.n_nodes
+    for path in paths:
+        for node in path:
+            if not 0 <= node < n_nodes:
+                raise TopologyError(f"path {path}: no node with id {node}")
+        for u, v in zip(path, path[1:]):
+            if not topology.has_link(u, v):
+                raise TopologyError(f"path {path}: no link between {u} and {v}")
 
 
 @dataclass
@@ -231,8 +161,7 @@ class ObservationBatch:
     ``path_set`` holds each observation's *component* path-set id
     (``gsid``) in ``space``; ``bad``/``sent`` the counts under the
     configured analysis mode; ``kind`` the :data:`KIND_ORDER` code.
-    Rows preserve simulator record order, exactly like the object
-    pipeline's observation list.
+    Rows keep flow-batch order.
     """
 
     space: PathSpace
@@ -253,19 +182,23 @@ def build_observation_batch(
     """Inference observations of a flow batch, as columns.
 
     The A1/A2/P/INT composition and flagged-flow de-duplication are
-    boolean-mask algebra over the batch columns; path-component
-    resolution is one memoized gather per distinct path (set) id.  Rows
-    keep batch order, and passive sampling draws one uniform per row
-    that reaches a sampling decision, in row order.
+    boolean-mask algebra over the batch columns.  With ``traced`` the
+    rows whose path is known (``chosen_path >= 0``):
+
+    * A1 = probe & traced (with A1 or INT configured);
+    * INT = passive & traced;
+    * A2 = passive & traced & flagged & ~INT;
+    * P = passive & ~INT & ~A2.
+
+    A simulated batch is traced throughout.  Path-component resolution
+    is one memoized gather per distinct path (set) id.  Rows keep batch
+    order, and passive sampling draws one uniform per INT or P row, in
+    row order.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     space = batch.space
     kinds = config.kinds
-    want_a1 = TelemetryKind.A1 in kinds
-    want_a2 = TelemetryKind.A2 in kinds
-    want_p = TelemetryKind.PASSIVE in kinds
-    want_int = TelemetryKind.INT in kinds
     include_devices = config.include_devices
     n = len(batch)
 
@@ -278,31 +211,23 @@ def build_observation_batch(
 
     probe = batch.is_probe
     passive = ~probe
-    flagged = bad >= 1
-
-    keep = np.zeros(n, dtype=bool)
-    kind_code = np.zeros(n, dtype=np.int64)
-    exact = np.zeros(n, dtype=bool)
-
-    if want_a1 or want_int:
-        keep |= probe
-        exact |= probe
-        kind_code[probe] = KIND_CODE[TelemetryKind.A1]
-
-    if want_int:
-        keep |= passive
-        exact |= passive
-        kind_code[passive] = KIND_CODE[TelemetryKind.INT]
-        sampled = passive
-    else:
-        a2_rows = passive & flagged if want_a2 else np.zeros(n, dtype=bool)
-        p_rows = passive & ~a2_rows if want_p else np.zeros(n, dtype=bool)
-        keep |= a2_rows | p_rows
-        exact |= a2_rows
-        kind_code[a2_rows] = KIND_CODE[TelemetryKind.A2]
-        kind_code[p_rows] = KIND_CODE[TelemetryKind.PASSIVE]
-        sampled = p_rows
-
+    traced = batch.chosen_path >= 0
+    none = np.zeros(n, dtype=bool)
+    a1_rows = (
+        probe & traced
+        if kinds & {TelemetryKind.A1, TelemetryKind.INT} else none
+    )
+    int_rows = passive & traced if TelemetryKind.INT in kinds else none
+    a2_rows = (
+        passive & traced & (bad >= 1) & ~int_rows
+        if TelemetryKind.A2 in kinds else none
+    )
+    p_rows = (
+        passive & ~int_rows & ~a2_rows
+        if TelemetryKind.PASSIVE in kinds else none
+    )
+    sampled = int_rows | p_rows
+    keep = a1_rows | a2_rows | sampled
     if config.passive_sampling < 1.0 and np.any(sampled):
         # One uniform per row that reaches a sampling decision, in row
         # order - the stream a per-record ``rng.random()`` loop would
@@ -310,15 +235,22 @@ def build_observation_batch(
         draws = rng.random(int(sampled.sum()))
         keep[sampled] &= draws < config.passive_sampling
 
+    kind_code = np.zeros(n, dtype=np.int64)
+    for mask, kind in (
+        (a1_rows, TelemetryKind.A1), (int_rows, TelemetryKind.INT),
+        (a2_rows, TelemetryKind.A2), (p_rows, TelemetryKind.PASSIVE),
+    ):
+        kind_code[mask] = KIND_CODE[kind]
+
     rows = np.nonzero(keep)[0]
     gsid = np.empty(len(rows), dtype=np.int64)
-    exact_rows = exact[rows]
+    inexact = p_rows[rows]
+    exact_rows = ~inexact
     if np.any(exact_rows):
         gsid[exact_rows] = space.exact_gsids(
             batch.chosen_path[rows[exact_rows]], include_devices
         )
-    if not np.all(exact_rows):
-        inexact = ~exact_rows
+    if np.any(inexact):
         gsid[inexact] = space.set_gsids(
             batch.path_set[rows[inexact]], include_devices
         )

@@ -23,6 +23,8 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from .errors import TelemetryError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .routing.paths import PathSpace
 
@@ -116,10 +118,13 @@ class FlowBatch:
     construction.  Paths are interned: ``path_set`` holds each flow's
     ECMP candidate-set id and ``chosen_path`` the node-path id the
     simulator picked, both resolved against ``space``
-    (:class:`~repro.routing.paths.PathSpace`).  ``records()``
-    materializes the object view (the agent/collector path and the
-    dataset serializer read it) and :meth:`from_records` rebuilds a
-    batch from it (dataset load).
+    (:class:`~repro.routing.paths.PathSpace`).  ``chosen_path`` is -1
+    where the path is unknown: a wire report from an agent that did
+    not trace the flow (:func:`repro.telemetry.inputs.batch_from_reports`);
+    such a probe's ``path_set`` is -1 too.  ``records()`` materializes
+    the object view of a batch whose paths are all known (the agent
+    and the dataset serializer read it), and :meth:`from_records`
+    rebuilds a batch from it (dataset load).
 
     Streaming chunks carry an optional ``t_start`` column (per-flow
     arrival time in seconds); batch producers leave it ``None``.
@@ -219,20 +224,18 @@ class FlowBatch:
             t_start=np.asarray(t_start, dtype=np.float64),
         )
 
-    def record(self, i: int) -> "FlowRecord":
-        """Materialize one flow as an object-pipeline record."""
-        return FlowRecord(
-            src=int(self.src[i]),
-            dst=int(self.dst[i]),
-            packets_sent=int(self.packets[i]),
-            bad_packets=int(self.bad[i]),
-            path=self.space.path_nodes(int(self.chosen_path[i])),
-            rtt_ms=float(self.rtt_ms[i]),
-            is_probe=bool(self.is_probe[i]),
-        )
-
     def records(self) -> List["FlowRecord"]:
-        """Materialize the whole batch as object-pipeline records."""
+        """Materialize the whole batch as object-pipeline records.
+
+        A record needs its exact path, so a batch with any unknown path
+        (``chosen_path == -1``, a pathless wire report) raises.
+        """
+        unknown = self.chosen_path < 0
+        if np.any(unknown):
+            row = int(np.argmax(unknown))
+            raise TelemetryError(
+                f"flow {row} has no known path, so it has no FlowRecord"
+            )
         path_nodes = self.space.path_nodes
         return [
             FlowRecord(
@@ -250,40 +253,63 @@ class FlowBatch:
     def from_records(
         records: Sequence["FlowRecord"], space: "PathSpace"
     ) -> "FlowBatch":
-        """Columnarize object records.
+        """Columnarize object records (dataset load; see
+        :meth:`from_flows`)."""
+        return FlowBatch.from_flows(
+            space,
+            src=[r.src for r in records],
+            dst=[r.dst for r in records],
+            packets=[r.packets_sent for r in records],
+            bad=[r.bad_packets for r in records],
+            rtt_ms=[r.rtt_ms for r in records],
+            is_probe=[r.is_probe for r in records],
+            paths=[r.path for r in records],
+        )
+
+    @staticmethod
+    def from_flows(
+        space: "PathSpace",
+        src: Sequence[int],
+        dst: Sequence[int],
+        packets: Sequence[int],
+        bad: Sequence[int],
+        rtt_ms: Sequence[float],
+        is_probe: Sequence[bool],
+        paths: Sequence[Optional[Tuple[int, ...]]],
+    ) -> "FlowBatch":
+        """Columnarize per-flow fields; ``paths[i]`` is flow ``i``'s
+        node path, or ``None`` where it is unknown (``chosen_path``
+        -1).
 
         Path sets are the ones the simulator's batch holds: a probe's
-        is its pinned path alone, a passive flow's is its host pair's
-        ECMP set (:meth:`PathSpace.pair_set`), so passive telemetry
-        over the result sees the same candidate sets.
+        is its own path alone (-1 when it has none), a passive flow's
+        is its host pair's ECMP set (:meth:`PathSpace.pair_sets`), so
+        passive telemetry over the result sees the same candidate sets.
+        Callers check that the paths are walks over links and that
+        passive endpoints are distinct hosts.
         """
-        n = len(records)
+        n = len(paths)
+        intern = space.intern_path
         chosen = np.fromiter(
-            (space.intern_path(r.path) for r in records), dtype=np.int64, count=n
+            (-1 if p is None else intern(p) for p in paths),
+            dtype=np.int64, count=n,
         )
-        src = np.fromiter((r.src for r in records), dtype=np.int64, count=n)
-        dst = np.fromiter((r.dst for r in records), dtype=np.int64, count=n)
-        is_probe = np.fromiter(
-            (r.is_probe for r in records), dtype=bool, count=n
-        )
-        path_set = np.empty(n, dtype=np.int64)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        is_probe = np.asarray(is_probe, dtype=bool)
+        path_set = np.full(n, -1, dtype=np.int64)
         path_set[~is_probe] = space.pair_sets(src[~is_probe], dst[~is_probe])
-        path_set[is_probe] = [
-            space.intern_set((r.path,)) for r in records if r.is_probe
+        traced_probes = np.flatnonzero(is_probe & (chosen >= 0))
+        path_set[traced_probes] = [
+            space.intern_set((paths[i],)) for i in traced_probes.tolist()
         ]
         return FlowBatch(
             space=space,
             src=src,
             dst=dst,
-            packets=np.fromiter(
-                (r.packets_sent for r in records), dtype=np.int64, count=n
-            ),
-            bad=np.fromiter(
-                (r.bad_packets for r in records), dtype=np.int64, count=n
-            ),
-            rtt_ms=np.fromiter(
-                (r.rtt_ms for r in records), dtype=np.float64, count=n
-            ),
+            packets=np.asarray(packets, dtype=np.int64),
+            bad=np.asarray(bad, dtype=np.int64),
+            rtt_ms=np.asarray(rtt_ms, dtype=np.float64),
             is_probe=is_probe,
             path_set=path_set,
             chosen_path=chosen,

@@ -146,10 +146,11 @@ class TestSchemaVersion:
         with pytest.raises(ExperimentError, match="wire schema v999"):
             trace_result_from_wire(wire)
 
-    def test_missing_version_tolerated(self):
+    def test_missing_version_rejected(self):
         wire = trace_result_to_wire(sample_trace_result())
-        del wire["v"]  # hand-built / pre-versioning payloads still decode
-        assert trace_result_from_wire(wire)
+        del wire["v"]  # every writer stamps it, so this one is foreign
+        with pytest.raises(ExperimentError, match="no wire schema version"):
+            trace_result_from_wire(wire)
 
     def test_stale_broker_rejected(self, tmp_path):
         path = tmp_path / "b.db"

@@ -332,6 +332,7 @@ class TestCodec:
         good = trace_result_to_wire(
             # A minimal hand-built result, no evaluation needed.
             trace_result_from_wire({
+                "v": SCHEMA_VERSION,
                 "p": {"c": [], "s": None, "ll": 0.0, "hs": 0},
                 "m": [1.0, 1.0], "b": 0.1, "i": 0.2,
             })
@@ -358,8 +359,8 @@ class TestCodec:
             trace_result_from_wire(bad)
 
     def test_non_numeric_summary_fields_rejected(self):
-        good = {"label": "x (A2)", "t": [], "a": [1.0, 1.0, 1.0, 1],
-                "mi": 0.1, "mb": 0.2}
+        good = {"v": SCHEMA_VERSION, "label": "x (A2)", "t": [],
+                "a": [1.0, 1.0, 1.0, 1], "mi": 0.1, "mb": 0.2}
         assert eval_summary_from_wire(good).setup_label == "x (A2)"
         for key, value in (("mi", "0.1"), ("label", 3), ("t", "oops")):
             with pytest.raises(ExperimentError):

@@ -1,5 +1,5 @@
-"""Durable-fleet tests: the v3 multi-experiment broker (v1 rejection,
-v2 in-place migration), journaled crash-safe submission and resume,
+"""Durable-fleet tests: the v3 multi-experiment broker (v1 and v2 files
+are rejected), journaled crash-safe submission and resume,
 priority-then-FIFO scheduling across experiments, the collect-time
 checksum audit, and the chaos soaks that close the loop."""
 
@@ -11,11 +11,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ExperimentError, FleetError
 from repro.eval import chaos, fleet
-from repro.eval.broker import (
-    BROKER_FORMAT,
-    EXPERIMENT_META_KEYS,
-    Broker,
-)
+from repro.eval.broker import Broker
 from repro.eval.spec import run_experiment
 
 
@@ -45,94 +41,27 @@ def crash_submit(path, kill_after=0, **kwargs):
         submit(path, on_batch=bomb, batch_size=2, **kwargs)
 
 
-def downgrade_to_v2(path):
-    """Rewrite a freshly-submitted v3 broker file into the v2 layout
-    an older checkout would have produced: single experiment, its
-    identity in ``meta`` rows, no experiments table, no per-unit
-    experiment columns."""
-    conn = sqlite3.connect(path)
-    meta_json, plan, lease_seconds, max_attempts = conn.execute(
-        "SELECT meta, plan, lease_seconds, max_attempts FROM experiments "
-        "WHERE id = 1"
-    ).fetchone()
-    meta = json.loads(meta_json)
-    rows = [("plan", plan), ("lease_seconds", json.dumps(lease_seconds)),
-            ("max_attempts", json.dumps(max_attempts))]
-    rows += [(key, json.dumps(meta.get(key))) for key in EXPERIMENT_META_KEYS]
-    conn.executemany(
-        "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)", rows
-    )
-    conn.execute(
-        "UPDATE meta SET value = ? WHERE key = 'format'",
-        (json.dumps("flock-broker-v2"),),
-    )
-    conn.executescript("""
-        DROP TABLE experiments;
-        CREATE TABLE units_v2 (
-            id INTEGER PRIMARY KEY,
-            call_index INTEGER NOT NULL,
-            start INTEGER NOT NULL,
-            stop INTEGER NOT NULL,
-            seeds TEXT NOT NULL,
-            status TEXT NOT NULL DEFAULT 'pending',
-            attempts INTEGER NOT NULL DEFAULT 0,
-            worker TEXT,
-            lease_expires REAL,
-            error TEXT
-        );
-        INSERT INTO units_v2
-            SELECT id, call_index, start, stop, seeds, status, attempts,
-                   worker, lease_expires, error
-            FROM units ORDER BY id;
-        DROP INDEX units_by_status;
-        DROP TABLE units;
-        ALTER TABLE units_v2 RENAME TO units;
-        CREATE INDEX units_by_status ON units(status, id);
-    """)
-    conn.commit()
-    conn.close()
-
-
 @pytest.fixture(scope="module")
 def serial_rows():
     return run_experiment("fig2", preset="tiny").rows
 
 
 class TestFormatLifecycle:
-    def test_v1_is_rejected_with_resubmit_guidance(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["flock-broker-v1", "flock-broker-v2"])
+    def test_outdated_format_is_rejected_with_resubmit_guidance(
+        self, tmp_path, fmt
+    ):
         path = tmp_path / "fleet.db"
         submit(path)
         conn = sqlite3.connect(path)
         conn.execute(
             "UPDATE meta SET value = ? WHERE key = 'format'",
-            (json.dumps("flock-broker-v1"),),
+            (json.dumps(fmt),),
         )
         conn.commit()
         conn.close()
         with pytest.raises(ExperimentError, match="resubmit the fleet"):
             Broker.open(path)
-
-    def test_v2_migrates_in_place_and_drains(self, tmp_path, serial_rows):
-        path = tmp_path / "fleet.db"
-        submit(path)
-        downgrade_to_v2(path)
-        with Broker.open(path) as broker:
-            rows = broker.experiments()
-            assert [r.name for r in rows] == ["fig2"]
-            assert rows[0].ready and rows[0].priority == 0
-            assert rows[0].n_units == broker.counts().pending
-            # The single-experiment accessors still resolve by default.
-            assert broker.resolve_experiment(None).name == "fig2"
-        # A second open is a no-op (migration ran exactly once).
-        with Broker.open(path) as broker:
-            conn = sqlite3.connect(path)
-            fmt = json.loads(conn.execute(
-                "SELECT value FROM meta WHERE key = 'format'"
-            ).fetchone()[0])
-            conn.close()
-            assert fmt == BROKER_FORMAT
-        drain(path)
-        assert fleet.collect(path).rows == serial_rows
 
 
 class TestJournaledSubmit:

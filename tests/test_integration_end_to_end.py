@@ -3,7 +3,8 @@
 These exercise the complete production path the paper describes:
 simulate faults -> end-host agents observe flows -> encode and export
 IPFIX-like messages -> collector decodes -> inference input built from
-wire reports -> Flock localizes -> metrics check the answer.
+wire reports (as a FlowBatch, like any trace) -> Flock localizes ->
+metrics check the answer.
 """
 
 import numpy as np
@@ -21,7 +22,8 @@ from repro.telemetry import (
     InMemoryTransport,
     TelemetryAgent,
     TelemetryConfig,
-    build_observations_from_reports,
+    batch_from_reports,
+    build_observation_batch,
 )
 from repro.topology import three_tier_clos
 
@@ -34,8 +36,19 @@ def clos():
     )
 
 
+def reports_problem(topo, routing, reports, spec):
+    """Collector reports -> flow batch -> observations -> problem."""
+    observations = build_observation_batch(
+        batch_from_reports(reports, routing.path_space()),
+        TelemetryConfig.from_spec(spec),
+    )
+    return InferenceProblem.from_batch(
+        observations, topo.n_components, topo.n_links
+    )
+
+
 def run_wire_pipeline(topo, routing, trace, spec, reveal_paths):
-    """Records -> agent -> wire -> collector -> observations -> problem."""
+    """Records -> agent -> wire -> collector -> problem."""
     transport = InMemoryTransport()
     agent = TelemetryAgent(transport, reveal_paths=reveal_paths)
     agent.observe(trace.records)
@@ -45,12 +58,7 @@ def run_wire_pipeline(topo, routing, trace, spec, reveal_paths):
         collector.ingest(message)
     reports = collector.drain()
     assert len(reports) == len(trace.records)
-    observations = build_observations_from_reports(
-        reports, topo, routing, TelemetryConfig.from_spec(spec)
-    )
-    return InferenceProblem.from_observations(
-        observations, topo.n_components, topo.n_links
-    )
+    return reports_problem(topo, routing, reports, spec)
 
 
 class TestWirePipeline:
@@ -136,12 +144,7 @@ class TestDownsampledTelemetry:
             collector.ingest(message)
         reports = collector.drain()
         assert len(reports) < len(trace.records)
-        observations = build_observations_from_reports(
-            reports, clos, routing, TelemetryConfig.from_spec("INT")
-        )
-        problem = InferenceProblem.from_observations(
-            observations, clos.n_components, clos.n_links
-        )
+        problem = reports_problem(clos, routing, reports, "INT")
         pred = FlockInference(DEFAULT_PER_PACKET).localize(problem)
         metrics = evaluate_prediction(pred, trace.ground_truth, clos)
         assert metrics.recall == 1.0
