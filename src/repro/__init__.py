@@ -55,12 +55,12 @@ from .eval import (
 )
 from .routing import EcmpRouting
 from .simulation import (
-    FlowLevelSimulator,
     LinkFlap,
     NoFailure,
     QueueMisconfig,
     SilentDeviceFailure,
     SilentLinkDrops,
+    simulate_batch,
 )
 from .telemetry import Collector, TelemetryAgent, TelemetryConfig
 from .topology import (
@@ -95,7 +95,7 @@ __all__ = [
     # routing
     "EcmpRouting",
     # simulation
-    "FlowLevelSimulator",
+    "simulate_batch",
     "SilentLinkDrops",
     "SilentDeviceFailure",
     "QueueMisconfig",

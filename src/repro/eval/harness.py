@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.problem import InferenceProblem
-from ..simulation.failures import PER_FLOW
+from ..simulation.failures import PER_FLOW, Injection
 from ..telemetry.inputs import TelemetryConfig, build_observation_batch
 from ..types import Prediction
 from .metrics import AggregateMetrics, TraceMetrics, aggregate, evaluate_prediction
@@ -102,10 +102,13 @@ class EvalSummary:
         return self.accuracy.fscore
 
 
-def effective_telemetry(trace: Trace, telemetry: TelemetryConfig) -> TelemetryConfig:
-    """The telemetry config a trace is actually built with.
+def effective_telemetry(
+    trace: Union[Trace, Injection], telemetry: TelemetryConfig
+) -> TelemetryConfig:
+    """The telemetry config a trace (or a stream chunk's injection) is
+    actually built with.
 
-    The telemetry analysis mode follows the trace's scenario: a
+    The telemetry analysis mode follows the scenario: a
     per-flow-analysis trace (link flap) overrides the config's mode,
     exactly as the paper switches analyses per failure type.  Problem
     caching keys on this, not the raw config.

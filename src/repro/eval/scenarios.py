@@ -14,18 +14,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..errors import ExperimentError
 from ..routing.ecmp import EcmpRouting
 from ..simulation.failures import FailureScenario, Injection
-from ..simulation.flowsim import FlowLevelSimulator
+from ..simulation.flowsim import simulate_traffic
 from ..topology.base import Topology
-from ..traffic.flows import SpecBatch, generate_passive_flow_batch
-from ..traffic.matrix import SkewedTraffic, TrafficMatrix, UniformTraffic
-from ..traffic.probes import a1_probe_batch
+from ..traffic.matrix import SKEWED, UNIFORM, make_matrix
 from ..types import FlowBatch, FlowRecord, GroundTruth
-
-UNIFORM = "uniform"
-SKEWED = "skewed"
 
 
 class Trace:
@@ -76,17 +70,6 @@ class Trace:
         return self.injection.analysis
 
 
-def make_matrix(
-    topology: Topology, pattern: str, rng: np.random.Generator
-) -> TrafficMatrix:
-    """Build the paper's uniform or skewed traffic matrix."""
-    if pattern == UNIFORM:
-        return UniformTraffic(topology)
-    if pattern == SKEWED:
-        return SkewedTraffic(topology, rng)
-    raise ExperimentError(f"unknown traffic pattern {pattern!r}")
-
-
 def make_trace(
     topology: Topology,
     routing: EcmpRouting,
@@ -95,8 +78,6 @@ def make_trace(
     n_passive: int = 2000,
     n_probes: int = 500,
     traffic: str = UNIFORM,
-    packets_per_probe: int = 40,
-    mean_flow_bytes: float = 200_000.0,
     rng_mode: str = "vectorized",
 ) -> Trace:
     """Inject a scenario, generate traffic and probes, and simulate.
@@ -112,26 +93,9 @@ def make_trace(
         raise ValueError(f"rng_mode must be 'vectorized', got {rng_mode!r}")
     rng = np.random.default_rng(seed)
     injection = scenario.inject(topology, rng)
-    space = routing.path_space()
-    batches: List[SpecBatch] = []
-    if n_passive > 0:
-        matrix = make_matrix(topology, traffic, rng)
-        batches.append(
-            generate_passive_flow_batch(
-                routing, matrix, n_passive, rng, space,
-                mean_bytes=mean_flow_bytes,
-            )
-        )
-    if n_probes > 0:
-        batches.append(
-            a1_probe_batch(
-                topology, routing, n_probes, rng, space,
-                packets_per_probe=packets_per_probe,
-            )
-        )
-    specs = SpecBatch.concat(batches) if batches else SpecBatch.empty(space)
-    simulator = FlowLevelSimulator(topology)
-    batch = simulator.simulate_batch(specs, injection, rng)
+    # The matrix draws from the stream only when passive flows need it.
+    matrix = make_matrix(topology, traffic, rng) if n_passive > 0 else None
+    batch = simulate_traffic(routing, matrix, injection, rng, n_passive, n_probes)
     return Trace(
         topology=topology,
         routing=routing,

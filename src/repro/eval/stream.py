@@ -58,7 +58,7 @@ import math
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -68,12 +68,11 @@ from ..core.flock_fast import DeltaContrib, VectorJleState
 from ..core.gibbs import GibbsInference
 from ..core.window import WindowedProblem
 from ..errors import CheckpointError, ExperimentError
-from ..simulation.failures import PER_FLOW
 from ..simulation.stream import StreamChunk
 from ..telemetry.inputs import build_observation_batch
 from ..topology.base import Topology
 from ..types import Prediction
-from .harness import SchemeSetup
+from .harness import SchemeSetup, effective_telemetry
 from .schemes import make_setup
 from .serialize import (
     encode_stream_checkpoint,
@@ -231,12 +230,6 @@ class StreamMonitor:
         # sequence; shed chunks never appear here.
         self._ingested: List[int] = []
 
-    def _telemetry_for(self, chunk: StreamChunk):
-        config = self.setup.telemetry
-        if chunk.injection.analysis == PER_FLOW and config.analysis != PER_FLOW:
-            return replace(config, analysis=PER_FLOW)
-        return config
-
     def _ingest(self, chunk: StreamChunk):
         """Fold one chunk into the window (and warm state), no localize.
 
@@ -247,7 +240,7 @@ class StreamMonitor:
         never state upkeep, so the next full cycle starts from a
         correct window.
         """
-        config = self._telemetry_for(chunk)
+        config = effective_telemetry(chunk.injection, self.setup.telemetry)
         rng = np.random.default_rng(self.seed + 0x5EED + chunk.index)
         t0 = self.clock()
         obs = build_observation_batch(chunk.batch, config, rng)
@@ -601,7 +594,9 @@ class StreamMonitor:
                     "regenerated stream has no such chunk - resume "
                     "with the checkpointed scenario, seed, and sizing"
                 )
-            config_t = monitor._telemetry_for(chunk)
+            config_t = effective_telemetry(
+                chunk.injection, monitor.setup.telemetry
+            )
             rng = np.random.default_rng(monitor.seed + 0x5EED + index)
             obs = build_observation_batch(chunk.batch, config_t, rng)
             entry = stored.get(index)

@@ -20,7 +20,7 @@ from .failures import (
     SilentDeviceFailure,
     SilentLinkDrops,
 )
-from .flowsim import FlowLevelSimulator, empirical_link_loss
+from .flowsim import empirical_link_loss, simulate_batch, simulate_traffic
 from .latency import RTT_BAD_THRESHOLD_MS, LatencyModel, rtt_is_bad
 from .queueing import WredConfig, WredQueue, effective_drop_rate
 from .stream import StreamChunk, healthy_twin, replay_stream
@@ -42,7 +42,8 @@ __all__ = [
     "NoFailure",
     "PER_PACKET",
     "PER_FLOW",
-    "FlowLevelSimulator",
+    "simulate_batch",
+    "simulate_traffic",
     "empirical_link_loss",
     "LatencyModel",
     "rtt_is_bad",

@@ -35,10 +35,10 @@ import numpy as np
 from ..errors import SimulationError
 from ..routing.ecmp import EcmpRouting
 from ..topology.base import Topology
-from ..traffic.flows import SpecBatch, generate_passive_flow_batch
-from ..traffic.probes import a1_probe_batch
+from ..traffic.matrix import UNIFORM, make_matrix
 from ..types import FlowBatch, GroundTruth
 from .failures import FailureScenario, Injection
+from .flowsim import simulate_traffic
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,9 @@ def replay_stream(
     flows_per_chunk: int = 500,
     probes_per_chunk: int = 100,
     chunk_seconds: float = 1.0,
-    traffic: str = "uniform",
+    traffic: str = UNIFORM,
     onset_chunk: int = 0,
     clear_chunk: Optional[int] = None,
-    packets_per_probe: int = 40,
-    mean_flow_bytes: float = 200_000.0,
 ) -> Iterator[StreamChunk]:
     """Generate a scenario replay as a lazy stream of chunks.
 
@@ -98,9 +96,6 @@ def replay_stream(
     (``clear_chunk=None`` keeps it live to the end); outside that
     window each chunk simulates under the injection's healthy twin.
     """
-    from ..eval.scenarios import make_matrix
-    from .flowsim import FlowLevelSimulator
-
     if n_chunks < 1:
         raise SimulationError("a stream needs at least one chunk")
     if not 0 <= onset_chunk <= n_chunks:
@@ -114,34 +109,16 @@ def replay_stream(
     schedule: List[Injection] = scenario.inject_schedule(
         topology, rng, n_chunks
     )
-    space = routing.path_space()
     matrix = make_matrix(topology, traffic, rng)
-    simulator = FlowLevelSimulator(topology)
 
     for i in range(n_chunks):
         injection = schedule[i]
         live = i >= onset_chunk and (clear_chunk is None or i < clear_chunk)
         if not live:
             injection = healthy_twin(injection)
-        batches: List[SpecBatch] = []
-        if flows_per_chunk > 0:
-            batches.append(
-                generate_passive_flow_batch(
-                    routing, matrix, flows_per_chunk, rng, space,
-                    mean_bytes=mean_flow_bytes,
-                )
-            )
-        if probes_per_chunk > 0:
-            batches.append(
-                a1_probe_batch(
-                    topology, routing, probes_per_chunk, rng, space,
-                    packets_per_probe=packets_per_probe,
-                )
-            )
-        specs = (
-            SpecBatch.concat(batches) if batches else SpecBatch.empty(space)
+        batch = simulate_traffic(
+            routing, matrix, injection, rng, flows_per_chunk, probes_per_chunk
         )
-        batch = simulator.simulate_batch(specs, injection, rng)
         t0 = i * chunk_seconds
         n = len(batch)
         t_start = t0 + (

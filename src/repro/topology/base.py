@@ -328,15 +328,22 @@ class Topology:
         ``include_devices``, the device components of its switch nodes
         (hosts never appear) - sorted and de-duplicated, so repeated
         traversals (probe bounce paths) collapse.  A single-node path
-        has no links: it keeps only its device, if any.  The whole batch
-        is one vectorized pass: consecutive hops map to link ids through
-        one ``searchsorted`` over the packed link keys.
+        has no links: it keeps only its device, if any.  A node id
+        outside ``[0, n_nodes)`` raises :class:`TopologyError`.  The
+        whole batch is one vectorized pass: consecutive hops map to link
+        ids through one ``searchsorted`` over the packed link keys.
         """
         n_rows = len(paths)
         lens = np.fromiter(map(len, paths), dtype=np.int64, count=n_rows)
         nodes = np.fromiter(
             chain.from_iterable(paths), dtype=np.int64, count=int(lens.sum())
         )
+        out_of_range = (nodes < 0) | (nodes >= self.n_nodes)
+        if np.any(out_of_range):
+            bad = int(nodes[np.argmax(out_of_range)])
+            raise TopologyError(
+                f"node id {bad} is out of range [0, {self.n_nodes})"
+            )
         rows = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
         hop = rows[1:] == rows[:-1]
         u = nodes[:-1][hop]

@@ -1,25 +1,26 @@
-"""Traffic substrate: matrices, flow specs, and active probe plans."""
+"""Traffic substrate: matrices, columnar flow specs, and active probes."""
 
-from .flows import (
-    FlowSpec,
-    SpecBatch,
-    generate_passive_flow_batch,
-    generate_passive_flows,
-    pareto_flow_packets,
+from .flows import SpecBatch, generate_passive_flow_batch, pareto_flow_packets
+from .matrix import (
+    SKEWED,
+    UNIFORM,
+    SkewedTraffic,
+    TrafficMatrix,
+    UniformTraffic,
+    make_matrix,
 )
-from .matrix import SkewedTraffic, TrafficMatrix, UniformTraffic
-from .probes import a1_probe_batch, a1_probe_plan, probes_per_link_coverage
+from .probes import PROBE_PACKETS, a1_probe_batch
 
 __all__ = [
-    "FlowSpec",
     "SpecBatch",
-    "generate_passive_flows",
     "generate_passive_flow_batch",
     "pareto_flow_packets",
     "TrafficMatrix",
     "UniformTraffic",
     "SkewedTraffic",
-    "a1_probe_plan",
+    "make_matrix",
+    "UNIFORM",
+    "SKEWED",
     "a1_probe_batch",
-    "probes_per_link_coverage",
+    "PROBE_PACKETS",
 ]

@@ -1,4 +1,4 @@
-"""Flow generation: sizes and specs.
+"""Flow generation: Pareto sizes and columnar flow specs.
 
 Section 6.3: "Flow sizes were drawn from a Pareto distribution (mean:
 200KB, scale: 1.05) to mimic irregular flow sizes in a typical
@@ -8,7 +8,7 @@ datacenter."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -20,36 +20,16 @@ from .matrix import TrafficMatrix
 MSS_BYTES = 1500
 
 
-@dataclass(frozen=True)
-class FlowSpec:
-    """A flow to be simulated: endpoints, size, and its ECMP path set.
-
-    The simulator will pick the actual path uniformly from ``paths``
-    (the ECMP model of paper Eq. 1) and draw packet drops.
-    """
-
-    src: int
-    dst: int
-    packets: int
-    paths: Tuple[Tuple[int, ...], ...]
-    is_probe: bool = False
-
-    def __post_init__(self) -> None:
-        if self.packets < 1:
-            raise TrafficError("a flow must send at least one packet")
-        if not self.paths:
-            raise TrafficError("a flow needs a non-empty path set")
-
-
 @dataclass
 class SpecBatch:
-    """Struct-of-arrays flow specs: the columnar twin of a
-    ``List[FlowSpec]``.
+    """Flows to be simulated, as aligned columns: endpoints, size in
+    packets, ECMP candidate set and probe flag.
 
-    ``path_set`` holds each flow's interned ECMP candidate-set id
-    (resolved against ``space``); the simulator picks the actual path
-    per flow from it.  Batches concatenate (passive flows + probes)
-    with :meth:`concat`, preserving order.
+    This is the only flow-spec representation.  ``path_set`` holds
+    each flow's interned ECMP candidate-set id (resolved against
+    ``space``); the simulator picks the actual path per flow from it.
+    Batches concatenate (passive flows + probes) with :meth:`concat`,
+    preserving order.
     """
 
     space: PathSpace
@@ -89,43 +69,6 @@ class SpecBatch:
             is_probe=np.concatenate([b.is_probe for b in batches]),
         )
 
-    @staticmethod
-    def from_specs(specs, space: PathSpace) -> "SpecBatch":
-        """Columnarize object specs (the object-API adapter)."""
-        n = len(specs)
-        return SpecBatch(
-            space=space,
-            src=np.fromiter((s.src for s in specs), dtype=np.int64, count=n),
-            dst=np.fromiter((s.dst for s in specs), dtype=np.int64, count=n),
-            packets=np.fromiter(
-                (s.packets for s in specs), dtype=np.int64, count=n
-            ),
-            path_set=np.fromiter(
-                (space.intern_set(s.paths) for s in specs),
-                dtype=np.int64,
-                count=n,
-            ),
-            is_probe=np.fromiter(
-                (s.is_probe for s in specs), dtype=bool, count=n
-            ),
-        )
-
-    def specs(self) -> List[FlowSpec]:
-        """Materialize object specs (legacy consumers and tests)."""
-        path_nodes = self.space.path_nodes
-        set_path_ids = self.space.set_path_ids
-        out: List[FlowSpec] = []
-        for src, dst, packets, sid, probe in zip(
-            self.src.tolist(), self.dst.tolist(), self.packets.tolist(),
-            self.path_set.tolist(), self.is_probe.tolist(),
-        ):
-            paths = tuple(path_nodes(int(p)) for p in set_path_ids(sid))
-            out.append(
-                FlowSpec(src=src, dst=dst, packets=packets, paths=paths,
-                         is_probe=bool(probe))
-            )
-        return out
-
 
 def pareto_flow_packets(
     rng: np.random.Generator,
@@ -152,54 +95,24 @@ def pareto_flow_packets(
     return np.clip(packets, 1, max_packets)
 
 
-def generate_passive_flows(
-    routing: EcmpRouting,
-    matrix: TrafficMatrix,
-    n_flows: int,
-    rng: np.random.Generator,
-    mean_bytes: float = 200_000.0,
-    shape: float = 1.05,
-    fixed_packets: Optional[int] = None,
-) -> List[FlowSpec]:
-    """Generate application flows with ECMP path sets.
-
-    ``fixed_packets`` overrides the Pareto size (used by the per-flow
-    latency analysis where each flow is a single observation).
-    """
-    if n_flows < 0:
-        raise TrafficError("n_flows must be non-negative")
-    pairs = matrix.sample_pairs(n_flows, rng)
-    if fixed_packets is not None:
-        packets = np.full(n_flows, fixed_packets, dtype=np.int64)
-    else:
-        packets = pareto_flow_packets(rng, n_flows, mean_bytes, shape)
-    specs: List[FlowSpec] = []
-    for (src, dst), size in zip(pairs, packets.tolist()):
-        paths = routing.host_paths(src, dst)
-        specs.append(FlowSpec(src=src, dst=dst, packets=size, paths=paths))
-    return specs
-
-
 def generate_passive_flow_batch(
     routing: EcmpRouting,
     matrix: TrafficMatrix,
     n_flows: int,
     rng: np.random.Generator,
     space: PathSpace,
-    mean_bytes: float = 200_000.0,
-    shape: float = 1.05,
-    fixed_packets: Optional[int] = None,
 ) -> SpecBatch:
-    """Columnar :func:`generate_passive_flows`: identical RNG draws,
-    but path sets are resolved once per distinct host pair and flows
-    land in aligned arrays instead of per-flow objects."""
+    """Generate application flows with Pareto sizes and ECMP path sets.
+
+    Host pairs come from ``matrix`` and sizes from the paper's Pareto
+    (:func:`pareto_flow_packets` at its defaults), in that RNG order.
+    Path sets are resolved once per distinct host pair and interned in
+    ``space``.
+    """
     if n_flows < 0:
         raise TrafficError("n_flows must be non-negative")
     src, dst = matrix.sample_pair_arrays(n_flows, rng)
-    if fixed_packets is not None:
-        packets = np.full(n_flows, fixed_packets, dtype=np.int64)
-    else:
-        packets = pareto_flow_packets(rng, n_flows, mean_bytes, shape)
+    packets = pareto_flow_packets(rng, n_flows)
     if n_flows == 0:
         return SpecBatch.empty(space)
     src = np.asarray(src, dtype=np.int64)

@@ -11,26 +11,24 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..errors import TrafficError
+from ..errors import ExperimentError, TrafficError
 from ..topology.base import Topology
+
+UNIFORM = "uniform"
+SKEWED = "skewed"
 
 
 class TrafficMatrix:
     """Base class: a sampler of (src_host, dst_host) pairs.
 
-    Subclasses implement :meth:`sample_pair_arrays` (the columnar form
-    the batch pipeline consumes); :meth:`sample_pairs` is the
-    object-API adapter and draws the identical RNG stream.
+    Subclasses implement :meth:`sample_pair_arrays`, which returns the
+    sources and destinations of ``n`` flows as two aligned arrays.
     """
 
     def sample_pair_arrays(
         self, n: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-    def sample_pairs(self, n: int, rng: np.random.Generator) -> List[Tuple[int, int]]:
-        src, dst = self.sample_pair_arrays(n, rng)
-        return list(zip(src.tolist(), dst.tolist()))
 
 
 class UniformTraffic(TrafficMatrix):
@@ -115,3 +113,14 @@ class SkewedTraffic(TrafficMatrix):
             dst[clash] = new_dst
             clash = src == dst
         return src, dst
+
+
+def make_matrix(
+    topology: Topology, pattern: str, rng: np.random.Generator
+) -> TrafficMatrix:
+    """Build the paper's uniform or skewed traffic matrix."""
+    if pattern == UNIFORM:
+        return UniformTraffic(topology)
+    if pattern == SKEWED:
+        return SkewedTraffic(topology, rng)
+    raise ExperimentError(f"unknown traffic pattern {pattern!r}")

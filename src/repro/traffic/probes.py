@@ -1,4 +1,4 @@
-"""Active probe plans.
+"""Active probe plans (A1).
 
 A1 (section 6.2): "Active probes between end-hosts and the core switches
 with known paths, as designed for NetBouncer."  Each probe targets one
@@ -14,64 +14,17 @@ saw retransmissions.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
 from ..errors import TrafficError
 from ..routing.ecmp import EcmpRouting
 from ..routing.paths import PathSpace
 from ..topology.base import Topology
-from .flows import FlowSpec, SpecBatch
+from .flows import SpecBatch
 
-
-def a1_probe_plan(
-    topology: Topology,
-    routing: EcmpRouting,
-    n_probes: int,
-    rng: np.random.Generator,
-    packets_per_probe: int = 40,
-    hosts: Optional[List[int]] = None,
-) -> List[FlowSpec]:
-    """Generate ``n_probes`` host->core probe flows with pinned paths.
-
-    The plan enumerates (host, core) pairs round-robin, shuffled once so
-    truncated plans still cover the fabric evenly, and rotates through
-    each pair's ECMP up-paths deterministically.  Probe volume in the
-    paper is "40 packets per second" per probe flow; ``packets_per_probe``
-    sets the per-report packet count.
-    """
-    if n_probes < 0:
-        raise TrafficError("n_probes must be non-negative")
-    if packets_per_probe < 1:
-        raise TrafficError("packets_per_probe must be >= 1")
-    probe_hosts = list(hosts) if hosts is not None else list(topology.hosts)
-    cores = list(topology.cores)
-    if not probe_hosts or not cores:
-        raise TrafficError("A1 probing needs at least one host and one core")
-
-    pairs = [(h, c) for h in probe_hosts for c in cores]
-    order = rng.permutation(len(pairs))
-    rotation: dict = {}
-    specs: List[FlowSpec] = []
-    i = 0
-    while len(specs) < n_probes:
-        host, core = pairs[order[i % len(pairs)]]
-        i += 1
-        paths = routing.probe_paths(host, core)
-        turn = rotation.get((host, core), 0)
-        rotation[(host, core)] = turn + 1
-        pinned = paths[turn % len(paths)]
-        specs.append(
-            FlowSpec(
-                src=host,
-                dst=core,
-                packets=packets_per_probe,
-                paths=(pinned,),
-                is_probe=True,
-            )
-        )
-    return specs
+#: Packets per probe report; the paper probes at "40 packets per second"
+#: per probe flow.
+PROBE_PACKETS = 40
 
 
 def a1_probe_batch(
@@ -80,36 +33,36 @@ def a1_probe_batch(
     n_probes: int,
     rng: np.random.Generator,
     space: PathSpace,
-    packets_per_probe: int = 40,
-    hosts: Optional[List[int]] = None,
 ) -> SpecBatch:
-    """Columnar :func:`a1_probe_plan`: identical plan and RNG draws.
+    """Generate ``n_probes`` host->core probe flows with pinned paths.
 
-    The round-robin arithmetic is closed-form - probe ``i`` uses pair
-    ``order[i % P]`` on ECMP rotation turn ``i // P`` - so the plan
-    vectorizes: pinned paths are interned once per distinct
-    (pair, rotation) combination instead of per probe.
+    The plan enumerates every (host, core) pair round-robin, shuffled
+    once so truncated plans still cover the fabric evenly, and rotates
+    through each pair's ECMP up-paths deterministically.  Each probe
+    sends :data:`PROBE_PACKETS` packets.  The round-robin arithmetic is
+    closed-form - probe ``i`` uses pair ``order[i % P]`` on ECMP
+    rotation turn ``i // P`` - so the plan vectorizes: pinned paths are
+    interned once per distinct (pair, rotation) combination instead of
+    per probe.
     """
     if n_probes < 0:
         raise TrafficError("n_probes must be non-negative")
-    if packets_per_probe < 1:
-        raise TrafficError("packets_per_probe must be >= 1")
-    probe_hosts = list(hosts) if hosts is not None else list(topology.hosts)
+    hosts = list(topology.hosts)
     cores = list(topology.cores)
-    if not probe_hosts or not cores:
+    if not hosts or not cores:
         raise TrafficError("A1 probing needs at least one host and one core")
     if n_probes == 0:
         return SpecBatch.empty(space)
 
-    pairs = [(h, c) for h in probe_hosts for c in cores]
+    pairs = [(h, c) for h in hosts for c in cores]
     order = rng.permutation(len(pairs))
     idx = np.arange(n_probes, dtype=np.int64)
     pair_idx = order[idx % len(pairs)]
     turn = idx // len(pairs)
 
     # Enumerate ECMP fan-outs only for pairs the plan actually hits
-    # (a short plan on a large fabric touches few), like the object
-    # pipeline; unused entries stay 1 and are never indexed.
+    # (a short plan on a large fabric touches few); unused entries
+    # stay 1 and are never indexed.
     n_paths = np.ones(len(pairs), dtype=np.int64)
     for i in np.unique(pair_idx).tolist():
         n_paths[i] = len(routing.probe_paths(*pairs[i]))
@@ -130,24 +83,7 @@ def a1_probe_batch(
         space=space,
         src=pairs_arr[pair_idx, 0],
         dst=pairs_arr[pair_idx, 1],
-        packets=np.full(n_probes, packets_per_probe, dtype=np.int64),
+        packets=np.full(n_probes, PROBE_PACKETS, dtype=np.int64),
         path_set=sids[inverse],
         is_probe=np.ones(n_probes, dtype=bool),
     )
-
-
-def probes_per_link_coverage(topology: Topology, specs: List[FlowSpec]) -> float:
-    """Fraction of switch-switch links covered by at least one probe.
-
-    A sanity metric for probe plans: NetBouncer's inference needs every
-    link probed, otherwise uncovered links are unobservable.
-    """
-    covered = set()
-    for spec in specs:
-        for path in spec.paths:
-            for u, v in zip(path, path[1:]):
-                covered.add(topology.link_id(u, v))
-    fabric = set(topology.switch_switch_links())
-    if not fabric:
-        return 1.0
-    return len(covered & fabric) / len(fabric)

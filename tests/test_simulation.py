@@ -9,7 +9,6 @@ from repro.eval.scenarios import make_trace
 from repro.routing import EcmpRouting, PathSpace
 from repro.simulation import (
     DropRatePlan,
-    FlowLevelSimulator,
     LinkFlap,
     NoFailure,
     QueueMisconfig,
@@ -18,15 +17,15 @@ from repro.simulation import (
     empirical_link_loss,
     fail_links,
     good_link_rates,
+    simulate_batch,
 )
 from repro.simulation.failures import PER_FLOW, PER_PACKET
 from repro.simulation.flowsim import _path_survivals
-from repro.topology import fat_tree
 from repro.traffic import (
-    FlowSpec,
     SpecBatch,
     UniformTraffic,
-    generate_passive_flows,
+    a1_probe_batch,
+    generate_passive_flow_batch,
 )
 
 
@@ -125,60 +124,129 @@ class TestScenarios:
             SilentLinkDrops(n_failures=n_fabric + 1).inject(small_fat_tree, rng)
 
 
-def _simulate(topo, specs, injection, rng):
-    """Object specs through the batch simulator, as object records."""
-    space = PathSpace(topo, EcmpRouting(topo))
-    return FlowLevelSimulator(topo).simulate_batch(
-        SpecBatch.from_specs(specs, space), injection, rng
-    ).records()
+def _with_plan(topo, rng, rates):
+    """A no-failure injection whose drop-rate plan is ``rates``."""
+    injection = NoFailure().inject(topo, rng)
+    return type(injection)(
+        ground_truth=injection.ground_truth, plan=DropRatePlan(topo, rates)
+    )
+
+
+def _passive_and_probes(topo, routing, rng, n_flows, n_probes):
+    """Production traffic: factored passive pair sets plus plain probe
+    sets, over a fresh path space."""
+    space = PathSpace(topo, routing)
+    return SpecBatch.concat([
+        generate_passive_flow_batch(
+            routing, UniformTraffic(topo), n_flows, rng, space
+        ),
+        a1_probe_batch(topo, routing, n_probes, rng, space),
+    ])
+
+
+def _plain_pair_sets(space, routing, src, dst):
+    """Passive flows whose ECMP sets are interned *plain* (whole member
+    lists, as a dataset load or a hand-built batch would): the
+    simulator's other pricing branch."""
+    n = len(src)
+    return SpecBatch(
+        space=space, src=src, dst=dst,
+        packets=np.full(n, 20, dtype=np.int64),
+        path_set=np.fromiter(
+            (space.intern_set(routing.host_paths(s, d))
+             for s, d in zip(src.tolist(), dst.tolist())),
+            dtype=np.int64, count=n,
+        ),
+        is_probe=np.zeros(n, dtype=bool),
+    )
+
+
+def _path_links(topo, space, pid):
+    nodes = space.path_nodes(int(pid))
+    return {topo.link_id(u, v) for u, v in zip(nodes, nodes[1:])}
 
 
 class TestFlowSimulator:
     def test_zero_rates_no_drops(self, small_fat_tree, ft_routing, rng):
-        injection = NoFailure().inject(small_fat_tree, rng)
-        zero_plan = DropRatePlan(
-            small_fat_tree, np.zeros(small_fat_tree.n_links)
+        injection = _with_plan(
+            small_fat_tree, rng, np.zeros(small_fat_tree.n_links)
         )
-        injection = type(injection)(
-            ground_truth=injection.ground_truth, plan=zero_plan
-        )
-        matrix = UniformTraffic(small_fat_tree)
-        specs = generate_passive_flows(ft_routing, matrix, 300, rng)
-        records = _simulate(small_fat_tree, specs, injection, rng)
-        assert all(r.bad_packets == 0 for r in records)
+        specs = _passive_and_probes(small_fat_tree, ft_routing, rng, 300, 60)
+        out = simulate_batch(specs, injection, rng)
+        assert len(out) == 360
+        assert not out.bad.any()
 
     def test_total_loss_link(self, small_fat_tree, ft_routing, rng):
-        # A link with rate 1.0 makes every flow crossing it all-bad.
+        # A link with rate 1.0 makes every flow whose *chosen* path
+        # crosses it all-bad, and every other flow clean.
         topo = small_fat_tree
         rates = np.zeros(topo.n_links)
         victim = topo.switch_switch_links()[0]
         rates[victim] = 1.0
-        plan = DropRatePlan(topo, rates)
-        injection = NoFailure().inject(topo, rng)
-        injection = type(injection)(
-            ground_truth=injection.ground_truth, plan=plan
+        injection = _with_plan(topo, rng, rates)
+        produced = _passive_and_probes(topo, ft_routing, rng, 500, 100)
+        src, dst = UniformTraffic(topo).sample_pair_arrays(300, rng)
+        specs = SpecBatch.concat([
+            produced,
+            _plain_pair_sets(produced.space, ft_routing, src, dst),
+        ])
+        out = simulate_batch(specs, injection, rng)
+        crosses = np.array([
+            victim in _path_links(topo, specs.space, pid)
+            for pid in out.chosen_path.tolist()
+        ])
+        # Both outcomes occur among factored passive sets, pinned
+        # probes and plain multi-path sets alike.
+        n = len(produced)
+        groups = (~produced.is_probe, produced.is_probe)
+        for rows in (crosses[:n][groups[0]], crosses[:n][groups[1]], crosses[n:]):
+            assert rows.any() and not rows.all()
+        assert np.array_equal(out.bad[crosses], out.packets[crosses])
+        assert not out.bad[~crosses].any()
+
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_total_loss_host_link(self, small_fat_tree, ft_routing, rng, side):
+        # Factored pair sets price their host links apart from the
+        # switch-level middle segment: a dead host link must sink every
+        # flow leaving (or entering) that host, whatever middle it took.
+        topo = small_fat_tree
+        host = topo.hosts[0]
+        others = [h for h in topo.hosts if h != host]
+        rates = np.zeros(topo.n_links)
+        rates[topo.link_id(host, topo.rack_of(host))] = 1.0
+        injection = _with_plan(topo, rng, rates)
+        # Every flow to or from ``host`` runs in one direction; the
+        # background traffic avoids it.
+        ends = np.repeat(np.asarray(others, dtype=np.int64), 5)
+        hosts = np.full(len(ends), host, dtype=np.int64)
+        src, dst = (hosts, ends) if side == "src" else (ends, hosts)
+        bg_src, bg_dst = UniformTraffic(topo).sample_pair_arrays(400, rng)
+        keep = (bg_src != host) & (bg_dst != host)
+        src = np.concatenate([src, bg_src[keep]])
+        dst = np.concatenate([dst, bg_dst[keep]])
+        space = PathSpace(topo, ft_routing)
+        specs = SpecBatch(
+            space=space, src=src, dst=dst,
+            packets=np.full(len(src), 30, dtype=np.int64),
+            path_set=space.pair_sets(src, dst),
+            is_probe=np.zeros(len(src), dtype=bool),
         )
-        matrix = UniformTraffic(topo)
-        specs = generate_passive_flows(ft_routing, matrix, 500, rng)
-        records = _simulate(topo, specs, injection, rng)
-        for record in records:
-            links = {
-                topo.link_id(u, v)
-                for u, v in zip(record.path, record.path[1:])
-            }
-            if victim in links:
-                assert record.bad_packets == record.packets_sent
-            else:
-                assert record.bad_packets == 0
+        switch_sid, _, _ = space.pair_set_columns(specs.path_set)
+        assert (switch_sid >= 0).any()  # factored sets are exercised
+        out = simulate_batch(specs, injection, rng)
+        touches = (src == host) | (dst == host)
+        assert touches.sum() == len(ends)
+        assert np.array_equal(out.bad[touches], out.packets[touches])
+        assert not out.bad[~touches].any()
 
     def test_chosen_path_comes_from_spec(self, small_fat_tree, ft_routing, rng):
-        matrix = UniformTraffic(small_fat_tree)
-        specs = generate_passive_flows(ft_routing, matrix, 100, rng)
+        specs = _passive_and_probes(small_fat_tree, ft_routing, rng, 100, 30)
         injection = NoFailure().inject(small_fat_tree, rng)
-        records = _simulate(small_fat_tree, specs, injection, rng)
-        for spec, record in zip(specs, records):
-            assert record.path in spec.paths
-            assert record.src == spec.src
+        out = simulate_batch(specs, injection, rng)
+        assert np.array_equal(out.src, specs.src)
+        assert np.array_equal(out.path_set, specs.path_set)
+        for sid, pid in zip(specs.path_set.tolist(), out.chosen_path.tolist()):
+            assert pid in specs.space.set_path_ids(sid)
 
     def test_empirical_rate_tracks_plan(self, small_fat_tree, ft_routing):
         # With heavy probing of a single lossy path, the observed loss
@@ -188,11 +256,7 @@ class TestFlowSimulator:
         rates = np.zeros(topo.n_links)
         victim = topo.switch_switch_links()[0]
         rates[victim] = 0.02
-        plan = DropRatePlan(topo, rates)
-        injection = NoFailure().inject(topo, rng)
-        injection = type(injection)(
-            ground_truth=injection.ground_truth, plan=plan
-        )
+        injection = _with_plan(topo, rng, rates)
         u, v = topo.endpoints(victim)
         # Build a deterministic flow crossing the victim link.
         host = next(
@@ -201,14 +265,18 @@ class TestFlowSimulator:
         )
         rack = topo.rack_of(host)
         path = (host, u, v) if rack == u else (host, v, u)
-        specs = [
-            FlowSpec(src=host, dst=path[-1], packets=1000, paths=(path,))
-            for _ in range(200)
-        ]
-        records = _simulate(topo, specs, injection, rng)
-        total_bad = sum(r.bad_packets for r in records)
-        total = sum(r.packets_sent for r in records)
-        assert total_bad / total == pytest.approx(0.02, rel=0.2)
+        space = PathSpace(topo, ft_routing)
+        n = 200
+        specs = SpecBatch(
+            space=space,
+            src=np.full(n, host, dtype=np.int64),
+            dst=np.full(n, path[-1], dtype=np.int64),
+            packets=np.full(n, 1000, dtype=np.int64),
+            path_set=np.full(n, space.intern_set((path,)), dtype=np.int64),
+            is_probe=np.ones(n, dtype=bool),
+        )
+        out = simulate_batch(specs, injection, rng)
+        assert out.bad.sum() / out.packets.sum() == pytest.approx(0.02, rel=0.2)
 
     def test_empirical_link_loss_index(self, drop_trace):
         loss = empirical_link_loss(drop_trace.topology, drop_trace.records)
@@ -216,9 +284,12 @@ class TestFlowSimulator:
             assert 0 <= bad
             assert total > 0
 
-    def test_empty_specs(self, small_fat_tree, rng):
+    def test_empty_specs(self, small_fat_tree, ft_routing, rng):
         injection = NoFailure().inject(small_fat_tree, rng)
-        assert _simulate(small_fat_tree, [], injection, rng) == []
+        space = PathSpace(small_fat_tree, ft_routing)
+        out = simulate_batch(SpecBatch.empty(space), injection, rng)
+        assert len(out) == 0
+        assert out.records() == []
 
 
 # --- simulator RNG stream ---------------------------------------------
@@ -229,26 +300,20 @@ def tiny_world():
     return topo, EcmpRouting(topo)
 
 
-def _spec_batch(tiny_world, seed, n_flows=800):
+def _spec_batch(tiny_world, seed, n_flows=800, n_probes=200):
     topo, routing = tiny_world
     rng = np.random.default_rng(seed)
     injection = SilentLinkDrops(n_failures=2, min_rate=4e-3).inject(topo, rng)
-    specs = generate_passive_flows(
-        routing, UniformTraffic(topo), n_flows, rng
-    )
-    space = PathSpace(topo, routing)
-    return SpecBatch.from_specs(specs, space), injection
+    return _passive_and_probes(topo, routing, rng, n_flows, n_probes), injection
 
 
 def test_simulation_is_deterministic_per_seed(tiny_world):
-    topo, _ = tiny_world
     batch, injection = _spec_batch(tiny_world, seed=11)
-    sim = FlowLevelSimulator(topo)
-    a = sim.simulate_batch(batch, injection, np.random.default_rng(5))
-    b = sim.simulate_batch(batch, injection, np.random.default_rng(5))
+    a = simulate_batch(batch, injection, np.random.default_rng(5))
+    b = simulate_batch(batch, injection, np.random.default_rng(5))
     assert np.array_equal(a.bad, b.bad)
     assert np.array_equal(a.chosen_path, b.chosen_path)
-    c = sim.simulate_batch(batch, injection, np.random.default_rng(6))
+    c = simulate_batch(batch, injection, np.random.default_rng(6))
     assert not np.array_equal(a.bad, c.bad)
 
 
@@ -256,15 +321,17 @@ def test_simulation_is_valid_and_unbiased(tiny_world):
     """Every chosen path is a member of its flow's set, and the mean
     total of bad packets over many seeds matches its exact expectation.
 
-    A flow of ``n`` packets picks one of its set's ``k`` paths
-    uniformly, so its bad count is a binomial mixture with mean
-    ``n * mean(p)`` and variance ``mean(n p (1 - p)) + n^2 var(p)``
-    over the member drop probabilities ``p``.
+    The batch mixes factored passive pair sets with plain pinned probe
+    sets, so both pricing branches of the simulator run.  A flow of
+    ``n`` packets picks one of its set's ``k`` paths uniformly, so its
+    bad count is a binomial mixture with mean ``n * mean(p)`` and
+    variance ``mean(n p (1 - p)) + n^2 var(p)`` over the member drop
+    probabilities ``p``.
     """
-    topo, _ = tiny_world
     batch, injection = _spec_batch(tiny_world, seed=11)
-    sim = FlowLevelSimulator(topo)
     space = batch.space
+    switch_sid, _, _ = space.pair_set_columns(batch.path_set)
+    assert (switch_sid >= 0).any() and (switch_sid < 0).any()
     members = {
         sid: space.set_path_ids(sid)
         for sid in np.unique(batch.path_set).tolist()
@@ -290,7 +357,7 @@ def test_simulation_is_valid_and_unbiased(tiny_world):
     n_seeds = 200
     totals = np.empty(n_seeds)
     for seed in range(n_seeds):
-        out = sim.simulate_batch(batch, injection, np.random.default_rng(seed))
+        out = simulate_batch(batch, injection, np.random.default_rng(seed))
         keys = batch.path_set * width + out.chosen_path
         assert np.isin(keys, member_keys).all()
         totals[seed] = out.bad.sum()

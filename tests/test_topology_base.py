@@ -122,6 +122,24 @@ class TestComponents:
         bounce = topo.path_components((3, 1, 0, 1, 3))
         assert one_way == bounce
 
+    @pytest.mark.parametrize("include_devices", [False, True])
+    @pytest.mark.parametrize(
+        "path", [(0, 40), (0, -1), (40,), (-1,)],
+        ids=["past-end", "negative", "single-past-end", "single-negative"],
+    )
+    def test_out_of_range_node_rejected(self, path, include_devices):
+        # fat_tree(4) has 36 nodes: node 40 once packed into an alias of
+        # a real link key instead of failing.
+        from repro.topology import fat_tree
+
+        topo = fat_tree(4)
+        assert topo.n_nodes == 36
+        with pytest.raises(TopologyError, match="out of range"):
+            topo.path_components(path, include_devices)
+        with pytest.raises(TopologyError, match="out of range"):
+            topo.paths_components([(topo.hosts[0],), path], include_devices)
+        assert topo.path_components((topo.hosts[0],), include_devices) == ()
+
 
 class TestDerived:
     def test_rack_of(self):

@@ -4,34 +4,35 @@ import numpy as np
 import pytest
 
 from repro.errors import TrafficError
-from repro.routing import EcmpRouting
-from repro.topology import fat_tree
+from repro.routing import EcmpRouting, PathSpace
 from repro.traffic import (
-    FlowSpec,
+    PROBE_PACKETS,
     SkewedTraffic,
     UniformTraffic,
-    a1_probe_plan,
-    generate_passive_flows,
+    a1_probe_batch,
+    generate_passive_flow_batch,
     pareto_flow_packets,
-    probes_per_link_coverage,
 )
+
+
+def _member_paths(space, sid):
+    """Node paths of every member of an interned path set."""
+    return tuple(space.path_nodes(int(p)) for p in space.set_path_ids(sid))
 
 
 class TestUniformTraffic:
     def test_no_self_flows(self, small_fat_tree, rng):
         matrix = UniformTraffic(small_fat_tree)
-        pairs = matrix.sample_pairs(500, rng)
-        assert len(pairs) == 500
-        for src, dst in pairs:
-            assert src != dst
-            assert src in small_fat_tree.hosts
-            assert dst in small_fat_tree.hosts
+        src, dst = matrix.sample_pair_arrays(500, rng)
+        assert len(src) == len(dst) == 500
+        assert not np.any(src == dst)
+        assert np.isin(src, small_fat_tree.hosts).all()
+        assert np.isin(dst, small_fat_tree.hosts).all()
 
     def test_spread_over_hosts(self, small_fat_tree, rng):
         matrix = UniformTraffic(small_fat_tree)
-        pairs = matrix.sample_pairs(3000, rng)
-        sources = {src for src, _ in pairs}
-        assert len(sources) == len(small_fat_tree.hosts)
+        src, _ = matrix.sample_pair_arrays(3000, rng)
+        assert len(set(src.tolist())) == len(small_fat_tree.hosts)
 
 
 class TestSkewedTraffic:
@@ -40,20 +41,18 @@ class TestSkewedTraffic:
             small_fat_tree, rng,
             hot_rack_fraction=0.25, hot_traffic_fraction=0.5,
         )
-        hot_hosts = set()
+        hot_hosts = []
         for rack in matrix.hot_racks:
-            hot_hosts.update(small_fat_tree.hosts_in_rack(rack))
-        pairs = matrix.sample_pairs(4000, rng)
-        hot_flows = sum(
-            1 for s, d in pairs if s in hot_hosts and d in hot_hosts
-        )
+            hot_hosts.extend(small_fat_tree.hosts_in_rack(rack))
+        src, dst = matrix.sample_pair_arrays(4000, rng)
+        hot_flows = np.isin(src, hot_hosts) & np.isin(dst, hot_hosts)
         # ~50% fully-hot flows plus uniform flows that land there anyway.
-        assert hot_flows / len(pairs) > 0.4
+        assert hot_flows.mean() > 0.4
 
     def test_no_self_flows(self, small_fat_tree, rng):
         matrix = SkewedTraffic(small_fat_tree, rng)
-        for src, dst in matrix.sample_pairs(1000, rng):
-            assert src != dst
+        src, dst = matrix.sample_pair_arrays(1000, rng)
+        assert not np.any(src == dst)
 
     def test_invalid_fractions(self, small_fat_tree, rng):
         with pytest.raises(TrafficError):
@@ -82,46 +81,57 @@ class TestParetoSizes:
             pareto_flow_packets(rng, 10, shape=1.0)
 
 
-class TestFlowSpecs:
-    def test_spec_validation(self):
-        with pytest.raises(TrafficError):
-            FlowSpec(src=0, dst=1, packets=0, paths=((0, 1),))
-        with pytest.raises(TrafficError):
-            FlowSpec(src=0, dst=1, packets=5, paths=())
-
-    def test_generate_passive_flows(self, small_fat_tree, ft_routing, rng):
+class TestPassiveFlows:
+    def test_generate_passive_flow_batch(self, small_fat_tree, ft_routing, rng):
         matrix = UniformTraffic(small_fat_tree)
-        specs = generate_passive_flows(ft_routing, matrix, 200, rng)
-        assert len(specs) == 200
-        for spec in specs:
-            assert spec.paths
-            assert not spec.is_probe
-            assert spec.paths == ft_routing.host_paths(spec.src, spec.dst)
+        space = PathSpace(small_fat_tree, ft_routing)
+        batch = generate_passive_flow_batch(ft_routing, matrix, 200, rng, space)
+        assert len(batch) == 200
+        assert batch.space is space
+        assert not batch.is_probe.any()
+        assert batch.packets.min() >= 1
+        for src, dst, sid in zip(
+            batch.src.tolist(), batch.dst.tolist(), batch.path_set.tolist()
+        ):
+            assert src != dst
+            assert _member_paths(space, sid) == ft_routing.host_paths(src, dst)
 
-    def test_fixed_packets(self, small_fat_tree, ft_routing, rng):
+    def test_no_flows(self, small_fat_tree, ft_routing, rng):
         matrix = UniformTraffic(small_fat_tree)
-        specs = generate_passive_flows(
-            ft_routing, matrix, 50, rng, fixed_packets=7
-        )
-        assert all(spec.packets == 7 for spec in specs)
+        space = PathSpace(small_fat_tree, ft_routing)
+        empty = generate_passive_flow_batch(ft_routing, matrix, 0, rng, space)
+        assert len(empty) == 0
+        with pytest.raises(TrafficError):
+            generate_passive_flow_batch(ft_routing, matrix, -1, rng, space)
 
 
 class TestProbePlan:
     def test_probes_are_pinned_and_marked(self, small_fat_tree, ft_routing, rng):
-        specs = a1_probe_plan(small_fat_tree, ft_routing, 100, rng)
-        assert len(specs) == 100
-        for spec in specs:
-            assert spec.is_probe
-            assert len(spec.paths) == 1
-            assert spec.dst in small_fat_tree.cores
+        space = PathSpace(small_fat_tree, ft_routing)
+        batch = a1_probe_batch(small_fat_tree, ft_routing, 100, rng, space)
+        assert len(batch) == 100
+        assert batch.is_probe.all()
+        assert (batch.packets == PROBE_PACKETS).all()
+        assert np.isin(batch.src, small_fat_tree.hosts).all()
+        assert np.isin(batch.dst, small_fat_tree.cores).all()
+        for src, dst, sid in zip(
+            batch.src.tolist(), batch.dst.tolist(), batch.path_set.tolist()
+        ):
+            (path,) = _member_paths(space, sid)
+            assert path in ft_routing.probe_paths(src, dst)
 
     def test_full_plan_covers_fabric(self, small_fat_tree, ft_routing, rng):
-        n_pairs = len(small_fat_tree.hosts) * len(small_fat_tree.cores)
-        specs = a1_probe_plan(
-            small_fat_tree, ft_routing, n_pairs * 4, rng
-        )
-        coverage = probes_per_link_coverage(small_fat_tree, specs)
-        assert coverage == 1.0
+        topo = small_fat_tree
+        space = PathSpace(topo, ft_routing)
+        n_pairs = len(topo.hosts) * len(topo.cores)
+        batch = a1_probe_batch(topo, ft_routing, n_pairs * 4, rng, space)
+        covered = set()
+        for sid in np.unique(batch.path_set).tolist():
+            for path in _member_paths(space, sid):
+                covered.update(
+                    topo.link_id(u, v) for u, v in zip(path, path[1:])
+                )
+        assert set(topo.switch_switch_links()) <= covered
 
     def test_rotation_through_ecmp_choices(self, rng):
         # A fat-tree has a single path from a host to a given core, so
@@ -134,23 +144,21 @@ class TestProbePlan:
             core_groups=2, cores_per_group=1, hosts_per_tor=2,
         )
         routing = EcmpRouting(topo)
+        space = PathSpace(topo, routing)
         host = topo.hosts[0]
         core = topo.cores[0]
         assert len(routing.probe_paths(host, core)) >= 2
-        specs = a1_probe_plan(
-            topo, routing,
-            len(topo.hosts) * len(topo.cores) * 2,
-            rng, hosts=None,
+        batch = a1_probe_batch(
+            topo, routing, len(topo.hosts) * len(topo.cores) * 2, rng, space,
         )
+        mine = (batch.src == host) & (batch.dst == core)
         pinned = {
-            spec.paths[0]
-            for spec in specs
-            if spec.src == host and spec.dst == core
+            _member_paths(space, sid)[0]
+            for sid in batch.path_set[mine].tolist()
         }
         assert len(pinned) >= 2  # rotated through distinct up-paths
 
     def test_invalid_args(self, small_fat_tree, ft_routing, rng):
+        space = PathSpace(small_fat_tree, ft_routing)
         with pytest.raises(TrafficError):
-            a1_probe_plan(small_fat_tree, ft_routing, -1, rng)
-        with pytest.raises(TrafficError):
-            a1_probe_plan(small_fat_tree, ft_routing, 1, rng, packets_per_probe=0)
+            a1_probe_batch(small_fat_tree, ft_routing, -1, rng, space)
