@@ -146,8 +146,9 @@ def _passive_and_probes(topo, routing, rng, n_flows, n_probes):
 
 def _plain_pair_sets(space, routing, src, dst):
     """Passive flows whose ECMP sets are interned *plain* (whole member
-    lists, as a dataset load or a hand-built batch would): the
-    simulator's other pricing branch."""
+    lists, as a hand-built batch may): multi-member sets for the
+    simulator's plain pricing branch, which production probes reach
+    only with one member."""
     n = len(src)
     return SpecBatch(
         space=space, src=src, dst=dst,
@@ -197,10 +198,10 @@ class TestFlowSimulator:
         ])
         # Both outcomes occur among factored passive sets, pinned
         # probes and plain multi-path sets alike.
-        n = len(produced)
-        groups = (~produced.is_probe, produced.is_probe)
-        for rows in (crosses[:n][groups[0]], crosses[:n][groups[1]], crosses[n:]):
-            assert rows.any() and not rows.all()
+        passive, probes = crosses[:len(produced)], crosses[len(produced):]
+        probe = produced.is_probe
+        for group in (passive[~probe], passive[probe], probes):
+            assert group.any() and not group.all()
         assert np.array_equal(out.bad[crosses], out.packets[crosses])
         assert not out.bad[~crosses].any()
 
