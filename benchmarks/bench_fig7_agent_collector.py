@@ -4,15 +4,18 @@ The paper measures agent CPU vs data rate and a collector handling 8K
 agent connections/sec.  Here we benchmark the same pipeline stages:
 record encode, agent aggregation+export, collector ingest, and the UDP
 loopback path; throughput must comfortably exceed the report rates the
-simulated traces produce.
+simulated traces produce.  The agent observes real simulated flow
+batches of a fat_tree(4) fabric.
 """
 
 import time
 
 import pytest
 
+from repro import EcmpRouting, SilentLinkDrops, fat_tree, make_trace
 from repro.telemetry import (
     Collector,
+    FlowReport,
     InMemoryTransport,
     TelemetryAgent,
     UdpCollectorServer,
@@ -20,8 +23,6 @@ from repro.telemetry import (
     decode_message,
     encode_message,
 )
-from repro.telemetry.records import FlowReport
-from repro.types import FlowRecord
 
 
 def _reports(n):
@@ -32,12 +33,15 @@ def _reports(n):
     ]
 
 
-def _records(n):
-    return [
-        FlowRecord(src=i, dst=i + 1, packets_sent=100, bad_packets=0,
-                   path=(i, 7, 8, i + 1), rtt_ms=0.3)
-        for i in range(n)
-    ]
+def _batch(n):
+    """``n`` simulated fat_tree(4) flows: passive flows, then one A1
+    probe per ten flows."""
+    topo = fat_tree(4)
+    n_probes = n // 10
+    return make_trace(
+        topo, EcmpRouting(topo), SilentLinkDrops(n_failures=1), seed=7,
+        n_passive=n - n_probes, n_probes=n_probes,
+    ).batch
 
 
 def test_codec_encode_throughput(benchmark):
@@ -53,12 +57,12 @@ def test_codec_decode_throughput(benchmark):
 
 
 def test_agent_export_throughput(benchmark):
-    records = _records(2000)
+    batch = _batch(2000)
 
     def run():
         transport = InMemoryTransport()
         agent = TelemetryAgent(transport, reveal_paths=True)
-        agent.observe(records)
+        agent.observe(batch)
         agent.flush()
         return agent.exported_reports
 
@@ -83,13 +87,15 @@ def test_udp_loopback_rate(benchmark, show):
     """Messages/sec over the real UDP loopback path (paper: the
     multicore collector handles 8K connections/sec)."""
 
+    batch = _batch(10_000)
+
     def run():
         collector = Collector()
         with UdpCollectorServer(collector) as server:
             transport = UdpTransport(*server.address)
             agent = TelemetryAgent(transport, reveal_paths=True)
-            # 10,000 records export as 385 messages of up to 26 records.
-            agent.observe(_records(10_000))
+            # 10,000 flows export as 385 messages of up to 26 reports.
+            agent.observe(batch)
             agent.flush()
             transport.close()
             deadline = time.time() + 10.0

@@ -48,7 +48,7 @@ def main():
         SilentLinkDrops(n_failures=2, min_rate=5e-3, max_rate=1e-2),
         seed=3, n_passive=5000, n_probes=500,
     )
-    print(f"simulated {len(trace.records)} flow records; ground truth:",
+    print(f"simulated {len(trace.batch)} flows; ground truth:",
           sorted(topo.component_name(c)
                  for c in trace.ground_truth.failed_links))
 
@@ -59,7 +59,7 @@ def main():
         transport = UdpTransport(host, port)
         agent = TelemetryAgent(transport, reveal_paths=True)
         t0 = time.perf_counter()
-        agent.observe(trace.records)
+        agent.observe(trace.batch)
         agent.flush()
         transport.close()
         # UDP may drop datagrams even on loopback: stop waiting once the

@@ -74,7 +74,6 @@ from .topology import (
 from .types import (
     FlowBatch,
     FlowObservation,
-    FlowRecord,
     GroundTruth,
     Prediction,
     TelemetryKind,
@@ -137,7 +136,6 @@ __all__ = [
     "build_localizer",
     "make_setup",
     # types
-    "FlowRecord",
     "FlowBatch",
     "FlowObservation",
     "Prediction",

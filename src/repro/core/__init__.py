@@ -1,12 +1,5 @@
 """Flock's core: PGM model, inference problem, and MLE inference engines."""
 
-from .analysis import (
-    Theorem2Report,
-    check_theorem2,
-    max_recoverable_failures,
-    traffic_skew,
-    vertex_cover_gadget,
-)
 from .flock import FlockInference
 from .gibbs import GibbsInference
 from .model import evidence_scores
@@ -21,9 +14,4 @@ __all__ = [
     "FlockInference",
     "GibbsInference",
     "evidence_scores",
-    "traffic_skew",
-    "max_recoverable_failures",
-    "check_theorem2",
-    "Theorem2Report",
-    "vertex_cover_gadget",
 ]

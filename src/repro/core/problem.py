@@ -810,9 +810,6 @@ class InferenceProblem:
         """
         return np.nonzero(self.exact)[0]
 
-    def flow_pathset_size(self, flow: int) -> int:
-        return int(self._set_w[self._set_of_flow[flow]])
-
     def describe(self) -> str:
         """One-line summary, handy in logs and experiment reports."""
         observed = len(self.observed_components)

@@ -4,9 +4,9 @@ The paper's third contribution is "an open evaluation suite for fault
 localization, which includes ... telemetry data for six different fault
 scenarios from a simulated data center and a hardware testbed".  This
 module serializes traces to a portable JSON format (topology + ground
-truth + flow records) and generates that six-scenario dataset, so other
-fault-localization projects can consume the same inputs without running
-this package's simulator.
+truth + one record per flow) and generates that six-scenario dataset,
+so other fault-localization projects can consume the same inputs
+without running this package's simulator.
 
 Format (one JSON document per trace):
 
@@ -22,8 +22,10 @@ Format (one JSON document per trace):
 }
 ```
 
-Records are compact positional arrays; RTT is stored in integer
-microseconds (the same quantization as the wire codec).
+Records are compact positional arrays, one per row of the trace's
+:class:`~repro.types.FlowBatch`: saving reads the batch columns and
+loading fills them, with no per-flow object in between.  RTT is stored
+in integer microseconds (the same quantization as the wire codec).
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from ..errors import ExperimentError, TopologyError
 from ..routing.ecmp import EcmpRouting
 from ..simulation.droprate import DropRatePlan
 from ..simulation.failures import (
+    PER_FLOW,
+    PER_PACKET,
     Injection,
     LinkFlap,
     NoFailure,
@@ -48,7 +52,7 @@ from ..simulation.failures import (
 from ..topology.base import Topology
 from ..topology.clos import three_tier_clos
 from ..topology.leafspine import testbed
-from ..types import FlowBatch, FlowRecord, GroundTruth
+from ..types import FlowBatch, GroundTruth
 from .scenarios import SKEWED, UNIFORM, Trace, make_trace
 
 FORMAT_TAG = "flock-trace-v1"
@@ -58,9 +62,19 @@ RECORD_FIELDS = ("src", "dst", "sent", "bad", "rtt_us", "is_probe", "path")
 
 
 def trace_to_dict(trace: Trace) -> Dict:
-    """Serialize a trace (topology, ground truth, records) to a dict."""
+    """Serialize a trace (topology, ground truth, records) to a dict.
+
+    Records are written from the batch columns; every row needs its
+    exact path, so a batch with a pathless row (``chosen_path`` -1)
+    raises :class:`ExperimentError`.
+    """
     topo = trace.topology
     truth = trace.ground_truth
+    batch = trace.batch
+    pathless = np.flatnonzero(batch.chosen_path < 0)
+    if len(pathless):
+        raise ExperimentError(f"flow {pathless[0]} has no known path")
+    path_nodes = batch.space.path_nodes
     return {
         "format": FORMAT_TAG,
         "topology": {
@@ -77,12 +91,13 @@ def trace_to_dict(trace: Trace) -> Dict:
         "seed": trace.seed,
         "meta": dict(trace.meta),
         "records": [
-            [
-                r.src, r.dst, r.packets_sent, r.bad_packets,
-                int(round(r.rtt_ms * 1000.0)), int(r.is_probe),
-                list(r.path),
-            ]
-            for r in trace.records
+            [src, dst, sent, bad, rtt_us, int(probe), list(path_nodes(pid))]
+            for src, dst, sent, bad, rtt_us, probe, pid in zip(
+                batch.src.tolist(), batch.dst.tolist(),
+                batch.packets.tolist(), batch.bad.tolist(),
+                np.rint(batch.rtt_ms * 1000.0).astype(np.int64).tolist(),
+                batch.is_probe.tolist(), batch.chosen_path.tolist(),
+            )
         ],
     }
 
@@ -91,13 +106,13 @@ def trace_from_dict(payload: Dict) -> Trace:
     """Rebuild a trace from its serialized form.
 
     The flows load as a :class:`~repro.types.FlowBatch` over the
-    rebuilt routing's shared path space
-    (:meth:`FlowBatch.from_records`).  The reconstructed ``Injection``
-    carries the ground truth and analysis mode; the drop-rate plan is
-    restored from the recorded per-link rates (healthy links read back
-    as rate 0, which is fine - consumers of a dataset never re-simulate
-    it).  A malformed document raises :class:`ExperimentError` here,
-    before anything is built from it.
+    rebuilt routing's shared path space (:meth:`FlowBatch.from_flows`).
+    The reconstructed ``Injection`` carries the ground truth and
+    analysis mode; the drop-rate plan is restored from the recorded
+    per-link rates (healthy links read back as rate 0, which is fine -
+    consumers of a dataset never re-simulate it).  A malformed document
+    raises :class:`ExperimentError` here, before anything is built from
+    it.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_TAG:
         found = payload.get("format") if isinstance(payload, dict) else payload
@@ -115,6 +130,7 @@ def trace_from_dict(payload: Dict) -> Trace:
             failed_devices=frozenset(truth_spec["failed_devices"]),
             drop_rates={int(k): v for k, v in truth_spec["drop_rates"].items()},
         )
+        _check_truth(truth, topology)
         rates = np.zeros(topology.n_links)
         for link, rate in truth.drop_rates.items():
             rates[link] = rate
@@ -123,29 +139,66 @@ def trace_from_dict(payload: Dict) -> Trace:
         raise ExperimentError(
             f"malformed {FORMAT_TAG} document: {type(exc).__name__}: {exc}"
         ) from None
+    analysis = payload.get("analysis", PER_PACKET)
+    if analysis not in (PER_PACKET, PER_FLOW):
+        raise ExperimentError(
+            f"analysis must be {PER_PACKET!r} or {PER_FLOW!r}, got {analysis!r}"
+        )
+    seed, meta = payload.get("seed", 0), payload.get("meta", {})
+    if type(seed) is not int or not isinstance(meta, dict):
+        raise ExperimentError(
+            f"'seed' must be an integer and 'meta' an object, got "
+            f"{seed!r} and {meta!r}"
+        )
     injection = Injection(
         ground_truth=truth,
         plan=DropRatePlan(topology, rates),
-        analysis=payload.get("analysis", "per_packet"),
+        analysis=analysis,
     )
     routing = EcmpRouting(topology)
-    records = _parse_records(rows, topology)
     return Trace(
         topology=topology,
         routing=routing,
         injection=injection,
-        batch=FlowBatch.from_records(records, routing.path_space()),
-        seed=payload.get("seed", 0),
-        meta=payload.get("meta", {}),
+        batch=FlowBatch.from_flows(
+            routing.path_space(), **_parse_rows(rows, topology)
+        ),
+        seed=seed,
+        meta=meta,
     )
 
 
-def _parse_records(rows, topology: Topology) -> List[FlowRecord]:
-    """Validated flow records of a document's ``"records"`` list.
+def _check_truth(truth: GroundTruth, topology: Topology) -> None:
+    """Failed links and drop-rate keys are link ids in ``[0, n_links)``;
+    failed devices are device component ids."""
+    n_links = topology.n_links
+    links = [
+        link for link in (*truth.failed_links, *truth.drop_rates)
+        if type(link) is not int or not 0 <= link < n_links
+    ]
+    if links:
+        raise ExperimentError(
+            f"ground truth names links outside [0, {n_links}): {links}"
+        )
+    devices = [
+        comp for comp in truth.failed_devices
+        if type(comp) is not int or not topology.is_device_component(comp)
+    ]
+    if devices:
+        raise ExperimentError(
+            f"failed devices must be device components in [{n_links}, "
+            f"{topology.n_components}), got {devices}"
+        )
 
-    Every field is an integer, ``0 <= bad <= sent``, ``rtt_us >= 0``,
-    and the path is a walk over the topology's links from ``src`` to
-    ``dst``; a passive flow runs between two distinct hosts.
+
+def _parse_rows(rows, topology: Topology) -> Dict[str, List]:
+    """The validated flows of a document's ``"records"`` list, as the
+    columns of :meth:`FlowBatch.from_flows`.
+
+    Every field is an integer in ``[0, 2**63)``, ``bad <= sent``,
+    ``is_probe`` is 0 or 1, and the path is a walk over the topology's
+    links from ``src`` to ``dst``; a passive flow runs between two
+    distinct hosts.
     """
     if not isinstance(rows, list):
         raise ExperimentError(
@@ -153,7 +206,7 @@ def _parse_records(rows, topology: Topology) -> List[FlowRecord]:
         )
     n_nodes = topology.n_nodes
     hosts = set(topology.hosts)
-    records: List[FlowRecord] = []
+    columns = [[] for _ in RECORD_FIELDS]
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != len(RECORD_FIELDS):
             raise ExperimentError(
@@ -167,10 +220,13 @@ def _parse_records(rows, topology: Topology) -> List[FlowRecord]:
                 f"record {i}: fields must be integers and the path a list "
                 f"of node ids, got {row!r}"
             )
-        if not 0 <= bad <= sent or rtt_us < 0 or probe not in (0, 1):
+        if (
+            not 0 <= bad <= sent < 2 ** 63 or not 0 <= rtt_us < 2 ** 63
+            or probe not in (0, 1)
+        ):
             raise ExperimentError(
-                f"record {i}: needs 0 <= bad <= sent, rtt_us >= 0 and "
-                f"is_probe 0 or 1, got {row!r}"
+                f"record {i}: needs 0 <= bad <= sent < 2**63, "
+                f"0 <= rtt_us < 2**63 and is_probe 0 or 1, got {row!r}"
             )
         if (
             not path or path[0] != src or path[-1] != dst
@@ -186,11 +242,14 @@ def _parse_records(rows, topology: Topology) -> List[FlowRecord]:
                 f"record {i}: a passive flow runs between two distinct "
                 f"hosts, got src {src} and dst {dst}"
             )
-        records.append(FlowRecord(
-            src=src, dst=dst, packets_sent=sent, bad_packets=bad,
-            rtt_ms=rtt_us / 1000.0, is_probe=bool(probe), path=tuple(path),
-        ))
-    return records
+        for column, value in zip(columns, row):
+            column.append(value)
+    src, dst, sent, bad, rtt_us, probe, paths = columns
+    return dict(
+        src=src, dst=dst, packets=sent, bad=bad,
+        rtt_ms=np.asarray(rtt_us, dtype=np.int64) / 1000.0,
+        is_probe=probe, paths=[tuple(p) for p in paths],
+    )
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> Path:

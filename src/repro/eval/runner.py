@@ -86,7 +86,6 @@ def detach_traces(traces: Sequence) -> Tuple[List[Tuple[object, object]], List]:
         clone.topology = None
         clone.routing = None
         clone.batch = dataclass_replace(batch, space=None)
-        clone._records = None
         clone._detached_world = idx
         payloads.append(clone)
     return worlds, payloads

@@ -3,9 +3,8 @@
 A :class:`Trace` bundles everything one experiment repetition needs:
 the topology and routing, the injected ground truth, and the simulated
 flows that telemetry inputs are derived from.  Simulation is columnar
-end to end (:class:`~repro.types.FlowBatch`); ``trace.records``
-materializes the object view lazily for the consumers that iterate
-records (the agent/collector path, dataset serialization).
+end to end (:class:`~repro.types.FlowBatch`), and so is every consumer
+of a trace's flows.
 """
 
 from __future__ import annotations
@@ -19,18 +18,16 @@ from ..simulation.failures import FailureScenario, Injection
 from ..simulation.flowsim import simulate_traffic
 from ..topology.base import Topology
 from ..traffic.matrix import SKEWED, UNIFORM, make_matrix
-from ..types import FlowBatch, FlowRecord, GroundTruth
+from ..types import FlowBatch, GroundTruth
 
 
 class Trace:
     """One simulated monitoring interval.
 
     Its flows are the columnar ``batch`` (:class:`~repro.types.FlowBatch`),
-    whether the simulator produced it or a dataset load rebuilt it.
-    ``records`` is the object view of the same flows, materialized on
-    first access and cached, so consumers that iterate records (the
-    agent/collector path, dataset serialization) pay the per-record
-    cost only when they do.
+    whether the simulator produced it or a dataset load rebuilt it;
+    telemetry construction, the agent and the dataset codec all read
+    its columns.
     """
 
     def __init__(
@@ -48,14 +45,6 @@ class Trace:
         self.batch = batch
         self.seed = seed
         self.meta = {} if meta is None else meta
-        self._records: Optional[List[FlowRecord]] = None
-
-    @property
-    def records(self) -> List[FlowRecord]:
-        """Object view of the trace's flows (lazy, cached)."""
-        if self._records is None:
-            self._records = self.batch.records()
-        return self._records
 
     @property
     def n_flows(self) -> int:

@@ -667,10 +667,6 @@ class PathSpace:
     # Component projections
     # ------------------------------------------------------------------
     @property
-    def n_comp_paths(self) -> int:
-        return len(self._comp_paths)
-
-    @property
     def n_comp_sets(self) -> int:
         return self._cset_rows.n
 

@@ -26,17 +26,17 @@ per-record Python anywhere on the hot path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import SimulationError, TrafficError
 from ..routing.ecmp import EcmpRouting
 from ..routing.paths import PathSpace, first_seen_ids
-from ..topology.base import Topology
 from ..traffic.flows import SpecBatch, generate_passive_flow_batch
 from ..traffic.matrix import TrafficMatrix
 from ..traffic.probes import a1_probe_batch
-from ..types import FlowBatch, FlowRecord
+from ..types import FlowBatch
 from .failures import Injection
 
 
@@ -52,18 +52,22 @@ def simulate_traffic(
     A1 probes, and simulate them all under ``injection``.
 
     The RNG draws run in that order on one stream.  ``matrix`` may be
-    ``None`` when ``n_passive`` is 0.
+    ``None`` when ``n_passive`` is 0.  A negative count raises
+    :class:`~repro.errors.TrafficError`.
     """
+    if n_passive < 0 or n_probes < 0:
+        raise TrafficError(
+            f"flow counts must be non-negative, got n_passive={n_passive} "
+            f"and n_probes={n_probes}"
+        )
     space = routing.path_space()
     batches: List[SpecBatch] = []
     if n_passive > 0:
         batches.append(
-            generate_passive_flow_batch(routing, matrix, n_passive, rng, space)
+            generate_passive_flow_batch(matrix, n_passive, rng, space)
         )
     if n_probes > 0:
-        batches.append(
-            a1_probe_batch(routing.topology, routing, n_probes, rng, space)
-        )
+        batches.append(a1_probe_batch(routing, n_probes, rng, space))
     specs = SpecBatch.concat(batches) if batches else SpecBatch.empty(space)
     return simulate_batch(specs, injection, rng)
 
@@ -195,22 +199,30 @@ def _path_survivals(space: PathSpace, plan) -> np.ndarray:
     return surv
 
 
-def empirical_link_loss(
-    topology: Topology, records: Sequence[FlowRecord]
-) -> Dict[int, Tuple[int, int]]:
+def empirical_link_loss(batch: FlowBatch) -> Dict[int, Tuple[int, int]]:
     """Aggregate (bad, total) packets per link from ground-truth paths.
 
     A simulator-fidelity diagnostic: with many flows, a link's empirical
     loss share converges toward its planned drop rate.  Without
     per-packet data a flow's bad packets cannot be attributed to the
     link that dropped them, so this attributes all of a flow's packets,
-    good and bad, to every link on its path (the standard tomography
-    load matrix).
+    good and bad, to every link on its path, once per traversal (the
+    standard tomography load matrix).  The keys are the links some
+    flow's chosen path crosses.
     """
-    totals: Dict[int, Tuple[int, int]] = {}
-    for record in records:
-        for u, v in zip(record.path, record.path[1:]):
-            link = topology.link_id(u, v)
-            bad, total = totals.get(link, (0, 0))
-            totals[link] = (bad + record.bad_packets, total + record.packets_sent)
-    return totals
+    pids = batch.chosen_path
+    if np.any(pids < 0):
+        raise SimulationError("every flow needs a known path")
+    flat_links, link_off = batch.space.link_csr()
+    hops = link_off[pids + 1] - link_off[pids]
+    flow = np.repeat(np.arange(len(pids)), hops)
+    # Hop j of flow i sits at out[i] + j in the gather and at
+    # link_off[pids[i]] + j in the CSR.
+    shift = np.repeat(np.cumsum(hops) - hops - link_off[pids], hops)
+    links = flat_links[np.arange(len(flow)) - shift]
+    bad = np.bincount(links, weights=batch.bad[flow])
+    total = np.bincount(links, weights=batch.packets[flow])
+    return {
+        link: (int(bad[link]), int(total[link]))
+        for link in np.unique(links).tolist()
+    }

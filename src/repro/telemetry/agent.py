@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import socket
 from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, List
 
 import numpy as np
 
 from ..errors import TelemetryError
-from ..types import FlowRecord
+from ..types import FlowBatch
 from .codec import MAX_RECORDS_PER_MESSAGE, encode_message
 from .records import FlowReport
 
@@ -65,7 +65,7 @@ class UdpTransport(Transport):
 
 
 class TelemetryAgent:
-    """Aggregates flow records into reports and exports them in batches.
+    """Turns flow-batch rows into reports and exports them in batches.
 
     Parameters
     ----------
@@ -103,20 +103,50 @@ class TelemetryAgent:
         self.exported_messages = 0
         self.sampled_out = 0
 
-    def observe(self, records: Iterable[FlowRecord]) -> None:
-        """Ingest simulator/monitor flow records into the pending batch."""
-        for record in records:
-            if not record.is_probe and self._sampling_rate < 1.0:
-                if self._rng.random() >= self._sampling_rate:
-                    self.sampled_out += 1
-                    continue
-            reveal = record.is_probe or self._reveal_paths
-            self._pending.append(
-                FlowReport.from_flow_record(record, reveal_path=reveal)
+    def observe(self, batch: FlowBatch) -> None:
+        """Ingest a flow batch's rows, in row order, into the pending
+        batch.
+
+        Sampling draws one uniform per passive row, in row order, and
+        keeps the row when it falls below ``sampling_rate``.  A report
+        carries its node path only where it is revealed (probes, and
+        every row when ``reveal_paths``); a batch with a pathless row
+        (``chosen_path`` -1) is refused, since the agent observes the
+        flows it carried.
+        """
+        pathless = np.flatnonzero(batch.chosen_path < 0)
+        if len(pathless):
+            raise TelemetryError(f"flow {pathless[0]} has no known path")
+        keep = np.ones(len(batch), dtype=bool)
+        if self._sampling_rate < 1.0:
+            passive = ~batch.is_probe
+            keep[passive] = (
+                self._rng.random(int(passive.sum())) < self._sampling_rate
             )
-            if len(self._pending) >= self._batch_size:
-                self._export(self._pending[: self._batch_size])
-                del self._pending[: self._batch_size]
+            self.sampled_out += len(batch) - int(keep.sum())
+        rows = np.flatnonzero(keep)
+        reveal = batch.is_probe[rows] | self._reveal_paths
+        rtt_us = np.minimum(np.rint(batch.rtt_ms[rows] * 1000.0), 2 ** 32 - 1)
+        path_nodes = batch.space.path_nodes
+        self._pending.extend(
+            FlowReport(
+                src=src, dst=dst, packets_sent=sent, retransmissions=bad,
+                rtt_us=rtt, is_probe=probe,
+                path=path_nodes(pid) if shown else None,
+            )
+            for src, dst, sent, bad, rtt, probe, pid, shown in zip(
+                batch.src[rows].tolist(), batch.dst[rows].tolist(),
+                batch.packets[rows].tolist(), batch.bad[rows].tolist(),
+                rtt_us.astype(np.int64).tolist(),
+                batch.is_probe[rows].tolist(),
+                batch.chosen_path[rows].tolist(), reveal.tolist(),
+            )
+        )
+        pending, size = self._pending, self._batch_size
+        full = len(pending) - len(pending) % size
+        for start in range(0, full, size):
+            self._export(pending[start:start + size])
+        del pending[:full]
 
     def flush(self) -> None:
         """Export any partially-filled batch."""

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..errors import TelemetryError
-from ..types import FlowRecord
 
 #: Longest encodable traced path (a 3-tier Clos host-to-host path has 7
 #: nodes; 52 = 24-byte fixed part + 7 * 4-byte node ids).
@@ -65,20 +64,3 @@ class FlowReport:
         if self.path is not None:
             value |= FLAG_HAS_PATH
         return value
-
-    @staticmethod
-    def from_flow_record(record: FlowRecord, reveal_path: bool = True) -> "FlowReport":
-        """Convert a simulator record into a wire report.
-
-        ``reveal_path=False`` models plain passive monitoring, where the
-        agent knows the endpoints but not the route.
-        """
-        return FlowReport(
-            src=record.src,
-            dst=record.dst,
-            packets_sent=record.packets_sent,
-            retransmissions=record.bad_packets,
-            rtt_us=min(2 ** 32 - 1, int(round(record.rtt_ms * 1000.0))),
-            is_probe=record.is_probe,
-            path=tuple(record.path) if reveal_path else None,
-        )

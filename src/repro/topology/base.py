@@ -206,11 +206,6 @@ class Topology:
         """Top-tier switches (core/spine nodes)."""
         return self._cores
 
-    @property
-    def switch_mask(self) -> Tuple[bool, ...]:
-        """Per-node flag: True when the node is a switch."""
-        return self._switch_mask
-
     def role(self, node: int) -> str:
         return self._roles[node]
 
@@ -402,17 +397,6 @@ class Topology:
                     count += 1
                     stack.append(nbr)
         return count == self.n_nodes
-
-    def to_networkx(self):
-        """Export to a :mod:`networkx` graph (for analysis and plotting)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for node in range(self.n_nodes):
-            graph.add_node(node, name=self._names[node], role=self._roles[node])
-        for lid, (u, v) in enumerate(self._links):
-            graph.add_edge(u, v, link_id=lid)
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

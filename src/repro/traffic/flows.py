@@ -13,7 +13,6 @@ from typing import List
 import numpy as np
 
 from ..errors import TrafficError
-from ..routing.ecmp import EcmpRouting
 from ..routing.paths import PathSpace
 from .matrix import TrafficMatrix
 
@@ -96,7 +95,6 @@ def pareto_flow_packets(
 
 
 def generate_passive_flow_batch(
-    routing: EcmpRouting,
     matrix: TrafficMatrix,
     n_flows: int,
     rng: np.random.Generator,

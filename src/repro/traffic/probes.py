@@ -19,7 +19,6 @@ import numpy as np
 from ..errors import TrafficError
 from ..routing.ecmp import EcmpRouting
 from ..routing.paths import PathSpace
-from ..topology.base import Topology
 from .flows import SpecBatch
 
 #: Packets per probe report; the paper probes at "40 packets per second"
@@ -28,7 +27,6 @@ PROBE_PACKETS = 40
 
 
 def a1_probe_batch(
-    topology: Topology,
     routing: EcmpRouting,
     n_probes: int,
     rng: np.random.Generator,
@@ -47,8 +45,8 @@ def a1_probe_batch(
     """
     if n_probes < 0:
         raise TrafficError("n_probes must be non-negative")
-    hosts = list(topology.hosts)
-    cores = list(topology.cores)
+    hosts = list(routing.topology.hosts)
+    cores = list(routing.topology.cores)
     if not hosts or not cores:
         raise TrafficError("A1 probing needs at least one host and one core")
     if n_probes == 0:

@@ -2,8 +2,11 @@
 
 The types here are the "wire" vocabulary of the system: what the simulator
 emits, what the telemetry agents report, and what the inference schemes
-predict.  Algorithm-internal structures (e.g. the interned path tables used
-by inference) live next to the algorithms that own them.
+predict.  Flows have one representation, the columnar :class:`FlowBatch`:
+the simulator, the agent, the collector's report path and the dataset
+codec all read and write its columns.  Algorithm-internal structures
+(e.g. the interned path tables used by inference) live next to the
+algorithms that own them.
 
 Component identifiers
 ---------------------
@@ -19,11 +22,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import FrozenSet, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
-
-from .errors import TelemetryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .routing.paths import PathSpace
@@ -55,76 +56,23 @@ class TelemetryKind(enum.Enum):
     INT = "INT"
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """A single simulated flow, as produced by the flow-level simulator.
-
-    This is the "ground truth" record: it knows the exact path the flow
-    took (``path`` is a tuple of node ids, endpoints included).  Telemetry
-    construction (:mod:`repro.telemetry.inputs`) decides how much of this
-    is revealed to each scheme.
-
-    Attributes
-    ----------
-    src, dst:
-        Host node ids of the flow endpoints.
-    packets_sent:
-        Total packets the flow transmitted (``t`` in the paper's Eq. 1).
-    bad_packets:
-        Packets that experienced a problem - retransmissions for the
-        per-packet analysis (``r`` in Eq. 1).
-    path:
-        The exact node sequence the flow traversed.
-    rtt_ms:
-        Mean observed round-trip time in milliseconds (used by the
-        per-flow latency analysis, section 3.2).
-    is_probe:
-        True for active probe flows (A1-style), which always know their
-        path.
-    """
-
-    src: int
-    dst: int
-    packets_sent: int
-    bad_packets: int
-    path: Tuple[int, ...]
-    rtt_ms: float = 0.0
-    is_probe: bool = False
-
-    def __post_init__(self) -> None:
-        if self.packets_sent < 0:
-            raise ValueError("packets_sent must be non-negative")
-        if not 0 <= self.bad_packets <= self.packets_sent:
-            raise ValueError(
-                "bad_packets must be within [0, packets_sent], got "
-                f"{self.bad_packets}/{self.packets_sent}"
-            )
-
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of packets that were bad (0.0 for an empty flow)."""
-        if self.packets_sent == 0:
-            return 0.0
-        return self.bad_packets / self.packets_sent
-
-
 @dataclass
 class FlowBatch:
-    """Struct-of-arrays trace: every :class:`FlowRecord` field as an
-    aligned numpy column.
+    """Struct-of-arrays trace: one aligned numpy column per flow field.
 
-    This is the columnar twin of a ``List[FlowRecord]`` and the unit the
-    vectorized trace pipeline passes from the simulator to telemetry
-    construction.  Paths are interned: ``path_set`` holds each flow's
-    ECMP candidate-set id and ``chosen_path`` the node-path id the
-    simulator picked, both resolved against ``space``
+    This is the one flow representation: the simulator emits it, the
+    agent exports its rows, telemetry construction reads it, and the
+    dataset codec saves and loads it.  ``packets`` and ``bad`` are a
+    flow's sent and bad packets (``t`` and ``r`` in the paper's Eq. 1)
+    and ``rtt_ms`` its mean round-trip time.  Paths are interned: ``path_set``
+    holds each flow's ECMP candidate-set id and ``chosen_path`` the
+    node-path id the simulator picked, both resolved against ``space``
     (:class:`~repro.routing.paths.PathSpace`).  ``chosen_path`` is -1
     where the path is unknown: a wire report from an agent that did
     not trace the flow (:func:`repro.telemetry.inputs.batch_from_reports`);
-    such a probe's ``path_set`` is -1 too.  ``records()`` materializes
-    the object view of a batch whose paths are all known (the agent
-    and the dataset serializer read it), and :meth:`from_records`
-    rebuilds a batch from it (dataset load).
+    such a probe's ``path_set`` is -1 too.  Consumers that need every
+    row's exact path (the agent, the dataset serializer) refuse such a
+    batch.
 
     Streaming chunks carry an optional ``t_start`` column (per-flow
     arrival time in seconds); batch producers leave it ``None``.
@@ -222,48 +170,6 @@ class FlowBatch:
             is_probe=self.is_probe, path_set=self.path_set,
             chosen_path=self.chosen_path,
             t_start=np.asarray(t_start, dtype=np.float64),
-        )
-
-    def records(self) -> List["FlowRecord"]:
-        """Materialize the whole batch as object-pipeline records.
-
-        A record needs its exact path, so a batch with any unknown path
-        (``chosen_path == -1``, a pathless wire report) raises.
-        """
-        unknown = self.chosen_path < 0
-        if np.any(unknown):
-            row = int(np.argmax(unknown))
-            raise TelemetryError(
-                f"flow {row} has no known path, so it has no FlowRecord"
-            )
-        path_nodes = self.space.path_nodes
-        return [
-            FlowRecord(
-                src=src, dst=dst, packets_sent=sent, bad_packets=bad,
-                path=path_nodes(pid), rtt_ms=rtt, is_probe=bool(probe),
-            )
-            for src, dst, sent, bad, rtt, probe, pid in zip(
-                self.src.tolist(), self.dst.tolist(), self.packets.tolist(),
-                self.bad.tolist(), self.rtt_ms.tolist(), self.is_probe.tolist(),
-                self.chosen_path.tolist(),
-            )
-        ]
-
-    @staticmethod
-    def from_records(
-        records: Sequence["FlowRecord"], space: "PathSpace"
-    ) -> "FlowBatch":
-        """Columnarize object records (dataset load; see
-        :meth:`from_flows`)."""
-        return FlowBatch.from_flows(
-            space,
-            src=[r.src for r in records],
-            dst=[r.dst for r in records],
-            packets=[r.packets_sent for r in records],
-            bad=[r.bad_packets for r in records],
-            rtt_ms=[r.rtt_ms for r in records],
-            is_probe=[r.is_probe for r in records],
-            paths=[r.path for r in records],
         )
 
     @staticmethod

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles.telemetry import build_observations
+from oracles.telemetry import build_observations, records_of
 from repro.core.problem import InferenceProblem
 from repro.routing.ecmp import EcmpRouting
 from repro.simulation.failures import SilentLinkDrops
@@ -43,6 +43,21 @@ def ft_routing(small_fat_tree):
 
 
 @pytest.fixture(scope="session")
+def demo_trace(small_fat_tree):
+    """The input of ``examples/agent_collector_demo.py``, over a fresh
+    routing; tests pin the agent's wire bytes and the dataset JSON of
+    this trace."""
+    return make_trace(
+        small_fat_tree,
+        EcmpRouting(small_fat_tree),
+        SilentLinkDrops(n_failures=2, min_rate=5e-3, max_rate=1e-2),
+        seed=3,
+        n_passive=5000,
+        n_probes=500,
+    )
+
+
+@pytest.fixture(scope="session")
 def drop_trace(small_fat_tree, ft_routing):
     """A deterministic silent-drop trace on the small fat tree.
 
@@ -65,7 +80,7 @@ def drop_problem(drop_trace):
     """An A1+A2+P inference problem built from the drop trace."""
     topo = drop_trace.topology
     obs = build_observations(
-        drop_trace.records,
+        records_of(drop_trace.batch),
         topo,
         drop_trace.routing,
         TelemetryConfig.from_spec("A1+A2+P"),

@@ -21,7 +21,7 @@ from repro.core.problem import InferenceProblem
 from repro.eval.harness import effective_telemetry
 from repro.telemetry.inputs import ObservationBatch, TelemetryConfig
 
-from .telemetry import batch_observations, build_observations
+from .telemetry import batch_observations, build_observations, records_of
 
 
 def uncompressed_from_batch(
@@ -38,7 +38,7 @@ def object_problem(trace, telemetry: TelemetryConfig) -> InferenceProblem:
     object observations, then ``from_observations`` - with the
     effective telemetry and sampling seed ``build_problem`` uses."""
     observations = build_observations(
-        trace.records, trace.topology, trace.routing,
+        records_of(trace.batch), trace.topology, trace.routing,
         effective_telemetry(trace, telemetry),
         np.random.default_rng(trace.seed + 0x5EED),
     )

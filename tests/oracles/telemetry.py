@@ -7,18 +7,55 @@ reports.  The per-flow loop here is the literal reading of the paper's
 input rules (section 6.2) over either kind of flow, kept so tests can
 pin the columnar build - and every problem and prediction built from
 it - to it bit for bit.
+
+:class:`FlowRecord` is the per-flow object view of a ``FlowBatch`` row
+(:func:`records_of`), so tests can check columnar code against plain
+per-record loops.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.simulation.failures import PER_PACKET
+from repro.telemetry import FlowReport
 from repro.telemetry.inputs import KIND_ORDER, ObservationBatch, TelemetryConfig
-from repro.telemetry.records import FlowReport
-from repro.types import FlowObservation, FlowRecord, TelemetryKind
+from repro.types import FlowBatch, FlowObservation, TelemetryKind
+
+
+@dataclass(frozen=True)
+class FlowRecord:
+    """One simulated flow with its exact node path (endpoints included);
+    ``packets_sent`` and ``bad_packets`` are ``t`` and ``r`` of the
+    paper's Eq. 1."""
+
+    src: int
+    dst: int
+    packets_sent: int
+    bad_packets: int
+    path: Tuple[int, ...]
+    rtt_ms: float = 0.0
+    is_probe: bool = False
+
+
+def records_of(batch: FlowBatch) -> List[FlowRecord]:
+    """The batch's rows as records; every row must know its path."""
+    assert not np.any(batch.chosen_path < 0), "a row has no known path"
+    path_nodes = batch.space.path_nodes
+    return [
+        FlowRecord(
+            src=src, dst=dst, packets_sent=sent, bad_packets=bad,
+            path=path_nodes(pid), rtt_ms=rtt, is_probe=probe,
+        )
+        for src, dst, sent, bad, rtt, probe, pid in zip(
+            batch.src.tolist(), batch.dst.tolist(), batch.packets.tolist(),
+            batch.bad.tolist(), batch.rtt_ms.tolist(),
+            batch.is_probe.tolist(), batch.chosen_path.tolist(),
+        )
+    ]
 
 
 class PathMemo:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles.telemetry import build_observations
+from oracles.telemetry import build_observations, records_of
 from repro.baselines.sherlock import SherlockFerret
 from repro.core.flock import FlockInference
 from repro.core.params import DEFAULT_PER_PACKET, FlockParams
@@ -19,7 +19,7 @@ from repro.types import FlowObservation
 
 def problem_for(trace, spec="A1+A2+P", **kwargs):
     obs = build_observations(
-        trace.records, trace.topology, trace.routing,
+        records_of(trace.batch), trace.topology, trace.routing,
         TelemetryConfig.from_spec(spec, **kwargs),
         np.random.default_rng(11),
     )

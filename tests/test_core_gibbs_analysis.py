@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from oracles.model import evidence_score
-from repro.core.analysis import (
-    check_theorem2,
-    max_recoverable_failures,
-    observation_for_score,
-    traffic_skew,
-    vertex_cover_gadget,
-)
+from oracles.telemetry import FlowRecord, records_of
 from repro.core.flock import FlockInference
 from repro.core.gibbs import GibbsInference
 from repro.core.params import DEFAULT_PER_PACKET, FlockParams
@@ -20,8 +14,15 @@ from repro.core.problem import InferenceProblem
 from repro.errors import InferenceError
 from repro.simulation import SilentLinkDrops
 from repro.topology import fat_tree
-from repro.types import FlowObservation, FlowRecord
+from repro.types import FlowObservation
 from repro.eval.scenarios import make_trace
+from theory import (
+    check_theorem2,
+    max_recoverable_failures,
+    observation_for_score,
+    traffic_skew,
+    vertex_cover_gadget,
+)
 
 
 class TestGibbs:
@@ -119,7 +120,7 @@ class TestTrafficSkew:
         params = FlockParams(pg=7e-4, pb=6e-3, rho=1e-4)
         report = check_theorem2(
             small_fat_tree,
-            trace.records,
+            records_of(trace.batch),
             params,
             trace.ground_truth.failed_links,
             trace.ground_truth.drop_rates,

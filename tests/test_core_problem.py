@@ -50,7 +50,7 @@ class TestConstruction:
         # keep w=2 (the flow's fan-out matters in Eq. 1).
         observations = [obs(((0, 1), (0, 1)), 10, 1)]
         problem = InferenceProblem.from_observations(observations, 2, 2)
-        assert problem.flow_pathset_size(0) == 2
+        assert problem._set_w[problem._set_of_flow[0]] == 2
         assert n_paths(problem) == 1
 
 

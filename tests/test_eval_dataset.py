@@ -1,11 +1,13 @@
 """Tests for trace serialization and the six-scenario dataset."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from oracles.problem import object_problem
+from oracles.telemetry import records_of
 from repro.core.flock import FlockInference
 from repro.core.params import DEFAULT_PER_PACKET
 from repro.core.problem import InferenceProblem
@@ -31,7 +33,6 @@ from repro.simulation.failures import (
 )
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.inputs import build_observation_batch
-from repro.types import FlowBatch
 
 #: Every array a problem's kernels and views are built from.
 PROBLEM_ARRAYS = (
@@ -50,8 +51,9 @@ class TestRoundtrip:
             drop_trace.ground_truth.failed_links
         assert rebuilt.topology.links == drop_trace.topology.links
         assert rebuilt.topology.names == drop_trace.topology.names
-        assert len(rebuilt.records) == len(drop_trace.records)
-        for a, b in zip(rebuilt.records, drop_trace.records):
+        got, want = records_of(rebuilt.batch), records_of(drop_trace.batch)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
             assert (a.src, a.dst, a.packets_sent, a.bad_packets, a.path) == \
                 (b.src, b.dst, b.packets_sent, b.bad_packets, b.path)
             assert a.is_probe == b.is_probe
@@ -64,6 +66,30 @@ class TestRoundtrip:
             rebuilt.ground_truth.failed_links
             == drop_trace.ground_truth.failed_links
         )
+
+    def test_json_bytes_are_pinned(self, demo_trace):
+        """The serialized demo trace: any change to the record layout,
+        the row order or the field order changes these bytes.  (Its
+        RTTs are all 0; the next test pins the RTT rounding.)"""
+        text = json.dumps(trace_to_dict(demo_trace))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4045014f6297c072fbddf43642b268fe6a087ddf5f12d33d8281043574b77e85"
+        )
+
+    def test_rtt_is_stored_in_whole_microseconds(self, tiny_world):
+        topo, routing = tiny_world
+        trace = make_trace(
+            topo, routing, make_scenario("link-flap"), seed=2,
+            n_passive=400, n_probes=50,
+        )
+        rtt_ms = trace.batch.rtt_ms.tolist()
+        assert len(set(rtt_ms)) > 100
+        rows = trace_to_dict(trace)["records"]
+        assert [row[4] for row in rows] == [
+            int(round(ms * 1000.0)) for ms in rtt_ms
+        ]
+        loaded = trace_from_dict(json.loads(json.dumps(trace_to_dict(trace))))
+        assert loaded.batch.rtt_ms.tolist() == [row[4] / 1000.0 for row in rows]
 
     def test_rejects_wrong_format(self):
         with pytest.raises(ExperimentError):
@@ -112,17 +138,16 @@ def tiny_world():
 
 @pytest.mark.parametrize("spec", ["P", "A1+A2+P", "INT"])
 def test_from_records_keeps_the_simulated_path_sets(tiny_world, spec):
-    """A batch rebuilt from a trace's records over a fresh space builds
-    the problem the simulated batch builds: passive rows get their host
-    pair's ECMP set back, not their chosen path alone."""
+    """A trace saved and loaded over a fresh space builds the problem
+    the simulated batch builds: passive rows get their host pair's ECMP
+    set back, not their chosen path alone."""
     topo, routing = tiny_world
     trace = make_trace(
         topo, routing, SilentLinkDrops(n_failures=2), seed=1,
         n_passive=500, n_probes=100,
     )
-    rebuilt = FlowBatch.from_records(
-        trace.records, EcmpRouting(topo).path_space()
-    )
+    rebuilt = trace_from_dict(trace_to_dict(trace)).batch
+    assert rebuilt.space is not trace.batch.space
     telemetry = TelemetryConfig.from_spec(spec)
     want, got = (
         InferenceProblem.from_batch(
@@ -169,6 +194,38 @@ def _two_host_passive_path(payload):
     row[0], row[1], row[6] = a, b, [a, b]
 
 
+def _sent_above_int64(payload):
+    payload["records"][0][2] = 2**70
+
+
+def _huge_rtt(payload):
+    payload["records"][0][4] = 2**1100
+
+
+def _negative_rate_key(payload):
+    payload["ground_truth"]["drop_rates"]["-1"] = 0.5
+
+
+def _unknown_failed_link(payload):
+    payload["ground_truth"]["failed_links"].append(99999)
+
+
+def _link_as_failed_device(payload):
+    payload["ground_truth"]["failed_devices"].append(0)
+
+
+def _unknown_analysis(payload):
+    payload["analysis"] = "bogus"
+
+
+def _seed_not_an_integer(payload):
+    payload["seed"] = "x"
+
+
+def _meta_not_an_object(payload):
+    payload["meta"] = [1]
+
+
 MALFORMED = {
     "five-field record": _five_fields,
     "no topology": _no_topology,
@@ -177,6 +234,14 @@ MALFORMED = {
     "bad above sent": _bad_above_sent,
     "unknown node id": _unknown_node_id,
     "passive path between two hosts": _two_host_passive_path,
+    "sent above int64": _sent_above_int64,
+    "rtt too large for a float": _huge_rtt,
+    "negative drop-rate key": _negative_rate_key,
+    "unknown failed link": _unknown_failed_link,
+    "link as failed device": _link_as_failed_device,
+    "unknown analysis": _unknown_analysis,
+    "seed not an integer": _seed_not_an_integer,
+    "meta not an object": _meta_not_an_object,
 }
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.telemetry import records_of
 from repro.core.flock import FlockInference
 from repro.core.params import DEFAULT_PER_PACKET
 from repro.errors import ExperimentError
@@ -34,15 +35,16 @@ class TestScenarios:
         b = make_trace(small_fat_tree, ft_routing,
                        SilentLinkDrops(n_failures=1), seed=5, **kwargs)
         assert a.ground_truth == b.ground_truth
-        assert a.records == b.records
+        assert records_of(a.batch) == records_of(b.batch)
 
     def test_trace_counts(self, small_fat_tree, ft_routing):
         trace = make_trace(
             small_fat_tree, ft_routing, SilentLinkDrops(n_failures=1),
             seed=6, n_passive=300, n_probes=50,
         )
-        probes = [r for r in trace.records if r.is_probe]
-        assert len(trace.records) == 350
+        records = records_of(trace.batch)
+        probes = [r for r in records if r.is_probe]
+        assert len(records) == 350
         assert len(probes) == 50
 
     def test_batch_alternates_traffic(self, small_fat_tree, ft_routing):
@@ -62,7 +64,7 @@ class TestScenarios:
 class TestHarness:
     def test_build_problem_counts(self, drop_trace):
         problem = build_problem(drop_trace, TelemetryConfig.from_spec("INT"))
-        assert problem.total_flows == len(drop_trace.records)
+        assert problem.total_flows == len(drop_trace.batch)
 
     def test_per_flow_trace_overrides_analysis(self, small_fat_tree, ft_routing):
         trace = make_trace(

@@ -333,6 +333,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Flock" in out
 
+    @pytest.mark.parametrize("flag", ["--flows", "--probes"])
+    def test_dataset_rejects_a_negative_count(self, capsys, tmp_path, flag):
+        out = tmp_path / "suite"
+        assert main(["dataset", str(out), flag, "-1"]) == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_rejects_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err

@@ -4,6 +4,7 @@ interning, and column-alignment validation."""
 import numpy as np
 import pytest
 
+from oracles.telemetry import records_of
 from repro.eval.experiments import standard_topology
 from repro.routing import EcmpRouting
 from repro.simulation.failures import make_scenario
@@ -56,13 +57,13 @@ def test_slice_returns_views(chunks):
 
 def test_concat_preserves_interning(chunks):
     """Concatenated chunks resolve interned path ids against the one
-    shared PathSpace, so records() round-trips per-chunk."""
+    shared PathSpace, so the merged rows equal the chunks' rows."""
     space = chunks[0].batch.space
     assert all(c.batch.space is space for c in chunks)
     merged = FlowBatch.concat([c.batch for c in chunks])
     assert merged.space is space
-    expected = [r for c in chunks for r in c.batch.records()]
-    assert merged.records() == expected
+    expected = [r for c in chunks for r in records_of(c.batch)]
+    assert records_of(merged) == expected
     # t_start stays monotone across chunk boundaries (arrival order)
     assert np.all(np.diff(merged.t_start) >= 0)
 

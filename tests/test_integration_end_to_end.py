@@ -48,16 +48,16 @@ def reports_problem(topo, routing, reports, spec):
 
 
 def run_wire_pipeline(topo, routing, trace, spec, reveal_paths):
-    """Records -> agent -> wire -> collector -> problem."""
+    """Trace batch -> agent -> wire -> collector -> problem."""
     transport = InMemoryTransport()
     agent = TelemetryAgent(transport, reveal_paths=reveal_paths)
-    agent.observe(trace.records)
+    agent.observe(trace.batch)
     agent.flush()
     collector = Collector()
     for message in transport.drain():
         collector.ingest(message)
     reports = collector.drain()
-    assert len(reports) == len(trace.records)
+    assert len(reports) == len(trace.batch)
     return reports_problem(topo, routing, reports, spec)
 
 
@@ -137,13 +137,13 @@ class TestDownsampledTelemetry:
         agent = TelemetryAgent(
             transport, reveal_paths=True, sampling_rate=0.5, seed=9
         )
-        agent.observe(trace.records)
+        agent.observe(trace.batch)
         agent.flush()
         collector = Collector()
         for message in transport.drain():
             collector.ingest(message)
         reports = collector.drain()
-        assert len(reports) < len(trace.records)
+        assert len(reports) < len(trace.batch)
         problem = reports_problem(clos, routing, reports, "INT")
         pred = FlockInference(DEFAULT_PER_PACKET).localize(problem)
         metrics = evaluate_prediction(pred, trace.ground_truth, clos)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.errors import TopologyError
 from repro.routing import EcmpRouting, PathSpace
 from repro.topology import fat_tree, leaf_spine, three_tier_clos
+from repro.topology.base import SWITCH_ROLES
 from repro.topology.irregular import omit_random_links
 
 
@@ -33,7 +34,7 @@ def oracle_path_components(topo, nodes, include_devices):
         comps.add(topo.link_id(u, v))
     if include_devices:
         for node in nodes:
-            if topo.switch_mask[node]:
+            if topo.role(node) in SWITCH_ROLES:
                 comps.add(topo.n_links + node)
     return tuple(sorted(comps))
 

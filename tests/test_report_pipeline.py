@@ -30,13 +30,13 @@ from repro.simulation.failures import (
 from repro.simulation.latency import RTT_BAD_THRESHOLD_MS
 from repro.telemetry import (
     Collector,
+    FlowReport,
     InMemoryTransport,
     TelemetryAgent,
     TelemetryConfig,
     batch_from_reports,
     build_observation_batch,
 )
-from repro.telemetry.records import FlowReport
 from repro.topology import fat_tree
 from test_columnar_equivalence import _assert_problems_identical
 
@@ -135,7 +135,7 @@ def test_revealed_reports_give_the_traces_own_observations(
     )
     transport = InMemoryTransport()
     agent = TelemetryAgent(transport, reveal_paths=True)
-    agent.observe(trace.records)
+    agent.observe(trace.batch)
     agent.flush()
     collector = Collector()
     for message in transport.drain():

@@ -145,7 +145,7 @@ def _csr(rows):
 
 def _assert_csrs_fresh(space):
     """comp_csr()/link_csr() equal a from-scratch build over every id."""
-    want_comp = _csr([space.comp_path(g) for g in range(space.n_comp_paths)])
+    want_comp = _csr([space.comp_path(g) for g in range(len(space._comp_paths))])
     want_link = _csr([space.path_link_ids(p) for p in range(space.n_paths)])
     for got, want in ((space.comp_csr(), want_comp),
                       (space.link_csr(), want_link)):

@@ -1,9 +1,14 @@
 """Tests for drop-rate plans, failure scenarios, and the flow simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from oracles.telemetry import records_of
+from repro.errors import SimulationError, TrafficError
 from repro.eval.experiments import standard_topology
 from repro.eval.scenarios import make_trace
 from repro.routing import EcmpRouting, PathSpace
@@ -19,7 +24,12 @@ from repro.simulation import (
     good_link_rates,
     simulate_batch,
 )
-from repro.simulation.failures import PER_FLOW, PER_PACKET
+from repro.simulation.failures import (
+    PER_FLOW,
+    PER_PACKET,
+    make_scenario,
+    scenario_names,
+)
 from repro.simulation.flowsim import _path_survivals
 from repro.traffic import (
     SpecBatch,
@@ -137,10 +147,8 @@ def _passive_and_probes(topo, routing, rng, n_flows, n_probes):
     sets, over a fresh path space."""
     space = PathSpace(topo, routing)
     return SpecBatch.concat([
-        generate_passive_flow_batch(
-            routing, UniformTraffic(topo), n_flows, rng, space
-        ),
-        a1_probe_batch(topo, routing, n_probes, rng, space),
+        generate_passive_flow_batch(UniformTraffic(topo), n_flows, rng, space),
+        a1_probe_batch(routing, n_probes, rng, space),
     ])
 
 
@@ -280,17 +288,24 @@ class TestFlowSimulator:
         assert out.bad.sum() / out.packets.sum() == pytest.approx(0.02, rel=0.2)
 
     def test_empirical_link_loss_index(self, drop_trace):
-        loss = empirical_link_loss(drop_trace.topology, drop_trace.records)
+        loss = empirical_link_loss(drop_trace.batch)
         for link, (bad, total) in loss.items():
             assert 0 <= bad
             assert total > 0
+        pathless = drop_trace.batch.slice(0, 3)
+        pathless = dataclasses.replace(
+            pathless, chosen_path=np.array([0, -1, 0])
+        )
+        with pytest.raises(SimulationError, match="known path"):
+            empirical_link_loss(pathless)
 
     def test_empty_specs(self, small_fat_tree, ft_routing, rng):
         injection = NoFailure().inject(small_fat_tree, rng)
         space = PathSpace(small_fat_tree, ft_routing)
         out = simulate_batch(SpecBatch.empty(space), injection, rng)
         assert len(out) == 0
-        assert out.records() == []
+        assert records_of(out) == []
+        assert empirical_link_loss(out) == {}
 
 
 # --- simulator RNG stream ---------------------------------------------
@@ -375,3 +390,43 @@ def test_rng_mode_rejects_unknown(tiny_world):
     with pytest.raises(ValueError, match="rng_mode"):
         make_trace(topo, routing, scenario, seed=5, n_passive=10,
                    n_probes=0, rng_mode="grouped")
+
+
+@pytest.mark.parametrize("n_passive, n_probes", [(-1, 0), (0, -1), (-5, 10)])
+def test_negative_flow_counts_raise(tiny_world, n_passive, n_probes):
+    topo, routing = tiny_world
+    with pytest.raises(TrafficError, match="non-negative"):
+        make_trace(topo, routing, NoFailure(), seed=1,
+                   n_passive=n_passive, n_probes=n_probes)
+
+
+def _link_loss_per_record(topology, records):
+    """The per-record definition of :func:`empirical_link_loss`."""
+    totals = {}
+    for record in records:
+        for u, v in zip(record.path, record.path[1:]):
+            link = topology.link_id(u, v)
+            bad, total = totals.get(link, (0, 0))
+            totals[link] = (bad + record.bad_packets,
+                            total + record.packets_sent)
+    return totals
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_passive=st.integers(0, 300),
+    n_probes=st.integers(0, 60),
+    scenario=st.sampled_from(scenario_names()),
+)
+def test_empirical_link_loss_matches_per_record_loop(
+    tiny_world, seed, n_passive, n_probes, scenario
+):
+    topo, routing = tiny_world
+    batch = make_trace(
+        topo, routing, make_scenario(scenario), seed=seed,
+        n_passive=n_passive, n_probes=n_probes,
+    ).batch
+    got = empirical_link_loss(batch)
+    assert got == _link_loss_per_record(topo, records_of(batch))
+    assert all(type(v) is int for pair in got.values() for v in pair)

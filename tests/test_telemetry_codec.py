@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CodecError, TelemetryError
 from repro.telemetry import (
+    MAX_PATH_NODES,
     MAX_RECORDS_PER_MESSAGE,
     FlowReport,
     decode_message,
@@ -13,7 +14,6 @@ from repro.telemetry import (
     encode_message,
     encode_record,
 )
-from repro.telemetry.records import MAX_PATH_NODES
 
 
 def sample_report(**overrides):

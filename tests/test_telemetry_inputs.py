@@ -5,17 +5,31 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles.telemetry import batch_observations, build_observations
-from repro.errors import RoutingError, TelemetryError, TopologyError
+from oracles.telemetry import (
+    FlowRecord,
+    batch_observations,
+    build_observations,
+    records_of,
+)
+from repro.errors import (
+    ExperimentError,
+    RoutingError,
+    TelemetryError,
+    TopologyError,
+)
+from repro.eval.dataset import trace_to_dict
+from repro.eval.scenarios import Trace
 from repro.routing import EcmpRouting
-from repro.simulation.failures import PER_FLOW
+from repro.simulation.failures import PER_FLOW, NoFailure
 from repro.telemetry import (
+    FlowReport,
+    InMemoryTransport,
+    TelemetryAgent,
     TelemetryConfig,
     batch_from_reports,
     build_observation_batch,
 )
-from repro.telemetry.records import FlowReport
-from repro.types import FlowRecord, TelemetryKind
+from repro.types import TelemetryKind
 
 
 @pytest.fixture()
@@ -230,9 +244,18 @@ class TestFromReports:
         assert batch.path_set[3] == space.intern_set((probe_path,))
         assert batch.bad.tolist() == [0, 3, 0, 0]
         assert batch.rtt_ms.tolist() == [1.5, 0.3, 0.3, 0.3]
+        # The agent and the dataset serializer need every row's path:
+        # a pathless row must not resolve to some other interned path.
         with pytest.raises(TelemetryError, match="flow 0 has no known path"):
-            batch.records()
-        assert batch.slice(1, 2).records()[0].path == path
+            TelemetryAgent(InMemoryTransport()).observe(batch)
+        trace = Trace(
+            topology=topo, routing=ft_routing,
+            injection=NoFailure().inject(topo, np.random.default_rng(0)),
+            batch=batch,
+        )
+        with pytest.raises(ExperimentError, match="flow 0 has no known path"):
+            trace_to_dict(trace)
+        assert records_of(batch.slice(1, 2))[0].path == path
 
 
 class TestReportBoundary:

@@ -167,12 +167,6 @@ class TestDerived:
         cut = topo.without_links([topo.link_id(0, 2)])
         assert not cut.is_connected()
 
-    def test_to_networkx(self):
-        graph = tiny_topo().to_networkx()
-        assert graph.number_of_nodes() == 6
-        assert graph.number_of_edges() == 5
-        assert graph.nodes[0]["role"] == "spine"
-
 
 class TestBuilder:
     def test_builds_equivalent_topology(self):

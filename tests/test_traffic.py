@@ -85,7 +85,7 @@ class TestPassiveFlows:
     def test_generate_passive_flow_batch(self, small_fat_tree, ft_routing, rng):
         matrix = UniformTraffic(small_fat_tree)
         space = PathSpace(small_fat_tree, ft_routing)
-        batch = generate_passive_flow_batch(ft_routing, matrix, 200, rng, space)
+        batch = generate_passive_flow_batch(matrix, 200, rng, space)
         assert len(batch) == 200
         assert batch.space is space
         assert not batch.is_probe.any()
@@ -99,16 +99,16 @@ class TestPassiveFlows:
     def test_no_flows(self, small_fat_tree, ft_routing, rng):
         matrix = UniformTraffic(small_fat_tree)
         space = PathSpace(small_fat_tree, ft_routing)
-        empty = generate_passive_flow_batch(ft_routing, matrix, 0, rng, space)
+        empty = generate_passive_flow_batch(matrix, 0, rng, space)
         assert len(empty) == 0
         with pytest.raises(TrafficError):
-            generate_passive_flow_batch(ft_routing, matrix, -1, rng, space)
+            generate_passive_flow_batch(matrix, -1, rng, space)
 
 
 class TestProbePlan:
     def test_probes_are_pinned_and_marked(self, small_fat_tree, ft_routing, rng):
         space = PathSpace(small_fat_tree, ft_routing)
-        batch = a1_probe_batch(small_fat_tree, ft_routing, 100, rng, space)
+        batch = a1_probe_batch(ft_routing, 100, rng, space)
         assert len(batch) == 100
         assert batch.is_probe.all()
         assert (batch.packets == PROBE_PACKETS).all()
@@ -124,7 +124,7 @@ class TestProbePlan:
         topo = small_fat_tree
         space = PathSpace(topo, ft_routing)
         n_pairs = len(topo.hosts) * len(topo.cores)
-        batch = a1_probe_batch(topo, ft_routing, n_pairs * 4, rng, space)
+        batch = a1_probe_batch(ft_routing, n_pairs * 4, rng, space)
         covered = set()
         for sid in np.unique(batch.path_set).tolist():
             for path in _member_paths(space, sid):
@@ -149,7 +149,7 @@ class TestProbePlan:
         core = topo.cores[0]
         assert len(routing.probe_paths(host, core)) >= 2
         batch = a1_probe_batch(
-            topo, routing, len(topo.hosts) * len(topo.cores) * 2, rng, space,
+            routing, len(topo.hosts) * len(topo.cores) * 2, rng, space,
         )
         mine = (batch.src == host) & (batch.dst == core)
         pinned = {
@@ -161,4 +161,4 @@ class TestProbePlan:
     def test_invalid_args(self, small_fat_tree, ft_routing, rng):
         space = PathSpace(small_fat_tree, ft_routing)
         with pytest.raises(TrafficError):
-            a1_probe_batch(small_fat_tree, ft_routing, -1, rng, space)
+            a1_probe_batch(ft_routing, -1, rng, space)

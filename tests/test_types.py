@@ -4,31 +4,10 @@ import pytest
 
 from repro.types import (
     FlowObservation,
-    FlowRecord,
     GroundTruth,
     Prediction,
     validate_probability,
 )
-
-
-class TestFlowRecord:
-    def test_loss_rate(self):
-        record = FlowRecord(src=0, dst=1, packets_sent=100, bad_packets=5,
-                            path=(0, 1))
-        assert record.loss_rate == 0.05
-
-    def test_empty_flow_loss_rate(self):
-        record = FlowRecord(src=0, dst=1, packets_sent=0, bad_packets=0,
-                            path=(0, 1))
-        assert record.loss_rate == 0.0
-
-    def test_bad_bounded_by_sent(self):
-        with pytest.raises(ValueError):
-            FlowRecord(src=0, dst=1, packets_sent=3, bad_packets=4, path=(0, 1))
-
-    def test_negative_packets(self):
-        with pytest.raises(ValueError):
-            FlowRecord(src=0, dst=1, packets_sent=-1, bad_packets=0, path=(0, 1))
 
 
 class TestFlowObservation:

@@ -1,4 +1,4 @@
-"""Theory companions: traffic skew, the Theorem 2 condition, and the
+"""Theory companions (test-side): traffic skew, the Theorem 2 condition, and the
 Theorem 3 NP-hardness gadget.
 
 * Definition 3: traffic ``T`` is ``eps``-skewed when
@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..errors import InferenceError
-from ..topology.base import Topology
-from ..types import FlowObservation, FlowRecord
-from .params import FlockParams
+from oracles.telemetry import FlowRecord
+from repro.core.params import FlockParams
+from repro.errors import InferenceError
+from repro.topology.base import Topology
+from repro.types import FlowObservation
 
 # ----------------------------------------------------------------------
 # Traffic skew (Definition 3)
